@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test-analysis test test-short test-chaos bench bench-json bench-guard smoke-gqd results figures examples clean
+.PHONY: all build vet lint lint-json test-analysis test test-short test-chaos bench smoke-gqd results figures examples clean
 
 all: build vet lint test
 
@@ -15,8 +15,8 @@ vet:
 	$(GO) test -race -short ./internal/netsim/... ./internal/tcpsim/... ./internal/ctrlplane/...
 
 # Custom analyzer suite (internal/analysis, driven by cmd/gqlint):
-# determinism, poolownership, spanlifecycle, hotpathalloc, unitsafety,
-# shardsafety. Must exit 0 on the whole tree; violations are either
+# determinism, poolownership, spanlifecycle, hotpathalloc, unitsafety.
+# Must exit 0 on the whole tree; violations are either
 # fixed or carry an inline //lint:ignore justification (stale
 # directives are findings too). See docs/static-analysis.md.
 lint:
@@ -54,31 +54,11 @@ test-chaos:
 		./internal/mpi/... ./internal/experiments/... \
 		-timeout 900s
 
+# One pass of every figure and ablation benchmark. Performance claims
+# cite the repo benchmark, BENCHMARK.json, run by bench/run.sh and
+# compared with gqbench (see bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run xxx -timeout 1800s .
-
-# Micro + macro benchmark trajectory for this PR, committed as JSON so
-# future PRs can diff against it. Override BENCH_OUT for the next PR's
-# file (bench-guard always picks the newest BENCH_PR<n>.json).
-BENCH_OUT ?= BENCH_PR9.json
-bench-json:
-	{ $(GO) test -bench 'BenchmarkKernel|BenchmarkLinkForward|BenchmarkTCPTransfer' \
-		-benchmem -run xxx ./internal/sim/ ./internal/netsim/ ./internal/tcpsim/ ; \
-	  $(GO) test -bench 'BenchmarkFigure5|BenchmarkAdmissionStorm' -benchmem -benchtime=1x -run xxx -timeout 1800s . ; } \
-		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)
-	cat $(BENCH_OUT)
-
-# Fast CI guard: the packet-forward hot path must stay at 0 allocs/op,
-# the kernel's pooled event path must stay allocation-free, and the
-# guard benchmarks — including the full fluid-mode Figure 5 macro run
-# — must not regress against the newest committed BENCH_PR<n>.json
-# trajectory.
-bench-guard:
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/sim/ ./internal/netsim/
-	{ $(GO) test -bench 'BenchmarkKernelAfter$$|BenchmarkLinkForward' -benchmem -run xxx \
-		./internal/sim/ ./internal/netsim/ ; \
-	  $(GO) test -bench 'BenchmarkFigure5$$' -benchmem -benchtime=1x -run xxx -timeout 600s . ; } \
-		| $(GO) run ./cmd/benchjson -guard
 
 # End-to-end smoke of the gqd observability daemon: short live fig5
 # run, every endpoint must answer 200 with a body, SIGTERM must shut

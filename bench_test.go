@@ -37,10 +37,9 @@ func BenchmarkFigure1(b *testing.B) {
 // BenchmarkFigure5 regenerates Figure 5: ping-pong throughput vs
 // reservation for four message sizes under contention. The reported
 // metric is the largest message's plateau throughput. Background
-// contention runs in hybrid fluid mode — the default for the figure
-// pipeline since PR 9 — so this is the number bench-guard holds the
-// build to; BenchmarkFigure5Packet keeps the packet-level reference
-// trajectory alongside it.
+// contention runs in hybrid fluid mode, the figure pipeline's default;
+// BenchmarkFigure5Packet keeps the packet-level reference trajectory
+// alongside it.
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg()

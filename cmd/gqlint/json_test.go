@@ -17,7 +17,7 @@ func TestWriteJSON(t *testing.T) {
 	f.SetLines([]int{0, 10, 20})
 
 	diags := []analysis.Diagnostic{
-		{Pos: f.Pos(0), Analyzer: "shardsafety", Message: "package-level state x is written outside init"},
+		{Pos: f.Pos(0), Analyzer: "determinism", Message: "package-level state x is written outside init"},
 		{Pos: f.Pos(10), Analyzer: "poolownership", Message: `message with "quotes" and \backslashes\`, Suppressed: true},
 		{Pos: f.Pos(20), Analyzer: "suppression", Message: "stale //lint:ignore determinism directive: it suppresses nothing; delete it"},
 	}

@@ -1,8 +1,7 @@
 // Command gqlint is the multichecker driver for the repository's
 // custom analyzer suite (internal/analysis): determinism,
-// poolownership, spanlifecycle, hotpathalloc, unitsafety, and
-// shardsafety. It loads and
-// type-checks packages with only the standard library (no module
+// poolownership, spanlifecycle, hotpathalloc, and unitsafety. It loads
+// and type-checks packages with only the standard library (no module
 // proxy required), applies every analyzer, honours //lint:ignore
 // suppressions, and exits nonzero if any diagnostic remains.
 //
@@ -35,7 +34,6 @@ import (
 	"mpichgq/internal/analysis/determinism"
 	"mpichgq/internal/analysis/hotpathalloc"
 	"mpichgq/internal/analysis/poolownership"
-	"mpichgq/internal/analysis/shardsafety"
 	"mpichgq/internal/analysis/spanlifecycle"
 	"mpichgq/internal/analysis/unitsafety"
 )
@@ -44,7 +42,6 @@ var all = []*analysis.Analyzer{
 	determinism.Analyzer,
 	hotpathalloc.Analyzer,
 	poolownership.Analyzer,
-	shardsafety.Analyzer,
 	spanlifecycle.Analyzer,
 	unitsafety.Analyzer,
 }

@@ -13,8 +13,9 @@
 // The suite enforces the simulator's invariants (see
 // docs/static-analysis.md for the catalogue):
 //
-//   - determinism:   no wall-clock, ambient randomness, goroutines, or
-//     map-iteration-ordered event emission in kernel-driven packages.
+//   - determinism:   no wall-clock, ambient randomness, goroutines,
+//     package-level state written after init, or map-iteration-ordered
+//     event emission in kernel-driven packages.
 //   - poolownership: every Network.AllocPacket / Stack.allocSeg result
 //     is freed or handed off exactly once on every path.
 //   - hotpathalloc:  no per-event closure allocation on the pooled
@@ -24,8 +25,6 @@
 //     expected.
 //   - spanlifecycle: every Tracer.Begin result reaches End/EndStatus
 //     or a handoff on every path.
-//   - shardsafety:   single-kernel ownership in kernel-driven packages
-//     — the invariant the sharded-PDES refactor depends on.
 //
 // The ownership analyses are interprocedural within a package: the
 // callgraph and summary subpackages compute per-function may-facts

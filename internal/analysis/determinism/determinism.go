@@ -6,9 +6,12 @@
 // -parallel settings. That only holds while simulation code draws no
 // wall-clock time, no ambient randomness, spawns no raw goroutines,
 // and never lets Go's randomized map iteration order decide the order
-// in which events are scheduled or RPCs are emitted. This analyzer
-// turns those conventions into compile-time errors for every package
-// that sits on the simulation kernel.
+// in which events are scheduled or RPCs are emitted. It also only holds
+// while the kernels of a -parallel sweep share nothing: a package-level
+// variable written after init is visible to every kernel in the
+// process, so its value would depend on how the workers interleave.
+// This analyzer turns those conventions into compile-time errors for
+// every package that sits on the simulation kernel.
 package determinism
 
 import (
@@ -22,7 +25,7 @@ import (
 // Analyzer reports nondeterminism hazards in kernel-driven packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: `forbid wall-clock, ambient randomness, goroutines, and map-ordered event emission in kernel-driven packages
+	Doc: `forbid wall-clock, ambient randomness, goroutines, shared package state, and map-ordered event emission in kernel-driven packages
 
 A package is kernel-driven when it imports the simulation kernel
 (mpichgq/internal/sim) or one of the simulators built on it (netsim,
@@ -36,7 +39,11 @@ tcpsim). In such packages the analyzer reports:
     rand.NewSource(seed): randomness must flow from the root seed via
     sim.RNG / experiments.DeriveSeed;
   - go statements: concurrency belongs to Kernel.Spawn, which admits
-    one runnable process at a time;
+    one runnable process at a time, and no kernel-owned value may
+    reach a goroutine the kernel does not schedule;
+  - writes to package-level variables outside init functions: every
+    kernel of a -parallel sweep shares package state, so simulation
+    state must hang off the kernel that owns it;
   - range over a map whose body schedules events or emits RPCs /
     flight-recorder events: iteration order would leak into the event
     sequence. Collect and sort keys first.`,
@@ -80,21 +87,79 @@ func run(pass *analysis.Pass) error {
 		if analysis.IsGeneratedFile(f) {
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				checkSelector(pass, n)
-			case *ast.CallExpr:
-				checkRandNew(pass, n)
-			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "go statement in kernel-driven package: goroutine interleaving is nondeterministic; use Kernel.Spawn (one runnable process at a time)")
-			case *ast.RangeStmt:
-				checkMapRange(pass, n)
-			}
-			return true
-		})
+		for _, decl := range f.Decls {
+			inInit := isInit(decl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					checkSelector(pass, n)
+				case *ast.CallExpr:
+					checkRandNew(pass, n)
+				case *ast.GoStmt:
+					pass.Reportf(n.Pos(), "go statement in kernel-driven package: goroutine interleaving is nondeterministic; use Kernel.Spawn (one runnable process at a time)")
+				case *ast.RangeStmt:
+					checkMapRange(pass, n)
+				case *ast.AssignStmt:
+					if !inInit {
+						for _, l := range n.Lhs {
+							checkGlobalWrite(pass, l)
+						}
+					}
+				case *ast.IncDecStmt:
+					if !inInit {
+						checkGlobalWrite(pass, n.X)
+					}
+				}
+				return true
+			})
+		}
 	}
 	return nil
+}
+
+// isInit reports whether decl is a package init function, which runs
+// before any kernel exists.
+func isInit(decl ast.Decl) bool {
+	fn, ok := decl.(*ast.FuncDecl)
+	return ok && fn.Recv == nil && fn.Name.Name == "init"
+}
+
+// checkGlobalWrite reports a store through x when it mutates a
+// package-level variable, this package's or a qualified pkg.Var: the
+// variable itself, or anything reached through it by field, index,
+// slice or dereference.
+func checkGlobalWrite(pass *analysis.Pass, x ast.Expr) {
+	for {
+		switch e := x.(type) {
+		case *ast.ParenExpr:
+			x = e.X
+		case *ast.SelectorExpr:
+			if reportPackageVar(pass, e.Sel) {
+				return
+			}
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.SliceExpr:
+			x = e.X
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.Ident:
+			reportPackageVar(pass, e)
+			return
+		default:
+			return
+		}
+	}
+}
+
+func reportPackageVar(pass *analysis.Pass, id *ast.Ident) bool {
+	v, ok := pass.ObjectOf(id).(*types.Var)
+	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+		return false
+	}
+	pass.Reportf(id.Pos(), "package-level state %s is written outside init: every kernel of a -parallel sweep shares it; hang the state off the kernel that owns it", v.Name())
+	return true
 }
 
 func kernelDriven(pass *analysis.Pass) bool {

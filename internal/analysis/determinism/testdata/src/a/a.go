@@ -3,6 +3,7 @@
 package a
 
 import (
+	"b"
 	"math/rand"
 	"sort"
 	"time"
@@ -75,9 +76,42 @@ func (s *server) fluidMapOrder(flows map[string]*netsim.FluidFlow) {
 	}
 }
 
+// --- package-level state: shared by every kernel in the process ---
+
+var (
+	defaultKernel *sim.Kernel
+	pending       []*netsim.Packet
+	counter       int
+	registry      = map[string]int{}
+	table         [4]struct{ hits int }
+)
+
+// init runs before any kernel exists: exempt.
+func init() {
+	counter = 1
+	registry["boot"] = 1
+}
+
+func (s *server) packageState(p *netsim.Packet) {
+	defaultKernel = s.k                // want `package-level state defaultKernel is written outside init`
+	pending = append(pending, p)       // want `package-level state pending is written outside init`
+	counter++                          // want `package-level state counter is written outside init`
+	registry["x"] = 2                  // want `package-level state registry is written outside init`
+	table[0].hits += 1                 // want `package-level state table is written outside init`
+	b.Hits = 0                         // want `package-level state Hits is written outside init`
+	local := registry["x"]             // ok: reading package state into a local
+	s.peers = map[string]*sim.Kernel{} // ok: state hangs off its owner
+	_ = local
+}
+
 func (s *server) suppressed() {
 	//lint:ignore determinism fixture proves the suppression mechanism works
 	go s.wallClock()
+}
+
+func (s *server) suppressedWrite() {
+	//lint:ignore determinism fixture proves suppression covers package-state writes
+	counter = 7
 }
 
 func (s *server) bareDirectiveDoesNotSuppress() {

@@ -8,9 +8,9 @@
 // struct. Passing a function literal (or a method value, which the
 // compiler also materialises as a closure) to one of these APIs
 // silently re-introduces one heap allocation per scheduled event and
-// defeats the pool; the bench-guard job only catches the regression
-// if the affected path happens to be benchmarked. This analyzer
-// catches it at every call site.
+// defeats the pool; the zero-allocation tests only catch the
+// regression if the affected path happens to be one they drive. This
+// analyzer catches it at every call site.
 package hotpathalloc
 
 import (

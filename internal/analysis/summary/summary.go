@@ -7,8 +7,7 @@
 // the function (stored, returned, aliased, sent, or passed to an
 // unknown callee), land in package-level state, or get captured by a
 // goroutine? Facts are may-facts — "on some path" — which is the
-// polarity both the ownership engine (it must not miss a hand-off)
-// and shardsafety (it must not miss an escape) need.
+// polarity the ownership engine needs: it must not miss a hand-off.
 //
 // Facts propagate through intra-package calls: if helper g stores its
 // parameter into a global, then f calling g(p) stores p into a global
@@ -93,8 +92,8 @@ type Set struct {
 }
 
 // Compute builds summaries for every declared function of the pass's
-// package. rec may be nil when no settling discipline is tracked
-// (shardsafety only needs escape facts).
+// package. rec may be nil when no settling discipline is tracked and
+// only escape facts are wanted.
 func Compute(pass *analysis.Pass, rec *Recognizer) *Set {
 	g := callgraph.Build(pass)
 	s := &Set{Pass: pass, Graph: g, ByFunc: make(map[*types.Func]*FuncSummary, len(g.Nodes))}

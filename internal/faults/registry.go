@@ -18,7 +18,7 @@ func Register(name string, build func() *Scenario) {
 	if _, dup := registry[name]; dup {
 		panic("faults: duplicate scenario " + name)
 	}
-	//lint:ignore shardsafety Register is only called from init functions, before any kernel exists; the registry is read-only for the rest of the process
+	//lint:ignore determinism Register is only called from init functions, before any kernel exists; the registry is read-only for the rest of the process
 	registry[name] = build
 }
 

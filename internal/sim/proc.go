@@ -28,7 +28,6 @@ type Ctx struct {
 // start at the current virtual time. The returned Proc can be used to
 // query completion.
 func (k *Kernel) Spawn(name string, fn func(ctx *Ctx)) *Proc {
-	//lint:ignore shardsafety SpawnAt's goroutine is the kernel's own process machinery; see the justification on the go statement there
 	return k.SpawnAt(k.now, name, fn)
 }
 
@@ -42,7 +41,7 @@ func (k *Kernel) SpawnAt(at time.Duration, name string, fn func(ctx *Ctx)) *Proc
 	}
 	k.procs = append(k.procs, p)
 	ctx := &Ctx{k: k, p: p}
-	//lint:ignore determinism,shardsafety this goroutine IS Kernel.Spawn's implementation; the kernel admits exactly one runnable process at a time via resume/yield handshakes, so scheduling stays deterministic and the captured kernel/proc/ctx never leave the owning kernel's control
+	//lint:ignore determinism this goroutine IS Kernel.Spawn's implementation; the kernel admits exactly one runnable process at a time via resume/yield handshakes, so scheduling stays deterministic and the captured kernel/proc/ctx never leave the owning kernel's control
 	go func() {
 		<-p.resume // wait for the start event
 		defer func() {
