@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test-analysis test test-short test-chaos bench smoke-gqd results figures examples clean
+.PHONY: all build vet lint lint-json test-analysis test test-short test-chaos bench bench-micro smoke-gqd results figures examples clean
 
 all: build vet lint test
 
@@ -59,6 +59,12 @@ test-chaos:
 # compared with gqbench (see bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run xxx -timeout 1800s .
+
+# One iteration of every per-layer micro benchmark under internal/
+# (kernel, link hop, TCP, slot table, ...), so that they keep building
+# and running; timings from one iteration mean nothing.
+bench-micro:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # End-to-end smoke of the gqd observability daemon: short live fig5
 # run, every endpoint must answer 200 with a body, SIGTERM must shut

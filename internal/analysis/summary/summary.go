@@ -3,18 +3,16 @@
 //
 // A summary answers, for each declared function of a package and each
 // of its parameters (including the method receiver): does the
-// parameter reach a settling call (a pool free, a span End), escape
-// the function (stored, returned, aliased, sent, or passed to an
-// unknown callee), land in package-level state, or get captured by a
-// goroutine? Facts are may-facts — "on some path" — which is the
-// polarity the ownership engine needs: it must not miss a hand-off.
+// parameter reach a settling call (a pool free, a span End), or escape
+// the function (stored, returned, aliased, sent, captured, or passed to
+// an unknown callee)? Facts are may-facts — "on some path" — which is
+// the polarity the ownership engine needs: it must not miss a hand-off.
 //
-// Facts propagate through intra-package calls: if helper g stores its
-// parameter into a global, then f calling g(p) stores p into a global
-// too. Propagation runs over the callgraph's strongly connected
-// components in callee-first order, iterating each component to a
-// fixpoint, so mutual recursion converges (facts only ever grow, and
-// the lattice is finite). Calls that do not statically resolve to a
+// Facts propagate through intra-package calls: if helper g frees its
+// parameter, then f calling g(p) frees p too. Propagation runs over
+// the callgraph's strongly connected components in callee-first order,
+// iterating each component to a fixpoint, so mutual recursion
+// converges (facts only ever grow, and the lattice is finite). Calls that do not statically resolve to a
 // declared function of the same package contribute the conservative
 // fact — the argument escapes — which is exactly the documented
 // hand-off contract the per-function analyzers have always assumed.
@@ -24,7 +22,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"mpichgq/internal/analysis"
 	"mpichgq/internal/analysis/callgraph"
@@ -35,17 +32,9 @@ type Facts uint8
 
 const (
 	// Escapes: the parameter is stored, returned, aliased, sent on a
-	// channel, captured by a closure, or passed to an unknown callee —
-	// ownership leaves the caller's sight.
+	// channel, captured by a closure or a go statement, or passed to an
+	// unknown callee — ownership leaves the caller's sight.
 	Escapes Facts = 1 << iota
-	// StoredGlobal: the parameter is stored into package-level state
-	// (directly, or transitively through an intra-package call).
-	// Always accompanied by Escapes.
-	StoredGlobal
-	// GoCaptured: the parameter reaches a go statement — passed to the
-	// spawned call or captured by its function literal. Always
-	// accompanied by Escapes.
-	GoCaptured
 	// Settles: the parameter reaches the recognizer's settling call
 	// (FreePacket, End, ...) on some path.
 	Settles
@@ -73,15 +62,8 @@ type FuncSummary struct {
 	// beyond it cannot be mapped soundly and default to Escapes at the
 	// call site.
 	Variadic bool
-	// WritesGlobals lists the package-level variables this function
-	// assigns to (directly; reachability is the call graph's job),
-	// sorted by name for determinism.
-	WritesGlobals []*types.Var
-	// SpawnsGoroutine marks a function containing a go statement.
-	SpawnsGoroutine bool
 
 	paramIdx map[*types.Var]int // receiver mapped to -1
-	writes   map[*types.Var]bool
 }
 
 // A Set is the complete summary table for one package.
@@ -109,15 +91,6 @@ func Compute(pass *analysis.Pass, rec *Recognizer) *Set {
 				changed = changed || w.changed
 			}
 		}
-	}
-	for _, fs := range s.ByFunc {
-		fs.WritesGlobals = fs.WritesGlobals[:0]
-		for v := range fs.writes {
-			fs.WritesGlobals = append(fs.WritesGlobals, v)
-		}
-		sort.Slice(fs.WritesGlobals, func(i, j int) bool {
-			return fs.WritesGlobals[i].Name() < fs.WritesGlobals[j].Name()
-		})
 	}
 	return s
 }
@@ -159,7 +132,6 @@ func newFuncSummary(pass *analysis.Pass, n *callgraph.Node) *FuncSummary {
 		Fn:       n.Fn,
 		Decl:     n.Decl,
 		paramIdx: make(map[*types.Var]int),
-		writes:   make(map[*types.Var]bool),
 	}
 	sig := n.Fn.Type().(*types.Signature)
 	fs.Variadic = sig.Variadic()
@@ -232,59 +204,25 @@ func (w *walker) markIdent(x ast.Expr, f Facts) {
 	}
 }
 
-// rootVar unwraps selectors, indexes, derefs, and slices to the base
-// identifier's object: the variable a store through x ultimately
-// mutates.
-func (w *walker) rootVar(x ast.Expr) *types.Var {
-	for {
-		switch e := x.(type) {
-		case *ast.ParenExpr:
-			x = e.X
-		case *ast.SelectorExpr:
-			x = e.X
-		case *ast.IndexExpr:
-			x = e.X
-		case *ast.SliceExpr:
-			x = e.X
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.Ident:
-			v, _ := w.pass.ObjectOf(e).(*types.Var)
-			return v
-		default:
-			return nil
-		}
-	}
-}
-
-func (w *walker) isGlobal(v *types.Var) bool {
-	return v != nil && v.Parent() == w.pass.Pkg.Scope()
-}
-
 func (w *walker) stmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.AssignStmt:
 		w.assign(s)
-	case *ast.IncDecStmt:
-		if root := w.rootVar(s.X); w.isGlobal(root) {
-			w.noteWrite(root)
-		}
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
 			w.markIdent(r, Escapes)
-			w.expr(r, exprCtx{})
+			w.expr(r)
 		}
 	case *ast.SendStmt:
 		w.markIdent(s.Value, Escapes)
-		w.expr(s.Chan, exprCtx{})
-		w.expr(s.Value, exprCtx{})
+		w.expr(s.Chan)
+		w.expr(s.Value)
 	case *ast.GoStmt:
-		w.fs.SpawnsGoroutine = true
 		w.goCall(s.Call)
 	case *ast.DeferStmt:
-		w.call(s.Call, exprCtx{})
+		w.call(s.Call)
 	case *ast.ExprStmt:
-		w.expr(s.X, exprCtx{})
+		w.expr(s.X)
 	case *ast.BlockStmt:
 		for _, inner := range s.List {
 			w.stmt(inner)
@@ -293,7 +231,7 @@ func (w *walker) stmt(s ast.Stmt) {
 		if s.Init != nil {
 			w.stmt(s.Init)
 		}
-		w.expr(s.Cond, exprCtx{})
+		w.expr(s.Cond)
 		w.stmt(s.Body)
 		if s.Else != nil {
 			w.stmt(s.Else)
@@ -303,21 +241,21 @@ func (w *walker) stmt(s ast.Stmt) {
 			w.stmt(s.Init)
 		}
 		if s.Cond != nil {
-			w.expr(s.Cond, exprCtx{})
+			w.expr(s.Cond)
 		}
 		if s.Post != nil {
 			w.stmt(s.Post)
 		}
 		w.stmt(s.Body)
 	case *ast.RangeStmt:
-		w.expr(s.X, exprCtx{})
+		w.expr(s.X)
 		w.stmt(s.Body)
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			w.stmt(s.Init)
 		}
 		if s.Tag != nil {
-			w.expr(s.Tag, exprCtx{})
+			w.expr(s.Tag)
 		}
 		w.stmt(s.Body)
 	case *ast.TypeSwitchStmt:
@@ -330,7 +268,7 @@ func (w *walker) stmt(s ast.Stmt) {
 		w.stmt(s.Body)
 	case *ast.CaseClause:
 		for _, x := range s.List {
-			w.expr(x, exprCtx{})
+			w.expr(x)
 		}
 		for _, inner := range s.Body {
 			w.stmt(inner)
@@ -350,132 +288,78 @@ func (w *walker) stmt(s ast.Stmt) {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, val := range vs.Values {
 						w.markIdent(val, Escapes) // x := p aliases p
-						w.expr(val, exprCtx{})
+						w.expr(val)
 					}
 				}
 			}
 		}
-	}
-}
-
-func (w *walker) noteWrite(v *types.Var) {
-	if !w.fs.writes[v] {
-		w.fs.writes[v] = true
-		w.changed = true
 	}
 }
 
 func (w *walker) assign(s *ast.AssignStmt) {
-	// Writes: any Lhs whose root is a package-level variable.
-	storedInGlobal := false
 	for _, l := range s.Lhs {
-		if root := w.rootVar(l); w.isGlobal(root) {
-			w.noteWrite(root)
-			storedInGlobal = true
-		}
-		w.expr(l, exprCtx{})
-	}
-	escapeFact := Escapes
-	if storedInGlobal {
-		escapeFact |= StoredGlobal
+		w.expr(l)
 	}
 	for _, r := range s.Rhs {
-		// A parameter on the right of any assignment escapes: either
-		// it is aliased into a new variable, or stored through a
-		// structure. If the destination roots in a global, it lands in
-		// package-level state.
-		w.markIdent(r, escapeFact)
-		// global = append(global, p, ...) stores the appended elements.
-		if call, ok := ast.Unparen(r).(*ast.CallExpr); ok && storedInGlobal {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
-				if _, isBuiltin := w.pass.ObjectOf(id).(*types.Builtin); isBuiltin {
-					for _, arg := range call.Args[1:] {
-						w.markIdent(arg, escapeFact)
-					}
-				}
-			}
-		}
-		w.expr(r, exprCtx{storedGlobal: storedInGlobal})
+		// A parameter on the right of any assignment escapes: it is
+		// aliased into a new variable or stored through a structure.
+		w.markIdent(r, Escapes)
+		w.expr(r)
 	}
 }
 
-// exprCtx carries store context into subexpressions: inside the RHS of
-// an assignment to a global, composite-literal elements and address-of
-// operands land in package-level state too.
-type exprCtx struct {
-	storedGlobal bool
-	inGoroutine  bool
-}
-
-func (c exprCtx) escapeFacts() Facts {
-	f := Escapes
-	if c.storedGlobal {
-		f |= StoredGlobal
-	}
-	if c.inGoroutine {
-		f |= GoCaptured
-	}
-	return f
-}
-
-func (w *walker) expr(x ast.Expr, ctx exprCtx) {
+func (w *walker) expr(x ast.Expr) {
 	if x == nil {
 		return
 	}
 	switch x := x.(type) {
 	case *ast.CallExpr:
-		w.call(x, ctx)
+		w.call(x)
 	case *ast.FuncLit:
 		// Closure capture: any parameter referenced inside escapes.
-		f := Escapes
-		if ctx.inGoroutine {
-			f |= GoCaptured
-		}
 		ast.Inspect(x.Body, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
 				if v, ok := w.pass.ObjectOf(id).(*types.Var); ok {
-					w.mark(v, f)
+					w.mark(v, Escapes)
 				}
 			}
 			return true
 		})
 	case *ast.UnaryExpr:
 		if x.Op == token.AND {
-			w.markIdent(x.X, ctx.escapeFacts())
+			w.markIdent(x.X, Escapes)
 		}
-		w.expr(x.X, ctx)
+		w.expr(x.X)
 	case *ast.CompositeLit:
 		for _, elt := range x.Elts {
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				w.markIdent(kv.Value, ctx.escapeFacts())
-				w.expr(kv.Value, ctx)
-				continue
+				elt = kv.Value
 			}
-			w.markIdent(elt, ctx.escapeFacts())
-			w.expr(elt, ctx)
+			w.markIdent(elt, Escapes)
+			w.expr(elt)
 		}
 	case *ast.ParenExpr:
-		w.expr(x.X, ctx)
+		w.expr(x.X)
 	case *ast.SelectorExpr:
-		w.expr(x.X, exprCtx{}) // field read: not an escape of the base
+		w.expr(x.X) // field read: not an escape of the base
 	case *ast.StarExpr:
-		w.expr(x.X, exprCtx{})
+		w.expr(x.X)
 	case *ast.IndexExpr:
-		w.expr(x.X, exprCtx{})
-		w.expr(x.Index, exprCtx{})
+		w.expr(x.X)
+		w.expr(x.Index)
 	case *ast.SliceExpr:
-		w.expr(x.X, exprCtx{})
-		w.expr(x.Low, exprCtx{})
-		w.expr(x.High, exprCtx{})
-		w.expr(x.Max, exprCtx{})
+		w.expr(x.X)
+		w.expr(x.Low)
+		w.expr(x.High)
+		w.expr(x.Max)
 	case *ast.BinaryExpr:
-		w.expr(x.X, exprCtx{})
-		w.expr(x.Y, exprCtx{})
+		w.expr(x.X)
+		w.expr(x.Y)
 	case *ast.TypeAssertExpr:
-		w.expr(x.X, exprCtx{})
+		w.expr(x.X)
 	case *ast.KeyValueExpr:
-		w.expr(x.Key, exprCtx{})
-		w.expr(x.Value, exprCtx{})
+		w.expr(x.Key)
+		w.expr(x.Value)
 	}
 }
 
@@ -483,7 +367,7 @@ func (w *walker) expr(x ast.Expr, ctx exprCtx) {
 // variable Settles; a resolved intra-package callee propagates its
 // parameter facts onto our parameters; an unknown callee makes every
 // parameter argument escape.
-func (w *walker) call(call *ast.CallExpr, ctx exprCtx) {
+func (w *walker) call(call *ast.CallExpr) {
 	if w.rec != nil {
 		if v, ok := w.rec.Match(w.pass, call); ok {
 			w.mark(v, Settles)
@@ -495,7 +379,7 @@ func (w *walker) call(call *ast.CallExpr, ctx exprCtx) {
 						continue
 					}
 				}
-				w.expr(arg, exprCtx{})
+				w.expr(arg)
 			}
 			return
 		}
@@ -508,56 +392,42 @@ func (w *walker) call(call *ast.CallExpr, ctx exprCtx) {
 	// ownership engine's long-standing contract).
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if fs != nil {
-			recvFacts := fs.Recv
-			if ctx.inGoroutine {
-				recvFacts |= Escapes | GoCaptured
-			}
-			w.markIdent(sel.X, recvFacts)
+			w.markIdent(sel.X, fs.Recv)
 		}
-		w.expr(sel.X, exprCtx{})
+		w.expr(sel.X)
 	} else {
-		w.expr(call.Fun, ctx)
+		w.expr(call.Fun)
 	}
 
 	for i, arg := range call.Args {
 		propagated := false
 		if fs != nil {
 			if facts, ok := fs.ArgFacts(i, len(call.Args), call.Ellipsis.IsValid()); ok {
-				f := facts
-				if ctx.inGoroutine {
-					f |= GoCaptured
-					if facts != 0 {
-						f |= Escapes
-					}
-				}
-				w.markIdent(arg, f)
+				w.markIdent(arg, facts)
 				propagated = true
 			}
 		}
 		if !propagated {
 			// Unknown callee or unmappable position: the argument
 			// escapes into it.
-			w.markIdent(arg, ctx.escapeFacts())
+			w.markIdent(arg, Escapes)
 		}
-		w.expr(arg, ctx.withoutStore())
+		w.expr(arg)
 	}
 }
-
-func (c exprCtx) withoutStore() exprCtx { return exprCtx{inGoroutine: c.inGoroutine} }
 
 // goCall handles `go f(args)` / `go func(){...}()`: everything that
 // flows in is captured by the new goroutine.
 func (w *walker) goCall(call *ast.CallExpr) {
-	ctx := exprCtx{inGoroutine: true}
 	if fl, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		w.expr(fl, ctx)
+		w.expr(fl)
 	} else if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		// go x.Method(...): the receiver rides into the goroutine.
-		w.markIdent(sel.X, Escapes|GoCaptured)
-		w.expr(sel.X, exprCtx{})
+		w.markIdent(sel.X, Escapes)
+		w.expr(sel.X)
 	}
 	for _, arg := range call.Args {
-		w.markIdent(arg, Escapes|GoCaptured)
-		w.expr(arg, ctx.withoutStore())
+		w.markIdent(arg, Escapes)
+		w.expr(arg)
 	}
 }

@@ -75,13 +75,13 @@ func TestSettleFacts(t *testing.T) {
 		{"aliasesParam", 0, Escapes},
 		{"passesToUnknown", 0, Escapes},
 		{"capturedByClosure", 0, Escapes},
-		{"storesGlobalDirect", 0, Escapes | StoredGlobal},
-		{"storesGlobalMap", 1, Escapes | StoredGlobal},
-		{"storesGlobalAppend", 0, Escapes | StoredGlobal},
-		{"storesGlobalViaHelper", 0, Escapes | StoredGlobal},
-		{"spawnsWithArg", 0, Escapes | GoCaptured},
-		{"spawnsWithCapture", 0, Escapes | GoCaptured},
-		{"spawnsViaHelper", 0, Escapes | GoCaptured},
+		{"storesGlobalDirect", 0, Escapes},
+		{"storesGlobalMap", 1, Escapes},
+		{"storesGlobalAppend", 0, Escapes},
+		{"storesGlobalViaHelper", 0, Escapes},
+		{"spawnsWithArg", 0, Escapes},
+		{"spawnsWithCapture", 0, Escapes},
+		{"spawnsViaHelper", 0, Escapes},
 	}
 	for _, c := range cases {
 		fs := summaryByName(t, s, c.fn)
@@ -107,38 +107,6 @@ func TestReceiverFacts(t *testing.T) {
 	fp := summaryByName(t, s, "FreePacket")
 	if got := fp.Params[0]; got&Escapes == 0 {
 		t.Errorf("FreePacket param 0: facts = %b, want Escapes set", got)
-	}
-}
-
-func TestGlobalWrites(t *testing.T) {
-	s := fixtureSet(t)
-	cases := map[string][]string{
-		"bumpsCounter":       {"counter"},
-		"storesGlobalDirect": {"held"},
-		"storesGlobalMap":    {"registry"},
-		"storesGlobalAppend": {"pending"},
-		"readsOnly":          nil,
-		// transitive writes are the call graph's job, not the local set
-		"storesGlobalViaHelper": nil,
-	}
-	for fn, want := range cases {
-		fs := summaryByName(t, s, fn)
-		var got []string
-		for _, v := range fs.WritesGlobals {
-			got = append(got, v.Name())
-		}
-		if len(got) != len(want) {
-			t.Errorf("%s writes %v, want %v", fn, got, want)
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s writes %v, want %v", fn, got, want)
-			}
-		}
-	}
-	if fs := summaryByName(t, s, "spawnsWithArg"); !fs.SpawnsGoroutine {
-		t.Error("spawnsWithArg: SpawnsGoroutine not set")
 	}
 }
 

@@ -64,13 +64,12 @@ func capturedByClosure(p *packet, run func(func())) {
 	run(func() { p.size++ })
 }
 
-// --- global facts ---
+// --- escapes into package-level state ---
 
 var (
 	held     *packet
 	registry = map[string]*packet{}
 	pending  []*packet
-	counter  int
 )
 
 // storesGlobalDirect stores param #0 into package-level state.
@@ -85,10 +84,7 @@ func storesGlobalAppend(p *packet) { pending = append(pending, p) }
 // storesGlobalViaHelper stores param #0 transitively.
 func storesGlobalViaHelper(p *packet) { storesGlobalDirect(p) }
 
-// bumpsCounter writes a global without any parameter involvement.
-func bumpsCounter() { counter++ }
-
-// --- goroutine facts ---
+// --- escapes into goroutines ---
 
 // spawnsWithArg passes param #0 into a goroutine.
 func spawnsWithArg(p *packet) { go consume(p) }

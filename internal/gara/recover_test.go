@@ -3,9 +3,12 @@ package gara
 import (
 	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 
+	"mpichgq/internal/diffserv"
 	"mpichgq/internal/netsim"
+	"mpichgq/internal/sim"
 	"mpichgq/internal/units"
 )
 
@@ -94,6 +97,81 @@ func TestNetworkRMCrashRecoverRestoresSlotTables(t *testing.T) {
 	res2.Cancel()
 	if r.rm1.Utilization(r.border, r.k.Now()) != 0 {
 		t.Fatal("cancel after recovery did not release capacity")
+	}
+}
+
+// tableLevels captures, per direction, the committed level of rm's
+// table at every slot boundary.
+func tableLevels(r *twoDomainRig, rm *NetworkRM) map[*netsim.Iface][]float64 {
+	out := make(map[*netsim.Iface][]float64)
+	for ifc, snap := range tableSnapshots(r, rm) {
+		st := rm.Table(ifc)
+		for _, s := range snap {
+			out[ifc] = append(out[ifc], st.CommittedAt(s.Start), st.CommittedAt(s.End))
+		}
+	}
+	return out
+}
+
+// Property: a random book of a few hundred advance reservations in
+// both directions, with modifies and cancels mixed in, survives
+// Crash/Recover table for table: every direction gives the same
+// snapshot and the same committed level at every slot boundary.
+func TestNetworkRMJournalReplayProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := newTwoDomains()
+		r.rm1.Journal = NewJournal()
+		rng := sim.NewRNG(seed)
+		rate := func() units.BitRate { return units.BitRate(50+rng.Intn(1501)) * units.Kbps }
+		window := func(s *Spec) {
+			s.Start = time.Duration(rng.Int63() % int64(time.Hour))
+			s.Duration = time.Minute + time.Duration(rng.Int63()%int64(9*time.Minute))
+		}
+		var live []*Reservation
+		for op := 0; op < 700; op++ {
+			switch d := rng.Intn(10); {
+			case d < 6 || len(live) == 0:
+				s := r.spec(rate())
+				if rng.Intn(2) == 0 {
+					s.Flow = diffserv.MatchHostPair(r.hostB.Addr(), r.hostA.Addr(), netsim.ProtoUDP)
+				}
+				window(&s)
+				if res, err := r.g1.Reserve(s); err == nil {
+					live = append(live, res)
+				}
+			case d < 8:
+				res := live[rng.Intn(len(live))]
+				s := res.Spec()
+				s.Bandwidth = rate()
+				if rng.Intn(2) == 0 {
+					window(&s)
+				}
+				res.Modify(s) // refusals leave the booking as it was
+			default:
+				i := rng.Intn(len(live))
+				live[i].Cancel()
+				live = append(live[:i], live[i+1:]...)
+			}
+		}
+		pre, preLevels := tableSnapshots(r, r.rm1), tableLevels(r, r.rm1)
+		r.rm1.Crash()
+		stats, err := r.rm1.Recover()
+		if err != nil || stats.Dropped != 0 || stats.Rebooked != len(live) {
+			t.Logf("seed %d: recover %+v, %v; want %d rebooked", seed, stats, err, len(live))
+			return false
+		}
+		if post := tableSnapshots(r, r.rm1); !reflect.DeepEqual(pre, post) {
+			t.Logf("seed %d: recovered snapshots differ", seed)
+			return false
+		}
+		if post := tableLevels(r, r.rm1); !reflect.DeepEqual(preLevels, post) {
+			t.Logf("seed %d: recovered committed levels differ", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
 	}
 }
 

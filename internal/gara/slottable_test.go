@@ -1,6 +1,8 @@
 package gara
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -95,37 +97,177 @@ func TestSlotTableTrim(t *testing.T) {
 	}
 }
 
-// Property: random admit/remove sequences never oversubscribe at any
-// sampled instant.
-func TestSlotTableNeverOversubscribedProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := sim.NewRNG(seed)
-		st := NewSlotTable(100)
-		var ids []uint64
-		var id uint64
-		for op := 0; op < 100; op++ {
-			if rng.Intn(3) == 0 && len(ids) > 0 {
-				i := rng.Intn(len(ids))
-				st.Remove(ids[i])
-				ids = append(ids[:i], ids[i+1:]...)
-				continue
+// Amounts like 0.1 and 0.2 do not sum exactly, so adding and taking
+// them off the step function can leave a residue; an emptied table
+// must still read zero everywhere.
+func TestSlotTableEmptiedReadsZero(t *testing.T) {
+	st := NewSlotTable(MaxCPUReservation)
+	st.Insert(1, 0, 10*time.Second, 0.1)
+	st.Insert(2, 0, 20*time.Second, 0.2)
+	st.Remove(1)
+	st.Remove(2)
+	if got := st.CommittedAt(5 * time.Second); got != 0 || len(st.steps) != 0 {
+		t.Fatalf("emptied table: committed %v over %d steps, want 0 over 0", got, len(st.steps))
+	}
+}
+
+// naiveTable is the slot table as it was before the step function: a
+// plain slot list, with every admission check summing the whole list
+// at every boundary inside the window. It is the differential oracle
+// for SlotTable.
+type naiveTable struct {
+	capacity float64
+	slots    []slot
+}
+
+func (nt *naiveTable) committedAt(t time.Duration) float64 {
+	sum := 0.0
+	for _, s := range nt.slots {
+		if s.start <= t && t < s.end {
+			sum += s.amount
+		}
+	}
+	return sum
+}
+
+func (nt *naiveTable) available(start, end time.Duration, amount float64) bool {
+	if amount > nt.capacity {
+		return false
+	}
+	if nt.committedAt(start)+amount > nt.capacity+1e-9 {
+		return false
+	}
+	for _, s := range nt.slots {
+		for _, edge := range []time.Duration{s.start, s.end} {
+			if edge > start && edge < end && nt.committedAt(edge)+amount > nt.capacity+1e-9 {
+				return false
 			}
-			id++
+		}
+	}
+	return true
+}
+
+func (nt *naiveTable) insert(id uint64, start, end time.Duration, amount float64) bool {
+	if end <= start || amount < 0 || !nt.available(start, end, amount) {
+		return false
+	}
+	nt.slots = append(nt.slots, slot{id: id, start: start, end: end, amount: amount})
+	return true
+}
+
+// keep deletes the slots keep rejects and returns them.
+func (nt *naiveTable) keep(keep func(slot) bool) []slot {
+	var kept, gone []slot
+	for _, s := range nt.slots {
+		if keep(s) {
+			kept = append(kept, s)
+		} else {
+			gone = append(gone, s)
+		}
+	}
+	nt.slots = kept
+	return gone
+}
+
+func (nt *naiveTable) remove(id uint64) bool {
+	return len(nt.keep(func(s slot) bool { return s.id != id })) > 0
+}
+
+func (nt *naiveTable) update(id uint64, start, end time.Duration, amount float64) bool {
+	saved := nt.keep(func(s slot) bool { return s.id != id })
+	if !nt.insert(id, start, end, amount) {
+		nt.slots = append(nt.slots, saved...)
+		return false
+	}
+	return true
+}
+
+func (nt *naiveTable) trimBefore(t time.Duration) {
+	nt.keep(func(s slot) bool { return s.end > t })
+}
+
+// agree reports the first way st and the oracle differ, or "".
+func agree(st *SlotTable, nt *naiveTable) string {
+	if !slices.Equal(st.slots, nt.slots) {
+		return fmt.Sprintf("slots %v, oracle %v", st.slots, nt.slots)
+	}
+	want := (&SlotTable{slots: nt.slots}).Snapshot()
+	if got := st.Snapshot(); !slices.Equal(got, want) {
+		return fmt.Sprintf("snapshot %v, oracle %v", got, want)
+	}
+	for _, s := range nt.slots {
+		for _, t := range []time.Duration{s.start - 1, s.start, s.end - 1, s.end} {
+			if got, want := st.CommittedAt(t), nt.committedAt(t); got != want {
+				return fmt.Sprintf("CommittedAt(%v) = %v, oracle %v", t, got, want)
+			}
+		}
+	}
+	if len(st.steps) > 2*st.Len()+1 {
+		return fmt.Sprintf("%d steps for %d slots", len(st.steps), st.Len())
+	}
+	return ""
+}
+
+// Property: random insert/update/remove/trim sequences never
+// oversubscribe, and the step-function table matches the naive oracle
+// after every operation: the same admit/refuse decisions, slots,
+// snapshot and committed level at every boundary, and no more than
+// 2n+1 steps. Amounts are integers or multiples of 1/64 (like CPU
+// fractions), so every sum is exact in both tables.
+func TestSlotTableNeverOversubscribedProperty(t *testing.T) {
+	f := func(seed int64, dyadic bool) bool {
+		rng := sim.NewRNG(seed)
+		capacity, amount := 100.0, func() float64 { return float64(rng.Intn(61)) }
+		if dyadic {
+			capacity = MaxCPUReservation
+			amount = func() float64 { return float64(rng.Intn(61)) / 64 }
+		}
+		st, nt := NewSlotTable(capacity), &naiveTable{capacity: capacity}
+		window := func() (time.Duration, time.Duration) {
 			start := time.Duration(rng.Intn(100)) * time.Second
-			end := start + time.Duration(rng.Intn(50)+1)*time.Second
-			amt := float64(rng.Intn(60) + 1)
-			if st.Insert(id, start, end, amt) == nil {
-				ids = append(ids, id)
+			return start, start + time.Duration(rng.Intn(50)+1)*time.Second
+		}
+		var id uint64
+		for op := 0; op < 200; op++ {
+			// Ids past the newest are absent; a few inserts reuse an id.
+			pick := uint64(rng.Intn(int(id)+3)) + 1
+			start, end := window()
+			amt := amount()
+			var ok, want bool
+			switch d := rng.Intn(20); {
+			case d < 8:
+				if rng.Intn(8) != 0 {
+					id++
+					pick = id
+				}
+				ok, want = st.Insert(pick, start, end, amt) == nil, nt.insert(pick, start, end, amt)
+			case d < 12:
+				ok, want = st.Update(pick, start, end, amt) == nil, nt.update(pick, start, end, amt)
+			case d < 17:
+				ok, want = st.Remove(pick), nt.remove(pick)
+			case d < 19:
+				ok, want = st.Available(start, end, amt), nt.available(start, end, amt)
+			default:
+				st.TrimBefore(start)
+				nt.trimBefore(start)
+			}
+			if ok != want {
+				t.Logf("seed %d op %d: decision %v, oracle %v", seed, op, ok, want)
+				return false
+			}
+			if diff := agree(st, nt); diff != "" {
+				t.Logf("seed %d op %d: %s", seed, op, diff)
+				return false
 			}
 		}
 		for probe := time.Duration(0); probe < 150*time.Second; probe += time.Second {
-			if st.CommittedAt(probe) > 100+1e-6 {
+			if st.CommittedAt(probe) > capacity+1e-6 {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
