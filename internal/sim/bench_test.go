@@ -121,3 +121,94 @@ func TestTimerHandleStaleness(t *testing.T) {
 		t.Fatalf("fired = %d, want 2", fired)
 	}
 }
+
+// BenchmarkProcSleep measures one process wakeup: a Ctx.Sleep event
+// fires, the kernel hands control to the process, and the process
+// schedules its next sleep and hands control back.
+func BenchmarkProcSleep(b *testing.B) {
+	k := New(1)
+	n := b.N
+	k.Spawn("sleeper", func(ctx *Ctx) {
+		for i := 0; i < n; i++ {
+			ctx.Sleep(time.Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSpawn measures a process's whole life: spawn, start event,
+// run to completion, and the kernel forgetting it.
+func BenchmarkSpawn(b *testing.B) {
+	k := New(1)
+	body := func(ctx *Ctx) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Spawn("p", body)
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCondSignalWait measures a Signal/Wait ping-pong between two
+// processes; one iteration is one handoff each way.
+func BenchmarkCondSignalWait(b *testing.B) {
+	k := New(1)
+	n := b.N
+	conds := [2]*Cond{NewCond(k), NewCond(k)}
+	turn := 0
+	for me := 0; me < 2; me++ {
+		me := me
+		k.Spawn("ping", func(ctx *Ctx) {
+			for i := 0; i < n; i++ {
+				for turn != me {
+					conds[me].Wait(ctx)
+				}
+				turn = 1 - me
+				conds[1-me].Signal()
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// TestProcSleepZeroAlloc pins that a steady-state process wakeup (a
+// Sleep event firing and the process sleeping again) allocates
+// nothing.
+func TestProcSleepZeroAlloc(t *testing.T) {
+	k := New(1)
+	stop := false
+	p := k.Spawn("sleeper", func(ctx *Ctx) {
+		for !stop {
+			ctx.Sleep(time.Microsecond)
+		}
+	})
+	// Warm the event freelist and the heap slice.
+	if err := k.RunFor(64 * time.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := k.RunFor(time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	})
+	stop = true
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("Sleep wakeup allocates %.1f objects, want 0", allocs)
+	}
+	if !p.Done() {
+		t.Fatal("sleeper did not finish")
+	}
+}

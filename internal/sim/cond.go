@@ -11,14 +11,12 @@ import "time"
 // As with sync.Cond, a woken process should re-check its predicate:
 // state may change between the Signal and the wakeup event running.
 type Cond struct {
-	k       *Kernel
-	waiters []*condWaiter
-}
-
-type condWaiter struct {
-	p        *Proc
-	woken    bool
-	timedOut bool
+	k *Kernel
+	// waiters[head:] are the queued processes, longest-waiting first.
+	// Signal advances head rather than re-slicing, so the backing
+	// array is reused instead of regrown.
+	waiters []*Proc
+	head    int
 }
 
 // NewCond returns a Cond bound to kernel k.
@@ -27,8 +25,7 @@ func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
 // Wait blocks the calling process until Signal or Broadcast wakes it.
 func (c *Cond) Wait(ctx *Ctx) {
 	ctx.checkCtx()
-	w := &condWaiter{p: ctx.p}
-	c.waiters = append(c.waiters, w)
+	c.push(ctx.p)
 	ctx.p.park()
 }
 
@@ -40,36 +37,53 @@ func (c *Cond) WaitTimeout(ctx *Ctx, d time.Duration) bool {
 	if d <= 0 {
 		return false
 	}
-	w := &condWaiter{p: ctx.p}
-	c.waiters = append(c.waiters, w)
-	timer := c.k.After(d, func() {
-		if w.woken {
-			return
-		}
-		w.woken = true
-		w.timedOut = true
-		c.remove(w)
-		c.k.step(w.p)
-	})
-	ctx.p.park()
+	p := ctx.p
+	p.timedOut = false
+	c.push(p)
+	timer := c.k.AfterFunc(d, condTimeout, c, p)
+	p.park()
 	timer.Cancel()
-	return !w.timedOut
+	return !p.timedOut
+}
+
+// condTimeout is WaitTimeout's prebound expiry callback. A process
+// that Signal has already taken off the queue has its wakeup pending
+// at this instant and is left to it.
+func condTimeout(a0, a1 any) {
+	c, p := a0.(*Cond), a1.(*Proc)
+	if !c.remove(p) {
+		return
+	}
+	p.timedOut = true
+	c.k.step(p)
+}
+
+// push queues p behind the current waiters. A full backing array with
+// consumed slots at its head is compacted in place rather than grown.
+func (c *Cond) push(p *Proc) {
+	if c.head > 0 && len(c.waiters) == cap(c.waiters) {
+		n := copy(c.waiters, c.waiters[c.head:])
+		clear(c.waiters[n:])
+		c.waiters = c.waiters[:n]
+		c.head = 0
+	}
+	c.waiters = append(c.waiters, p)
 }
 
 // Signal wakes the longest-waiting process, if any. It reports whether
 // a waiter was woken.
 func (c *Cond) Signal() bool {
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		if w.woken {
-			continue
-		}
-		w.woken = true
-		c.k.AtFunc(c.k.now, PrioNormal, stepProc, c.k, w.p)
-		return true
+	if c.head == len(c.waiters) {
+		return false
 	}
-	return false
+	p := c.waiters[c.head]
+	c.waiters[c.head] = nil
+	c.head++
+	if c.head == len(c.waiters) {
+		c.waiters, c.head = c.waiters[:0], 0
+	}
+	c.k.AtFunc(c.k.now, PrioNormal, stepProc, c.k, p)
+	return true
 }
 
 // Broadcast wakes all waiting processes.
@@ -79,23 +93,25 @@ func (c *Cond) Broadcast() {
 }
 
 // Waiting returns the number of processes currently blocked on c.
-func (c *Cond) Waiting() int {
-	n := 0
-	for _, w := range c.waiters {
-		if !w.woken {
-			n++
-		}
-	}
-	return n
-}
+// A woken process leaves the queue at once, so every queued one is
+// still waiting.
+func (c *Cond) Waiting() int { return len(c.waiters) - c.head }
 
-func (c *Cond) remove(w *condWaiter) {
-	for i, x := range c.waiters {
-		if x == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
+// remove takes p off the queue and reports whether it was queued.
+func (c *Cond) remove(p *Proc) bool {
+	for i := c.head; i < len(c.waiters); i++ {
+		if c.waiters[i] == p {
+			last := len(c.waiters) - 1
+			copy(c.waiters[i:], c.waiters[i+1:])
+			c.waiters[last] = nil
+			c.waiters = c.waiters[:last]
+			if c.head == last {
+				c.waiters, c.head = c.waiters[:0], 0
+			}
+			return true
 		}
 	}
+	return false
 }
 
 // Mutex is a mutual-exclusion lock for processes. Lock blocks the

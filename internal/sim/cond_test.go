@@ -82,6 +82,52 @@ func TestCondWaitTimeout(t *testing.T) {
 	}
 }
 
+// TestCondQueueNeverDraining keeps a Cond's queue non-empty for a
+// thousand signals, with a timed-out waiter leaving from the middle
+// every round: wake order stays FIFO and the head-indexed queue reuses
+// its backing array instead of growing.
+func TestCondQueueNeverDraining(t *testing.T) {
+	k := New(1)
+	c := NewCond(k)
+	var woken []string
+	for _, name := range []string{"a", "b", "c"} {
+		name := name
+		k.Spawn(name, func(ctx *Ctx) {
+			for {
+				c.Wait(ctx)
+				woken = append(woken, name)
+			}
+		})
+	}
+	timeouts := 0
+	// "t" joins at 0.5 s and times out at every half second in
+	// between signals, never reaching the head of the queue.
+	k.Spawn("t", func(ctx *Ctx) {
+		ctx.Sleep(time.Second / 2)
+		for !c.WaitTimeout(ctx, time.Second) {
+			timeouts++
+		}
+	})
+	const rounds = 1000
+	for i := 1; i <= rounds; i++ {
+		k.At(time.Duration(i)*time.Second, PrioNormal, func() { c.Signal() })
+	}
+	if err := k.RunUntil(rounds * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range woken {
+		if want := string(rune('a' + i%3)); name != want {
+			t.Fatalf("wake %d went to %s, want %s (order %v...)", i, name, want, woken[:i+1])
+		}
+	}
+	if len(woken) != rounds || timeouts != rounds-1 {
+		t.Fatalf("woken %d, timeouts %d, want %d and %d", len(woken), timeouts, rounds, rounds-1)
+	}
+	if n := cap(c.waiters); n > 8 {
+		t.Fatalf("queue backing array grew to %d for at most 4 waiters", n)
+	}
+}
+
 func TestCondWaitTimeoutZero(t *testing.T) {
 	k := New(1)
 	c := NewCond(k)

@@ -1,19 +1,22 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel maintains a virtual clock and a priority queue of events.
-// Simulated processes run as goroutines, but the kernel admits exactly
-// one runnable goroutine at a time and orders simultaneous events by
-// (priority, insertion sequence), so every run with the same seed is
-// bit-for-bit reproducible.
+// Simulated processes run as coroutines (iter.Pull): the kernel resumes
+// one from an event and the process hands control back when it blocks,
+// so exactly one of them runs at a time. With simultaneous events
+// ordered by (priority, insertion sequence), every run with the same
+// seed is bit-for-bit reproducible.
 //
 // Two execution styles coexist:
 //
 //   - Event callbacks (Kernel.At / Kernel.After) run inline in the
 //     kernel's goroutine. Network elements (links, queues, routers) use
 //     these.
-//   - Processes (Kernel.Spawn) are goroutines that may block on
+//   - Processes (Kernel.Spawn) are coroutines that may block on
 //     Ctx.Sleep, Cond.Wait, or Mailbox.Recv. Applications (MPI ranks,
-//     traffic generators) use these.
+//     traffic generators) use these. A runtime.Goexit inside a process
+//     (t.FailNow in a test) passes through the coroutine and also ends
+//     the goroutine that called Run.
 //
 // The event queue is a 4-ary indexed heap over pooled event structs:
 // scheduling on the steady-state hot path performs no allocation (use
@@ -170,6 +173,8 @@ type Kernel struct {
 	free  []*event // recycled event structs
 	seq   uint64
 	rng   *RNG
+	// procs holds the live processes, each at index p.slot; a process
+	// is swap-removed when it finishes.
 	procs []*Proc
 	// cur is the process currently executing, nil when the kernel
 	// itself (an event callback) is running.
@@ -378,7 +383,7 @@ func (k *Kernel) PendingEvents() int { return len(k.queue) }
 func (k *Kernel) BlockedProcs() []string {
 	var names []string
 	for _, p := range k.procs {
-		if !p.done && p.blocked {
+		if p.blocked {
 			names = append(names, p.name)
 		}
 	}
@@ -388,12 +393,4 @@ func (k *Kernel) BlockedProcs() []string {
 
 // LiveProcs returns the number of spawned processes that have not
 // finished.
-func (k *Kernel) LiveProcs() int {
-	n := 0
-	for _, p := range k.procs {
-		if !p.done {
-			n++
-		}
-	}
-	return n
-}
+func (k *Kernel) LiveProcs() int { return len(k.procs) }

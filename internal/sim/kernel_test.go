@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -175,15 +177,34 @@ func TestSpawnAt(t *testing.T) {
 	}
 }
 
+// TestProcessPanicCaptured pins the error Run returns for a panicking
+// process: the exact text, the first panic winning, and the run
+// stopping at the panicking event.
 func TestProcessPanicCaptured(t *testing.T) {
 	k := New(1)
-	k.Spawn("bad", func(ctx *Ctx) {
+	x := k.Spawn("x", func(ctx *Ctx) {
 		ctx.Sleep(time.Second)
 		panic("boom")
 	})
+	k.Spawn("y", func(ctx *Ctx) {
+		ctx.Sleep(time.Second)
+		panic("second")
+	})
+	later := false
+	k.After(2*time.Second, func() { later = true })
 	err := k.Run()
-	if err == nil {
-		t.Fatal("expected error from panicking process")
+	const want = `sim: process "x" panicked: boom`
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run error = %v, want %q", err, want)
+	}
+	if k.Err() != err {
+		t.Fatalf("Err() = %v, want the error Run returned", k.Err())
+	}
+	if !x.Done() || k.Now() != time.Second || later {
+		t.Fatalf("after panic: done=%v now=%v later=%v, want done at 1s with later events unrun", x.Done(), k.Now(), later)
+	}
+	if live := k.LiveProcs(); live != 1 {
+		t.Fatalf("live = %d, want 1 (y never resumed)", live)
 	}
 }
 
@@ -218,6 +239,59 @@ func TestBlockedProcs(t *testing.T) {
 	}
 	if k.LiveProcs() != 1 {
 		t.Fatalf("live = %d, want 1", k.LiveProcs())
+	}
+}
+
+// TestProcessGoexitEndsRunner pins the one semantic edge of coroutine
+// processes: runtime.Goexit inside a process body (t.FailNow in a
+// test) passes through iter.Pull and also ends the goroutine that
+// called Run, so Run never returns.
+func TestProcessGoexitEndsRunner(t *testing.T) {
+	k := New(1)
+	k.Spawn("quitter", func(ctx *Ctx) { runtime.Goexit() })
+	returned := false
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		_ = k.Run()
+		returned = true
+	}()
+	<-exited
+	if returned {
+		t.Fatal("Run returned after a process called runtime.Goexit")
+	}
+}
+
+// TestFinishedProcsForgotten spawns 10k short processes beside a few
+// that block: while they run, BlockedProcs stays sorted, and once all
+// finish the kernel holds no process at all.
+func TestFinishedProcsForgotten(t *testing.T) {
+	k := New(1)
+	c := NewCond(k)
+	const n = 10000
+	for i := 0; i < n; i++ {
+		d := time.Duration(k.RNG().Intn(1000)) * time.Microsecond
+		k.Spawn("short", func(ctx *Ctx) { ctx.Sleep(d) })
+	}
+	stuck := []string{"w3", "w1", "w4", "w2"}
+	for _, name := range stuck {
+		k.Spawn(name, func(ctx *Ctx) { c.Wait(ctx) })
+	}
+	if err := k.RunUntil(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := k.BlockedProcs(); strings.Join(got, " ") != "w1 w2 w3 w4" {
+		t.Fatalf("blocked = %v, want [w1 w2 w3 w4]", got)
+	}
+	if live, held := k.LiveProcs(), len(k.procs); live != len(stuck) || held != len(stuck) {
+		t.Fatalf("live = %d, held = %d, want %d", live, held, len(stuck))
+	}
+	c.Broadcast()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if live, held, blocked := k.LiveProcs(), len(k.procs), k.BlockedProcs(); live != 0 || held != 0 || len(blocked) != 0 {
+		t.Fatalf("after all finished: live = %d, held = %d, blocked = %v, want none", live, held, blocked)
 	}
 }
 

@@ -1,24 +1,41 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
-// Proc is a simulated process: a goroutine whose execution is
+// Proc is a simulated process: a coroutine whose execution is
 // interleaved with the event loop such that exactly one of (kernel,
-// some process) runs at any moment.
+// some process) runs at any moment. Control passes between the two
+// through iter.Pull, which switches goroutines directly rather than
+// through the scheduler.
 type Proc struct {
-	k       *Kernel
-	name    string
-	resume  chan struct{}
-	yield   chan struct{}
+	k    *Kernel
+	name string
+	// next resumes the process until it parks or finishes; yield,
+	// called from inside the process, hands control back. Both are
+	// nil once the process has finished.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// slot is p's index in k.procs while it is live; an int32, it
+	// shares a word with the flags below, which keeps a Proc in the
+	// 64-byte allocation class.
+	slot    int32
 	done    bool
 	blocked bool
+	// timedOut reports whether p's last Cond.WaitTimeout expired. A
+	// process waits on one Cond at a time, so this is all the waiter
+	// state a Cond needs besides its queue.
+	timedOut bool
+	ctx      Ctx
 }
 
 // Ctx is the handle a process function uses to interact with virtual
-// time. It is only valid inside the process's own goroutine.
+// time. It is only valid inside the process itself.
 type Ctx struct {
 	k *Kernel
 	p *Proc
@@ -33,17 +50,11 @@ func (k *Kernel) Spawn(name string, fn func(ctx *Ctx)) *Proc {
 
 // SpawnAt creates a process that starts at absolute virtual time at.
 func (k *Kernel) SpawnAt(at time.Duration, name string, fn func(ctx *Ctx)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name, slot: int32(len(k.procs))}
+	p.ctx = Ctx{k: k, p: p}
 	k.procs = append(k.procs, p)
-	ctx := &Ctx{k: k, p: p}
-	//lint:ignore determinism this goroutine IS Kernel.Spawn's implementation; the kernel admits exactly one runnable process at a time via resume/yield handshakes, so scheduling stays deterministic and the captured kernel/proc/ctx never leave the owning kernel's control
-	go func() {
-		<-p.resume // wait for the start event
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if k.err == nil {
@@ -51,10 +62,9 @@ func (k *Kernel) SpawnAt(at time.Duration, name string, fn func(ctx *Ctx)) *Proc
 				}
 			}
 			p.done = true
-			p.yield <- struct{}{}
 		}()
-		fn(ctx)
-	}()
+		fn(&p.ctx)
+	})
 	k.AtFunc(at, PrioNormal, stepProc, k, p)
 	return p
 }
@@ -64,8 +74,8 @@ func (k *Kernel) SpawnAt(at time.Duration, name string, fn func(ctx *Ctx)) *Proc
 func stepProc(a0, a1 any) { a0.(*Kernel).step(a1.(*Proc)) }
 
 // step transfers control to process p and waits for it to block or
-// finish. It must only be called from the kernel goroutine (i.e. from
-// inside an event callback).
+// finish. It must only be called from the kernel (i.e. from inside an
+// event callback). A process that finishes is removed from k.procs.
 func (k *Kernel) step(p *Proc) {
 	if p.done {
 		return
@@ -73,18 +83,28 @@ func (k *Kernel) step(p *Proc) {
 	prev := k.cur
 	k.cur = p
 	p.blocked = false
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 	k.cur = prev
+	if !p.done {
+		return
+	}
+	// Swap-remove p from k.procs and drop its coroutine, whose closure
+	// would otherwise keep fn's captures reachable for as long as p is.
+	last := len(k.procs) - 1
+	moved := k.procs[last]
+	k.procs[p.slot] = moved
+	moved.slot = p.slot
+	k.procs[last] = nil
+	k.procs = k.procs[:last]
+	p.next, p.yield = nil, nil
 }
 
-// park suspends the calling process goroutine and returns control to
-// the kernel. The process resumes when some event calls k.step(p).
-// Must be called from p's own goroutine.
+// park suspends the calling process and returns control to the
+// kernel. The process resumes when some event calls k.step(p). Must
+// be called from inside p.
 func (p *Proc) park() {
 	p.blocked = true
-	p.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 }
 
 // Done reports whether the process function has returned.
