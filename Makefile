@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json test-analysis test test-short test-chaos bench bench-micro smoke-gqd results figures examples clean
+.PHONY: all build vet fmt-check lint lint-json test-analysis test test-short test-chaos bench bench-micro smoke-gqd results figures examples clean
 
 all: build vet lint test
 
@@ -14,19 +14,25 @@ vet:
 	$(GO) test -race ./internal/metrics/... ./internal/sim/...
 	$(GO) test -race -short ./internal/netsim/... ./internal/tcpsim/... ./internal/ctrlplane/...
 
+# gofmt gate: every Go file outside testdata/ (analyzer fixtures keep
+# their own layout) and hidden directories must be gofmt-clean.
+fmt-check:
+	@out=$$(find . \( -name testdata -o -name '.?*' \) -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l: unformatted Go files:"; echo "$$out"; exit 1; fi
+
 # Custom analyzer suite (internal/analysis, driven by cmd/gqlint):
 # determinism, poolownership, spanlifecycle, hotpathalloc, unitsafety.
 # Must exit 0 on the whole tree; violations are either
 # fixed or carry an inline //lint:ignore justification (stale
 # directives are findings too). See docs/static-analysis.md.
-lint:
+lint: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/gqlint ./...
 
 # CI variant: same gate, but the full diagnostic inventory — including
 # suppressed findings — is archived as JSON Lines for artifact upload.
 GQLINT_JSON ?= gqlint-diagnostics.jsonl
-lint-json:
+lint-json: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/gqlint -json ./... > $(GQLINT_JSON)
 	@echo "gqlint: $$(wc -l < $(GQLINT_JSON)) diagnostic record(s) in $(GQLINT_JSON)"

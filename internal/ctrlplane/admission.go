@@ -135,9 +135,9 @@ type admitQueue struct {
 	// began (0 = not in one).
 	aboveAt time.Duration
 
-	level       int // brownout level 0..2
-	levelSince  time.Duration
-	sink        brownoutSink // mirrors level changes into the policy broker
+	level      int // brownout level 0..2
+	levelSince time.Duration
+	sink       brownoutSink // mirrors level changes into the policy broker
 
 	mShed       [len(shedReasonNames)]*metrics.Counter
 	mServed     *metrics.Counter

@@ -257,8 +257,11 @@ func (c *CPU) recompute() {
 				tt.settle(c.k.Now())
 				if tt.computing && tt.remaining <= 1e-9 {
 					tt.finish()
-					c.recompute()
 				}
+				// eta was truncated to whole nanoseconds, so the task
+				// may still owe a sliver of work; recompute settles it
+				// and reschedules it at least 1 ns out.
+				c.recompute()
 			})
 		}
 	}

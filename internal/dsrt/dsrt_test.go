@@ -390,3 +390,60 @@ func TestSMPAdmissionScalesWithCapacity(t *testing.T) {
 		t.Fatal("1.8+0.2 > 1.9 should be rejected")
 	}
 }
+
+// Completion timers fire at an eta truncated to whole nanoseconds, so
+// a task can reach its timer still owing a sliver of work. Such a
+// task must be rescheduled, not stranded with its process blocked
+// and the kernel's queue empty (1915 ns and 1932 ns did that once).
+func TestComputeCompletesAtNanosecondRemainders(t *testing.T) {
+	check := func(work time.Duration) {
+		t.Helper()
+		k := sim.New(1)
+		task := NewCPU(k, "host").NewTask("app")
+		returned := false
+		var at time.Duration
+		k.Spawn("app", func(ctx *sim.Ctx) {
+			task.Compute(ctx, work)
+			returned, at = true, ctx.Now()
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !returned {
+			t.Fatalf("Compute(%v) never returned; clock stopped at %v", work, k.Now())
+		}
+		if !almost(at, work, time.Nanosecond) {
+			t.Fatalf("Compute(%v) returned at %v", work, at)
+		}
+	}
+	for w := time.Nanosecond; w <= 4*time.Microsecond; w++ {
+		check(w)
+	}
+	// Jittered millisecond computations, back to back on one task:
+	// the shape of a compute phase in an MPI iteration loop.
+	k := sim.New(1)
+	task := NewCPU(k, "host").NewTask("app")
+	const n = 2000
+	var want time.Duration
+	works := make([]time.Duration, n)
+	for i := range works {
+		works[i] = time.Millisecond + time.Duration(i*7919%400000) - 200*time.Microsecond
+		want += works[i]
+	}
+	finished := 0
+	k.Spawn("app", func(ctx *sim.Ctx) {
+		for _, w := range works {
+			task.Compute(ctx, w)
+			finished++
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if finished != n {
+		t.Fatalf("%d of %d computations finished; clock stopped at %v", finished, n, k.Now())
+	}
+	if !almost(k.Now(), want, n*time.Nanosecond) {
+		t.Fatalf("back-to-back computations ended at %v, want %v", k.Now(), want)
+	}
+}

@@ -165,9 +165,10 @@ func ParseEventType(s string) (EventType, bool) {
 	return EvNone, false
 }
 
-// Event is one flight-recorder record. It is a plain value — no
-// pointers beyond the interned Subject string — so the ring buffer
-// is a flat allocation the GC never scans per event.
+// Event is one flight-recorder record. It is a plain value whose only
+// pointer is the interned Subject string's data pointer, so recording
+// an event allocates nothing; the garbage collector still scans the
+// ring, one Subject per slot.
 type Event struct {
 	// Seq is the global emission sequence number (monotonic from 0).
 	Seq uint64

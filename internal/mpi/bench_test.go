@@ -1,0 +1,53 @@
+package mpi
+
+import (
+	"fmt"
+	"testing"
+
+	"mpichgq/internal/sim"
+	"mpichgq/internal/units"
+)
+
+// BenchmarkMPIEagerSendRecv measures one eager ping-pong between two
+// ranks on separate hosts: rank 0 sends, rank 1 receives and replies,
+// rank 0 receives. One op is two messages through matching, globus-io
+// framing and TCP, with the kernel's work between them.
+func BenchmarkMPIEagerSendRecv(b *testing.B) {
+	for _, size := range []units.ByteSize{64, 2 * units.KB} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			k, j := testJob(2, JobOptions{})
+			var failed error
+			j.Start(func(ctx *sim.Ctx, r *Rank) {
+				w := r.World()
+				peer := 1 - r.ID()
+				for failed == nil {
+					if r.ID() == 0 {
+						// Hand control back to the benchmark loop
+						// before each round.
+						ctx.Kernel().Stop()
+						if failed = r.Send(ctx, w, peer, 0, size, nil); failed != nil {
+							return
+						}
+					}
+					if _, failed = r.Recv(ctx, w, peer, 0); failed != nil {
+						return
+					}
+					if r.ID() == 1 {
+						failed = r.Send(ctx, w, peer, 0, size, nil)
+					}
+				}
+			})
+			// Wire the job up; rank 0 stops the kernel before round 1.
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := k.Run(); err != nil || failed != nil {
+					b.Fatal(err, failed)
+				}
+			}
+		})
+	}
+}

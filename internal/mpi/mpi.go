@@ -250,6 +250,10 @@ type Rank struct {
 
 	// cm caches per-communicator metric handles, keyed by context id.
 	cm map[int]*commMetrics
+
+	// isendName and irecvName name the Isend/Irecv helper processes,
+	// formatted once per rank rather than per request.
+	isendName, irecvName string
 }
 
 // commMetrics bundles the handles for one (rank, communicator) pair.
@@ -312,6 +316,8 @@ func newRank(j *Job, id int, h *Host) *Rank {
 		rdvPending: make(map[uint64]*rdvSend),
 		splitEpoch: make(map[int]int),
 		pairEpoch:  make(map[[3]int]int),
+		isendName:  fmt.Sprintf("mpi-isend-%d", id),
+		irecvName:  fmt.Sprintf("mpi-irecv-%d", id),
 	}
 }
 

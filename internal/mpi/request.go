@@ -45,7 +45,7 @@ func (r *Rank) Isend(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, 
 		return nil, err
 	}
 	q := &Request{cond: sim.NewCond(r.job.k)}
-	r.job.k.Spawn(fmt.Sprintf("mpi-isend-%d", r.id), func(sctx *sim.Ctx) {
+	r.job.k.Spawn(r.isendName, func(sctx *sim.Ctx) {
 		err := r.Send(sctx, comm, dest, tag, n, data)
 		q.complete(nil, err)
 	})
@@ -60,7 +60,7 @@ func (r *Rank) Irecv(ctx *sim.Ctx, comm *Comm, src, tag int) (*Request, error) {
 		}
 	}
 	q := &Request{cond: sim.NewCond(r.job.k)}
-	r.job.k.Spawn(fmt.Sprintf("mpi-irecv-%d", r.id), func(rctx *sim.Ctx) {
+	r.job.k.Spawn(r.irecvName, func(rctx *sim.Ctx) {
 		msg, err := r.Recv(rctx, comm, src, tag)
 		q.complete(msg, err)
 	})

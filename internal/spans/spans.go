@@ -21,7 +21,9 @@
 // Completed spans land in a fixed-capacity ring (oldest evicted
 // first, Dropped reports how many) that concurrent readers — the gqd
 // daemon's HTTP handlers — may Snapshot or Query while the simulation
-// is still running.
+// is still running. The ring is allocated when tracing is first
+// enabled (or resized), so a kernel that never traces pays nothing
+// for it.
 //
 // The package depends only on the standard library and holds no
 // global state.
@@ -191,8 +193,8 @@ type Span struct {
 	Subject string
 	// Start is the sim-kernel time Begin was called; Dur the virtual
 	// time until End.
-	Start time.Duration
-	Dur   time.Duration
+	Start  time.Duration
+	Dur    time.Duration
 	Status Status
 	Attrs  []Attr
 
@@ -300,7 +302,8 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	nextID SpanID
-	buf    []Span
+	size   int    // ring capacity
+	buf    []Span // the ring; nil until tracing is enabled or resized
 	next   uint64 // total spans ever committed
 	first  uint64 // index of the oldest retained span
 	active int
@@ -312,12 +315,21 @@ func New(clock func() time.Duration) *Tracer {
 	if clock == nil {
 		clock = func() time.Duration { return 0 }
 	}
-	return &Tracer{clock: clock, buf: make([]Span, DefaultCapacity)}
+	return &Tracer{clock: clock, size: DefaultCapacity}
 }
 
 // SetEnabled turns tracing on or off. Enable before the run starts;
 // spans begun while disabled are lost (their handles are nil).
-func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
+func (t *Tracer) SetEnabled(on bool) {
+	if on {
+		t.mu.Lock()
+		if t.buf == nil {
+			t.buf = make([]Span, t.size)
+		}
+		t.mu.Unlock()
+	}
+	t.enabled.Store(on)
+}
 
 // Enabled reports whether Begin returns live spans.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
@@ -379,7 +391,7 @@ func (t *Tracer) Dropped() uint64 {
 func (t *Tracer) Capacity() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return t.size
 }
 
 // SetCapacity resizes the ring, retaining the most recent spans.
@@ -390,6 +402,7 @@ func (t *Tracer) SetCapacity(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := t.retained()
+	t.size = n
 	t.buf = make([]Span, n)
 	if len(old) > n {
 		old = old[len(old)-n:]

@@ -49,6 +49,44 @@ func TestDisabledTracerIsInert(t *testing.T) {
 	}
 }
 
+// A tracer that is never enabled allocates no ring but still reports
+// the ring it would use; enabling it later allocates that ring, and a
+// capacity set while disabled carries over.
+func TestNeverEnabledTracerHasNoRing(t *testing.T) {
+	tr := New(nil)
+	if tr.buf != nil {
+		t.Fatalf("fresh tracer allocated a %d-span ring", len(tr.buf))
+	}
+	if c := tr.Capacity(); c != DefaultCapacity {
+		t.Fatalf("Capacity = %d, want %d", c, DefaultCapacity)
+	}
+	if tr.Len() != 0 || tr.Dropped() != 0 || len(tr.Snapshot()) != 0 {
+		t.Fatalf("never-enabled tracer: len=%d dropped=%d snapshot=%d",
+			tr.Len(), tr.Dropped(), len(tr.Snapshot()))
+	}
+	tr.SetEnabled(false)
+	if tr.buf != nil {
+		t.Fatal("SetEnabled(false) allocated the ring")
+	}
+	tr.SetEnabled(true)
+	if len(tr.buf) != DefaultCapacity {
+		t.Fatalf("enabled ring has %d spans, want %d", len(tr.buf), DefaultCapacity)
+	}
+
+	tr = New(nil)
+	tr.SetCapacity(3)
+	if tr.Capacity() != 3 || tr.Len() != 0 {
+		t.Fatalf("after SetCapacity(3): capacity=%d len=%d", tr.Capacity(), tr.Len())
+	}
+	tr.SetEnabled(true)
+	for i := 0; i < 5; i++ {
+		tr.Begin(1, 0, "op", "s").End()
+	}
+	if tr.Capacity() != 3 || tr.Len() != 3 || tr.Dropped() != 2 {
+		t.Fatalf("capacity=%d len=%d dropped=%d, want 3/3/2", tr.Capacity(), tr.Len(), tr.Dropped())
+	}
+}
+
 func TestBeginEndLifecycle(t *testing.T) {
 	tr, clk := newTestTracer()
 	clk.now = 10 * time.Millisecond

@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -72,6 +73,24 @@ func BenchmarkTCPTransfer(b *testing.B) {
 		if received != total {
 			b.Fatalf("received %v, want %v", received, total)
 		}
+	}
+}
+
+// BenchmarkConnMessageExchange measures one small-message round of
+// the comms path over an established connection: WriteMsg, the data
+// segment's hop and demux, marker absorption, ReadMsg, and the ACK.
+func BenchmarkConnMessageExchange(b *testing.B) {
+	for _, size := range []units.ByteSize{64, 1024} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			k := exchangeLoop(b, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := k.RunFor(time.Millisecond); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -94,12 +94,16 @@ type Conn struct {
 	lastSend       time.Duration // last data transmission (for SSR)
 
 	// Receiver.
-	rcvNxt     int64
-	readPos    int64
-	rcvBufCap  units.ByteSize
-	ooo        []interval
-	rcvMarkers map[int64]any
-	seenMarker map[int64]bool
+	rcvNxt    int64
+	readPos   int64
+	rcvBufCap units.ByteSize
+	ooo       []interval
+	// rcvMarkers[rcvHead:] are the markers received and not yet
+	// returned by ReadMsg, in stream order. ReadMsg advances rcvHead
+	// rather than re-slicing, so the backing array is reused instead
+	// of regrown.
+	rcvMarkers []marker
+	rcvHead    int
 	rcvCond    *sim.Cond
 	peerFin    int64 // seq of peer's FIN, -1 if none
 	eof        bool
@@ -164,8 +168,6 @@ func newConn(s *Stack, lport netsim.Port, raddr netsim.Addr, rport netsim.Port) 
 		rcvCond:     sim.NewCond(s.k),
 		finSeq:      -1,
 		peerFin:     -1,
-		rcvMarkers:  make(map[int64]any),
-		seenMarker:  make(map[int64]bool),
 	}
 	// Sequence space: ISS 0 on both sides; the SYN consumes seq 0 so
 	// the byte stream starts at position 1.
@@ -366,7 +368,7 @@ func (c *Conn) ReadMsg(ctx *sim.Ctx) (units.ByteSize, any, error) {
 			// Whole message available: consume through the marker.
 			consumed += units.ByteSize(pos - c.readPos)
 			c.consume(pos - c.readPos)
-			delete(c.rcvMarkers, pos)
+			c.popMarker()
 			return consumed, obj, nil
 		}
 		// Marker not yet reached. Everything buffered belongs to the
@@ -397,17 +399,54 @@ func (c *Conn) ReadMsg(ctx *sim.Ctx) (units.ByteSize, any, error) {
 
 // nextMarker returns the earliest pending marker.
 func (c *Conn) nextMarker() (int64, any, bool) {
-	best := int64(-1)
-	var obj any
-	for pos, o := range c.rcvMarkers {
-		if best == -1 || pos < best {
-			best, obj = pos, o
-		}
-	}
-	if best == -1 {
+	if c.rcvHead == len(c.rcvMarkers) {
 		return 0, nil, false
 	}
-	return best, obj, true
+	m := c.rcvMarkers[c.rcvHead]
+	return m.pos, m.obj, true
+}
+
+// popMarker drops the earliest pending marker, releasing its object.
+func (c *Conn) popMarker() {
+	c.rcvMarkers[c.rcvHead] = marker{}
+	c.rcvHead++
+	if c.rcvHead == len(c.rcvMarkers) {
+		c.rcvMarkers, c.rcvHead = c.rcvMarkers[:0], 0
+	}
+}
+
+// absorbMarker queues a marker that arrived with a segment, unless it
+// has been seen before (retransmits and overlapping segments repeat
+// markers). "Seen" is exactly "queued, or at or before readPos":
+// transmitRange attaches a marker to every segment that covers its
+// position, processData absorbs a segment's markers before accepting
+// any of its bytes, and ReadMsg moves readPos to a marker's position
+// when it pops that marker. So a marker at or before readPos was
+// queued before the stream reached it, and a popped marker sits at or
+// before readPos. Markers arrive in stream order unless segments do
+// not, so the insertion is an append in practice.
+func (c *Conn) absorbMarker(m marker) {
+	if m.pos <= c.readPos {
+		return
+	}
+	i := len(c.rcvMarkers)
+	for i > c.rcvHead && c.rcvMarkers[i-1].pos >= m.pos {
+		if c.rcvMarkers[i-1].pos == m.pos {
+			return
+		}
+		i--
+	}
+	if c.rcvHead > 0 && len(c.rcvMarkers) == cap(c.rcvMarkers) {
+		// Compact consumed slots at the head instead of growing.
+		n := copy(c.rcvMarkers, c.rcvMarkers[c.rcvHead:])
+		clear(c.rcvMarkers[n:])
+		c.rcvMarkers = c.rcvMarkers[:n]
+		i -= c.rcvHead
+		c.rcvHead = 0
+	}
+	c.rcvMarkers = append(c.rcvMarkers, marker{})
+	copy(c.rcvMarkers[i+1:], c.rcvMarkers[i:])
+	c.rcvMarkers[i] = m
 }
 
 // dataLimit returns the stream position after the last readable data
@@ -496,7 +535,7 @@ func (c *Conn) destroy(err error) {
 	c.rtxTimer.Cancel()
 	c.delack.Cancel()
 	c.persistTimer.Cancel()
-	delete(c.stack.conns, connKey{localPort: c.lport, remoteAddr: c.raddr, remotePort: c.rport})
+	delete(c.stack.conns, makeConnKey(c.lport, c.raddr, c.rport))
 	c.established.Broadcast()
 	c.sndCond.Broadcast()
 	c.rcvCond.Broadcast()

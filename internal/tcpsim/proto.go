@@ -510,12 +510,9 @@ func (c *Conn) trimMarkers() {
 // processData handles an arriving payload range.
 func (c *Conn) processData(seg *segment) {
 	start, end := seg.seq, seg.seq+int64(seg.length)
-	// Absorb markers (dedup on position; retransmits repeat them).
+	// Absorb markers before accepting any byte; see absorbMarker.
 	for _, m := range seg.markers {
-		if !c.seenMarker[m.pos] {
-			c.seenMarker[m.pos] = true
-			c.rcvMarkers[m.pos] = m.obj
-		}
+		c.absorbMarker(m)
 	}
 	switch {
 	case end <= c.rcvNxt:

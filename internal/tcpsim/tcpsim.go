@@ -110,11 +110,17 @@ func DefaultOptions() Options {
 	return o.withDefaults()
 }
 
-type connKey struct {
-	localPort  netsim.Port
-	remoteAddr netsim.Addr
-	remotePort netsim.Port
+// connKey packs a connection's (local port, remote address, remote
+// port) into one integer, lport<<48 | raddr<<16 | rport, so the
+// per-segment demux probe takes the map's integer fast path.
+type connKey uint64
+
+func makeConnKey(lport netsim.Port, raddr netsim.Addr, rport netsim.Port) connKey {
+	return connKey(uint64(lport)<<48 | uint64(raddr)<<16 | uint64(rport))
 }
+
+// localPort returns the local port packed into k.
+func (k connKey) localPort() netsim.Port { return netsim.Port(k >> 48) }
 
 // Stack is the TCP transport instance on one node.
 type Stack struct {
@@ -226,7 +232,7 @@ func (s *Stack) allocPort() netsim.Port {
 		}
 		inUse := false
 		for k := range s.conns {
-			if k.localPort == p {
+			if k.localPort() == p {
 				inUse = true
 				break
 			}
@@ -238,21 +244,20 @@ func (s *Stack) allocPort() netsim.Port {
 }
 
 // HandlePacket implements netsim.Handler: demultiplex to an existing
-// connection, a listener (SYN), or answer with RST.
+// connection, a listener (SYN), or answer with RST. Segments of a
+// known connection cost one map probe; only a miss looks for a
+// listener.
 func (s *Stack) HandlePacket(p *netsim.Packet) {
 	seg, ok := p.Payload.(*segment)
 	if !ok {
 		return
 	}
-	key := connKey{localPort: p.DstPort, remoteAddr: p.Src, remotePort: p.SrcPort}
-	l := s.listeners[p.DstPort]
-	isSyn := seg.flags&flagSYN != 0 && seg.flags&flagACK == 0
-	switch {
-	case s.conns[key] != nil:
-		s.conns[key].handleSegment(seg, p)
-	case isSyn && l != nil && !l.closed:
+	if c := s.conns[makeConnKey(p.DstPort, p.Src, p.SrcPort)]; c != nil {
+		c.handleSegment(seg, p)
+	} else if l := s.listeners[p.DstPort]; l != nil && !l.closed &&
+		seg.flags&flagSYN != 0 && seg.flags&flagACK == 0 {
 		l.handleSyn(seg, p)
-	case seg.flags&flagRST == 0:
+	} else if seg.flags&flagRST == 0 {
 		s.sendRST(p)
 	}
 	// Segment handling is synchronous and copies everything it keeps,
@@ -288,7 +293,7 @@ func (s *Stack) DialFrom(ctx *sim.Ctx, lport netsim.Port, raddr netsim.Addr, rpo
 	if lport == 0 {
 		lport = s.allocPort()
 	}
-	key := connKey{localPort: lport, remoteAddr: raddr, remotePort: rport}
+	key := makeConnKey(lport, raddr, rport)
 	if s.conns[key] != nil {
 		return nil, ErrPortInUse
 	}
@@ -378,7 +383,7 @@ func (l *Listener) Close() {
 // handleSyn creates a half-open connection and replies SYN|ACK.
 func (l *Listener) handleSyn(seg *segment, p *netsim.Packet) {
 	s := l.stack
-	key := connKey{localPort: p.DstPort, remoteAddr: p.Src, remotePort: p.SrcPort}
+	key := makeConnKey(p.DstPort, p.Src, p.SrcPort)
 	if s.conns[key] != nil {
 		return // duplicate SYN; conn will handle retransmit
 	}
