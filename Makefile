@@ -52,12 +52,13 @@ test-short:
 # Chaos soak: control-plane crash/restart, lossy-channel, and MPI
 # rank-failure tests under the race detector, plus the traced-figure
 # determinism regressions (-parallel 1 vs 8 byte-identical, crash
-# schedules included). Seeds are fixed in the tests, so runs are
-# reproducible.
+# schedules included), MPI teardown (Finalize, repeated job
+# lifecycles) and kernel Close. Seeds are fixed in the tests, so runs
+# are reproducible.
 test-chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Soak|Crash|Breaker|Gate|TraceDeterministic' \
+	$(GO) test -race -count=1 -run 'Chaos|Soak|Crash|Breaker|Gate|TraceDeterministic|Finalize|Lifecycle|Close' \
 		./internal/ctrlplane/... ./internal/faults/... ./internal/gara/... ./internal/core/... \
-		./internal/mpi/... ./internal/experiments/... \
+		./internal/mpi/... ./internal/experiments/... ./internal/sim/... ./cmd/gqd/ \
 		-timeout 900s
 
 # One pass of every figure and ablation benchmark. Performance claims

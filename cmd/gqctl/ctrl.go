@@ -36,6 +36,7 @@ func ctrlCmd(args []string) {
 	//
 	//	hostA - e1 - c1 ===border=== c2 - e2 - hostB
 	k := sim.New(*seed)
+	defer k.Close()
 	n := netsim.New(k)
 	hostA, e1, c1 := n.AddNode("hostA"), n.AddNode("e1"), n.AddNode("c1")
 	c2, e2, hostB := n.AddNode("c2"), n.AddNode("e2"), n.AddNode("hostB")

@@ -32,6 +32,8 @@ type daemon struct {
 	// /healthz body. Called under mu.
 	extras func(map[string]any)
 
+	// closed, set under mu by close, stops the stepper.
+	closed   bool
 	done     atomic.Bool
 	panicked atomic.Bool
 	failure  atomic.Value // error string from a failed RunUntil or a panic
@@ -59,7 +61,7 @@ func (d *daemon) step(step, pace time.Duration) {
 			}
 		}()
 		now := d.k.Now()
-		if now >= d.dur {
+		if d.closed || now >= d.dur {
 			return true
 		}
 		next := now + step
@@ -84,6 +86,16 @@ func (d *daemon) step(step, pace time.Duration) {
 			time.Sleep(pace)
 		}
 	}
+}
+
+// close stops the stepper after its current slice and closes the
+// kernel, unwinding the scenario's parked processes. The daemon calls
+// it on shutdown, once no handler can run.
+func (d *daemon) close() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.closed = true
+	d.k.Close()
 }
 
 // mux wires the endpoint set (split out so tests can serve it).

@@ -77,6 +77,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		d.close()
 		fmt.Println("gqd: shut down cleanly")
 	case err := <-errc:
 		fmt.Fprintln(os.Stderr, err)

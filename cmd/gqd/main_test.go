@@ -233,3 +233,35 @@ func TestHealthzCarriesAdmissionState(t *testing.T) {
 		}
 	}
 }
+
+// TestDaemonCloseStopsStepper: closing the daemon mid-run stops the
+// stepper after its current slice and leaves the scenario kernel with
+// no process and no pending event.
+func TestDaemonCloseStopsStepper(t *testing.T) {
+	const dur = time.Hour // virtual; far more than the test lets it run
+	k, extras, err := buildScenario("ctrl", 1, dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &daemon{scenario: "ctrl", dur: dur, k: k, extras: extras}
+	stepped := make(chan struct{})
+	go func() {
+		defer close(stepped)
+		d.step(100*time.Millisecond, time.Millisecond)
+	}()
+	time.Sleep(20 * time.Millisecond) // let a few slices run
+	d.close()
+	select {
+	case <-stepped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stepper still running after close")
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.k.Now() >= dur {
+		t.Fatalf("stepper ran to the end (%v) instead of stopping", d.k.Now())
+	}
+	if n, ev := d.k.LiveProcs(), d.k.PendingEvents(); n != 0 || ev != 0 {
+		t.Fatalf("after close: %d live processes, %d pending events", n, ev)
+	}
+}

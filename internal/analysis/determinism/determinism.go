@@ -6,10 +6,11 @@
 // -parallel settings. That only holds while simulation code draws no
 // wall-clock time, no ambient randomness, spawns no raw goroutines,
 // and never lets Go's randomized map iteration order decide the order
-// in which events are scheduled or RPCs are emitted. It also only holds
-// while the kernels of a -parallel sweep share nothing: a package-level
-// variable written after init is visible to every kernel in the
-// process, so its value would depend on how the workers interleave.
+// in which events are scheduled, RPCs are emitted or processes block.
+// It also only holds while the kernels of a -parallel sweep share
+// nothing: a package-level variable written after init is visible to
+// every kernel in the process, so its value would depend on how the
+// workers interleave.
 // This analyzer turns those conventions into compile-time errors for
 // every package that sits on the simulation kernel.
 package determinism
@@ -44,9 +45,11 @@ tcpsim). In such packages the analyzer reports:
   - writes to package-level variables outside init functions: every
     kernel of a -parallel sweep shares package state, so simulation
     state must hang off the kernel that owns it;
-  - range over a map whose body schedules events or emits RPCs /
-    flight-recorder events: iteration order would leak into the event
-    sequence. Collect and sort keys first.`,
+  - range over a map whose body schedules events, emits RPCs /
+    flight-recorder events, or calls a function that takes a
+    *sim.Ctx (such a call may block, so the order of the calls is
+    observable): iteration order would leak into the event sequence.
+    Collect and sort keys first.`,
 	Run: run,
 }
 
@@ -254,22 +257,44 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt) {
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
+		if name, ok := emissionCall(pass, call); ok {
+			pass.Reportf(call.Pos(), "%s called while ranging over a map: Go's random iteration order leaks into the event sequence and breaks bit-determinism; collect and sort the keys first", name)
+		} else if takesCtx(pass, call) {
+			pass.Reportf(call.Pos(), "%s takes a *sim.Ctx, so it may block, while ranging over a map: Go's random iteration order becomes the order of blocking calls; collect and sort the keys first", types.ExprString(call.Fun))
 		}
-		selection := pass.TypesInfo.Selections[sel]
-		if selection == nil || selection.Kind() != types.MethodVal {
-			return true
-		}
-		fn := selection.Obj().(*types.Func)
-		if !emissionMethods[fn.Name()] {
-			return true
-		}
-		if fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), "mpichgq/") {
-			return true
-		}
-		pass.Reportf(call.Pos(), "%s called while ranging over a map: Go's random iteration order leaks into the event sequence and breaks bit-determinism; collect and sort the keys first", fn.Name())
 		return true
 	})
+}
+
+// emissionCall reports whether call invokes one of the module's
+// emissionMethods, and its name.
+func emissionCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	selection := pass.TypesInfo.Selections[sel]
+	if selection == nil || selection.Kind() != types.MethodVal {
+		return "", false
+	}
+	fn := selection.Obj().(*types.Func)
+	if !emissionMethods[fn.Name()] || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), "mpichgq/") {
+		return "", false
+	}
+	return fn.Name(), true
+}
+
+// takesCtx reports whether call passes a *sim.Ctx: only a process can
+// block, and a callee blocks through the process's Ctx.
+func takesCtx(pass *analysis.Pass, call *ast.CallExpr) bool {
+	sig, ok := pass.TypeOf(call.Fun).(*types.Signature)
+	if !ok {
+		return false
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		if types.TypeString(sig.Params().At(i).Type(), nil) == "*mpichgq/internal/sim.Ctx" {
+			return true
+		}
+	}
+	return false
 }

@@ -76,6 +76,37 @@ func (s *server) fluidMapOrder(flows map[string]*netsim.FluidFlow) {
 	}
 }
 
+// --- calls that take a process Ctx may block ---
+
+type conn struct{}
+
+func (c *conn) Drain(ctx *sim.Ctx) error { return nil }
+func (c *conn) Close()                   {}
+
+func drainAll(ctx *sim.Ctx, conns []*conn) {}
+
+func (s *server) blockingMapOrder(ctx *sim.Ctx, conns map[int]*conn, cond *sim.Cond) {
+	for _, c := range conns {
+		_ = c.Drain(ctx) // want `Drain takes a \*sim.Ctx, so it may block, while ranging over a map`
+		c.Close()        // ok: cannot block
+	}
+	for range conns {
+		cond.Wait(ctx) // want `Wait takes a \*sim.Ctx`
+	}
+	for _, c := range conns {
+		drainAll(ctx, []*conn{c}) // want `drainAll takes a \*sim.Ctx`
+	}
+	for range conns {
+		s.k.Spawn("p", func(*sim.Ctx) {}) // want `Spawn called while ranging over a map`
+	}
+	// ok: peer order
+	for peer := 0; peer < len(conns); peer++ {
+		if c := conns[peer]; c != nil {
+			_ = c.Drain(ctx)
+		}
+	}
+}
+
 // --- package-level state: shared by every kernel in the process ---
 
 var (

@@ -52,6 +52,7 @@ func AblationBucketDepth(cfg Config) trace.Table {
 			},
 		}
 		got := d.Run(tb)
+		tb.Close()
 		depth := diffserv.DepthForRate(500*units.Kbps, div.div)
 		t.Add(div.name, depth.String(), fmt.Sprintf("%.0f", got.Achieved.Kbps()))
 	}
@@ -83,6 +84,7 @@ func AblationShaping(cfg Config) trace.Table {
 			},
 		}
 		got := d.Run(tb)
+		tb.Close()
 		name := "router policing only"
 		if shaped {
 			name = "with end-system shaper"
@@ -131,6 +133,7 @@ func AblationEagerThreshold(cfg Config) trace.Table {
 		if err := tb.K.RunUntil(dur); err != nil {
 			panic(err)
 		}
+		tb.Close()
 		mode := "rendezvous"
 		if msg <= thr {
 			mode = "eager"
@@ -168,6 +171,7 @@ func AblationSocketBuffers(cfg Config) trace.Table {
 				}
 			}
 			got := d.Run(tb)
+			tb.Close()
 			t.Add(buf.String(), fmt.Sprintf("%v", hog), fmt.Sprintf("%.1f", got.Achieved.Mbps()))
 		}
 	}
@@ -244,6 +248,7 @@ func AblationEraTCP(cfg Config) trace.Table {
 			},
 		}
 		got := d.Run(tb)
+		tb.Close()
 		bucket := "normal"
 		if tc.div == diffserv.LargeBucketDivisor {
 			bucket = "large"

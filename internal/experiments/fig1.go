@@ -36,6 +36,7 @@ func RunFigure1(cfg Config) Figure1Result {
 	dur := cfg.scale(100 * time.Second)
 
 	tb := garnet.New(cfg.Seed)
+	defer tb.Close()
 
 	// Figure 1's multi-second sawtooth implies a wide-area round trip
 	// (GARNET connected to ESnet sites): at WAN RTTs, each slow-start

@@ -110,6 +110,7 @@ func RunFigure5(cfg Config) Figure5Result {
 // pair comm over the measurement window is the one-way byte count.
 func pingPongThroughput(cfg Config, pid int, msgSize units.ByteSize, reservation units.BitRate, contended bool, dur time.Duration) PingPongPoint {
 	tb := garnet.New(cfg.Seed)
+	defer tb.Close()
 	cfg.enableTrace(tb.K)
 	if contended {
 		cfg.blast(tb, 0, 0)

@@ -73,6 +73,7 @@ func RunFigure6(cfg Config) Figure6Result {
 // given reservation under standard contention.
 func dvisAchieved(cfg Config, frame units.ByteSize, fps int, reservation units.BitRate, dur time.Duration) units.BitRate {
 	tb := garnet.New(cfg.Seed)
+	defer tb.Close()
 	cfg.blast(tb, 0, 0)
 	d := &DVis{
 		FrameSize: frame,

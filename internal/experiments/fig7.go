@@ -34,6 +34,7 @@ func RunFigure7(cfg Config) Figure7Result {
 	// 1's first line, after adequate reservations).
 	run := func(frame units.ByteSize, fps int) *trace.SeqTrace {
 		tb := garnet.New(cfg.Seed)
+		defer tb.Close()
 		cfg.blast(tb, 0, 0)
 		d := &DVis{
 			FrameSize: frame,

@@ -39,6 +39,7 @@ func RunFigure8(cfg Config) Figure8Result {
 	resAt := cfg.scale(20 * time.Second)
 
 	tb := garnet.New(cfg.Seed)
+	defer tb.Close()
 	d := &DVis{
 		// 15 Mb/s: 187.5 KB frames at 10 fps.
 		FrameSize:     187500,

@@ -38,6 +38,7 @@ func RunFigure9(cfg Config) Figure9Result {
 	t40 := cfg.scale(40 * time.Second)
 
 	tb := garnet.New(cfg.Seed)
+	defer tb.Close()
 	// Network congestion begins at 10 s and continues to the end. It
 	// is heavy but not a total blackout (as in the paper's Figure 9,
 	// where the congested flow limps along at a few Mb/s): a fully

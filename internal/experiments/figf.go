@@ -115,6 +115,7 @@ func runFigFCurve(cfg Config, name string, reserve, heal bool) (FigureFCurve, *g
 	down, up, dur := cfg.scale(20*time.Second), cfg.scale(32*time.Second), cfg.scale(60*time.Second)
 
 	tb := garnet.NewWithOptions(garnet.Options{Seed: cfg.Seed, BackupPaths: true})
+	defer tb.Close()
 	far := tb.AddSite("far", figFWANRate, 5*time.Millisecond)
 	faults.NewScenario("figF-wan-flap").
 		Flap("core-far-edge", down, up).

@@ -84,6 +84,7 @@ func runFigGPoint(cfg Config, pid int, seed int64, loss float64, twoPhase bool) 
 	//
 	//	hostA - e1 - c1 ===border=== c2 - e2 - hostB
 	k := sim.New(seed)
+	defer k.Close()
 	cfg.enableTrace(k)
 	n := netsim.New(k)
 	hostA, e1, c1 := n.AddNode("hostA"), n.AddNode("e1"), n.AddNode("c1")

@@ -162,6 +162,7 @@ func runFigHTrial(cfg Config, pid int, seed int64, mtbf time.Duration, ckpt bool
 	poll := cfg.scale(100 * time.Millisecond)
 
 	tb := garnet.NewWithOptions(garnet.Options{Seed: seed})
+	defer tb.Close()
 	cfg.enableTrace(tb.K)
 	job := tb.NewMPIJob(
 		[]*netsim.Node{tb.PremSrc, tb.PremDst, tb.CompSrc, tb.CompDst},

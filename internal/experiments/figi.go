@@ -90,6 +90,7 @@ func runFigIPoint(cfg Config, pid int, seed int64, mult float64, controls bool) 
 	// Single-domain serving topology: hostA - e1 - c1, the domain's RM
 	// scoped over both links.
 	k := sim.New(seed)
+	defer k.Close()
 	cfg.enableTrace(k)
 	n := netsim.New(k)
 	hostA, e1, c1 := n.AddNode("hostA"), n.AddNode("e1"), n.AddNode("c1")

@@ -112,6 +112,7 @@ func RunISvsDS(cfg Config, nFlows int) ISvsDSResult {
 	res.ISAchieved = isRate
 	res.ISCoreState = rsvp.StateAt(isTB.Core)
 	res.ISEdgeState = rsvp.StateAt(isTB.Edge1)
+	isTB.Close()
 
 	dsRate, dsTB, _ := run("ds")
 	res.DSAchieved = dsRate
@@ -119,8 +120,10 @@ func RunISvsDS(cfg Config, nFlows int) ISvsDSResult {
 	// interfaces (none — classification happens at edge1's ingress).
 	res.DSCoreRules = dsRulesAt(dsTB, dsTB.Core)
 	res.DSEdgeRules = dsRulesAt(dsTB, dsTB.Edge1)
+	dsTB.Close()
 
-	beRate, _, _ := run("none")
+	beRate, beTB, _ := run("none")
+	beTB.Close()
 	res.UnprotectedAchieved = beRate
 	return res
 }

@@ -65,6 +65,7 @@ func RunLatency(cfg Config) LatencyResult {
 		// the contention onto the shared hop, where queueing delay —
 		// the thing the expedited queue bypasses — accumulates.
 		tb := garnet.NewWithOptions(garnet.Options{Seed: cfg.Seed, AccessRate: 622 * units.Mbps})
+		defer tb.Close()
 		if contended {
 			// Always packet-level: the best-effort RTT distribution
 			// being measured is exactly the per-packet queueing that

@@ -65,6 +65,7 @@ func requiredReservation(cfg Config, desired units.BitRate, fps int, bucketDivis
 	era := EraTCPOptions()
 	achieves := func(rsv units.BitRate) bool {
 		tb := garnet.New(cfg.Seed)
+		defer tb.Close()
 		cfg.blast(tb, 0, 0)
 		d := &DVis{
 			FrameSize: frame,

@@ -158,6 +158,10 @@ func NewWithOptions(o Options) *Testbed {
 // Options returns the options the testbed was built with.
 func (tb *Testbed) Options() Options { return tb.opts }
 
+// Close ends the testbed's simulation: see sim.Kernel.Close. Call it
+// once every result has been read off the testbed.
+func (tb *Testbed) Close() { tb.K.Close() }
+
 // RTT returns the round-trip propagation delay between the premium
 // hosts (4 hops each way).
 func (tb *Testbed) RTT() time.Duration { return 8 * tb.opts.HopDelay }

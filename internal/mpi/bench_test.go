@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"mpichgq/internal/sim"
 	"mpichgq/internal/units"
@@ -49,5 +50,45 @@ func BenchmarkMPIEagerSendRecv(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkIrecvWait measures a nonblocking receive: rank 1 posts an
+// Irecv, which spawns its helper process, and waits on it while rank
+// 0's eager 64-byte message, sent once per virtual millisecond,
+// arrives. One op is one Irecv, one send and one Wait.
+func BenchmarkIrecvWait(b *testing.B) {
+	k, j := testJob(2, JobOptions{})
+	defer k.Close()
+	var failed error
+	j.Start(func(ctx *sim.Ctx, r *Rank) {
+		w := r.World()
+		for failed == nil {
+			if r.ID() == 0 {
+				ctx.Sleep(time.Millisecond)
+				failed = r.Send(ctx, w, 1, 0, 64, nil)
+				continue
+			}
+			// Hand control back to the benchmark loop before each
+			// round.
+			ctx.Kernel().Stop()
+			q, err := r.Irecv(ctx, w, 0, 0)
+			if err != nil {
+				failed = err
+				return
+			}
+			failed = q.Wait(ctx)
+		}
+	})
+	// Wire the job up; rank 1 stops the kernel before round 1.
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := k.Run(); err != nil || failed != nil {
+			b.Fatal(err, failed)
+		}
 	}
 }

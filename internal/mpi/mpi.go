@@ -503,7 +503,14 @@ func (r *Rank) Finalize(ctx *sim.Ctx) error {
 		return err
 	}
 	r.finalized = true
-	for peer, conn := range r.conns {
+	// Tear down in peer order, not map order: Drain blocks, so the
+	// order is observable. A peer whose reader saw its FIN while we
+	// drained another is already gone.
+	for peer := 0; peer < r.job.Size(); peer++ {
+		conn := r.conns[peer]
+		if conn == nil {
+			continue
+		}
 		// Drain may fail if the peer closed first; proceed to Close
 		// regardless — teardown is best effort past the barrier.
 		_ = conn.Drain(ctx)

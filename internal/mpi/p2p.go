@@ -97,6 +97,9 @@ func (r *Rank) peerDown(peer int, conn *globusio.IO) {
 	if cur := r.conns[peer]; cur != nil && cur != conn {
 		return // superseded by the peer's new incarnation
 	} else if cur != nil {
+		// Close our side too: the peer's FIN alone leaves the
+		// connection half-closed, and Finalize no longer sees it.
+		cur.Close()
 		delete(r.conns, peer)
 	}
 	if r.deadPeers == nil {

@@ -1,11 +1,27 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel maintains a virtual clock and a priority queue of events.
-// Simulated processes run as coroutines (iter.Pull): the kernel resumes
+// Simulated processes run on coroutines (iter.Pull): the kernel resumes
 // one from an event and the process hands control back when it blocks,
 // so exactly one of them runs at a time. With simultaneous events
 // ordered by (priority, insertion sequence), every run with the same
 // seed is bit-for-bit reproducible.
+//
+// A coroutine, a runner, outlives the process it runs: when a body
+// returns, its runner goes back to a pool and runs the next process
+// stepped, so a spawn costs one small allocation instead of a new
+// goroutine. The pool is shared by the kernels of the program and holds
+// at most a small constant number of runners (maxIdleRunners); past it
+// a finished runner is stopped, so a burst of thousands of live
+// processes leaves no thousands of idle stacks behind. Reuse changes
+// only which goroutine runs a body, never the order in which bodies
+// run.
+//
+// Kernel.Close ends a simulation: it unwinds every process still
+// parked (its deferred calls run; Err is not set) and drops the event
+// queue. A program that builds many kernels closes each one it is done
+// with; a kernel dropped without Close keeps its parked processes'
+// goroutines for the life of the program.
 //
 // Two execution styles coexist:
 //

@@ -5,22 +5,24 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"sync"
 	"time"
 )
 
-// Proc is a simulated process: a coroutine whose execution is
-// interleaved with the event loop such that exactly one of (kernel,
-// some process) runs at any moment. Control passes between the two
-// through iter.Pull, which switches goroutines directly rather than
-// through the scheduler.
+// Proc is a simulated process: a body whose execution is interleaved
+// with the event loop such that exactly one of (kernel, some process)
+// runs at any moment. A process runs on a runner, a coroutine it takes
+// from the runner pool when first stepped and gives back when its body
+// returns.
 type Proc struct {
 	k    *Kernel
 	name string
-	// next resumes the process until it parks or finishes; yield,
-	// called from inside the process, hands control back. Both are
-	// nil once the process has finished.
-	next  func() (struct{}, bool)
-	yield func(struct{}) bool
+	// fn is the body; it is dropped when the body starts, so a
+	// finished process keeps none of its captures reachable.
+	fn func(ctx *Ctx)
+	// r is the runner executing p, from its first step until its body
+	// returns.
+	r *runner
 	// slot is p's index in k.procs while it is live; an int32, it
 	// shares a word with the flags below, which keeps a Proc in the
 	// 64-byte allocation class.
@@ -41,6 +43,74 @@ type Ctx struct {
 	p *Proc
 }
 
+// maxIdleRunners bounds the pool of idle runners. A finished body's
+// runner waits in the pool for the next process any kernel steps; past
+// the bound it is stopped. The bound matters because a burst of live
+// processes would otherwise leave as many idle goroutine stacks
+// behind: the Figure I admission storm keeps ~900 arrivals parked at
+// once, and with an unbounded pool the admission-storm benchmark's
+// peak RSS rose from 55 MB to 170 MB (2-vCPU host). On the MPI halo
+// exchange a bound of 16 captures the whole allocation saving, where
+// bounds of 4 and 8 give up a fifth and an eighth of it.
+//
+// The pool is shared by every kernel in the process rather than owned
+// by one, because a program drops kernels without closing them (the
+// benchmark never calls Kernel.Close), and each dropped kernel's own
+// idle runners would stay parked forever: at 16 per kernel the
+// admission storm's set-up ran 26% slower, its garbage collector
+// scanning thousands of leftover stacks. Which coroutine runs a body
+// is not observable, so sharing the pool cannot reorder any kernel's
+// events.
+const maxIdleRunners = 16
+
+// idleRunners is the pool; mu serializes the kernels of a -parallel
+// sweep.
+var idleRunners struct {
+	mu   sync.Mutex
+	list []*runner
+}
+
+// runner is one iter.Pull coroutine that runs process bodies one after
+// another: it runs p's body, yields to the kernel, and on its next
+// resumption runs whichever process took it meanwhile.
+type runner struct {
+	// p is the process being run, nil while the runner is idle.
+	p     *Proc
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// unwind is the panic value with which park unwinds a process that
+// Kernel.Close stops; the body's recover swallows it.
+type unwind struct{}
+
+func (r *runner) loop(yield func(struct{}) bool) {
+	r.yield = yield
+	for {
+		r.p.run()
+		// Once stopped, yield returns false without switching.
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes p's body, capturing a panic into the kernel's error.
+func (p *Proc) run() {
+	defer func() {
+		if v := recover(); v != nil {
+			if _, ok := v.(unwind); !ok && p.k.err == nil {
+				p.k.err = fmt.Errorf("sim: process %q panicked: %v", p.name, v)
+			}
+		}
+		p.done = true
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(&p.ctx)
+}
+
 // Spawn creates a process named name running fn and schedules it to
 // start at the current virtual time. The returned Proc can be used to
 // query completion.
@@ -50,21 +120,9 @@ func (k *Kernel) Spawn(name string, fn func(ctx *Ctx)) *Proc {
 
 // SpawnAt creates a process that starts at absolute virtual time at.
 func (k *Kernel) SpawnAt(at time.Duration, name string, fn func(ctx *Ctx)) *Proc {
-	p := &Proc{k: k, name: name, slot: int32(len(k.procs))}
+	p := &Proc{k: k, name: name, fn: fn, slot: int32(len(k.procs))}
 	p.ctx = Ctx{k: k, p: p}
 	k.procs = append(k.procs, p)
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer func() {
-			if r := recover(); r != nil {
-				if k.err == nil {
-					k.err = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-				}
-			}
-			p.done = true
-		}()
-		fn(&p.ctx)
-	})
 	k.AtFunc(at, PrioNormal, stepProc, k, p)
 	return p
 }
@@ -75,39 +133,112 @@ func stepProc(a0, a1 any) { a0.(*Kernel).step(a1.(*Proc)) }
 
 // step transfers control to process p and waits for it to block or
 // finish. It must only be called from the kernel (i.e. from inside an
-// event callback). A process that finishes is removed from k.procs.
+// event callback). A process that finishes is removed from k.procs and
+// its runner returns to the pool.
 func (k *Kernel) step(p *Proc) {
 	if p.done {
 		return
 	}
+	r := p.r
+	if r == nil {
+		r = takeRunner()
+		r.p, p.r = p, r
+	}
 	prev := k.cur
 	k.cur = p
 	p.blocked = false
-	p.next()
+	r.next()
 	k.cur = prev
 	if !p.done {
 		return
 	}
-	// Swap-remove p from k.procs and drop its coroutine, whose closure
-	// would otherwise keep fn's captures reachable for as long as p is.
+	k.forget(p)
+	r.p, p.r = nil, nil
+	putRunner(r)
+}
+
+// forget swap-removes p from k.procs.
+func (k *Kernel) forget(p *Proc) {
 	last := len(k.procs) - 1
 	moved := k.procs[last]
 	k.procs[p.slot] = moved
 	moved.slot = p.slot
 	k.procs[last] = nil
 	k.procs = k.procs[:last]
-	p.next, p.yield = nil, nil
+}
+
+// takeRunner returns an idle runner, or starts a new one.
+func takeRunner() *runner {
+	idleRunners.mu.Lock()
+	if n := len(idleRunners.list); n > 0 {
+		r := idleRunners.list[n-1]
+		//lint:ignore determinism the runner pool is shared by every kernel on purpose (see maxIdleRunners): which coroutine runs a body is unobservable, and mu orders the kernels of a -parallel sweep
+		idleRunners.list[n-1], idleRunners.list = nil, idleRunners.list[:n-1]
+		idleRunners.mu.Unlock()
+		return r
+	}
+	idleRunners.mu.Unlock()
+	r := new(runner)
+	r.next, r.stop = iter.Pull(r.loop)
+	return r
+}
+
+// putRunner pools an idle runner, or stops it if the pool is full.
+func putRunner(r *runner) {
+	idleRunners.mu.Lock()
+	if len(idleRunners.list) < maxIdleRunners {
+		//lint:ignore determinism the runner pool is shared by every kernel on purpose (see maxIdleRunners): which coroutine runs a body is unobservable, and mu orders the kernels of a -parallel sweep
+		idleRunners.list = append(idleRunners.list, r)
+		idleRunners.mu.Unlock()
+		return
+	}
+	idleRunners.mu.Unlock()
+	r.stop()
 }
 
 // park suspends the calling process and returns control to the
 // kernel. The process resumes when some event calls k.step(p). Must
-// be called from inside p.
+// be called from inside p. If the kernel is closed instead, park
+// unwinds the process.
 func (p *Proc) park() {
 	p.blocked = true
-	p.yield(struct{}{})
+	if !p.r.yield(struct{}{}) {
+		panic(unwind{})
+	}
 }
 
-// Done reports whether the process function has returned.
+// Close releases what the kernel holds: it unwinds every parked
+// process, running its body's deferred calls, and drops the event
+// queue. A simulation that is finished with its kernel calls Close so
+// that the coroutines of processes still blocked do not outlive it.
+// Close is idempotent and panics when called from inside a process.
+func (k *Kernel) Close() {
+	if k.cur != nil {
+		panic(fmt.Sprintf("sim: Close called from inside process %q", k.cur.name))
+	}
+	for len(k.procs) > 0 {
+		p := k.procs[len(k.procs)-1]
+		k.forget(p)
+		if r := p.r; r != nil {
+			// Deferred calls run as p and may use its Ctx; any park
+			// among them unwinds again.
+			k.cur = p
+			r.stop()
+			k.cur = nil
+			r.p, p.r = nil, nil
+		}
+		p.fn, p.done = nil, true
+	}
+	for _, e := range k.queue {
+		e.index = -1
+		e.gen++
+		e.fn, e.afn, e.a0, e.a1 = nil, nil, nil, nil
+	}
+	k.queue, k.free = nil, nil
+}
+
+// Done reports whether the process function has returned, or the
+// process was discarded by Kernel.Close.
 func (p *Proc) Done() bool { return p.done }
 
 // Name returns the process name.

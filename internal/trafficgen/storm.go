@@ -120,7 +120,9 @@ func (s *ReservationStorm) Run(k *sim.Kernel) {
 					return
 				}
 				ci := i % len(s.Conns)
-				ctx.SpawnChild(fmt.Sprintf("storm-arrival-%d", i), func(cctx *sim.Ctx) {
+				// One shared name: arrivals are many and short-lived,
+				// and no output reads process names.
+				ctx.SpawnChild("storm-arrival", func(cctx *sim.Ctx) {
 					s.oneRequest(cctx, ci)
 				})
 			}
