@@ -58,15 +58,7 @@ func RunISvsDS(cfg Config, nFlows int) ISvsDSResult {
 			if err != nil {
 				panic(err)
 			}
-			tb.K.Spawn(fmt.Sprintf("sink-%d", i), func(ctx *sim.Ctx) {
-				for {
-					dg, err := s.Recv(ctx)
-					if err != nil {
-						return
-					}
-					rx += int64(dg.Len)
-				}
-			})
+			s.Serve(func(dg netsim.Datagram) { rx += int64(dg.Len) })
 		}
 		src := tb.PremSrc.UDPStack()
 		for i := 0; i < nFlows; i++ {

@@ -149,15 +149,7 @@ func TestMultiDomainEndToEndProtection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.k.Spawn("sink", func(ctx *sim.Ctx) {
-		for {
-			dg, err := sink.Recv(ctx)
-			if err != nil {
-				return
-			}
-			rx += int64(dg.Len)
-		}
-	})
+	sink.Serve(func(dg netsim.Datagram) { rx += int64(dg.Len) })
 	src, err := r.hostA.UDPStack().Bind(0)
 	if err != nil {
 		t.Fatal(err)

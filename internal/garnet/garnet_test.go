@@ -115,11 +115,7 @@ func TestAddSite(t *testing.T) {
 	delivered := false
 	k := tb.K
 	rsock, _ := remote.UDPStack().Bind(9)
-	k.Spawn("sink", func(ctx *sim.Ctx) {
-		if _, err := rsock.Recv(ctx); err == nil {
-			delivered = true
-		}
-	})
+	rsock.Serve(func(netsim.Datagram) { delivered = true })
 	// First packet was sent before the sink bound; send another.
 	k.After(time.Millisecond*50, func() { sock.SendTo(remote.Addr(), 9, 100, nil) })
 	if err := k.RunUntil(time.Second); err != nil {

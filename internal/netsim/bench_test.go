@@ -67,3 +67,43 @@ func TestLinkForwardZeroAlloc(t *testing.T) {
 		t.Fatalf("link forward allocates %.1f objects per packet, want 0", allocs)
 	}
 }
+
+// TestBlasterTickZeroAlloc guards the UDP path a packet-level blaster
+// drives: once pools are warm, one datagram sent by SendTo, forwarded
+// over two hops and handed to a Serve receiver performs zero heap
+// allocations.
+func TestBlasterTickZeroAlloc(t *testing.T) {
+	k := sim.New(1)
+	n := New(k)
+	a, r, b := n.AddNode("a"), n.AddNode("r"), n.AddNode("b")
+	n.Connect(a, r, 100*1000*1000, time.Millisecond)
+	n.Connect(r, b, 100*1000*1000, time.Millisecond)
+	n.ComputeRoutes()
+	src, err := a.UDPStack().Bind(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := b.UDPStack().Bind(9000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	received := 0
+	sink.Serve(func(Datagram) { received++ })
+	tick := func() {
+		if ok, err := src.SendTo(b.Addr(), 9000, 1000, nil); !ok || err != nil {
+			t.Fatalf("SendTo: ok=%v err=%v", ok, err)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		tick()
+	}
+	if allocs := testing.AllocsPerRun(1000, tick); allocs != 0 {
+		t.Fatalf("blaster tick allocates %.1f objects per datagram, want 0", allocs)
+	}
+	if received != 64+1001 {
+		t.Fatalf("received %d datagrams, want %d", received, 64+1001)
+	}
+}

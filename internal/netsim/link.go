@@ -34,6 +34,11 @@ type Iface struct {
 	ingress      []IngressFilter
 	transmitting bool
 
+	// arrivals carries this direction's packets in propagation to the
+	// peer. The link's delay is fixed, so they arrive in the order
+	// they left and only the first is in the kernel's event queue.
+	arrivals *sim.Line
+
 	// fluid, when non-nil, is the analytic state of fluid background
 	// traffic sharing this egress; see fluid.go.
 	fluid *ifaceFluid
@@ -177,9 +182,10 @@ func (i *Iface) tryTransmit() {
 	k.AfterPrioFunc(txTime, sim.PrioNet, ifaceTxDone, i, p)
 }
 
-// ifaceTxDone finishes serializing p on interface a0 and starts the
-// propagation event. It is a prebound AfterPrioFunc callback so the
-// per-packet forwarding path schedules without closure allocations.
+// ifaceTxDone finishes serializing p on interface a0 and puts it on
+// the interface's delay line to the peer. It is a prebound
+// AfterPrioFunc callback so the per-packet forwarding path schedules
+// without closure allocations.
 func ifaceTxDone(a0, a1 any) {
 	i := a0.(*Iface)
 	p := a1.(*Packet)
@@ -200,7 +206,7 @@ func ifaceTxDone(a0, a1 any) {
 	i.txBytes += int64(p.Size)
 	i.mTxPackets.Inc()
 	i.mTxBytes.Add(int64(p.Size))
-	i.node.net.k.AfterPrioFunc(i.link.delay, sim.PrioNet, ifaceArrive, i.peer(), p)
+	i.arrivals.AfterFunc(i.link.delay, ifaceArrive, i.peer(), p)
 	i.tryTransmit()
 }
 
@@ -346,6 +352,8 @@ func (n *Network) Connect(n1, n2 *Node, rate units.BitRate, delay time.Duration)
 	l.b = &Iface{node: n2, link: l, side: 1, queue: NewDropTail(DefaultQueueCap)}
 	l.a.attachMetrics()
 	l.b.attachMetrics()
+	l.a.arrivals = n.k.NewLine(sim.PrioNet)
+	l.b.arrivals = n.k.NewLine(sim.PrioNet)
 	l.rec = n.k.Metrics().Events()
 	n.k.Metrics().GaugeFunc("netsim_link_up",
 		"1 while the link is in service, 0 while down",

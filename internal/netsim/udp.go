@@ -52,7 +52,7 @@ func (s *UDPStack) HandlePacket(p *Packet) {
 		s.node.net.FreePacket(p)
 		return
 	}
-	sock.inbox.Send(&Datagram{
+	sock.deliver(Datagram{
 		From:     p.Src,
 		FromPort: p.SrcPort,
 		Len:      p.PayloadLen,
@@ -77,7 +77,7 @@ func (s *UDPStack) Bind(port Port) (*UDPSocket, error) {
 	sock := &UDPSocket{
 		stack: s,
 		port:  port,
-		inbox: sim.NewMailbox(s.node.net.k),
+		recv:  sim.NewCond(s.node.net.k),
 	}
 	s.sockets[port] = sock
 	return sock, nil
@@ -93,13 +93,27 @@ func (s *UDPStack) RxDrops() uint64 { return s.rxDrops }
 // ErrClosed is returned by operations on a closed socket.
 var ErrClosed = errors.New("netsim: socket closed")
 
-// UDPSocket is a bound UDP endpoint.
+// UDPSocket is a bound UDP endpoint. Received datagrams wait in the
+// socket until a process takes them with Recv or TryRecv, or a
+// callback installed with Serve is handed them.
 type UDPSocket struct {
-	stack  *UDPStack
-	port   Port
-	inbox  *sim.Mailbox
-	dscp   DSCP
-	closed bool
+	stack *UDPStack
+	port  Port
+	// inbox[head:] are the received datagrams, oldest first, held by
+	// value. Taking one advances head, and a full backing array with
+	// consumed slots at its head is compacted in place rather than
+	// grown, as in sim.Cond's queue.
+	inbox []Datagram
+	head  int
+	// recv holds the processes blocked in Recv.
+	recv *sim.Cond
+	// serve is the receiver installed by Serve, nil when there is
+	// none; serveIdle is set while it waits for a datagram with no
+	// wakeup pending.
+	serve     func(Datagram)
+	serveIdle bool
+	dscp      DSCP
+	closed    bool
 
 	txDatagrams uint64
 	txBytes     int64
@@ -138,8 +152,10 @@ func (u *UDPSocket) SendTo(dst Addr, dstPort Port, payloadLen units.ByteSize, pa
 	p.PayloadLen = payloadLen
 	p.Payload = payload
 	err := u.stack.node.Send(p)
-	var noRoute *NoRouteError
-	if errors.As(err, &noRoute) {
+	if noRoute, ok := err.(*NoRouteError); ok {
+		// Node.Send returns the error unwrapped; a type assertion,
+		// unlike errors.As, does not move a pointer to the heap per
+		// datagram.
 		return false, noRoute
 	}
 	if err != nil {
@@ -150,26 +166,97 @@ func (u *UDPSocket) SendTo(dst Addr, dstPort Port, payloadLen units.ByteSize, pa
 	return true, nil
 }
 
-// Recv blocks until a datagram arrives or the socket is closed.
-func (u *UDPSocket) Recv(ctx *sim.Ctx) (*Datagram, error) {
-	v, ok := u.inbox.Recv(ctx)
-	if !ok {
-		return nil, ErrClosed
+// deliver queues a received datagram and wakes the receiver: the
+// longest-blocked Recv, or the Serve callback if it is idle.
+func (u *UDPSocket) deliver(dg Datagram) {
+	if u.head > 0 && len(u.inbox) == cap(u.inbox) {
+		n := copy(u.inbox, u.inbox[u.head:])
+		clear(u.inbox[n:])
+		u.inbox = u.inbox[:n]
+		u.head = 0
 	}
-	return v.(*Datagram), nil
+	u.inbox = append(u.inbox, dg)
+	u.recv.Signal()
+	u.wakeServer()
+}
+
+// take pops the oldest queued datagram; the queue must not be empty.
+func (u *UDPSocket) take() Datagram {
+	dg := u.inbox[u.head]
+	u.inbox[u.head] = Datagram{}
+	u.head++
+	if u.head == len(u.inbox) {
+		u.inbox, u.head = u.inbox[:0], 0
+	}
+	return dg
+}
+
+// Recv blocks until a datagram arrives or the socket is closed and
+// drained.
+func (u *UDPSocket) Recv(ctx *sim.Ctx) (Datagram, error) {
+	for u.Pending() == 0 {
+		if u.closed {
+			return Datagram{}, ErrClosed
+		}
+		u.recv.Wait(ctx)
+	}
+	return u.take(), nil
 }
 
 // TryRecv returns a queued datagram without blocking.
-func (u *UDPSocket) TryRecv() (*Datagram, bool) {
-	v, ok := u.inbox.TryRecv()
-	if !ok {
-		return nil, false
+func (u *UDPSocket) TryRecv() (Datagram, bool) {
+	if u.Pending() == 0 {
+		return Datagram{}, false
 	}
-	return v.(*Datagram), true
+	return u.take(), true
 }
 
 // Pending returns the number of queued datagrams.
-func (u *UDPSocket) Pending() int { return u.inbox.Len() }
+func (u *UDPSocket) Pending() int { return len(u.inbox) - u.head }
+
+// Serve hands every datagram the socket receives to fn, in arrival
+// order, until the socket is closed; no other receiver may use the
+// socket. It stands in for a process that loops on Recv and wakes
+// exactly as that process would: one event at the current instant
+// now; one at the current instant and PrioNormal when a datagram
+// arrives while fn is idle, which hands fn every datagram queued by
+// the time it runs; none for arrivals while a wakeup is pending; and a
+// last one if the socket is closed while fn is idle. So replacing such
+// a process with Serve changes no event's time, priority or order, nor
+// the kernel's event count.
+func (u *UDPSocket) Serve(fn func(Datagram)) {
+	if u.serve != nil {
+		panic("netsim: Serve on a socket that is already served")
+	}
+	u.serve = fn
+	k := u.stack.node.net.k
+	k.AtFunc(k.Now(), sim.PrioNormal, udpServe, u, nil)
+}
+
+// wakeServer schedules the Serve callback's wakeup if it is idle.
+func (u *UDPSocket) wakeServer() {
+	if !u.serveIdle {
+		return
+	}
+	u.serveIdle = false
+	k := u.stack.node.net.k
+	k.AtFunc(k.Now(), sim.PrioNormal, udpServe, u, nil)
+}
+
+// udpServe is the prebound wakeup of a served socket: it drains the
+// queue into the callback, then idles, or ends once the socket is
+// closed.
+func udpServe(a0, _ any) {
+	u := a0.(*UDPSocket)
+	for u.Pending() > 0 {
+		u.serve(u.take())
+	}
+	if u.closed {
+		u.serve = nil
+		return
+	}
+	u.serveIdle = true
+}
 
 // Close releases the port and wakes blocked receivers.
 func (u *UDPSocket) Close() {
@@ -178,7 +265,8 @@ func (u *UDPSocket) Close() {
 	}
 	u.closed = true
 	delete(u.stack.sockets, u.port)
-	u.inbox.Close()
+	u.recv.Broadcast()
+	u.wakeServer()
 }
 
 // TxStats returns the count and total payload bytes of datagrams

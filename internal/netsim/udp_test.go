@@ -20,14 +20,15 @@ func TestUDPSendRecv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got *Datagram
+	var got Datagram
+	received := false
 	k.Spawn("recv", func(ctx *sim.Ctx) {
 		d, err := dst.Recv(ctx)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		got = d
+		got, received = d, true
 	})
 	k.Spawn("send", func(ctx *sim.Ctx) {
 		ok, err := src.SendTo(b.Addr(), 5000, 1200, "hello")
@@ -38,7 +39,7 @@ func TestUDPSendRecv(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil {
+	if !received {
 		t.Fatal("no datagram received")
 	}
 	if got.Len != 1200 || got.Payload.(string) != "hello" || got.From != a.Addr() || got.FromPort != src.Port() {

@@ -212,3 +212,44 @@ func TestProcSleepZeroAlloc(t *testing.T) {
 		t.Fatal("sleeper did not finish")
 	}
 }
+
+// BenchmarkLineHop measures one packet-like hop through a delay line
+// that keeps 16 callbacks in flight beside 4 ordinary pending events:
+// one push and one fire per iteration. The event variant schedules the
+// same callbacks as ordinary events, as links did before delay lines,
+// so the heap holds all 20.
+func BenchmarkLineHop(b *testing.B) {
+	const inFlight, gap = 16, time.Microsecond
+	nop := func(a0, a1 any) {}
+	for _, lined := range []bool{true, false} {
+		name := "event"
+		if lined {
+			name = "line"
+		}
+		b.Run(name, func(b *testing.B) {
+			k := New(1)
+			for i := 0; i < 4; i++ {
+				k.AfterFunc(time.Hour+time.Duration(i), nop, nil, nil)
+			}
+			l := k.NewLine(PrioNet)
+			push := func(d time.Duration) {
+				if lined {
+					l.AfterFunc(d, nop, l, nil)
+				} else {
+					k.AfterPrioFunc(d, PrioNet, nop, l, nil)
+				}
+			}
+			for i := 1; i <= inFlight; i++ {
+				push(time.Duration(i) * gap)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				push(inFlight * gap)
+				if err := k.RunFor(gap); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -25,12 +25,13 @@
 //
 // Two execution styles coexist:
 //
-//   - Event callbacks (Kernel.At / Kernel.After) run inline in the
-//     kernel's goroutine. Network elements (links, queues, routers) use
-//     these.
+//   - Event callbacks (Kernel.At / Kernel.After, and delay lines) run
+//     inline in the kernel's goroutine. Network elements (links,
+//     queues, routers) and anything that needs no thread of control
+//     of its own (the packet-level UDP blaster, UDP sinks) use these.
 //   - Processes (Kernel.Spawn) are coroutines that may block on
 //     Ctx.Sleep, Cond.Wait, or Mailbox.Recv. Applications (MPI ranks,
-//     traffic generators) use these. A runtime.Goexit inside a process
+//     the CPU hog) use these. A runtime.Goexit inside a process
 //     (t.FailNow in a test) passes through the coroutine and also ends
 //     the goroutine that called Run.
 //
@@ -39,7 +40,12 @@
 // the AtFunc/AfterFunc variants; the closure-taking forms still cost
 // whatever the closure itself captures), and Timer.Cancel physically
 // removes the event from the heap, so cancel-heavy workloads keep the
-// queue small. See docs/performance.md for the hot-path inventory.
+// queue small. Events that are known to fire in the order they are
+// scheduled, such as packet arrivals at the far end of a fixed-delay
+// link, go on a delay line (Kernel.NewLine): a FIFO of which only the
+// head sits in the heap, under the same (time, priority, sequence) key
+// it would have had as an ordinary event. See docs/performance.md for
+// the hot-path inventory.
 package sim
 
 import (
@@ -80,7 +86,10 @@ type event struct {
 	fn     func()
 	afn    func(a0, a1 any)
 	a0, a1 any
-	owner  *Kernel
+	// line is set instead of fn/afn when the event is the armed head
+	// of a delay line.
+	line  *Line
+	owner *Kernel
 }
 
 // eventHeap is a 4-ary min-heap ordered by (at, prio, seq), maintaining
@@ -194,7 +203,10 @@ type Kernel struct {
 	procs []*Proc
 	// cur is the process currently executing, nil when the kernel
 	// itself (an event callback) is running.
-	cur     *Proc
+	cur *Proc
+	// lined counts the callbacks queued on delay lines behind their
+	// armed heads.
+	lined   int
 	stopped bool
 	err     error
 	ran     uint64
@@ -279,7 +291,7 @@ func (k *Kernel) newEvent() *event {
 // and returns it to the freelist.
 func (k *Kernel) recycle(e *event) {
 	e.gen++
-	e.fn, e.afn, e.a0, e.a1 = nil, nil, nil, nil
+	e.fn, e.afn, e.a0, e.a1, e.line = nil, nil, nil, nil, nil
 	k.free = append(k.free, e)
 }
 
@@ -368,12 +380,16 @@ func (k *Kernel) run(deadline time.Duration) error {
 		if deadline >= 0 && next.at > deadline {
 			break
 		}
-		k.queue.popMin()
 		if next.at < k.now {
 			panic("sim: time went backwards")
 		}
 		k.now = next.at
 		k.ran++
+		if next.line != nil {
+			next.line.fire(next)
+			continue
+		}
+		k.queue.popMin()
 		// Recycle before invoking: the callback may schedule new
 		// events, which can then reuse this struct, and any Timer
 		// handle to this event must already read as fired.
@@ -388,10 +404,10 @@ func (k *Kernel) run(deadline time.Duration) error {
 	return k.err
 }
 
-// PendingEvents returns the number of scheduled events. Cancelled
-// timers are removed from the queue eagerly, so every queued event is
-// live.
-func (k *Kernel) PendingEvents() int { return len(k.queue) }
+// PendingEvents returns the number of scheduled events, delay-line
+// callbacks included. Cancelled timers are removed from the queue
+// eagerly, so every queued event is live.
+func (k *Kernel) PendingEvents() int { return len(k.queue) + k.lined }
 
 // BlockedProcs returns the names of processes that are blocked (waiting
 // on a Cond, Mailbox, or sleep) and not yet finished. Useful in tests

@@ -209,8 +209,9 @@ func (p *Proc) park() {
 
 // Close releases what the kernel holds: it unwinds every parked
 // process, running its body's deferred calls, and drops the event
-// queue. A simulation that is finished with its kernel calls Close so
-// that the coroutines of processes still blocked do not outlive it.
+// queue, delay lines included. A simulation that is finished with its
+// kernel calls Close so that the coroutines of processes still blocked
+// do not outlive it.
 // Close is idempotent and panics when called from inside a process.
 func (k *Kernel) Close() {
 	if k.cur != nil {
@@ -230,11 +231,16 @@ func (k *Kernel) Close() {
 		p.fn, p.done = nil, true
 	}
 	for _, e := range k.queue {
+		if e.line != nil {
+			// Every line with callbacks queued has its head here.
+			e.line.drop()
+		}
 		e.index = -1
 		e.gen++
-		e.fn, e.afn, e.a0, e.a1 = nil, nil, nil, nil
+		e.fn, e.afn, e.a0, e.a1, e.line = nil, nil, nil, nil, nil
 	}
 	k.queue, k.free = nil, nil
+	k.lined = 0
 }
 
 // Done reports whether the process function has returned, or the

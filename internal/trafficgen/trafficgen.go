@@ -67,10 +67,17 @@ type UDPBlaster struct {
 	Start, Stop time.Duration
 
 	sent int64
+
+	// Set by Run for the send callback.
+	k    *sim.Kernel
+	sock *netsim.UDPSocket
+	dst  netsim.Addr
+	port netsim.Port
+	gap  time.Duration
 }
 
-// Run attaches the blaster to src targeting dst's port. It spawns the
-// generator process and returns immediately.
+// Run attaches the blaster to src targeting dst's port. It schedules
+// the first datagram and returns immediately.
 func (b *UDPBlaster) Run(src, dst *netsim.Node, port netsim.Port) error {
 	if b.Rate <= 0 {
 		return fmt.Errorf("trafficgen: blaster needs a positive rate")
@@ -87,27 +94,33 @@ func (b *UDPBlaster) Run(src, dst *netsim.Node, port netsim.Port) error {
 	// fine too, but a bound sink keeps counters meaningful).
 	dstStack := dst.UDPStack()
 	if sink, err := dstStack.Bind(port); err == nil {
-		k.Spawn(fmt.Sprintf("blaster-sink-%s", dst.Name()), func(ctx *sim.Ctx) {
-			for {
-				if _, err := sink.Recv(ctx); err != nil {
-					return
-				}
-			}
-		})
+		sink.Serve(func(netsim.Datagram) {})
 	}
-	gap := b.Rate.TimeToSend(b.PacketSize + netsim.UDPHeader + netsim.IPHeader)
-	k.SpawnAt(b.Start, fmt.Sprintf("blaster-%s->%s", src.Name(), dst.Name()), func(ctx *sim.Ctx) {
-		for b.Stop == 0 || ctx.Now() < b.Stop {
-			sock.SendTo(dst.Addr(), port, b.PacketSize, nil)
-			b.sent++
-			d := gap
-			if b.Jitter > 0 {
-				d = time.Duration(float64(gap) * ctx.RNG().Jitter(b.Jitter))
-			}
-			ctx.Sleep(d)
-		}
-	})
+	b.k, b.sock, b.dst, b.port = k, sock, dst.Addr(), port
+	b.gap = b.Rate.TimeToSend(b.PacketSize + netsim.UDPHeader + netsim.IPHeader)
+	k.AtFunc(b.Start, sim.PrioNormal, blasterSend, b, nil)
 	return nil
+}
+
+// blasterSend is the blaster's prebound timer callback: unless the
+// window has closed, it sends one datagram and schedules itself after
+// the (jittered) gap.
+func blasterSend(a0, _ any) {
+	b := a0.(*UDPBlaster)
+	k := b.k
+	if b.Stop != 0 && k.Now() >= b.Stop {
+		return
+	}
+	b.sock.SendTo(b.dst, b.port, b.PacketSize, nil)
+	b.sent++
+	d := b.gap
+	if b.Jitter > 0 {
+		d = time.Duration(float64(b.gap) * k.RNG().Jitter(b.Jitter))
+	}
+	if d < 0 {
+		d = 0
+	}
+	k.AfterFunc(d, blasterSend, b, nil)
 }
 
 // Sent returns the number of datagrams offered so far.
