@@ -54,15 +54,17 @@ test-short:
 # determinism regressions (-parallel 1 vs 8 byte-identical, crash
 # schedules included), MPI teardown (Finalize, repeated job
 # lifecycles) and kernel Close, then five rounds of the differential
-# tests that pin delay lines and UDP Serve receivers to the event
-# sequences of ordinary events and Recv processes. Seeds are fixed in
-# the tests, so runs are reproducible.
+# tests that pin delay lines, UDP and globus-io Serve receivers, Cond
+# waiters and MPI nonblocking receives to the event sequences of
+# ordinary events and of the processes they replace. Seeds are fixed
+# in the tests, so runs are reproducible.
 test-chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Soak|Crash|Breaker|Gate|TraceDeterministic|Finalize|Lifecycle|Close' \
 		./internal/ctrlplane/... ./internal/faults/... ./internal/gara/... ./internal/core/... \
 		./internal/mpi/... ./internal/experiments/... ./internal/sim/... ./cmd/gqd/ \
 		-timeout 900s
-	$(GO) test -race -count=5 -run 'LineDifferential|ServeDifferential' ./internal/sim/ ./internal/netsim/ -timeout 900s
+	$(GO) test -race -count=5 -run 'LineDifferential|ServeDifferential|AwaitDifferential|IrecvDifferential' \
+		./internal/sim/ ./internal/netsim/ ./internal/globusio/ ./internal/mpi/ -timeout 900s
 
 # One pass of every figure and ablation benchmark. Performance claims
 # cite the repo benchmark, BENCHMARK.json, run by bench/run.sh and

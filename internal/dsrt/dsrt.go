@@ -14,10 +14,11 @@
 //     redistributed to the other.
 //
 // Tasks consume CPU by calling Compute(work): the call blocks the
-// simulated process for work/share of virtual time. Applications use
-// this for their own computation (e.g. rendering a frame) and the
-// globus-io layer uses it for per-byte socket copy costs, which is how
-// CPU contention throttles network throughput in Figures 8 and 9.
+// simulated process for work/share of virtual time (ComputeThen does
+// the same for a sim.Waiter). Applications use this for their own
+// computation (e.g. rendering a frame) and the globus-io layer uses it
+// for per-byte socket copy costs, which is how CPU contention
+// throttles network throughput in Figures 8 and 9.
 package dsrt
 
 import (
@@ -36,6 +37,9 @@ type CPU struct {
 	name     string
 	capacity float64
 	tasks    []*Task
+	// runnable is recompute's scratch list, kept for its backing
+	// array.
+	runnable []*Task
 
 	mComputations *metrics.Counter
 	mDeadlineMiss *metrics.Counter
@@ -136,8 +140,29 @@ func (t *Task) SetReservation(frac float64) error {
 // Compute blocks the calling process until the task has received work
 // seconds of CPU time at its scheduled share.
 func (t *Task) Compute(ctx *sim.Ctx, work time.Duration) {
+	if t.start(work) {
+		t.done.Wait(ctx)
+	}
+}
+
+// ComputeThen is Compute for a callback: it starts the same
+// computation and queues w where Compute would block the process, so
+// w runs when Compute would have returned. It reports false, queueing
+// nothing, when Compute would return at once (no work, or a closed
+// task); the caller then goes on in the same event.
+func (t *Task) ComputeThen(work time.Duration, w *sim.Waiter) bool {
+	if !t.start(work) {
+		return false
+	}
+	t.done.Await(w)
+	return true
+}
+
+// start begins a computation of work seconds and reports whether the
+// caller must wait for it.
+func (t *Task) start(work time.Duration) bool {
 	if work <= 0 || t.closed {
-		return
+		return false
 	}
 	if t.computing {
 		panic(fmt.Sprintf("dsrt: task %q has overlapping Compute calls", t.name))
@@ -148,7 +173,7 @@ func (t *Task) Compute(ctx *sim.Ctx, work time.Duration) {
 	t.computeStart = t.lastUpdate
 	t.computeWork = t.remaining
 	t.cpu.recompute()
-	t.done.Wait(ctx)
+	return true
 }
 
 // Used returns the task's cumulative CPU-seconds.
@@ -205,7 +230,7 @@ func (t *Task) settle(now time.Duration) {
 // completion timers. Called on every scheduling event.
 func (c *CPU) recompute() {
 	now := c.k.Now()
-	var runnable []*Task
+	runnable := c.runnable[:0]
 	for _, t := range c.tasks {
 		t.settle(now)
 		if t.computing && t.remaining <= 1e-12 {
@@ -252,19 +277,25 @@ func (c *CPU) recompute() {
 			if eta < time.Nanosecond {
 				eta = time.Nanosecond
 			}
-			tt := t
-			t.timer = c.k.After(eta, func() {
-				tt.settle(c.k.Now())
-				if tt.computing && tt.remaining <= 1e-9 {
-					tt.finish()
-				}
-				// eta was truncated to whole nanoseconds, so the task
-				// may still owe a sliver of work; recompute settles it
-				// and reschedules it at least 1 ns out.
-				c.recompute()
-			})
+			t.timer = c.k.AfterFunc(eta, taskDue, t, nil)
 		}
 	}
+	clear(runnable)
+	c.runnable = runnable
+}
+
+// taskDue is the prebound timer of a task's computation, due when its
+// remaining work is done at its current rate.
+func taskDue(a0, _ any) {
+	t := a0.(*Task)
+	t.settle(t.cpu.k.Now())
+	if t.computing && t.remaining <= 1e-9 {
+		t.finish()
+	}
+	// eta was truncated to whole nanoseconds, so the task may still owe
+	// a sliver of work; recompute settles it and reschedules it at
+	// least 1 ns out.
+	t.cpu.recompute()
 }
 
 // finish completes the task's current computation.

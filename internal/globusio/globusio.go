@@ -88,14 +88,19 @@ func (io *IO) SetSockBufs(snd, rcv units.ByteSize) {
 	io.conn.SetRcvBuf(rcv)
 }
 
+// copyCost is the CPU time charged for moving n bytes through the
+// socket, zero when nothing is charged.
+func (io *IO) copyCost(n units.ByteSize) time.Duration {
+	if io.cfg.Task == nil || io.cfg.CopyCostPerKB <= 0 || n <= 0 {
+		return 0
+	}
+	return time.Duration(float64(io.cfg.CopyCostPerKB) * float64(n) / 1000)
+}
+
 // chargeCPU blocks the caller while the copy cost for n bytes is
 // scheduled on the task.
 func (io *IO) chargeCPU(ctx *sim.Ctx, n units.ByteSize) {
-	if io.cfg.Task == nil || io.cfg.CopyCostPerKB <= 0 || n <= 0 {
-		return
-	}
-	cost := time.Duration(float64(io.cfg.CopyCostPerKB) * float64(n) / 1000)
-	if cost > 0 {
+	if cost := io.copyCost(n); cost > 0 {
 		io.cfg.Task.Compute(ctx, cost)
 	}
 }
@@ -186,6 +191,77 @@ func (io *IO) ReadMsg(ctx *sim.Ctx) (units.ByteSize, any, error) {
 	io.chargeCPU(ctx, n)
 	io.bytesRead += int64(n)
 	return n, obj, err
+}
+
+// Serve hands every message read from the connection to fn, in stream
+// order, until the stream ends; no other reader may use the
+// connection. fn gets what ReadMsg would return: the message length
+// and its object, or, once, the error that ends the stream (io.EOF
+// for a clean shutdown) with the bytes read of the unfinished message.
+//
+// Serve stands in for a process that loops on ReadMsg, as a
+// sim.Waiter: it starts at the current instant, as a spawned process
+// would; it waits for data and for the CPU charge of each read where
+// the process would block; and fn runs in the event in which ReadMsg
+// would have returned. So replacing such a process with Serve changes
+// no event's time, priority or order, nor the kernel's event count.
+// fn runs in kernel context and must not block.
+func (io *IO) Serve(fn func(n units.ByteSize, obj any, err error)) {
+	s := &server{io: io, fn: fn}
+	s.w = io.k.NewWaiter(s.step)
+	s.w.Wake()
+}
+
+// server is the state of one Serve loop.
+type server struct {
+	io *IO
+	fn func(units.ByteSize, any, error)
+	w  *sim.Waiter
+	// n counts the bytes read of the current message; PollMsg adds to
+	// it across wakes.
+	n units.ByteSize
+	// charging is set while the read's copy cost is being charged, and
+	// obj and err hold what to hand fn when it ends.
+	charging bool
+	obj      any
+	err      error
+}
+
+// step is the waiter's callback: it reads messages until the stream
+// has no whole one, and hands each to fn once its copy is charged.
+func (s *server) step() {
+	if s.charging {
+		s.charging = false
+		if !s.hand() {
+			return
+		}
+	}
+	c := s.io.conn
+	for {
+		obj, ok, err := c.PollMsg(&s.n)
+		if !ok && err == nil {
+			c.AwaitReadable(s.w)
+			return
+		}
+		s.obj, s.err = obj, err
+		s.io.bytesRead += int64(s.n)
+		if cost := s.io.copyCost(s.n); cost > 0 && s.io.cfg.Task.ComputeThen(cost, s.w) {
+			s.charging = true
+			return
+		}
+		if !s.hand() {
+			return
+		}
+	}
+}
+
+// hand passes the message read to fn and reports whether the stream
+// goes on.
+func (s *server) hand() bool {
+	n, obj, err := s.n, s.obj, s.err
+	s.n, s.obj, s.err = 0, nil, nil
+	s.fn(n, obj, err)
+	return err == nil
 }
 
 // Drain blocks until all written data is acknowledged.

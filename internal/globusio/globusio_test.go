@@ -1,6 +1,8 @@
 package globusio
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,5 +220,112 @@ func TestSetSockBufs(t *testing.T) {
 	ioA.SetSockBufs(8*units.KB, 16*units.KB)
 	if ioA.Conn().SndBuf() != 8*units.KB {
 		t.Fatalf("snd buf = %v, want 8KB", ioA.Conn().SndBuf())
+	}
+}
+
+// serveStream runs one generated message stream from A to B. B reads
+// with a Serve callback (serve) or with a process looping on ReadMsg;
+// each message read wakes an echo process, and a CPU hog shares B's
+// processor when the stream charges copy cost. It returns the trace of
+// every read and echo with its time and the events run so far, then
+// the kernel's event count and clock.
+func serveStream(t *testing.T, seed int64, copyCost time.Duration, serve bool) string {
+	t.Helper()
+	k := sim.New(seed)
+	defer k.Close()
+	rng := sim.NewRNG(seed)
+	cpu := dsrt.NewCPU(k, "b")
+	cfgB := Config{Task: cpu.NewTask("reader"), CopyCostPerKB: copyCost}
+	ioA, ioB := pair(t, k, 10*units.Mbps, Config{}, cfgB)
+	var trace strings.Builder
+	rec := func(format string, args ...any) {
+		fmt.Fprintf(&trace, "%d ran=%d ", k.Now(), k.EventsRun())
+		fmt.Fprintf(&trace, format+"\n", args...)
+	}
+	echo := sim.NewCond(k)
+	var replies []any
+	read := func(n units.ByteSize, obj any, err error) {
+		rec("read %d %v %v", n, obj, err)
+		if err == nil {
+			replies = append(replies, obj)
+			echo.Signal()
+		}
+	}
+	if serve {
+		ioB.Serve(read)
+	} else {
+		k.Spawn("reader", func(ctx *sim.Ctx) {
+			for {
+				n, obj, err := ioB.ReadMsg(ctx)
+				read(n, obj, err)
+				if err != nil {
+					return
+				}
+			}
+		})
+	}
+	k.Spawn("echo", func(ctx *sim.Ctx) {
+		for {
+			for len(replies) == 0 {
+				echo.Wait(ctx)
+			}
+			rec("echo %v", replies[0])
+			replies = replies[1:]
+			ctx.Sleep(100 * time.Microsecond)
+		}
+	})
+	if copyCost > 0 {
+		hog := cpu.NewTask("hog")
+		k.Spawn("hog", func(ctx *sim.Ctx) {
+			for i := 0; i < 20; i++ {
+				hog.Compute(ctx, time.Duration(1+rng.Intn(20))*time.Millisecond)
+				ctx.Sleep(time.Duration(rng.Intn(10)) * time.Millisecond)
+			}
+		})
+	}
+	msgs := 1 + rng.Intn(30)
+	closeAtEnd := rng.Intn(2) == 0
+	k.Spawn("writer", func(ctx *sim.Ctx) {
+		for i := 0; i < msgs; i++ {
+			ctx.Sleep(time.Duration(rng.Intn(4)) * time.Millisecond)
+			size := units.ByteSize(1 + rng.Intn(3*int(units.KB)))
+			if rng.Intn(4) == 0 {
+				size *= 40
+			}
+			if err := ioA.WriteMsg(ctx, size, i); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if closeAtEnd {
+			ioA.Close()
+		}
+	})
+	if err := k.RunUntil(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&trace, "end now=%d ran=%d read=%d\n", k.Now(), k.EventsRun(), ioB.Stats().BytesRead)
+	return trace.String()
+}
+
+// TestServeDifferential reads generated message streams with a Serve
+// callback and with a process looping on ReadMsg, with and without a
+// CPU copy cost: every message must be handed over at the same time
+// and event count, with the same effects on the events that follow.
+func TestServeDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, cost := range []time.Duration{0, 100 * time.Microsecond} {
+			want := serveStream(t, seed, cost, false)
+			got := serveStream(t, seed, cost, true)
+			if got != want {
+				gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+				for i := range gl {
+					if i >= len(wl) || gl[i] != wl[i] {
+						t.Fatalf("seed %d cost %v: traces diverge at entry %d:\nServe:   %s\nReadMsg: %s", seed, cost, i, gl[i], wl[min(i, len(wl)-1)])
+					}
+				}
+				t.Fatalf("seed %d cost %v: Serve trace is a prefix of the ReadMsg one", seed, cost)
+			}
+		}
 	}
 }

@@ -54,9 +54,10 @@ func BenchmarkMPIEagerSendRecv(b *testing.B) {
 }
 
 // BenchmarkIrecvWait measures a nonblocking receive: rank 1 posts an
-// Irecv, which spawns its helper process, and waits on it while rank
-// 0's eager 64-byte message, sent once per virtual millisecond,
-// arrives. One op is one Irecv, one send and one Wait.
+// Irecv, a request that the progress engine completes from callbacks,
+// and waits on it while rank 0's eager 64-byte message, sent once per
+// virtual millisecond, arrives. One op is one Irecv, one send and one
+// Wait.
 func BenchmarkIrecvWait(b *testing.B) {
 	k, j := testJob(2, JobOptions{})
 	defer k.Close()

@@ -194,7 +194,7 @@ func (j *Job) CrashRank(i int) {
 func (r *Rank) failAllLocal(err error) {
 	for _, p := range r.posted {
 		p.err = err
-		p.cond.Broadcast()
+		p.wake(r.job.k)
 	}
 	r.posted = nil
 	for _, s := range r.rdvPending {

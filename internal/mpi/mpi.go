@@ -106,6 +106,9 @@ type Job struct {
 
 	keyvals map[Keyval]*keyvalInfo
 	nextKV  Keyval
+
+	// wireFree recycles the markers of MPI messages (see writeWire).
+	wireFree []*wireMsg
 }
 
 // NewJob creates a job with one rank per host entry (a host may appear
@@ -233,8 +236,11 @@ type Rank struct {
 	conns     map[int]*globusio.IO
 	finalized bool
 
-	// Matching engine.
+	// Matching engine. envFree recycles eager envelopes, and conds
+	// the Conds of blocking receives and of Request.Wait.
 	unexpected []*envelope
+	envFree    []*envelope
+	conds      []*sim.Cond
 	posted     []*postedRecv
 	matchedRdv []*envelope // matched rendezvous envelopes awaiting data
 	rdvPending map[uint64]*rdvSend
@@ -251,9 +257,9 @@ type Rank struct {
 	// cm caches per-communicator metric handles, keyed by context id.
 	cm map[int]*commMetrics
 
-	// isendName and irecvName name the Isend/Irecv helper processes,
-	// formatted once per rank rather than per request.
-	isendName, irecvName string
+	// isendName and ctsName name the Isend and clear-to-send helper
+	// processes, formatted once per rank rather than per message.
+	isendName, ctsName string
 }
 
 // commMetrics bundles the handles for one (rank, communicator) pair.
@@ -317,7 +323,7 @@ func newRank(j *Job, id int, h *Host) *Rank {
 		splitEpoch: make(map[int]int),
 		pairEpoch:  make(map[[3]int]int),
 		isendName:  fmt.Sprintf("mpi-isend-%d", id),
-		irecvName:  fmt.Sprintf("mpi-irecv-%d", id),
+		ctsName:    fmt.Sprintf("mpi-cts-%d", id),
 	}
 }
 
@@ -409,7 +415,7 @@ func (r *Rank) acceptLoop(actx *sim.Ctx, l *tcpsim.Listener) {
 			continue
 		}
 		peer := obj.(hello).from
-		r.registerConn(actx, peer, io)
+		r.registerConn(peer, io)
 	}
 }
 
@@ -439,7 +445,7 @@ func (r *Rank) dialPeer(ctx *sim.Ctx, peer int) bool {
 		}
 		panic(fmt.Sprintf("mpi: rank %d hello to %d: %v", r.id, peer, err))
 	}
-	r.registerConn(ctx, peer, io)
+	r.registerConn(peer, io)
 	return true
 }
 
@@ -465,12 +471,15 @@ func (r *Rank) applySockBuf(io *globusio.IO) {
 	}
 }
 
-// registerConn records the connection and starts its reader (the
-// progress engine for that peer). A rank has exactly one live
-// incarnation, so in a job that has seen restarts the newest
+// registerConn records the connection and starts its reader, the
+// progress engine for that peer: a globusio.IO.Serve callback that
+// hands each message to handleWire and, when the connection shuts
+// down (clean or not), fails pending receives from that peer through
+// peerDown rather than leaving them hanging. A rank has exactly one
+// live incarnation, so in a job that has seen restarts the newest
 // connection for a peer wins; in a restart-free job a duplicate is
 // still the wiring bug it always was.
-func (r *Rank) registerConn(ctx *sim.Ctx, peer int, io *globusio.IO) {
+func (r *Rank) registerConn(peer int, io *globusio.IO) {
 	if old := r.conns[peer]; old != nil {
 		if r.job.restarts == 0 {
 			panic(fmt.Sprintf("mpi: rank %d has duplicate connection to %d", r.id, peer))
@@ -480,8 +489,12 @@ func (r *Rank) registerConn(ctx *sim.Ctx, peer int, io *globusio.IO) {
 	delete(r.deadPeers, peer)
 	r.conns[peer] = io
 	r.wired.Broadcast()
-	ctx.SpawnChild(fmt.Sprintf("mpi-reader-%d<-%d", r.id, peer), func(rctx *sim.Ctx) {
-		r.readerLoop(rctx, peer, io)
+	io.Serve(func(_ units.ByteSize, obj any, err error) {
+		if err != nil {
+			r.peerDown(peer, io)
+			return
+		}
+		r.handleWire(obj)
 	})
 }
 

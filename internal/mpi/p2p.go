@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"mpichgq/internal/globusio"
@@ -41,7 +40,9 @@ const (
 )
 
 // wireMsg is the marker object carried in the TCP stream for every
-// MPI-level message.
+// MPI-level message. Markers travel as *wireMsg from the job's
+// freelist (see writeWire), and the receiving reader gives each back
+// once it has read it.
 type wireMsg struct {
 	kind wireKind
 	src  int // global rank of sender
@@ -56,7 +57,9 @@ type wireMsg struct {
 }
 
 // envelope is a message known to the receiver (arrived eagerly, or
-// announced by RTS with data still in flight).
+// announced by RTS with data still in flight). Eager envelopes come
+// from a per-rank freelist and go back to it once a receive has copied
+// them into a Message; rendezvous ones are allocated for each RTS.
 type envelope struct {
 	src     int // global rank
 	ctx     int
@@ -76,12 +79,27 @@ type envelope struct {
 
 // postedRecv is a blocked or nonblocking receive awaiting a match.
 type postedRecv struct {
-	src  int // global rank or AnySource
-	ctx  int
-	tag  int
-	env  *envelope
-	err  error
+	src int // global rank or AnySource
+	ctx int
+	tag int
+	env *envelope
+	err error
+	// cond wakes a blocked Recv; q is set instead for a nonblocking
+	// receive.
 	cond *sim.Cond
+	q    *Request
+}
+
+// wake resumes the receive once its env or err is set. The caller has
+// taken p off the posted list, so each receive is woken exactly once.
+// A nonblocking receive's next step is scheduled at the instant and
+// priority at which the Cond schedules a blocked process's wakeup.
+func (p *postedRecv) wake(k *sim.Kernel) {
+	if p.q != nil {
+		k.AtFunc(k.Now(), sim.PrioNormal, irecvWake, p.q, nil)
+		return
+	}
+	p.cond.Broadcast()
 }
 
 // peerDown fails pending and future receives from a finished or
@@ -116,7 +134,7 @@ func (r *Rank) peerDown(peer int, conn *globusio.IO) {
 	for _, p := range r.posted {
 		if p.src == peer || (crashed && p.src == AnySource) {
 			p.err = err
-			p.cond.Broadcast()
+			p.wake(r.job.k)
 			continue
 		}
 		kept = append(kept, p)
@@ -152,46 +170,78 @@ type rdvSend struct {
 	err  error
 }
 
-// readerLoop is the per-peer progress engine: it turns stream markers
-// into envelopes and drives the rendezvous protocol. When the peer's
-// connection shuts down (clean or not), pending receives from that
-// peer fail with ErrRankFinished rather than hanging.
-func (r *Rank) readerLoop(ctx *sim.Ctx, peer int, conn *globusio.IO) {
-	defer r.peerDown(peer, conn)
-	for {
-		_, obj, err := conn.ReadMsg(ctx)
-		if err != nil {
-			_ = io.EOF // clean and unclean shutdown treated alike
-			return
-		}
-		m, ok := obj.(wireMsg)
-		if !ok {
-			panic(fmt.Sprintf("mpi: rank %d got non-wire object %T", r.id, obj))
-		}
-		switch m.kind {
-		case kindEager:
-			r.received++
-			r.deliver(&envelope{
-				src: m.src, ctx: m.ctx, tag: m.tag,
-				size: m.size, data: m.data, arrived: true, sentAt: m.sentAt,
-			})
-		case kindRTS:
-			env := &envelope{
-				src: m.src, ctx: m.ctx, tag: m.tag,
-				size: m.size, rdvSeq: m.seq, rdvFrom: m.src,
-				ready: sim.NewCond(r.job.k), sentAt: m.sentAt,
-			}
-			r.deliver(env)
-		case kindCTS:
-			if s := r.rdvPending[m.seq]; s != nil {
-				s.cts = true
-				s.cond.Broadcast()
-			}
-		case kindRdvData:
-			r.received++
-			r.completeRdv(m)
-		}
+// handleWire is the per-peer progress engine's step for one message
+// read from a connection (see registerConn): it turns stream markers
+// into envelopes and drives the rendezvous protocol.
+func (r *Rank) handleWire(obj any) {
+	w, ok := obj.(*wireMsg)
+	if !ok {
+		panic(fmt.Sprintf("mpi: rank %d got non-wire object %T", r.id, obj))
 	}
+	m := *w
+	*w = wireMsg{}
+	r.job.wireFree = append(r.job.wireFree, w)
+	switch m.kind {
+	case kindEager:
+		r.received++
+		r.deliver(r.newEnvelope(envelope{
+			src: m.src, ctx: m.ctx, tag: m.tag,
+			size: m.size, data: m.data, arrived: true, sentAt: m.sentAt,
+		}))
+	case kindRTS:
+		env := &envelope{
+			src: m.src, ctx: m.ctx, tag: m.tag,
+			size: m.size, rdvSeq: m.seq, rdvFrom: m.src,
+			ready: sim.NewCond(r.job.k), sentAt: m.sentAt,
+		}
+		r.deliver(env)
+	case kindCTS:
+		if s := r.rdvPending[m.seq]; s != nil {
+			s.cts = true
+			s.cond.Broadcast()
+		}
+	case kindRdvData:
+		r.received++
+		r.completeRdv(m)
+	}
+}
+
+// takeFree pops the most recently freed item off a freelist, or
+// returns nil when the list is empty.
+func takeFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
+// takeCond returns an idle Cond from the rank's pool, or a new one. A
+// blocking Recv and Request.Wait take their Cond here and give it back
+// once its waiters have been woken for good, so that neither a Cond
+// nor its queue is allocated per receive.
+func (r *Rank) takeCond() *sim.Cond {
+	if c := takeFree(&r.conds); c != nil {
+		return c
+	}
+	return sim.NewCond(r.job.k)
+}
+
+// putCond returns an idle Cond, one that holds no waiter, to the pool.
+func (r *Rank) putCond(c *sim.Cond) { r.conds = append(r.conds, c) }
+
+// newEnvelope returns e in an envelope from the rank's freelist, or in
+// a new one.
+func (r *Rank) newEnvelope(e envelope) *envelope {
+	env := takeFree(&r.envFree)
+	if env == nil {
+		env = new(envelope)
+	}
+	*env = e
+	return env
 }
 
 // deliver matches an incoming envelope against posted receives or
@@ -203,7 +253,7 @@ func (r *Rank) deliver(env *envelope) {
 			p.env = env
 			env.matched = true
 			r.maybeCTS(env)
-			p.cond.Broadcast()
+			p.wake(r.job.k)
 			return
 		}
 	}
@@ -218,12 +268,12 @@ func (r *Rank) maybeCTS(env *envelope) {
 	// Send CTS from a helper process (we may be in kernel context).
 	peer := env.rdvFrom
 	seq := env.rdvSeq
-	r.job.k.Spawn(fmt.Sprintf("mpi-cts-%d->%d", r.id, peer), func(ctx *sim.Ctx) {
+	r.job.k.Spawn(r.ctsName, func(ctx *sim.Ctx) {
 		conn := r.conns[peer]
 		if conn == nil {
 			return
 		}
-		conn.WriteMsg(ctx, envelopeSize, wireMsg{kind: kindCTS, src: r.id, seq: seq})
+		r.job.writeWire(ctx, conn, envelopeSize, wireMsg{kind: kindCTS, src: r.id, seq: seq})
 	})
 }
 
@@ -255,12 +305,9 @@ func (r *Rank) findRdv(src int, seq uint64) *envelope {
 			return e
 		}
 	}
-	for _, p := range r.posted {
-		if p.env != nil && p.env.src == src && p.env.rdvSeq == seq {
-			return p.env
-		}
-	}
-	// Matched envelopes held by blocked Recv calls.
+	// Matched envelopes held by receives waiting for their data. (A
+	// posted receive has no envelope: deliver unposts it as it
+	// matches.)
 	for _, e := range r.matchedRdv {
 		if e.src == src && e.rdvSeq == seq && !e.arrived {
 			return e
@@ -310,7 +357,7 @@ func (r *Rank) Send(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, d
 		r.received++
 		cm.sentMsgs.Inc()
 		cm.sentBytes.Add(int64(n))
-		r.deliver(&envelope{src: r.id, ctx: comm.ctxID, tag: tag, size: n, data: data, arrived: true, sentAt: now})
+		r.deliver(r.newEnvelope(envelope{src: r.id, ctx: comm.ctxID, tag: tag, size: n, data: data, arrived: true, sentAt: now}))
 		return nil
 	}
 	conn := r.conns[gdest]
@@ -339,7 +386,7 @@ func (r *Rank) Send(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, d
 	cm.sentMsgs.Inc()
 	cm.sentBytes.Add(int64(n))
 	if n <= r.job.opts.EagerThreshold {
-		if err := conn.WriteMsg(ctx, envelopeSize+n, wireMsg{
+		if err := r.job.writeWire(ctx, conn, envelopeSize+n, wireMsg{
 			kind: kindEager, src: r.id, ctx: comm.ctxID, tag: tag, size: n, data: data, sentAt: now,
 		}); err != nil {
 			return r.handleErr(r.commFail(gdest, err))
@@ -351,7 +398,7 @@ func (r *Rank) Send(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, d
 	seq := r.nextRdvSeq
 	pend := &rdvSend{peer: gdest, cond: sim.NewCond(r.job.k)}
 	r.rdvPending[seq] = pend
-	if err := conn.WriteMsg(ctx, envelopeSize, wireMsg{
+	if err := r.job.writeWire(ctx, conn, envelopeSize, wireMsg{
 		kind: kindRTS, src: r.id, ctx: comm.ctxID, tag: tag, size: n, seq: seq, sentAt: now,
 	}); err != nil {
 		delete(r.rdvPending, seq)
@@ -364,12 +411,26 @@ func (r *Rank) Send(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, d
 	if pend.err != nil {
 		return r.handleErr(pend.err)
 	}
-	if err := conn.WriteMsg(ctx, envelopeSize+n, wireMsg{
+	if err := r.job.writeWire(ctx, conn, envelopeSize+n, wireMsg{
 		kind: kindRdvData, src: r.id, size: n, data: data, seq: seq,
 	}); err != nil {
 		return r.handleErr(r.commFail(gdest, err))
 	}
 	return nil
+}
+
+// writeWire writes n bytes on conn with m as their marker, copied into
+// a *wireMsg from the job's freelist. Reuse is safe because a marker is
+// read once: the receiver drops any retransmitted copy of a marker it
+// has consumed, so the copies the sender keeps for retransmission are
+// never read again.
+func (j *Job) writeWire(ctx *sim.Ctx, conn *globusio.IO, n units.ByteSize, m wireMsg) error {
+	w := takeFree(&j.wireFree)
+	if w == nil {
+		w = new(wireMsg)
+	}
+	*w = m
+	return conn.WriteMsg(ctx, n, w)
 }
 
 // commFail maps a transport-level write error to the MPI-level cause:
@@ -396,7 +457,16 @@ func (r *Rank) Recv(ctx *sim.Ctx, comm *Comm, src, tag int) (*Message, error) {
 			return nil, err
 		}
 	}
-	env, err := r.matchOrWait(ctx, comm, gsrc, tag)
+	env, err := r.tryMatch(comm, gsrc, tag)
+	if env == nil && err == nil {
+		p := &postedRecv{src: gsrc, ctx: comm.ctxID, tag: tag, cond: r.takeCond()}
+		r.posted = append(r.posted, p)
+		for p.env == nil && p.err == nil {
+			p.cond.Wait(ctx)
+		}
+		env, err = p.env, p.err
+		r.putCond(p.cond)
+	}
 	if err != nil {
 		return nil, r.handleErr(err)
 	}
@@ -411,13 +481,25 @@ func (r *Rank) Recv(ctx *sim.Ctx, comm *Comm, src, tag int) (*Message, error) {
 			return nil, r.handleErr(env.err)
 		}
 	}
+	msg := r.takeMessage(comm, env)
+	return &msg, nil
+}
+
+// takeMessage copies a received envelope into a Message, records the
+// delivery, and recycles the envelope if it came eagerly.
+func (r *Rank) takeMessage(comm *Comm, env *envelope) Message {
 	r.observeRecv(comm.ctxID, env)
-	return &Message{
+	msg := Message{
 		Src:  comm.localRank(env.src),
 		Tag:  env.tag,
 		Len:  env.size,
 		Data: env.data,
-	}, nil
+	}
+	if env.ready == nil {
+		*env = envelope{}
+		r.envFree = append(r.envFree, env)
+	}
+	return msg
 }
 
 // observeRecv records delivery metrics: per-communicator message and
@@ -433,19 +515,20 @@ func (r *Rank) observeRecv(ctxID int, env *envelope) {
 		int64(env.size), int64(ctxID), int64(lat))
 }
 
-// matchOrWait finds the first matching unexpected envelope or posts a
-// receive and blocks. It fails fast when the awaited peer's
-// connection has shut down or the peer is in the failed-process
+// tryMatch claims the first unexpected envelope that a receive for
+// (gsrc, tag) on comm matches, without blocking. It returns the
+// envelope, or the error the receive fails with, or neither when the
+// receive has to be posted and wait. It fails fast when the awaited
+// peer's connection has shut down or the peer is in the failed-process
 // group; a wildcard receive fails when any rank in the communicator's
-// group has failed (MPI_ANY_SOURCE cannot complete safely — the
-// failed rank might have been the intended sender).
-func (r *Rank) matchOrWait(ctx *sim.Ctx, comm *Comm, gsrc, tag int) (*envelope, error) {
-	ctxID := comm.ctxID
+// group has failed (MPI_ANY_SOURCE cannot complete safely — the failed
+// rank might have been the intended sender).
+func (r *Rank) tryMatch(comm *Comm, gsrc, tag int) (*envelope, error) {
 	if r.crashed {
 		return nil, &RankFailedError{Rank: r.id}
 	}
+	p := postedRecv{src: gsrc, ctx: comm.ctxID, tag: tag}
 	for i, e := range r.unexpected {
-		p := postedRecv{src: gsrc, ctx: ctxID, tag: tag}
 		if p.matches(e) {
 			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
 			e.matched = true
@@ -468,15 +551,7 @@ func (r *Rank) matchOrWait(ctx *sim.Ctx, comm *Comm, gsrc, tag int) (*envelope, 
 			}
 		}
 	}
-	p := &postedRecv{src: gsrc, ctx: ctxID, tag: tag, cond: sim.NewCond(r.job.k)}
-	r.posted = append(r.posted, p)
-	for p.env == nil && p.err == nil {
-		p.cond.Wait(ctx)
-	}
-	if p.err != nil {
-		return nil, p.err
-	}
-	return p.env, nil
+	return nil, nil
 }
 
 func (r *Rank) dropMatchedRdv(env *envelope) {

@@ -181,6 +181,46 @@ func BenchmarkCondSignalWait(b *testing.B) {
 	}
 }
 
+// BenchmarkCondAwait measures one wakeup through a Cond: an event
+// signals the Cond, and the woken waiter queues itself again. The
+// waiter variant is a Waiter's callback, the proc variant a process
+// looping on Wait, which costs two coroutine switches a wakeup.
+func BenchmarkCondAwait(b *testing.B) {
+	for _, waiter := range []bool{true, false} {
+		name := "proc"
+		if waiter {
+			name = "waiter"
+		}
+		b.Run(name, func(b *testing.B) {
+			k := New(1)
+			defer k.Close()
+			c := NewCond(k)
+			if waiter {
+				var w *Waiter
+				w = k.NewWaiter(func() { c.Await(w) })
+				c.Await(w)
+			} else {
+				k.Spawn("waiter", func(ctx *Ctx) {
+					for {
+						c.Wait(ctx)
+					}
+				})
+			}
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Signal()
+				if err := k.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestProcSleepZeroAlloc pins that a steady-state process wakeup (a
 // Sleep event firing and the process sleeping again) allocates
 // nothing.

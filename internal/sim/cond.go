@@ -2,11 +2,11 @@ package sim
 
 import "time"
 
-// Cond is a condition-variable-like primitive for processes. Waiters
-// are woken in FIFO order. Signal and Broadcast may be called from
-// event callbacks or from other processes; wakeups are delivered as
-// events at the current instant, preserving the single-runner
-// invariant.
+// Cond is a condition-variable-like primitive for processes and
+// Waiters. Waiters of both kinds are woken in one FIFO order. Signal
+// and Broadcast may be called from event callbacks or from other
+// processes; wakeups are delivered as events at the current instant,
+// preserving the single-runner invariant.
 //
 // As with sync.Cond, a woken process should re-check its predicate:
 // state may change between the Signal and the wakeup event running.
@@ -58,6 +58,55 @@ func condTimeout(a0, a1 any) {
 	c.k.step(p)
 }
 
+// A Waiter is a callback that waits on a Cond in place of a process.
+// Cond.Await queues it where Cond.Wait would queue a process, and the
+// Signal that takes it off the queue schedules its callback exactly as
+// it would have scheduled the process's wakeup: at the current
+// instant, at PrioNormal, in the same order. So code that needs no
+// thread of control of its own can wait as a callback, and replacing a
+// process that only waits on Conds with a Waiter changes no event's
+// time, priority or order, nor the kernel's event count.
+//
+// A Waiter is the body-less stand-in of a process: one queue entry
+// like a process, and no coroutine. Its callback runs in kernel
+// context, so no Ctx may be used inside it. At any moment a waiter is
+// idle, queued on one Cond, or has one wakeup pending; queuing it
+// again before its callback runs panics. Waiters are not processes:
+// LiveProcs and BlockedProcs do not count them, and Kernel.Close drops
+// the queued ones, which then never run.
+type Waiter struct{ p Proc }
+
+// NewWaiter returns a waiter on kernel k whose callback is fn.
+func (k *Kernel) NewWaiter(fn func()) *Waiter {
+	w := &Waiter{}
+	w.p.ctx.k, w.p.cb = k, fn
+	return w
+}
+
+// Wake schedules w's callback at the current instant and PrioNormal,
+// where Spawn schedules a new process's first step.
+func (w *Waiter) Wake() {
+	w.hold()
+	k := w.p.ctx.k
+	k.AtFunc(k.now, PrioNormal, stepProc, k, &w.p)
+}
+
+// hold marks w as queued or woken, panicking if it already is: a
+// waiter queued twice would run twice.
+func (w *Waiter) hold() {
+	if w.p.blocked {
+		panic("sim: Waiter queued while already waiting")
+	}
+	w.p.blocked = true
+}
+
+// Await queues w on c, where a process would call Wait. Signal or
+// Broadcast later runs w's callback once.
+func (c *Cond) Await(w *Waiter) {
+	w.hold()
+	c.push(&w.p)
+}
+
 // push queues p behind the current waiters. A full backing array with
 // consumed slots at its head is compacted in place rather than grown.
 func (c *Cond) push(p *Proc) {
@@ -92,7 +141,8 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// Waiting returns the number of processes currently blocked on c.
+// Waiting returns the number of processes and Waiters currently
+// queued on c.
 // A woken process leaves the queue at once, so every queued one is
 // still waiting.
 func (c *Cond) Waiting() int { return len(c.waiters) - c.head }

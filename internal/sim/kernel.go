@@ -23,7 +23,7 @@
 // with; a kernel dropped without Close keeps its parked processes'
 // goroutines for the life of the program.
 //
-// Two execution styles coexist:
+// Three execution styles coexist:
 //
 //   - Event callbacks (Kernel.At / Kernel.After, and delay lines) run
 //     inline in the kernel's goroutine. Network elements (links,
@@ -34,6 +34,12 @@
 //     the CPU hog) use these. A runtime.Goexit inside a process
 //     (t.FailNow in a test) passes through the coroutine and also ends
 //     the goroutine that called Run.
+//   - Waiters (Kernel.NewWaiter) are callbacks that wait on a Cond
+//     (Cond.Await) in a process's place and are woken exactly when,
+//     and in the order in which, that process would have been. State
+//     machines that only ever wait on Conds use these: MPI
+//     nonblocking receives and the per-connection readers of the MPI
+//     progress engine.
 //
 // The event queue is a 4-ary indexed heap over pooled event structs:
 // scheduling on the steady-state hot path performs no allocation (use
@@ -208,6 +214,8 @@ type Kernel struct {
 	// armed heads.
 	lined   int
 	stopped bool
+	// closed is set by Close; a waiter woken after it does not run.
+	closed  bool
 	err     error
 	ran     uint64
 	metrics *metrics.Registry

@@ -15,7 +15,6 @@ import (
 // from the runner pool when first stepped and gives back when its body
 // returns.
 type Proc struct {
-	k    *Kernel
 	name string
 	// fn is the body; it is dropped when the body starts, so a
 	// finished process keeps none of its captures reachable.
@@ -33,7 +32,11 @@ type Proc struct {
 	// process waits on one Cond at a time, so this is all the waiter
 	// state a Cond needs besides its queue.
 	timedOut bool
-	ctx      Ctx
+	// ctx is the handle passed to the body; ctx.k is p's kernel.
+	ctx Ctx
+	// cb is set, and fn, r and slot unused, when p is the body-less
+	// stand-in of a Waiter: step calls cb instead of resuming a runner.
+	cb func()
 }
 
 // Ctx is the handle a process function uses to interact with virtual
@@ -100,8 +103,8 @@ func (r *runner) loop(yield func(struct{}) bool) {
 func (p *Proc) run() {
 	defer func() {
 		if v := recover(); v != nil {
-			if _, ok := v.(unwind); !ok && p.k.err == nil {
-				p.k.err = fmt.Errorf("sim: process %q panicked: %v", p.name, v)
+			if _, ok := v.(unwind); !ok && p.ctx.k.err == nil {
+				p.ctx.k.err = fmt.Errorf("sim: process %q panicked: %v", p.name, v)
 			}
 		}
 		p.done = true
@@ -120,7 +123,7 @@ func (k *Kernel) Spawn(name string, fn func(ctx *Ctx)) *Proc {
 
 // SpawnAt creates a process that starts at absolute virtual time at.
 func (k *Kernel) SpawnAt(at time.Duration, name string, fn func(ctx *Ctx)) *Proc {
-	p := &Proc{k: k, name: name, fn: fn, slot: int32(len(k.procs))}
+	p := &Proc{name: name, fn: fn, slot: int32(len(k.procs))}
 	p.ctx = Ctx{k: k, p: p}
 	k.procs = append(k.procs, p)
 	k.AtFunc(at, PrioNormal, stepProc, k, p)
@@ -134,8 +137,16 @@ func stepProc(a0, a1 any) { a0.(*Kernel).step(a1.(*Proc)) }
 // step transfers control to process p and waits for it to block or
 // finish. It must only be called from the kernel (i.e. from inside an
 // event callback). A process that finishes is removed from k.procs and
-// its runner returns to the pool.
+// its runner returns to the pool. A Waiter's callback runs inline, in
+// kernel context.
 func (k *Kernel) step(p *Proc) {
+	if p.cb != nil {
+		if !k.closed {
+			p.blocked = false
+			p.cb()
+		}
+		return
+	}
 	if p.done {
 		return
 	}
@@ -209,7 +220,8 @@ func (p *Proc) park() {
 
 // Close releases what the kernel holds: it unwinds every parked
 // process, running its body's deferred calls, and drops the event
-// queue, delay lines included. A simulation that is finished with its
+// queue, delay lines included. Waiters have no coroutine to unwind:
+// the queued ones are dropped, and none runs again. A simulation that is finished with its
 // kernel calls Close so that the coroutines of processes still blocked
 // do not outlive it.
 // Close is idempotent and panics when called from inside a process.
@@ -217,6 +229,7 @@ func (k *Kernel) Close() {
 	if k.cur != nil {
 		panic(fmt.Sprintf("sim: Close called from inside process %q", k.cur.name))
 	}
+	k.closed = true
 	for len(k.procs) > 0 {
 		p := k.procs[len(k.procs)-1]
 		k.forget(p)

@@ -363,13 +363,31 @@ func (c *Conn) ReadFull(ctx *sim.Ctx, n units.ByteSize) error {
 func (c *Conn) ReadMsg(ctx *sim.Ctx) (units.ByteSize, any, error) {
 	var consumed units.ByteSize
 	for {
+		obj, ok, err := c.PollMsg(&consumed)
+		if ok || err != nil {
+			return consumed, obj, err
+		}
+		c.rcvCond.Wait(ctx)
+	}
+}
+
+// PollMsg is ReadMsg without the blocking: it consumes what has
+// arrived of the next message, adding the byte count to *consumed, and
+// reports ok with the attached object once the marker is reached. An
+// error ends the stream, with *consumed holding the bytes read of the
+// last message. With neither, the caller waits for more data (Wait on
+// the receive Cond inside ReadMsg, AwaitReadable for a callback) and
+// calls again with the same counter, which carries the bytes consumed
+// so far across wakes.
+func (c *Conn) PollMsg(consumed *units.ByteSize) (any, bool, error) {
+	for {
 		pos, obj, ok := c.nextMarker()
 		if ok && pos <= c.rcvNxt {
 			// Whole message available: consume through the marker.
-			consumed += units.ByteSize(pos - c.readPos)
+			*consumed += units.ByteSize(pos - c.readPos)
 			c.consume(pos - c.readPos)
 			c.popMarker()
-			return consumed, obj, nil
+			return obj, true, nil
 		}
 		// Marker not yet reached. Everything buffered belongs to the
 		// current message (markers arrive with the segment that ends
@@ -380,22 +398,26 @@ func (c *Conn) ReadMsg(ctx *sim.Ctx) (units.ByteSize, any, error) {
 			limit = pos
 		}
 		if n := limit - c.readPos; n > 0 {
-			consumed += units.ByteSize(n)
+			*consumed += units.ByteSize(n)
 			c.consume(n)
 			continue
 		}
 		if c.eof {
-			return consumed, nil, io.EOF
+			return nil, false, io.EOF
 		}
 		if c.err != nil {
-			return consumed, nil, c.err
+			return nil, false, c.err
 		}
 		if c.state == stateClosed {
-			return consumed, nil, ErrClosed
+			return nil, false, ErrClosed
 		}
-		c.rcvCond.Wait(ctx)
+		return nil, false, nil
 	}
 }
+
+// AwaitReadable queues w to run when data, a marker or the end of the
+// stream next arrives, where ReadMsg would block a process.
+func (c *Conn) AwaitReadable(w *sim.Waiter) { c.rcvCond.Await(w) }
 
 // nextMarker returns the earliest pending marker.
 func (c *Conn) nextMarker() (int64, any, bool) {
