@@ -55,16 +55,16 @@ test-short:
 # schedules included), MPI teardown (Finalize, repeated job
 # lifecycles) and kernel Close, then five rounds of the differential
 # tests that pin delay lines, UDP and globus-io Serve receivers, Cond
-# waiters and MPI nonblocking receives to the event sequences of
-# ordinary events and of the processes they replace. Seeds are fixed
-# in the tests, so runs are reproducible.
+# waiters, MPI nonblocking receives and the callback admission storm
+# to the event sequences of ordinary events and of the processes they
+# replace. Seeds are fixed in the tests, so runs are reproducible.
 test-chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Soak|Crash|Breaker|Gate|TraceDeterministic|Finalize|Lifecycle|Close' \
 		./internal/ctrlplane/... ./internal/faults/... ./internal/gara/... ./internal/core/... \
 		./internal/mpi/... ./internal/experiments/... ./internal/sim/... ./cmd/gqd/ \
 		-timeout 900s
-	$(GO) test -race -count=5 -run 'LineDifferential|ServeDifferential|AwaitDifferential|IrecvDifferential' \
-		./internal/sim/ ./internal/netsim/ ./internal/globusio/ ./internal/mpi/ -timeout 900s
+	$(GO) test -race -count=5 -run 'LineDifferential|ServeDifferential|AwaitDifferential|IrecvDifferential|StormDifferential' \
+		./internal/sim/ ./internal/netsim/ ./internal/globusio/ ./internal/mpi/ ./internal/trafficgen/ -timeout 900s
 
 # One pass of every figure and ablation benchmark. Performance claims
 # cite the repo benchmark, BENCHMARK.json, run by bench/run.sh and

@@ -92,7 +92,9 @@ type queuedReq struct {
 }
 
 // tenantQ is one tenant's FIFO. head indexes the next element so pops
-// are O(1); the slice is compacted when fully drained.
+// are O(1); the slice is reset when fully drained, and a full backing
+// array with served slots at its head is compacted in place rather
+// than grown.
 type tenantQ struct {
 	name  string
 	items []queuedReq
@@ -100,6 +102,16 @@ type tenantQ struct {
 }
 
 func (t *tenantQ) len() int { return len(t.items) - t.head }
+
+func (t *tenantQ) push(it queuedReq) {
+	if t.head > 0 && len(t.items) == cap(t.items) {
+		n := copy(t.items, t.items[t.head:])
+		clear(t.items[n:])
+		t.items = t.items[:n]
+		t.head = 0
+	}
+	t.items = append(t.items, it)
+}
 
 func (t *tenantQ) pop() queuedReq {
 	it := t.items[t.head]
@@ -129,7 +141,8 @@ type admitQueue struct {
 	byTenant map[string]*tenantQ
 	rr       int // next tenant index to dequeue from
 	depth    int
-	busy     bool // a request is in service
+	busy     bool      // a request is in service
+	serving  queuedReq // the request in service while busy
 
 	// CoDel state: aboveAt is when the sojourn-over-target episode
 	// began (0 = not in one).
@@ -224,7 +237,7 @@ func (q *admitQueue) enqueue(req request, reply func(response)) {
 	}
 	sp := q.tr.Begin(req.trace, req.parent, "admission.queue", q.name)
 	sp.Int("req", int64(req.reqID))
-	t.items = append(t.items, queuedReq{req: req, reply: reply, enqAt: q.k.Now(), sp: sp})
+	t.push(queuedReq{req: req, reply: reply, enqAt: q.k.Now(), sp: sp})
 	q.depth++
 	q.gDepth.Set(float64(q.depth))
 	q.kick()
@@ -352,21 +365,23 @@ func (q *admitQueue) kick() {
 
 		it.sp.Int("sojourn_us", int64((now-it.enqAt)/time.Microsecond))
 		it.sp.End()
-		q.busy = true
-		q.k.After(q.cfg.ServiceTime, func() { q.finish(it.req, it.reply) })
+		q.busy, q.serving = true, it
+		q.k.AfterFunc(q.cfg.ServiceTime, admitFinish, q, nil)
 		return
 	}
 }
 
-// finish completes one service slot: execute against the broker, send
-// the reply (unless the server crashed mid-service), and pull the next
-// request.
-func (q *admitQueue) finish(req request, reply func(response)) {
-	q.busy = false
-	resp, alive := q.srv.handle(req)
+// admitFinish is the prebound service-completion callback: execute
+// the request in service against the broker, send the reply (unless
+// the server crashed mid-service), and pull the next request.
+func admitFinish(a0, _ any) {
+	q := a0.(*admitQueue)
+	it := q.serving
+	q.busy, q.serving = false, queuedReq{}
+	resp, alive := q.srv.handle(it.req)
 	if alive {
 		q.mServed.Inc()
-		reply(resp)
+		it.reply(resp)
 	}
 	q.evalBrownout()
 	q.kick()

@@ -45,26 +45,22 @@ func NewLimiter(k *sim.Kernel, name string, min, max float64) *Limiter {
 	}
 }
 
-// Window returns the current window size.
-func (l *Limiter) Window() float64 { return l.window }
-
-// Inflight returns the current in-flight count.
-func (l *Limiter) Inflight() int { return l.inflight }
-
-// Acquire blocks until an in-flight slot is available and any
-// retry-after hold has passed, then takes the slot.
-func (l *Limiter) Acquire(ctx *sim.Ctx) {
-	for {
-		if hold := l.holdUntil - l.k.Now(); hold > 0 {
-			ctx.Sleep(hold)
-			continue
-		}
-		if l.inflight < int(l.window) {
-			l.inflight++
-			return
-		}
-		l.cond.Wait(ctx)
+// TryAcquire takes an in-flight slot if one is free and no
+// retry-after hold is in force, and reports whether it did. If not, it
+// arranges for w to run once the caller should try again: when the
+// hold ends, or when a Release or Cancel frees a slot. w's callback
+// then calls TryAcquire again.
+func (l *Limiter) TryAcquire(w *sim.Waiter) bool {
+	if hold := l.holdUntil - l.k.Now(); hold > 0 {
+		w.WakeAfter(hold)
+		return false
 	}
+	if l.inflight < int(l.window) {
+		l.inflight++
+		return true
+	}
+	l.cond.Await(w)
+	return false
 }
 
 // Cancel returns a slot without an AIMD signal: the caller abandoned

@@ -46,9 +46,9 @@ func (c *Cond) WaitTimeout(ctx *Ctx, d time.Duration) bool {
 	return !p.timedOut
 }
 
-// condTimeout is WaitTimeout's prebound expiry callback. A process
-// that Signal has already taken off the queue has its wakeup pending
-// at this instant and is left to it.
+// condTimeout is the prebound expiry callback of WaitTimeout and
+// AwaitTimeout. A process or waiter that Signal has already taken off
+// the queue has its wakeup pending at this instant and is left to it.
 func condTimeout(a0, a1 any) {
 	c, p := a0.(*Cond), a1.(*Proc)
 	if !c.remove(p) {
@@ -85,11 +85,23 @@ func (k *Kernel) NewWaiter(fn func()) *Waiter {
 
 // Wake schedules w's callback at the current instant and PrioNormal,
 // where Spawn schedules a new process's first step.
-func (w *Waiter) Wake() {
+func (w *Waiter) Wake() { w.WakeAfter(0) }
+
+// WakeAfter schedules w's callback d from now at PrioNormal, where
+// Ctx.Sleep schedules a sleeping process's wakeup. A negative d counts
+// as zero.
+func (w *Waiter) WakeAfter(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
 	w.hold()
 	k := w.p.ctx.k
-	k.AtFunc(k.now, PrioNormal, stepProc, k, &w.p)
+	k.AtFunc(k.now+d, PrioNormal, stepProc, k, &w.p)
 }
+
+// TimedOut reports whether w's last AwaitTimeout expired rather than
+// being ended by Signal or Broadcast.
+func (w *Waiter) TimedOut() bool { return w.p.timedOut }
 
 // hold marks w as queued or woken, panicking if it already is: a
 // waiter queued twice would run twice.
@@ -105,6 +117,24 @@ func (w *Waiter) hold() {
 func (c *Cond) Await(w *Waiter) {
 	w.hold()
 	c.push(&w.p)
+}
+
+// AwaitTimeout queues w on c like Await, but for at most d: if no
+// Signal or Broadcast takes w off the queue first, the expiry takes it
+// off and runs its callback, and TimedOut then reports true. This is
+// WaitTimeout's wait, with the same expiry event. The returned Timer
+// is that expiry: a callback woken by Signal cancels it, where
+// WaitTimeout's process cancels its own on waking, or the stale expiry
+// could later take w off a queue it has joined again. d must be
+// positive; WaitTimeout does not wait at all for d <= 0.
+func (c *Cond) AwaitTimeout(w *Waiter, d time.Duration) Timer {
+	if d <= 0 {
+		panic("sim: AwaitTimeout needs a positive timeout")
+	}
+	w.hold()
+	w.p.timedOut = false
+	c.push(&w.p)
+	return c.k.AfterFunc(d, condTimeout, c, &w.p)
 }
 
 // push queues p behind the current waiters. A full backing array with

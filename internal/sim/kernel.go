@@ -35,11 +35,12 @@
 //     (t.FailNow in a test) passes through the coroutine and also ends
 //     the goroutine that called Run.
 //   - Waiters (Kernel.NewWaiter) are callbacks that wait on a Cond
-//     (Cond.Await) in a process's place and are woken exactly when,
-//     and in the order in which, that process would have been. State
-//     machines that only ever wait on Conds use these: MPI
-//     nonblocking receives and the per-connection readers of the MPI
-//     progress engine.
+//     (Cond.Await, Cond.AwaitTimeout) or sleep (Waiter.WakeAfter) in a
+//     process's place and are woken exactly when, and in the order in
+//     which, that process would have been. State machines that only
+//     ever wait and sleep use these: MPI nonblocking receives, the
+//     per-connection readers of the MPI progress engine, and the
+//     admission storm's requests and control RPCs.
 //
 // The event queue is a 4-ary indexed heap over pooled event structs:
 // scheduling on the steady-state hot path performs no allocation (use

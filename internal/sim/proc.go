@@ -28,9 +28,9 @@ type Proc struct {
 	slot    int32
 	done    bool
 	blocked bool
-	// timedOut reports whether p's last Cond.WaitTimeout expired. A
-	// process waits on one Cond at a time, so this is all the waiter
-	// state a Cond needs besides its queue.
+	// timedOut reports whether p's last Cond.WaitTimeout (a Waiter's
+	// AwaitTimeout) expired. A process waits on one Cond at a time, so
+	// this is all the waiter state a Cond needs besides its queue.
 	timedOut bool
 	// ctx is the handle passed to the body; ctx.k is p's kernel.
 	ctx Ctx
@@ -50,9 +50,11 @@ type Ctx struct {
 // runner waits in the pool for the next process any kernel steps; past
 // the bound it is stopped. The bound matters because a burst of live
 // processes would otherwise leave as many idle goroutine stacks
-// behind: the Figure I admission storm keeps ~900 arrivals parked at
-// once, and with an unbounded pool the admission-storm benchmark's
-// peak RSS rose from 55 MB to 170 MB (2-vCPU host). On the MPI halo
+// behind: when the Figure I admission storm's arrivals were processes,
+// about 900 of them were parked at once, and with an unbounded pool
+// the admission-storm benchmark's peak RSS rose from 55 MB to 170 MB
+// (2-vCPU host). The storm runs on Waiters now, but any burst of
+// processes would do the same. On the MPI halo
 // exchange a bound of 16 captures the whole allocation saving, where
 // bounds of 4 and 8 give up a fifth and an eighth of it.
 //

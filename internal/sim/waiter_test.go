@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ type awaitOp struct {
 const (
 	awSleep = iota
 	awWait
-	awWaitTimeout // only in scripts of actors that stay processes
+	awWaitTimeout
 	awSignal
 	awBroadcast
 )
@@ -49,7 +50,7 @@ func genAwaitProgram(seed int64) awaitProgram {
 			ops = append(ops, op)
 		}
 		prog.actors = append(prog.actors, ops)
-		prog.waiter = append(prog.waiter, !timed && r.Intn(2) == 0)
+		prog.waiter = append(prog.waiter, r.Intn(2) == 0)
 	}
 	for i, n := 0, r.Intn(8); i < n; i++ {
 		kind := awSignal
@@ -67,6 +68,27 @@ type awaitWorld struct {
 	k     *Kernel
 	conds []*Cond
 	trace strings.Builder
+	// kicked holds the (Cond, instant) pairs of every Signal and
+	// Broadcast; expiry holds each timed wait's Cond and expiry
+	// instant.
+	kicked map[[2]int64]bool
+	expiry []struct {
+		cond int
+		at   time.Duration
+	}
+}
+
+// races counts the timed waits whose expiry instant is also an instant
+// at which their Cond was signalled, so that the timeout and the
+// Signal raced.
+func (w *awaitWorld) races() int {
+	n := 0
+	for _, e := range w.expiry {
+		if w.kicked[[2]int64{int64(e.cond), int64(e.at)}] {
+			n++
+		}
+	}
+	return n
 }
 
 func (w *awaitWorld) rec(id, pc int, what string) {
@@ -74,6 +96,7 @@ func (w *awaitWorld) rec(id, pc int, what string) {
 }
 
 func (w *awaitWorld) kick(op awaitOp) {
+	w.kicked[[2]int64{int64(op.cond), int64(w.k.Now())}] = true
 	if op.kind == awBroadcast {
 		w.conds[op.cond].Broadcast()
 	} else {
@@ -89,6 +112,21 @@ type awaitActor struct {
 	ops []awaitOp
 	pc  int
 	wt  *Waiter
+	// timer is the expiry of the waiter's AwaitTimeout while timed is
+	// set.
+	timer Timer
+	timed bool
+}
+
+// timeout is a timed wait's timeout.
+func (op awaitOp) timeout() time.Duration { return op.d + time.Millisecond }
+
+// timedWait notes a timed wait's expiry instant for races.
+func (w *awaitWorld) timedWait(op awaitOp) {
+	w.expiry = append(w.expiry, struct {
+		cond int
+		at   time.Duration
+	}{op.cond, w.k.Now() + op.timeout()})
 }
 
 func (a *awaitActor) body(ctx *Ctx) {
@@ -102,7 +140,8 @@ func (a *awaitActor) body(ctx *Ctx) {
 		case awWait:
 			a.w.conds[op.cond].Wait(ctx)
 		case awWaitTimeout:
-			ok := a.w.conds[op.cond].WaitTimeout(ctx, op.d+time.Millisecond)
+			a.w.timedWait(op)
+			ok := a.w.conds[op.cond].WaitTimeout(ctx, op.timeout())
 			a.w.rec(a.id, a.pc, fmt.Sprint("woken=", ok))
 		default:
 			a.w.kick(op)
@@ -112,18 +151,29 @@ func (a *awaitActor) body(ctx *Ctx) {
 }
 
 // step is the Waiter's callback: it runs the script up to the next
-// blocking step.
+// blocking step, using AwaitTimeout where the process uses WaitTimeout
+// and WakeAfter where it sleeps.
 func (a *awaitActor) step() {
+	if a.timed {
+		a.timed = false
+		a.timer.Cancel()
+		a.w.rec(a.id, a.pc, fmt.Sprint("woken=", !a.wt.TimedOut()))
+	}
 	for a.pc < len(a.ops) {
 		op := a.ops[a.pc]
 		a.pc++
 		a.w.rec(a.id, a.pc, "proc")
 		switch op.kind {
 		case awSleep:
-			a.w.k.After(op.d, a.step)
+			a.wt.WakeAfter(op.d)
 			return
 		case awWait:
 			a.w.conds[op.cond].Await(a.wt)
+			return
+		case awWaitTimeout:
+			a.w.timedWait(op)
+			a.timer = a.w.conds[op.cond].AwaitTimeout(a.wt, op.timeout())
+			a.timed = true
 			return
 		default:
 			a.w.kick(op)
@@ -135,7 +185,7 @@ func (a *awaitActor) step() {
 // runAwait runs prog until the kernel drains or a deadline passes and
 // returns the world, its kernel still open.
 func runAwait(t *testing.T, seed int64, prog awaitProgram, mixed bool, deadline time.Duration) *awaitWorld {
-	w := &awaitWorld{k: New(seed)}
+	w := &awaitWorld{k: New(seed), kicked: make(map[[2]int64]bool)}
 	for i := 0; i < prog.conds; i++ {
 		w.conds = append(w.conds, NewCond(w.k))
 	}
@@ -160,17 +210,21 @@ func runAwait(t *testing.T, seed int64, prog awaitProgram, mixed bool, deadline 
 }
 
 // TestAwaitDifferential runs generated programs twice: once with some
-// actors as Waiters queued FIFO beside processes (and WaitTimeout
-// processes) on the same Conds, and once with every actor a process.
-// Each step's time and event count, and the final event count, must be
-// equal.
+// actors as Waiters queued FIFO beside processes on the same Conds,
+// waiting with Await, AwaitTimeout and WakeAfter, and once with every
+// actor a process using Wait, WaitTimeout and Sleep. Each step's time
+// and event count, each timed wait's outcome, and the final event
+// count must be equal. Timeouts and kicks fall on one millisecond
+// grid, so some timeouts race a Signal at the same instant.
 func TestAwaitDifferential(t *testing.T) {
+	races := 0
 	for seed := int64(1); seed <= 400; seed++ {
 		prog := genAwaitProgram(seed)
 		want := runAwait(t, seed, prog, false, time.Hour)
 		got := runAwait(t, seed, prog, true, time.Hour)
 		want.k.Close()
 		got.k.Close()
+		races += got.races()
 		if g, w := got.trace.String(), want.trace.String(); g != w {
 			gl, wl := strings.Split(g, "\n"), strings.Split(w, "\n")
 			for i := range gl {
@@ -181,6 +235,10 @@ func TestAwaitDifferential(t *testing.T) {
 			t.Fatalf("seed %d: mixed trace is a prefix of the process one", seed)
 		}
 	}
+	if races == 0 {
+		t.Fatal("no timed wait raced a Signal at its expiry instant")
+	}
+	t.Logf("%d timed waits raced a Signal at their expiry instant", races)
 }
 
 // TestAwaitClose closes kernels with waiters and processes parked on
@@ -216,6 +274,44 @@ func TestAwaitClose(t *testing.T) {
 	}
 	if want := base + idleCount(); goroutinesAtMost(want) > want {
 		t.Fatalf("%d goroutines after Close, want %d (%d idle in the pool)", runtime.NumGoroutine(), want, idleCount())
+	}
+}
+
+// TestAwaitTimeoutClose closes a kernel while waiters sit in
+// AwaitTimeout and WakeAfter: their expiries and wakeups go with the
+// event queue, and neither the passing of their time nor a later
+// Broadcast runs a callback. A waiter that timed out before Close
+// reports it.
+func TestAwaitTimeoutClose(t *testing.T) {
+	k := New(1)
+	c := NewCond(k)
+	ran := make([]int, 5)
+	var ws []*Waiter
+	for i := range ran {
+		w := k.NewWaiter(func() { ran[i]++ })
+		ws = append(ws, w)
+		if i == len(ran)-1 {
+			w.WakeAfter(time.Hour)
+			continue
+		}
+		c.AwaitTimeout(w, time.Duration(i+1)*time.Millisecond)
+	}
+	if err := k.RunFor(1500 * time.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	if ran[0] != 1 || !ws[0].TimedOut() || c.Waiting() != 3 {
+		t.Fatalf("before Close: ran %v, timed out %v, waiting %d", ran, ws[0].TimedOut(), c.Waiting())
+	}
+	k.Close()
+	if k.LiveProcs() != 0 || k.PendingEvents() != 0 {
+		t.Fatalf("after Close: live %d, pending %d", k.LiveProcs(), k.PendingEvents())
+	}
+	c.Broadcast()
+	if err := k.RunFor(2 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 0, 0, 0, 0}; !reflect.DeepEqual(ran, want) {
+		t.Fatalf("callbacks ran %v after Close, want %v", ran, want)
 	}
 }
 
@@ -276,7 +372,7 @@ func TestWaiterCallbackHasNoCtx(t *testing.T) {
 
 // TestProcSize64 pins a Proc, and so a Waiter, to the 64-byte
 // allocation class: a Cond's queue holds one pointer per entry, and
-// the admission storm keeps about 900 processes parked at once.
+// the admission storm keeps about 900 waiters waiting at once.
 func TestProcSize64(t *testing.T) {
 	if n := unsafe.Sizeof(Proc{}); n > 64 {
 		t.Fatalf("Proc is %d bytes, want at most 64", n)

@@ -28,3 +28,24 @@ func BenchmarkBlasterVirtualSecond(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStormVirtualSecond measures the first virtual second of a
+// Figure I style admission storm at 10x the broker's capacity: 1000
+// open-loop arrivals a second and four closed-loop clients, all
+// adaptive, against a domain with every overload control on. Building
+// the domain is not timed.
+func BenchmarkStormVirtualSecond(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := newStormRig(1, 1000, true, 10*time.Second)
+		r.storm.Run(r.k)
+		b.StartTimer()
+		if err := r.k.RunUntil(time.Second); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		r.k.Close()
+		b.StartTimer()
+	}
+}

@@ -47,7 +47,13 @@ type ReservationStorm struct {
 	// their own deadlines).
 	Stop time.Duration
 
-	n int // arrival counter, shared by both halves
+	k    *sim.Kernel
+	mean float64 // mean open-loop gap, ns
+	n    int     // request counter, shared by both halves
+	// arrivals counts the open-loop arrivals started.
+	arrivals int
+	// free holds finished open-loop requests for reuse.
+	free []*stormReq
 	// limiters is indexed [conn][class]: each class keeps its own AIMD
 	// window, so brownout sheds aimed at best-effort traffic collapse
 	// only the best-effort window while premium keeps flowing.
@@ -82,8 +88,10 @@ type StormStats struct {
 	Latencies []time.Duration
 }
 
-// Run spawns the storm's processes. Arrivals and clients stop at
-// Stop; calls in flight at that point drain on their own deadlines.
+// Run starts the storm: the open-loop arrivals and the closed-loop
+// clients, all callbacks, so the storm holds no process. Arrivals and
+// clients stop at Stop; calls in flight at that point drain on their
+// own deadlines.
 func (s *ReservationStorm) Run(k *sim.Kernel) {
 	if len(s.Conns) == 0 || s.Spec == nil || s.Stop <= 0 {
 		panic("trafficgen: ReservationStorm needs Conns, Spec, and Stop")
@@ -97,6 +105,7 @@ func (s *ReservationStorm) Run(k *sim.Kernel) {
 	if s.WindowMax <= 0 {
 		s.WindowMax = 32
 	}
+	s.k = k
 	if s.Adaptive {
 		s.limiters = make([][]*ctrlplane.Limiter, len(s.Conns))
 		for i, cn := range s.Conns {
@@ -108,108 +117,187 @@ func (s *ReservationStorm) Run(k *sim.Kernel) {
 		}
 	}
 	if s.Rate > 0 {
-		k.Spawn("storm-arrivals", func(ctx *sim.Ctx) {
-			mean := float64(time.Second) / s.Rate
-			for i := 0; ; i++ {
-				gap := time.Duration(ctx.RNG().ExpFloat64() * mean)
-				if gap < time.Microsecond {
-					gap = time.Microsecond
-				}
-				ctx.Sleep(gap)
-				if ctx.Now() >= s.Stop {
-					return
-				}
-				ci := i % len(s.Conns)
-				// One shared name: arrivals are many and short-lived,
-				// and no output reads process names.
-				ctx.SpawnChild("storm-arrival", func(cctx *sim.Ctx) {
-					s.oneRequest(cctx, ci)
-				})
-			}
-		})
+		s.mean = float64(time.Second) / s.Rate
+		// The first gap is drawn in an event of its own at this
+		// instant, where a generator process's first step would run,
+		// so that every later event keeps its place in the sequence.
+		k.AtFunc(k.Now(), sim.PrioNormal, stormGap, s, nil)
 	}
 	for c := 0; c < s.Clients; c++ {
-		ci := c % len(s.Conns)
-		k.Spawn(fmt.Sprintf("storm-client-%d", c), func(ctx *sim.Ctx) {
-			for ctx.Now() < s.Stop {
-				s.oneRequest(ctx, ci)
-				ctx.Sleep(s.Think)
-			}
-		})
+		s.newRequest(c%len(s.Conns), true).w.Wake()
 	}
 }
 
-// oneRequest submits one logical reservation request through conn ci,
-// with up to Retries client-level re-submissions on retryable
-// failures.
-func (s *ReservationStorm) oneRequest(ctx *sim.Ctx, ci int) {
-	conn := s.Conns[ci]
-	spec := s.Spec(s.n)
-	var lim *ctrlplane.Limiter
+// stormGap schedules the next open-loop arrival an exponential gap
+// from now.
+func stormGap(a0, _ any) {
+	s := a0.(*ReservationStorm)
+	gap := time.Duration(s.k.RNG().ExpFloat64() * s.mean)
+	if gap < time.Microsecond {
+		gap = time.Microsecond
+	}
+	s.k.AfterFunc(gap, stormArrive, s, nil)
+}
+
+// stormArrive starts one open-loop arrival, spread round-robin over
+// Conns, and schedules the next; past Stop it ends the generator.
+func stormArrive(a0, _ any) {
+	s := a0.(*ReservationStorm)
+	if s.k.Now() >= s.Stop {
+		return
+	}
+	s.newRequest(s.arrivals%len(s.Conns), false).w.Wake()
+	s.arrivals++
+	stormGap(s, nil)
+}
+
+// stormReq is one logical reservation request through conn ci, with
+// up to Retries client-level re-submissions on retryable failures: a
+// state machine driven by its waiter, which runs begin and then, while
+// the request waits for its limiter, acquire. An open-loop arrival is
+// recycled once its request ends; a closed-loop client is the same
+// machine re-armed after Think.
+type stormReq struct {
+	s       *ReservationStorm
+	w       *sim.Waiter
+	onReply func(resID uint64, err error) // reply, bound once
+	ci      int
+	client  bool
+	// acquiring is set while w waits for the limiter.
+	acquiring bool
+	spec      gara.Spec
+	lim       *ctrlplane.Limiter
+	attempt   int
+	start     time.Duration
+}
+
+// newRequest takes a request from the freelist, or allocates one.
+func (s *ReservationStorm) newRequest(ci int, client bool) *stormReq {
+	var r *stormReq
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free[n-1], s.free = nil, s.free[:n-1]
+	} else {
+		r = &stormReq{s: s}
+		r.w = s.k.NewWaiter(r.step)
+		r.onReply = r.reply
+	}
+	r.ci, r.client = ci, client
+	return r
+}
+
+// step is the request's waiter callback.
+func (r *stormReq) step() {
+	if r.acquiring {
+		r.acquire()
+		return
+	}
+	r.begin()
+}
+
+// begin starts a new logical request; a client past Stop stops.
+func (r *stormReq) begin() {
+	s := r.s
+	if r.client && s.k.Now() >= s.Stop {
+		return
+	}
+	r.spec = s.Spec(s.n)
+	r.lim = nil
 	if s.limiters != nil {
-		lim = s.limiters[ci][spec.Class]
+		r.lim = s.limiters[r.ci][r.spec.Class]
 	}
 	s.n++
 	s.stats.Offered++
-	s.stats.OfferedByClass[spec.Class]++
-	for attempt := 0; ; attempt++ {
-		if lim != nil {
-			lim.Acquire(ctx)
-			// The window can hold a backlog of waiters far past Stop;
-			// a request that never got to send its first attempt is
-			// abandoned rather than issued into the drain tail.
-			if attempt == 0 && ctx.Now() >= s.Stop {
-				lim.Cancel()
-				return
-			}
-		}
-		start := ctx.Now()
-		_, err := conn.Reserve(ctx, spec)
-		if err == nil {
-			if lim != nil {
-				lim.Release(true, false, 0)
-			}
-			if ctx.Now() <= s.Stop {
-				s.stats.OK++
-				s.stats.OKByClass[spec.Class]++
-				s.stats.Latencies = append(s.stats.Latencies, ctx.Now()-start)
-			}
+	s.stats.OfferedByClass[r.spec.Class]++
+	r.attempt = 0
+	r.acquire()
+}
+
+// acquire takes a limiter slot, waiting for one if need be, and sends
+// the attempt.
+func (r *stormReq) acquire() {
+	s := r.s
+	if r.lim != nil {
+		r.acquiring = !r.lim.TryAcquire(r.w)
+		if r.acquiring {
 			return
 		}
-		var oe *ctrlplane.OverloadedError
-		overloaded := errors.As(err, &oe)
-		expired := errors.Is(err, ctrlplane.ErrDeadline)
-		if lim != nil {
-			var ra time.Duration
-			if overloaded {
-				ra = oe.RetryAfter
-			}
-			// Only congestion signals shrink the window. A definitive
-			// refusal (policy, slot table full) is a healthy server
-			// answering at full speed; halving on it would pin a
-			// mostly-refused workload at the window floor and hide real
-			// overload from the broker entirely.
-			lim.Release(!overloaded && !expired, overloaded, ra)
-		}
-		switch {
-		case overloaded:
-			s.stats.Overloads++
-		case expired:
-			s.stats.Deadlines++
-		default:
-			// A definitive refusal (policy, slot table full): retrying
-			// the identical spec cannot succeed.
-			s.stats.Refused++
+		// The window can hold a backlog of waiters far past Stop;
+		// a request that never got to send its first attempt is
+		// abandoned rather than issued into the drain tail.
+		if r.attempt == 0 && s.k.Now() >= s.Stop {
+			r.lim.Cancel()
+			r.end()
 			return
 		}
-		if attempt >= s.Retries || ctx.Now() >= s.Stop {
-			return
-		}
-		// Naive clients turn right back around — this immediate retry
-		// is what amplifies transient overload into a storm. Adaptive
-		// clients are paced by the limiter's window and retry-after
-		// hold instead.
 	}
+	r.start = s.k.Now()
+	s.Conns[r.ci].Reserve(r.spec, r.onReply)
+}
+
+// reply takes an attempt's outcome: count it, adapt the limiter, and
+// end the request or re-submit it.
+func (r *stormReq) reply(_ uint64, err error) {
+	s, now := r.s, r.s.k.Now()
+	if err == nil {
+		if r.lim != nil {
+			r.lim.Release(true, false, 0)
+		}
+		if now <= s.Stop {
+			s.stats.OK++
+			s.stats.OKByClass[r.spec.Class]++
+			s.stats.Latencies = append(s.stats.Latencies, now-r.start)
+		}
+		r.end()
+		return
+	}
+	oe, overloaded := err.(*ctrlplane.OverloadedError)
+	expired := errors.Is(err, ctrlplane.ErrDeadline)
+	if r.lim != nil {
+		var ra time.Duration
+		if overloaded {
+			ra = oe.RetryAfter
+		}
+		// Only congestion signals shrink the window. A definitive
+		// refusal (policy, slot table full) is a healthy server
+		// answering at full speed; halving on it would pin a
+		// mostly-refused workload at the window floor and hide real
+		// overload from the broker entirely.
+		r.lim.Release(!overloaded && !expired, overloaded, ra)
+	}
+	switch {
+	case overloaded:
+		s.stats.Overloads++
+	case expired:
+		s.stats.Deadlines++
+	default:
+		// A definitive refusal (policy, slot table full): retrying
+		// the identical spec cannot succeed.
+		s.stats.Refused++
+		r.end()
+		return
+	}
+	if r.attempt >= s.Retries || now >= s.Stop {
+		r.end()
+		return
+	}
+	// Naive clients turn right back around — this immediate retry
+	// is what amplifies transient overload into a storm. Adaptive
+	// clients are paced by the limiter's window and retry-after
+	// hold instead.
+	r.attempt++
+	r.acquire()
+}
+
+// end finishes the logical request: a client thinks and then begins
+// the next one, an arrival goes back to the freelist.
+func (r *stormReq) end() {
+	if r.client {
+		r.w.WakeAfter(r.s.Think)
+		return
+	}
+	r.spec, r.lim = gara.Spec{}, nil
+	r.s.free = append(r.s.free, r)
 }
 
 // Stats returns the storm's client-side counters.
