@@ -49,8 +49,10 @@ test:
 test-short:
 	$(GO) test ./... -short -timeout 600s
 
-# Chaos soak: control-plane crash/restart, lossy-channel, and MPI
-# rank-failure tests under the race detector, plus the traced-figure
+# Chaos soak: control-plane crash/restart, lossy-channel (the admission
+# storm's soak included), and MPI rank-failure tests (senders blocked on
+# a crashing peer must wake in one order) under the race detector, plus
+# the traced-figure
 # determinism regressions (-parallel 1 vs 8 byte-identical, crash
 # schedules included), MPI teardown (Finalize, repeated job
 # lifecycles) and kernel Close, then five rounds of the differential
@@ -61,7 +63,7 @@ test-short:
 test-chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Soak|Crash|Breaker|Gate|TraceDeterministic|Finalize|Lifecycle|Close' \
 		./internal/ctrlplane/... ./internal/faults/... ./internal/gara/... ./internal/core/... \
-		./internal/mpi/... ./internal/experiments/... ./internal/sim/... ./cmd/gqd/ \
+		./internal/mpi/... ./internal/experiments/... ./internal/sim/... ./internal/trafficgen/... ./cmd/gqd/ \
 		-timeout 900s
 	$(GO) test -race -count=5 -run 'LineDifferential|ServeDifferential|AwaitDifferential|IrecvDifferential|StormDifferential' \
 		./internal/sim/ ./internal/netsim/ ./internal/globusio/ ./internal/mpi/ ./internal/trafficgen/ -timeout 900s

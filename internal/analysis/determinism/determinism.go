@@ -45,8 +45,9 @@ tcpsim). In such packages the analyzer reports:
   - writes to package-level variables outside init functions: every
     kernel of a -parallel sweep shares package state, so simulation
     state must hang off the kernel that owns it;
-  - range over a map whose body schedules events, emits RPCs /
-    flight-recorder events, or calls a function that takes a
+  - range over a map whose body schedules events, wakes or queues
+    processes and Waiters, emits RPCs / flight-recorder events, or
+    calls a function that takes a
     *sim.Ctx (such a call may block, so the order of the calls is
     observable): iteration order would leak into the event sequence.
     Collect and sort keys first.`,
@@ -70,16 +71,20 @@ var wallClockFns = map[string]bool{
 }
 
 // emissionMethods are methods whose call order is observable in the
-// simulation trace: kernel scheduling, process spawning, flight
-// recorder emission, control-plane RPC transmission, and the fluid
-// flow lifecycle (Start/Stop/SetRate emit flight-recorder events and
-// trigger the rate solver, whose per-flow EvFluidRate emissions follow
-// call order).
+// simulation trace: kernel scheduling, process spawning, wakeups
+// (Cond.Signal/Broadcast schedule the woken processes' and Waiters'
+// steps in call order; Waiter.Wake/WakeAfter, Cond.Await/AwaitTimeout
+// and the Serve receivers queue callbacks), flight recorder emission,
+// control-plane RPC transmission, and the fluid flow lifecycle
+// (Start/Stop/SetRate emit flight-recorder events and trigger the rate
+// solver, whose per-flow EvFluidRate emissions follow call order).
 var emissionMethods = map[string]bool{
 	"Schedule": true, "At": true, "AtFunc": true, "After": true,
 	"AfterFunc": true, "AfterPrio": true, "AfterPrioFunc": true,
 	"Spawn": true, "Emit": true, "call": true, "transmit": true,
 	"Start": true, "Stop": true, "SetRate": true, "refreshFluid": true,
+	"Signal": true, "Broadcast": true, "Wake": true, "WakeAfter": true,
+	"Await": true, "AwaitTimeout": true, "Serve": true,
 }
 
 func run(pass *analysis.Pass) error {

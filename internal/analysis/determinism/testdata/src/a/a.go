@@ -76,6 +76,38 @@ func (s *server) fluidMapOrder(flows map[string]*netsim.FluidFlow) {
 	}
 }
 
+// --- wakeups schedule the woken callbacks in call order ---
+
+func (s *server) wakeupMapOrder(conds map[int]*sim.Cond, ws map[int]*sim.Waiter, c *sim.Cond, socks map[int]*netsim.UDPSocket) {
+	for _, cd := range conds {
+		cd.Signal() // want `Signal called while ranging over a map`
+	}
+	for _, cd := range conds {
+		cd.Broadcast() // want `Broadcast called while ranging over a map`
+	}
+	for _, w := range ws {
+		w.Wake() // want `Wake called while ranging over a map`
+	}
+	for _, w := range ws {
+		w.WakeAfter(time.Millisecond) // want `WakeAfter called while ranging over a map`
+	}
+	for _, w := range ws {
+		c.Await(w) // want `Await called while ranging over a map`
+	}
+	for _, w := range ws {
+		c.AwaitTimeout(w, time.Millisecond) // want `AwaitTimeout called while ranging over a map`
+	}
+	for _, u := range socks {
+		u.Serve(func(netsim.Datagram) {}) // want `Serve called while ranging over a map`
+	}
+	// ok: key order
+	for i := 0; i < len(conds); i++ {
+		if cd := conds[i]; cd != nil {
+			cd.Broadcast()
+		}
+	}
+}
+
 // --- calls that take a process Ctx may block ---
 
 type conn struct{}

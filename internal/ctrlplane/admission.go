@@ -82,11 +82,10 @@ var shedReasonNames = [...]string{
 	shedEvict:    "evict",
 }
 
-// queuedReq is one request parked in the admission queue, with the
-// reply path captured so service can answer whenever it gets there.
+// queuedReq is one request parked in the admission queue; its record
+// carries the reply path, so service can answer whenever it gets there.
 type queuedReq struct {
-	req   request
-	reply func(response)
+	m     *msg
 	enqAt time.Duration
 	sp    *spans.Span // admission.queue span, enqueue → serve/shed
 }
@@ -214,10 +213,11 @@ func (q *admitQueue) retryAfter() time.Duration {
 // enqueue is the admission decision point. A rejected request gets an
 // overloaded reply (the client's cue to back off); an admitted one
 // parks in its tenant's FIFO until the service loop reaches it.
-func (q *admitQueue) enqueue(req request, reply func(response)) {
+func (q *admitQueue) enqueue(m *msg) {
+	req := &m.req
 	q.evalBrownout()
 	if !q.admitsClass(req.spec.Class) {
-		q.shedArrival(req, reply, shedBrownout)
+		q.shedArrival(m, shedBrownout)
 		return
 	}
 	if q.cfg.QueueLimit > 0 && q.depth >= q.cfg.QueueLimit {
@@ -225,7 +225,7 @@ func (q *admitQueue) enqueue(req request, reply func(response)) {
 		// entry instead of being turned away — this is what "premium
 		// degrades last" means at the queue, not just at the door.
 		if !q.evictFor(req.spec.Class) {
-			q.shedArrival(req, reply, shedFull)
+			q.shedArrival(m, shedFull)
 			return
 		}
 	}
@@ -237,24 +237,24 @@ func (q *admitQueue) enqueue(req request, reply func(response)) {
 	}
 	sp := q.tr.Begin(req.trace, req.parent, "admission.queue", q.name)
 	sp.Int("req", int64(req.reqID))
-	t.push(queuedReq{req: req, reply: reply, enqAt: q.k.Now(), sp: sp})
+	t.push(queuedReq{m: m, enqAt: q.k.Now(), sp: sp})
 	q.depth++
 	q.gDepth.Set(float64(q.depth))
 	q.kick()
 }
 
 // shedArrival rejects a request at the door with a retry-after hint.
-func (q *admitQueue) shedArrival(req request, reply func(response), reason int) {
-	q.countShed(req, reason)
-	reply(response{
-		reqID:        req.reqID,
+func (q *admitQueue) shedArrival(m *msg, reason int) {
+	q.countShed(&m.req, reason)
+	m.answer(response{
+		reqID:        m.req.reqID,
 		errText:      "ctrlplane: admission shed (" + shedReasonNames[reason] + ")",
 		overloaded:   true,
 		retryAfterNS: int64(q.retryAfter()),
 	})
 }
 
-func (q *admitQueue) countShed(req request, reason int) {
+func (q *admitQueue) countShed(req *request, reason int) {
 	q.mShed[reason].Inc()
 	q.rec.Emit(metrics.EvAdmissionShed, q.name,
 		int64(req.reqID), int64(reason), int64(q.depth))
@@ -276,7 +276,7 @@ func (q *admitQueue) evictFor(c gara.Class) bool {
 	for _, t := range q.tenants {
 		for i := t.head; i < len(t.items); i++ {
 			it := &t.items[i]
-			cl := it.req.spec.Class
+			cl := it.m.req.spec.Class
 			if cl >= c {
 				continue
 			}
@@ -293,9 +293,9 @@ func (q *admitQueue) evictFor(c gara.Class) bool {
 	q.depth--
 	q.gDepth.Set(float64(q.depth))
 	victim.sp.EndStatus(spans.StatusFailed)
-	q.countShed(victim.req, shedEvict)
-	victim.reply(response{
-		reqID:        victim.req.reqID,
+	q.countShed(&victim.m.req, shedEvict)
+	victim.m.answer(response{
+		reqID:        victim.m.req.reqID,
 		errText:      "ctrlplane: admission shed (evict)",
 		overloaded:   true,
 		retryAfterNS: int64(q.retryAfter()),
@@ -332,10 +332,10 @@ func (q *admitQueue) kick() {
 
 		// Dead-work drop: the client's call deadline already passed, so
 		// no reply can be used — don't spend a service slot on it.
-		if q.cfg.DropExpired && it.req.deadline > 0 && now >= it.req.deadline {
+		if req := &it.m.req; q.cfg.DropExpired && req.deadline > 0 && now >= req.deadline {
 			it.sp.Int("sojourn_us", int64((now-it.enqAt)/time.Microsecond))
 			it.sp.EndStatus(spans.StatusFailed)
-			q.countShed(it.req, shedExpired)
+			q.countShed(req, shedExpired)
 			continue
 		}
 
@@ -352,9 +352,9 @@ func (q *admitQueue) kick() {
 				q.aboveAt = now
 				it.sp.Int("sojourn_us", int64(soj/time.Microsecond))
 				it.sp.EndStatus(spans.StatusFailed)
-				q.countShed(it.req, shedCoDel)
-				it.reply(response{
-					reqID:        it.req.reqID,
+				q.countShed(&it.m.req, shedCoDel)
+				it.m.answer(response{
+					reqID:        it.m.req.reqID,
 					errText:      "ctrlplane: admission shed (codel)",
 					overloaded:   true,
 					retryAfterNS: int64(q.retryAfter()),
@@ -378,10 +378,10 @@ func admitFinish(a0, _ any) {
 	q := a0.(*admitQueue)
 	it := q.serving
 	q.busy, q.serving = false, queuedReq{}
-	resp, alive := q.srv.handle(it.req)
+	resp, alive := q.srv.handle(&it.m.req)
 	if alive {
 		q.mServed.Inc()
-		it.reply(resp)
+		it.m.answer(resp)
 	}
 	q.evalBrownout()
 	q.kick()
@@ -431,7 +431,7 @@ func (q *admitQueue) wipe() {
 		for t.len() > 0 {
 			it := t.pop()
 			it.sp.EndStatus(spans.StatusLeaked)
-			q.countShed(it.req, shedCrash)
+			q.countShed(&it.m.req, shedCrash)
 		}
 	}
 	q.depth = 0

@@ -44,6 +44,35 @@ func (e *OverloadedError) Error() string {
 // Is makes errors.Is(err, ErrOverloaded) succeed.
 func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
 
+// callError is a call's failure other than an overload: an open
+// breaker, a spent deadline, or the server's refusal. It keeps the
+// parts and formats them only when read, because most failed calls
+// are counted and never printed. errors.Is sees through it to base.
+type callError struct {
+	// base is ErrBreakerOpen or ErrDeadline, nil for a refusal.
+	base     error
+	rm       string
+	method   string // ErrDeadline: the call's method
+	attempts int    // ErrDeadline: attempts made
+	text     string // refusal: the server's error text
+}
+
+func (e *callError) Error() string {
+	switch e.base {
+	case nil:
+		return refusal(e.rm, e.text)
+	case ErrDeadline:
+		return fmt.Sprintf("%v (rm %s, %s, %d attempts)", e.base, e.rm, e.method, e.attempts)
+	default:
+		return e.base.Error() + " (rm " + e.rm + ")"
+	}
+}
+
+func (e *callError) Unwrap() error { return e.base }
+
+// refusal is the text of the error for a server's refusal errText.
+func refusal(rm, errText string) string { return "ctrlplane: " + rm + " refused: " + errText }
+
 // Conn is the coordinator's client stub for one domain: it sends
 // requests over the lossy channel pair and implements the reliability
 // layer — per-attempt timeout, deadline-bounded retries paced by
@@ -191,7 +220,7 @@ func (cl *call) start() (callOp, time.Duration) {
 		c.rec.Emit(metrics.EvCtrlRPC, req.method, 0, 0, rpcRejected)
 		cl.sp.Int("breaker_open", 1)
 		cl.sp.EndStatus(spans.StatusFailed)
-		cl.err = fmt.Errorf("%w (rm %s)", ErrBreakerOpen, c.name)
+		cl.err = &callError{base: ErrBreakerOpen, rm: c.name}
 		return callDone, 0
 	}
 	c.nextReq++
@@ -215,7 +244,7 @@ func (cl *call) send() (callOp, time.Duration) {
 	c := cl.c
 	cl.attempt++
 	c.mAttempts.Inc()
-	c.transmit(cl.req)
+	c.transmit(&cl.req)
 	wait := c.Timeout
 	if remain := cl.deadline - c.k.Now(); wait > remain {
 		wait = remain
@@ -272,8 +301,8 @@ func (cl *call) afterWait() (callOp, time.Duration) {
 		}
 		cl.sp.Int("attempts", attempt)
 		cl.sp.EndStatus(spans.StatusFailed)
-		return cl.finish(fmt.Errorf("%w (rm %s, %s, %d attempts)",
-			ErrDeadline, c.name, cl.req.method, cl.attempt))
+		return cl.finish(&callError{base: ErrDeadline, rm: c.name,
+			method: cl.req.method, attempts: cl.attempt})
 	}
 	cl.shed = false
 	return cl.pause()
@@ -346,7 +375,7 @@ func (cl *call) drive(op callOp, d time.Duration) {
 		c, resp, err, done := cl.c, cl.resp, cl.err, cl.done
 		c.release(cl)
 		if err == nil && !resp.ok {
-			err = fmt.Errorf("ctrlplane: %s refused: %s", c.name, resp.errText)
+			err = &callError{rm: c.name, text: resp.errText}
 		}
 		done(resp.resID, err)
 	}
@@ -362,27 +391,23 @@ func (cl *call) wake() {
 	cl.drive(cl.afterSleep())
 }
 
-// transmit ships req to the server and wires the reply path. The
-// server dispatches the request when the channel delivers it — inline
-// when admission control is off, through the admission queue when on
-// (the reply then comes whenever service reaches it); a crashed server
-// produces no reply at all.
-func (c *Conn) transmit(req request) {
-	c.toSrv.send(req.reqID, func() {
-		c.srv.dispatch(req, func(resp response) {
-			c.fromSrv.send(req.reqID, func() { c.deliver(resp) })
-		})
-	})
+// transmit ships a copy of req to the server in a record that also
+// carries the reply path. The server dispatches the request when the
+// channel delivers it — inline when admission control is off, through
+// the admission queue when on (the reply then comes whenever service
+// reaches it); a crashed server produces no reply at all.
+func (c *Conn) transmit(req *request) {
+	c.toSrv.send(req.reqID, deliverMsg, &msg{c: c, req: *req}, nil)
 }
 
 // deliver completes a pending call; late and duplicate replies (the
 // call already answered, timed out, or abandoned) are dropped.
-func (c *Conn) deliver(resp response) {
+func (c *Conn) deliver(resp *response) {
 	cl := c.waiting[resp.reqID]
 	if cl == nil || cl.answered {
 		return
 	}
-	cl.resp, cl.answered = resp, true
+	cl.resp, cl.answered = *resp, true
 	cl.cond.Broadcast()
 }
 

@@ -92,7 +92,7 @@ func (co *Coordinator) Reserve(ctx *sim.Ctx, spec gara.Spec) (*MultiRes, error) 
 				continue
 			}
 			co.rollback(ctx, trace, root, nil, prepped)
-			return nil, fmt.Errorf("ctrlplane: %s refused: %s", cn.Name(), resp.errText)
+			return nil, errors.New(refusal(cn.Name(), resp.errText))
 		}
 		prepped = append(prepped, segment{conn: cn, resID: resp.resID})
 	}
@@ -163,7 +163,7 @@ func (co *Coordinator) ReserveNaive(ctx *sim.Ctx, spec gara.Spec) (*MultiRes, er
 				continue
 			}
 			co.rollback(ctx, trace, root, got, nil)
-			return nil, fmt.Errorf("ctrlplane: %s refused: %s", cn.Name(), resp.errText)
+			return nil, errors.New(refusal(cn.Name(), resp.errText))
 		}
 		got = append(got, segment{conn: cn, resID: resp.resID})
 	}

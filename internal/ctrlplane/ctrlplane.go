@@ -57,6 +57,31 @@ type request struct {
 	parent spans.SpanID
 }
 
+// msg is one request in flight: a copy of the call's request, made
+// per attempt, and the stub that sent it, which is where the reply
+// goes. The request channel delivers it to the server, and the
+// admission queue holds it while it waits; nothing changes it after
+// the send, so a duplicate delivers the same record twice.
+type msg struct {
+	c   *Conn
+	req request
+}
+
+// deliverMsg is the request channel's prebound delivery callback.
+func deliverMsg(a0, _ any) {
+	m := a0.(*msg)
+	m.c.srv.dispatch(m)
+}
+
+// answer sends resp back to m's stub. Each reply is a record of its
+// own: a duplicated request can be answered twice, differently.
+func (m *msg) answer(resp response) {
+	m.c.fromSrv.send(m.req.reqID, deliverReply, m.c, &resp)
+}
+
+// deliverReply is the reply channel's prebound delivery callback.
+func deliverReply(a0, a1 any) { a0.(*Conn).deliver(a1.(*response)) }
+
 // response is the server's reply.
 type response struct {
 	reqID       uint64
@@ -165,19 +190,20 @@ func (c *Chan) SetLoss(p float64) { c.loss = p }
 // SetDup sets the per-message duplication probability.
 func (c *Chan) SetDup(p float64) { c.dup = p }
 
-// send schedules deliver after the channel delay, subject to loss and
-// duplication. reqID only labels the flight-recorder event.
-func (c *Chan) send(reqID uint64, deliver func()) {
+// send schedules deliver(a0, a1) after the channel delay, subject to
+// loss and duplication; a duplicate delivers the same arguments again.
+// reqID only labels the flight-recorder event.
+func (c *Chan) send(reqID uint64, deliver func(a0, a1 any), a0, a1 any) {
 	if c.loss > 0 && c.rng.Float64() < c.loss {
 		c.mDropped.Inc()
 		c.rec.Emit(metrics.EvCtrlMsg, c.name, int64(reqID), msgDropped, 0)
 		return
 	}
-	c.k.After(c.delay(), deliver)
+	c.k.AfterFunc(c.delay(), deliver, a0, a1)
 	c.mDelivered.Inc()
 	c.rec.Emit(metrics.EvCtrlMsg, c.name, int64(reqID), msgDelivered, 0)
 	if c.dup > 0 && c.rng.Float64() < c.dup {
-		c.k.After(c.delay(), deliver)
+		c.k.AfterFunc(c.delay(), deliver, a0, a1)
 		c.mDup.Inc()
 		c.rec.Emit(metrics.EvCtrlMsg, c.name, int64(reqID), msgDuplicate, 0)
 	}

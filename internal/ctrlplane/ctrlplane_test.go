@@ -173,6 +173,28 @@ func TestDuplicateRequestsAnsweredIdempotently(t *testing.T) {
 	}
 }
 
+// TestEachAnswerKeepsItsOwnReply: a duplicated request can be
+// answered twice, differently (shed at the door, then served), with
+// both replies in flight at once. The first to arrive must reach the
+// call with its own content.
+func TestEachAnswerKeepsItsOwnReply(t *testing.T) {
+	r := newRig(1, Options{})
+	defer r.k.Close()
+	c := r.plane.Conn("dom1")
+	c.fromSrv.Jitter = 0
+	cl := c.newCall(methodReserve, request{reqID: 1})
+	c.waiting[1] = cl
+	m := &msg{c: c, req: cl.req}
+	m.answer(response{reqID: 1, overloaded: true, errText: "ctrlplane: admission shed (full)"})
+	m.answer(response{reqID: 1, ok: true, resID: 7})
+	if err := r.k.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !cl.answered || !cl.resp.overloaded || cl.resp.ok {
+		t.Fatalf("call holds %+v, want the first answer, the shed", cl.resp)
+	}
+}
+
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	// Threshold 1: a single deadline-exhausted call trips the breaker.
 	r := newRig(5, Options{BreakerThreshold: 1})

@@ -114,25 +114,26 @@ func (s *Server) BrownoutLevel() int {
 
 // dispatch routes one delivered request: through the admission queue
 // when overload control is enabled, else the legacy synchronous
-// execution. reply is invoked with the response if one is produced (a
-// crashed server produces none — the client sees a timeout).
-func (s *Server) dispatch(req request, reply func(response)) {
+// execution. The response, if one is produced, goes back to the
+// request's stub (a crashed server produces none — the client sees a
+// timeout).
+func (s *Server) dispatch(m *msg) {
 	if s.adm != nil {
 		if s.crashed {
 			return
 		}
-		s.adm.enqueue(req, reply)
+		s.adm.enqueue(m)
 		return
 	}
-	resp, alive := s.handle(req)
+	resp, alive := s.handle(&m.req)
 	if alive {
-		reply(resp)
+		m.answer(resp)
 	}
 }
 
 // handle executes (or replays) one request. ok=false means the server
 // is down and produced no reply at all.
-func (s *Server) handle(req request) (response, bool) {
+func (s *Server) handle(req *request) (response, bool) {
 	if s.crashed {
 		return response{}, false
 	}
@@ -159,7 +160,7 @@ func (s *Server) handle(req request) (response, bool) {
 	return resp, true
 }
 
-func (s *Server) apply(req request) response {
+func (s *Server) apply(req *request) response {
 	resp := response{reqID: req.reqID}
 	fail := func(err error) response {
 		resp.errText = err.Error()

@@ -118,15 +118,18 @@ type Rule struct {
 	fluidGen    uint64
 	fluidBudget float64
 
-	// Metric handles, shared per DSCP class across rules; attached by
-	// Classifier.AddRule/InsertRule (registry dedup makes every rule
-	// marking the same class share one series).
-	markLabel string
-	mConform  *metrics.Counter
-	mExceed   *metrics.Counter
-	mDropped  *metrics.Counter
-	mRemarked *metrics.Counter
-	rec       *metrics.Recorder
+	// m holds the metric handles of the rule's mark, shared by every
+	// rule marking the same class; Classifier.AddRule/InsertRule copy
+	// them in.
+	m markMetrics
+}
+
+// markMetrics are the series a rule counts its policing in, one set
+// per DSCP mark.
+type markMetrics struct {
+	label                              string
+	conform, exceed, dropped, remarked *metrics.Counter
+	rec                                *metrics.Recorder
 }
 
 // RuleStats holds cumulative per-rule counters.
@@ -147,6 +150,10 @@ func (r *Rule) Stats() RuleStats {
 type Classifier struct {
 	k     *sim.Kernel
 	rules []*Rule
+	// marks caches each mark's metric handles, resolved in the
+	// registry by the first rule with that mark. The classifiers of a
+	// Domain share one cache.
+	marks map[netsim.DSCP]*markMetrics
 }
 
 // NewClassifier returns an empty classifier.
@@ -160,26 +167,43 @@ func (c *Classifier) AddRule(r *Rule) *Rule {
 	return r
 }
 
-// InsertRule places a rule at the front (highest precedence).
+// InsertRule places a rule at the front (highest precedence). The
+// rule list shifts in place.
 func (c *Classifier) InsertRule(r *Rule) *Rule {
 	c.attachMetrics(r)
-	c.rules = append([]*Rule{r}, c.rules...)
+	c.rules = append(c.rules, nil)
+	copy(c.rules[1:], c.rules)
+	c.rules[0] = r
 	return r
 }
 
-// attachMetrics resolves the rule's per-DSCP metric handles.
+// attachMetrics gives the rule its mark's metric handles, resolving
+// them in the registry on the mark's first rule: a registry lookup
+// builds the series key, four allocations or more.
 func (c *Classifier) attachMetrics(r *Rule) {
+	if m := c.marks[r.Mark]; m != nil {
+		r.m = *m
+		return
+	}
 	reg := c.k.Metrics()
-	r.markLabel = r.Mark.String()
-	r.rec = reg.Events()
-	r.mConform = reg.Counter("diffserv_conform_packets_total",
-		"policed packets within the token-bucket profile", "dscp", r.markLabel)
-	r.mExceed = reg.Counter("diffserv_exceed_packets_total",
-		"policed packets outside the token-bucket profile", "dscp", r.markLabel)
-	r.mDropped = reg.Counter("diffserv_police_drops_total",
-		"out-of-profile packets dropped by the policer", "dscp", r.markLabel)
-	r.mRemarked = reg.Counter("diffserv_remarked_packets_total",
-		"out-of-profile packets demoted to best effort", "dscp", r.markLabel)
+	label := r.Mark.String()
+	m := &markMetrics{
+		label: label,
+		conform: reg.Counter("diffserv_conform_packets_total",
+			"policed packets within the token-bucket profile", "dscp", label),
+		exceed: reg.Counter("diffserv_exceed_packets_total",
+			"policed packets outside the token-bucket profile", "dscp", label),
+		dropped: reg.Counter("diffserv_police_drops_total",
+			"out-of-profile packets dropped by the policer", "dscp", label),
+		remarked: reg.Counter("diffserv_remarked_packets_total",
+			"out-of-profile packets demoted to best effort", "dscp", label),
+		rec: reg.Events(),
+	}
+	if c.marks == nil {
+		c.marks = make(map[netsim.DSCP]*markMetrics)
+	}
+	c.marks[r.Mark] = m
+	r.m = *m
 }
 
 // RemoveRule deletes r from the rule list; it reports whether r was
@@ -194,7 +218,9 @@ func (c *Classifier) RemoveRule(r *Rule) bool {
 	return false
 }
 
-// Rules returns the current rule list in precedence order.
+// Rules returns the current rule list in precedence order. The slice
+// is the classifier's own: adding, inserting or removing a rule
+// changes it.
 func (c *Classifier) Rules() []*Rule { return c.rules }
 
 // Filter implements netsim.IngressFilter: classify, mark, police.
@@ -206,22 +232,22 @@ func (c *Classifier) Filter(p *netsim.Packet) *netsim.Packet {
 		r.matchedPkts++
 		if r.Police != nil {
 			if !r.Police.Conform(p.Size) {
-				r.mExceed.Inc()
-				r.rec.Emit(metrics.EvTokenBucketExceed, r.markLabel,
+				r.m.exceed.Inc()
+				r.m.rec.Emit(metrics.EvTokenBucketExceed, r.m.label,
 					int64(p.Size), int64(r.Exceed), 0)
 				switch r.Exceed {
 				case ExceedDrop:
 					r.droppedPkts++
-					r.mDropped.Inc()
+					r.m.dropped.Inc()
 					return nil
 				case ExceedRemark:
 					r.remarked++
-					r.mRemarked.Inc()
+					r.m.remarked.Inc()
 					p.DSCP = netsim.DSCPBestEffort
 					return p
 				}
 			}
-			r.mConform.Inc()
+			r.m.conform.Inc()
 		}
 		p.DSCP = r.Mark
 		return p

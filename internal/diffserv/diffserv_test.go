@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mpichgq/internal/netsim"
+	"mpichgq/internal/quicktest"
 	"mpichgq/internal/sim"
 	"mpichgq/internal/units"
 )
@@ -98,7 +99,7 @@ func TestTokenBucketConservationProperty(t *testing.T) {
 		st := tb.Stats()
 		return ok && st.ConformPkts+st.ExceedPkts == offered
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -307,7 +308,7 @@ func TestPrioSchedulerInvariantProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }

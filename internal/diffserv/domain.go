@@ -18,6 +18,8 @@ type Domain struct {
 	k           *sim.Kernel
 	classifiers map[*netsim.Iface]*Classifier
 	efEnabled   map[*netsim.Iface]bool
+	// marks is the metric-handle cache the domain's classifiers share.
+	marks map[netsim.DSCP]*markMetrics
 }
 
 // NewDomain returns an empty domain on kernel k.
@@ -26,6 +28,7 @@ func NewDomain(k *sim.Kernel) *Domain {
 		k:           k,
 		classifiers: make(map[*netsim.Iface]*Classifier),
 		efEnabled:   make(map[*netsim.Iface]bool),
+		marks:       make(map[netsim.DSCP]*markMetrics),
 	}
 }
 
@@ -34,7 +37,7 @@ func NewDomain(k *sim.Kernel) *Domain {
 func (d *Domain) Classifier(ifc *netsim.Iface) *Classifier {
 	c := d.classifiers[ifc]
 	if c == nil {
-		c = NewClassifier(d.k)
+		c = &Classifier{k: d.k, marks: d.marks}
 		ifc.AddIngress(c)
 		d.classifiers[ifc] = c
 	}

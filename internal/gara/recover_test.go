@@ -8,6 +8,7 @@ import (
 
 	"mpichgq/internal/diffserv"
 	"mpichgq/internal/netsim"
+	"mpichgq/internal/quicktest"
 	"mpichgq/internal/sim"
 	"mpichgq/internal/units"
 )
@@ -170,7 +171,7 @@ func TestNetworkRMJournalReplayProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 20)); err != nil {
 		t.Fatal(err)
 	}
 }

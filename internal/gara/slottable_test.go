@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"mpichgq/internal/quicktest"
 	"mpichgq/internal/sim"
 )
 
@@ -267,7 +268,7 @@ func TestSlotTableNeverOversubscribedProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

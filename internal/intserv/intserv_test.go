@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mpichgq/internal/netsim"
+	"mpichgq/internal/quicktest"
 	"mpichgq/internal/sim"
 	"mpichgq/internal/units"
 )
@@ -149,7 +150,7 @@ func TestWFQConservationProperty(t *testing.T) {
 		}
 		return in == out && w.Len() == 0 && w.Bytes() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }

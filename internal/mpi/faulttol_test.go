@@ -1,7 +1,10 @@
 package mpi
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -340,5 +343,53 @@ func TestRankFailureChaosSoak(t *testing.T) {
 	// must end with an empty failed group.
 	if got := j.FailedRanks(); len(got) != 0 {
 		t.Fatalf("failed ranks at horizon: %v, want none", got)
+	}
+}
+
+// crashSendersDigest runs two ranks that each start eight child
+// processes, every child a 1 MB rendezvous send to the other rank,
+// which never posts a receive. Rank 1 crashes at 1 s: its own sends
+// fail through the crashing rank's cleanup, rank 0's through its
+// progress engine seeing the peer go down. The digest records when and
+// in what order each child's send returned, and with what error.
+func crashSendersDigest(t *testing.T) string {
+	t.Helper()
+	k, _, _, j := testJobNet(2, JobOptions{})
+	defer k.Close()
+	h := sha256.New()
+	j.Start(func(ctx *sim.Ctx, r *Rank) {
+		if r.Epoch() > 0 {
+			return
+		}
+		me := r.ID()
+		for c := 0; c < 8; c++ {
+			c := c
+			ctx.SpawnChild(fmt.Sprintf("r%d/send%d", me, c), func(ctx *sim.Ctx) {
+				err := r.Send(ctx, r.World(), 1-me, c, units.MB, nil)
+				fmt.Fprintf(h, "%d rank %d child %d: %v\n", ctx.Now(), me, c, err)
+			})
+		}
+		ctx.Sleep(5 * time.Second)
+	})
+	k.At(time.Second, sim.PrioNormal, func() { j.CrashRank(1) })
+	if err := k.RunUntil(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(h, "events %d\n", k.EventsRun())
+	for _, e := range k.Metrics().Events().Snapshot() {
+		fmt.Fprintf(h, "%d %d %s %s %d %d %d\n", e.Seq, e.At, e.Type, e.Subject, e.V1, e.V2, e.V3)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCrashWakesBlockedSendersInOrder: senders blocked on a crashing
+// peer's clear-to-send wake in the order they started, not in Go's map
+// order, so thirty repeats of one run give one digest.
+func TestCrashWakesBlockedSendersInOrder(t *testing.T) {
+	want := crashSendersDigest(t)
+	for i := 1; i < 30; i++ {
+		if got := crashSendersDigest(t); got != want {
+			t.Fatalf("repeat %d: digest %s, first run %s", i, got[:12], want[:12])
+		}
 	}
 }

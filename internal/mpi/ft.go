@@ -197,7 +197,7 @@ func (r *Rank) failAllLocal(err error) {
 		p.wake(r.job.k)
 	}
 	r.posted = nil
-	for _, s := range r.rdvPending {
+	for _, s := range r.pendingSends() {
 		if !s.cts {
 			s.err = err
 			s.cond.Broadcast()

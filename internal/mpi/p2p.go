@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"mpichgq/internal/globusio"
@@ -140,7 +141,7 @@ func (r *Rank) peerDown(peer int, conn *globusio.IO) {
 		kept = append(kept, p)
 	}
 	r.posted = kept
-	for _, s := range r.rdvPending {
+	for _, s := range r.pendingSends() {
 		if s.peer == peer && !s.cts {
 			s.err = err
 			s.cond.Broadcast()
@@ -168,6 +169,22 @@ type rdvSend struct {
 	cond *sim.Cond
 	cts  bool
 	err  error
+}
+
+// pendingSends returns the rendezvous sends awaiting CTS in the order
+// they started, so that failing them wakes their senders in that
+// order rather than in Go's map order.
+func (r *Rank) pendingSends() []*rdvSend {
+	seqs := make([]uint64, 0, len(r.rdvPending))
+	for seq := range r.rdvPending {
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	sends := make([]*rdvSend, len(seqs))
+	for i, seq := range seqs {
+		sends[i] = r.rdvPending[seq]
+	}
+	return sends
 }
 
 // handleWire is the per-peer progress engine's step for one message

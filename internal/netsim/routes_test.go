@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"mpichgq/internal/quicktest"
 	"mpichgq/internal/sim"
 	"mpichgq/internal/units"
 )
@@ -55,7 +56,7 @@ func TestComputeRoutesConnectivityProperty(t *testing.T) {
 		}
 		return got
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,7 +114,7 @@ func TestConservationUnderLossProperty(t *testing.T) {
 		}
 		return rx <= tx
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

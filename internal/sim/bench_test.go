@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -218,6 +219,53 @@ func BenchmarkCondAwait(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCondBroadcast measures one Broadcast and the wakeups it
+// delivers: an event broadcasts, and every woken waiter queues itself
+// again. With 64 waiters the wakeups go through the kernel's herd
+// line, with one through an ordinary event; wakeup/op is the cost of
+// one wakeup. The waiter variant wakes Waiters' callbacks, the proc
+// variant processes looping on Wait.
+func BenchmarkCondBroadcast(b *testing.B) {
+	for _, n := range []int{1, 64} {
+		for _, waiter := range []bool{true, false} {
+			name := fmt.Sprintf("waiters=%d/proc", n)
+			if waiter {
+				name = fmt.Sprintf("waiters=%d/waiter", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				k := New(1)
+				defer k.Close()
+				c := NewCond(k)
+				for i := 0; i < n; i++ {
+					if waiter {
+						var w *Waiter
+						w = k.NewWaiter(func() { c.Await(w) })
+						c.Await(w)
+					} else {
+						k.Spawn("waiter", func(ctx *Ctx) {
+							for {
+								c.Wait(ctx)
+							}
+						})
+					}
+				}
+				if err := k.Run(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.Broadcast()
+					if err := k.Run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/wakeup")
+			})
+		}
 	}
 }
 

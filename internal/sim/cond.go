@@ -165,10 +165,26 @@ func (c *Cond) Signal() bool {
 	return true
 }
 
-// Broadcast wakes all waiting processes.
+// Broadcast wakes all waiting processes, in FIFO order. Two or more
+// wakeups go on the kernel's herd line rather than into the event heap
+// one by one: each keeps the key, order and event count that Signal
+// would have given it, but the heap holds only the first. A lone
+// waiter is woken by Signal, as an ordinary event, because one wakeup
+// through a line costs more than one through the heap.
 func (c *Cond) Broadcast() {
-	for c.Signal() {
+	if c.Waiting() < 2 {
+		c.Signal()
+		return
 	}
+	k := c.k
+	if k.herd == nil {
+		k.herd = k.NewLine(PrioNormal)
+	}
+	for i := c.head; i < len(c.waiters); i++ {
+		k.herd.AfterFunc(0, stepProc, k, c.waiters[i])
+	}
+	clear(c.waiters[c.head:])
+	c.waiters, c.head = c.waiters[:0], 0
 }
 
 // Waiting returns the number of processes and Waiters currently

@@ -51,8 +51,11 @@
 // scheduled, such as packet arrivals at the far end of a fixed-delay
 // link, go on a delay line (Kernel.NewLine): a FIFO of which only the
 // head sits in the heap, under the same (time, priority, sequence) key
-// it would have had as an ordinary event. See docs/performance.md for
-// the hot-path inventory.
+// it would have had as an ordinary event. A Broadcast that wakes two or
+// more waiters is such a run of events too, all at the current instant
+// and in queue order, so it goes on a line the kernel keeps for herds;
+// a lone wakeup stays an ordinary event, which is cheaper for one. See
+// docs/performance.md for the hot-path inventory.
 package sim
 
 import (
@@ -213,7 +216,10 @@ type Kernel struct {
 	cur *Proc
 	// lined counts the callbacks queued on delay lines behind their
 	// armed heads.
-	lined   int
+	lined int
+	// herd is the delay line of Cond.Broadcast's wakeups, made on the
+	// first broadcast that wakes two or more.
+	herd    *Line
 	stopped bool
 	// closed is set by Close; a waiter woken after it does not run.
 	closed  bool

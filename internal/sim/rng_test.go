@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"mpichgq/internal/quicktest"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -122,7 +124,7 @@ func TestRNGPermIsPermutation(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

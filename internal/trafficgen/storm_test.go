@@ -95,9 +95,12 @@ func (r *stormRig) leaked() float64 {
 }
 
 // runStormSoak drives one full chaos soak — an admission storm at 5x
-// capacity under rolling control-channel loss and a crash/restart mid
-// storm — and returns the storm's stats for determinism comparison.
-func runStormSoak(t *testing.T, seed int64) *StormStats {
+// capacity under rolling control-channel loss and duplication and a
+// crash/restart mid storm — and returns its rig once every window has
+// lapsed. CtrlLoss reaches only the domain's primary stub, which the
+// storm does not use, so the storm's own tenant stubs are impaired
+// directly for the same 12 s.
+func runStormSoak(t *testing.T, seed int64) *stormRig {
 	t.Helper()
 	r := newStormRig(seed, 500, true, 12*time.Second)
 	sc := faults.NewScenario("admission-storm-soak").
@@ -107,34 +110,47 @@ func runStormSoak(t *testing.T, seed int64) *StormStats {
 	if _, err := sc.ApplyWith(r.net, r.plane); err != nil {
 		t.Fatal(err)
 	}
+	impair := func(loss, dup float64) {
+		for _, c := range r.storm.Conns {
+			req, rep := c.Chans()
+			for _, ch := range []*ctrlplane.Chan{req, rep} {
+				ch.SetLoss(loss)
+				ch.SetDup(dup)
+			}
+		}
+	}
+	impair(0.2, 0.05)
+	r.k.At(12*time.Second, sim.PrioNormal, func() { impair(0, 0) })
 	r.storm.Run(r.k)
 	// Past storm stop + call deadline + the 2s reservation window, the
 	// links must be clean again.
 	if err := r.k.RunUntil(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	return r.storm.Stats()
+	return r
 }
 
 // TestAdmissionStormChaosSoak slams one admission-controlled domain at
-// 5x capacity while the control channel drops 20% of messages and the
-// server crashes and restarts mid-storm. The invariants: requests keep
-// succeeding, overload sheds actually happen, nothing stays booked once
-// every window lapses, and the admission queue drains to idle.
+// 5x capacity while the control channels drop 20% of messages and
+// duplicate 5%, and the server crashes and restarts mid-storm. The
+// invariants: the loss reaches the storm's messages, requests keep
+// succeeding, overload sheds actually happen, nothing stays booked
+// once every window lapses, and the admission queue drains to idle.
 func TestAdmissionStormChaosSoak(t *testing.T) {
-	r := newStormRig(21, 500, true, 12*time.Second)
-	sc := faults.NewScenario("admission-storm-soak").
-		CtrlLoss("dom", 0, 12*time.Second, 0.2).
-		CtrlCrash(5*time.Second, "dom").
-		CtrlRestart(6*time.Second, "dom")
-	if _, err := sc.ApplyWith(r.net, r.plane); err != nil {
-		t.Fatal(err)
-	}
-	r.storm.Run(r.k)
-	if err := r.k.RunUntil(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	r := runStormSoak(t, 21)
 	st := r.storm.Stats()
+	reg := r.k.Metrics()
+	for _, tenant := range []string{"t0", "t1"} {
+		for _, leg := range []string{"req", "rep"} {
+			ch := "dom/" + tenant + "/" + leg
+			if v, _ := reg.CounterValue("ctrl_msgs_dropped_total", "chan", ch); v == 0 {
+				t.Errorf("no message dropped on storm channel %s", ch)
+			}
+			if v, _ := reg.CounterValue("ctrl_msgs_duplicated_total", "chan", ch); v == 0 {
+				t.Errorf("no message duplicated on storm channel %s", ch)
+			}
+		}
+	}
 	if st.OK == 0 {
 		t.Fatal("soak admitted nothing at all")
 	}
@@ -153,7 +169,6 @@ func TestAdmissionStormChaosSoak(t *testing.T) {
 	}
 	// The crash must have wiped the queue visibly: every queued request
 	// at crash time counts as a shed with reason "crash".
-	reg := r.k.Metrics()
 	if v, ok := reg.CounterValue("admission_shed_total", "rm", "dom", "reason", "crash"); !ok || v == 0 {
 		t.Error("server crash mid-storm wiped no queued requests")
 	}
@@ -165,8 +180,8 @@ func TestAdmissionStormChaosSoak(t *testing.T) {
 // twice from one seed: the storm's client-visible stats — counts and
 // every individual latency — must match exactly.
 func TestAdmissionStormSoakDeterministic(t *testing.T) {
-	a := runStormSoak(t, 77)
-	b := runStormSoak(t, 77)
+	a := runStormSoak(t, 77).storm.Stats()
+	b := runStormSoak(t, 77).storm.Stats()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different storms:\n a=%+v\n b=%+v", a, b)
 	}

@@ -44,8 +44,10 @@ func (r BitRate) String() string {
 	}
 }
 
-// TimeToSend returns the serialization time for n bytes at rate r.
-// A zero or negative rate is treated as infinitely fast.
+// TimeToSend returns the serialization time for n bytes at rate r,
+// truncated to a whole nanosecond: the exact time lies in [d, d+1ns],
+// so RateOf(n, d) can read slightly above r for a short transfer. A
+// zero or negative rate is treated as infinitely fast.
 func (r BitRate) TimeToSend(n ByteSize) time.Duration {
 	if r <= 0 {
 		return 0

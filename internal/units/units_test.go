@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"mpichgq/internal/quicktest"
 )
 
 func TestBitRateString(t *testing.T) {
@@ -87,7 +89,14 @@ func TestKbitConstant(t *testing.T) {
 	}
 }
 
-// TimeToSend and RateOf are inverse operations (up to rounding).
+// TimeToSend truncates to a whole nanosecond, so the true transfer
+// time lies between d and d+1ns: the rate of the transfer over d is at
+// least the input rate, and over d+1ns at most. The rates are compared
+// exactly, by cross-multiplying integers (size×8×1e9 is below 2^63 for
+// every generated input), because RateOf's float division can miss
+// the bound by an ulp. The upper end is inclusive: when the true time
+// is a whole number of nanoseconds, the float quotient can fall just
+// below it and truncate one nanosecond short.
 func TestTimeToSendRateOfRoundTrip(t *testing.T) {
 	f := func(kb uint16, mbps uint8) bool {
 		if kb == 0 || mbps == 0 {
@@ -96,10 +105,11 @@ func TestTimeToSendRateOfRoundTrip(t *testing.T) {
 		size := ByteSize(kb) * KB
 		rate := BitRate(mbps) * Mbps
 		d := rate.TimeToSend(size)
-		back := RateOf(size, d)
-		return math.Abs(float64(back)-float64(rate)) < float64(rate)*1e-6
+		bitNS := uint64(size.Bits()) * uint64(time.Second)
+		r := uint64(rate)
+		return uint64(d)*r <= bitNS && bitNS <= uint64(d+1)*r
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,7 +125,7 @@ func TestBytesInMonotone(t *testing.T) {
 		}
 		return r.BytesIn(da) <= r.BytesIn(db)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quicktest.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
