@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-json test-analysis test test-short test-chaos bench bench-micro smoke-gqd results figures examples clean
+.PHONY: all build vet fmt-check lint lint-json test-analysis test test-short test-chaos fuzz-smoke bench bench-micro smoke-gqd results figures examples clean
 
 all: build vet lint test
 
@@ -67,6 +67,14 @@ test-chaos:
 		-timeout 900s
 	$(GO) test -race -count=5 -run 'LineDifferential|ServeDifferential|AwaitDifferential|IrecvDifferential|StormDifferential' \
 		./internal/sim/ ./internal/netsim/ ./internal/globusio/ ./internal/mpi/ ./internal/trafficgen/ -timeout 900s
+
+# Ten seconds of the native fuzz target over metrics.LoadSnapshot,
+# starting from its committed corpus (internal/metrics/testdata/fuzz/).
+# Minimizing a new input is capped at 1 s: the corpus holds a 26 KB
+# snapshot, and the default 60 s would spend the whole run shrinking
+# it. The corpus seeds also run as ordinary tests under `make test`.
+fuzz-smoke:
+	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # One pass of every figure and ablation benchmark. Performance claims
 # cite the repo benchmark, BENCHMARK.json, run by bench/run.sh and

@@ -223,14 +223,14 @@ func eventsCmd(args []string) {
 	scenario(tb)
 	must(tb.K.RunUntil(*until))
 	rec := tb.K.Metrics().Events()
-	rows := metrics.FilterEvents(rec.Snapshot(), f)
+	rows := rec.Query(f)
 	t := trace.Table{Headers: []string{"seq", "t", "type", "subject", "v1", "v2", "v3"}}
 	for _, e := range rows {
 		t.Add(fmt.Sprint(e.Seq), e.At.String(), e.Type.String(), e.Subject,
 			fmt.Sprint(e.V1), fmt.Sprint(e.V2), fmt.Sprint(e.V3))
 	}
 	fmt.Print(t.String())
-	if dropped := rec.Overwritten(); dropped > 0 {
+	if dropped := rec.Dropped(); dropped > 0 {
 		fmt.Printf("(%d older events overwritten; ring capacity %d)\n", dropped, rec.Capacity())
 	}
 }

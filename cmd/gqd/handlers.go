@@ -17,10 +17,11 @@ import (
 
 // daemon owns the scenario kernel and serves its observability state.
 // mu serializes every touch of live kernel state: the stepper holds it
-// while advancing virtual time, and /metrics, /events, and /healthz
-// hold it while reading (the metrics registry resolves GaugeFunc
-// closures against live simulation objects). /traces reads only the
-// tracer's completed-span ring, which carries its own lock.
+// while advancing virtual time, and /metrics and /healthz hold it
+// while reading (the metrics registry resolves GaugeFunc closures
+// against live simulation objects). /traces and /events read only the
+// tracer's completed-span ring and the flight recorder, which carry
+// their own locks.
 type daemon struct {
 	scenario string
 	dur      time.Duration
@@ -226,17 +227,6 @@ func (d *daemon) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// eventJSON is the /events wire format for one flight-recorder record.
-type eventJSON struct {
-	Seq     uint64 `json:"seq"`
-	AtNS    int64  `json:"at_ns"`
-	Type    string `json:"type"`
-	Subject string `json:"subject,omitempty"`
-	V1      int64  `json:"v1"`
-	V2      int64  `json:"v2"`
-	V3      int64  `json:"v3"`
-}
-
 // handleEvents tails the flight recorder. Parameters: type (wire name,
 // e.g. ctrl.rpc), subject, since (virtual duration), n (last N,
 // default 250).
@@ -267,16 +257,10 @@ func (d *daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		f.Last = n
 	}
-	d.mu.Lock()
-	evs := d.k.Metrics().Events().Snapshot()
-	d.mu.Unlock()
-	evs = metrics.FilterEvents(evs, f)
-	out := make([]eventJSON, 0, len(evs))
+	evs := d.k.Metrics().Events().Query(f)
+	out := make([]metrics.EventSnapshot, 0, len(evs))
 	for _, e := range evs {
-		out = append(out, eventJSON{
-			Seq: e.Seq, AtNS: e.At.Nanoseconds(), Type: e.Type.String(),
-			Subject: e.Subject, V1: e.V1, V2: e.V2, V3: e.V3,
-		})
+		out = append(out, e.Snapshot())
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(out)

@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"time"
 
-	gq "mpichgq/internal/core"
 	"mpichgq/internal/ctrlplane"
 	"mpichgq/internal/diffserv"
+	"mpichgq/internal/experiments"
 	"mpichgq/internal/faults"
 	"mpichgq/internal/gara"
 	"mpichgq/internal/garnet"
-	"mpichgq/internal/mpi"
 	"mpichgq/internal/netsim"
 	"mpichgq/internal/sim"
-	"mpichgq/internal/tcpsim"
 	"mpichgq/internal/trafficgen"
 	"mpichgq/internal/units"
 )
@@ -39,56 +37,16 @@ func buildScenario(name string, seed int64, dur time.Duration) (*sim.Kernel, fun
 	}
 }
 
-// fig5Scenario is the figure 5 workload, live: an MPI ping-pong pair
-// with a premium reservation on the GARNET testbed under heavy UDP
-// contention. It exercises GARA admission, diffserv policing, and the
-// TCP stack, so /metrics shows live throughput and /traces carries
-// gara.* and tcp.* spans.
+// fig5Scenario is one Figure 5 point, live: an MPI ping-pong of 40 Kb
+// messages with an 8 Mb/s premium reservation on the GARNET testbed
+// under heavy UDP contention. It exercises GARA admission, diffserv
+// policing, and the TCP stack, so /metrics shows live throughput and
+// /traces carries gara.* and tcp.* spans.
 func fig5Scenario(seed int64, dur time.Duration) *sim.Kernel {
 	tb := garnet.New(seed)
 	tb.K.Tracer().SetCapacity(traceCapacity)
 	tb.K.Tracer().SetEnabled(true)
-
-	b := &trafficgen.UDPBlaster{
-		Rate:       160 * units.Mbps,
-		PacketSize: 1000,
-		Jitter:     0.1,
-	}
-	if err := b.Run(tb.CompSrc, tb.CompDst, 9000); err != nil {
-		panic(err)
-	}
-
-	job := tb.NewMPIPair(tcpsim.DefaultOptions(), mpi.JobOptions{})
-	agent := gq.NewAgent(tb.Gara, job)
-	msgSize := 40 * units.Kbit
-	job.Start(func(ctx *sim.Ctx, r *mpi.Rank) {
-		pc, err := r.PairComm(ctx, 1-r.ID())
-		if err != nil {
-			panic(err)
-		}
-		attr := &gq.QosAttribute{Class: gq.Premium, Bandwidth: 8 * units.Mbps}
-		if err := r.AttrPut(pc, agent.Keyval(), attr); err != nil {
-			panic(fmt.Sprintf("gqd fig5 reservation: %v", err))
-		}
-		peer := 1 - r.RankIn(pc)
-		for ctx.Now() < dur {
-			if r.ID() == 0 {
-				if err := r.Send(ctx, pc, peer, 0, msgSize, nil); err != nil {
-					return
-				}
-				if _, err := r.Recv(ctx, pc, peer, 0); err != nil {
-					return
-				}
-			} else {
-				if _, err := r.Recv(ctx, pc, peer, 0); err != nil {
-					return
-				}
-				if err := r.Send(ctx, pc, peer, 0, msgSize, nil); err != nil {
-					return
-				}
-			}
-		}
-	})
+	experiments.StartPingPong(experiments.Config{}, tb, 40*units.Kbit, 8*units.Mbps, true, dur)
 	return tb.K
 }
 

@@ -13,12 +13,8 @@ import (
 	"fmt"
 	"time"
 
-	gq "mpichgq/internal/core"
+	"mpichgq/internal/experiments"
 	"mpichgq/internal/garnet"
-	"mpichgq/internal/mpi"
-	"mpichgq/internal/sim"
-	"mpichgq/internal/tcpsim"
-	"mpichgq/internal/trafficgen"
 	"mpichgq/internal/units"
 )
 
@@ -35,10 +31,7 @@ func main() {
 	if *sweep {
 		fmt.Printf("ping-pong sweep: %d Kb messages, contention=%v\n", *msgKb, *contend)
 		fmt.Printf("%-14s %s\n", "reservation", "one-way throughput")
-		for _, rsv := range []units.BitRate{
-			500 * units.Kbps, units.Mbps, 2 * units.Mbps, 4 * units.Mbps,
-			8 * units.Mbps, 16 * units.Mbps, 32 * units.Mbps, 48 * units.Mbps,
-		} {
+		for _, rsv := range experiments.Figure5Reservations {
 			tput := run(*seed, size, rsv, *contend, *dur)
 			fmt.Printf("%-14v %v\n", rsv, tput)
 		}
@@ -52,49 +45,10 @@ func main() {
 
 func run(seed int64, size units.ByteSize, rsv units.BitRate, contend bool, dur time.Duration) units.BitRate {
 	tb := garnet.New(seed)
-	if contend {
-		bl := &trafficgen.UDPBlaster{Rate: 160 * units.Mbps, Jitter: 0.1}
-		if err := bl.Run(tb.CompSrc, tb.CompDst, 9000); err != nil {
-			panic(err)
-		}
-	}
-	job := tb.NewMPIPair(tcpsim.DefaultOptions(), mpi.JobOptions{})
-	agent := gq.NewAgent(tb.Gara, job)
-	agent.OverheadFactor = 1.0 // the -reserve flag is the raw network value
-	var oneWay units.ByteSize
-	job.Start(func(ctx *sim.Ctx, r *mpi.Rank) {
-		pc, err := r.PairComm(ctx, 1-r.ID())
-		if err != nil {
-			panic(err)
-		}
-		if rsv > 0 {
-			attr := &gq.QosAttribute{Class: gq.Premium, Bandwidth: rsv}
-			if err := r.AttrPut(pc, agent.Keyval(), attr); err != nil {
-				panic(err)
-			}
-		}
-		peer := 1 - r.RankIn(pc)
-		for ctx.Now() < dur {
-			if r.ID() == 0 {
-				if err := r.Send(ctx, pc, peer, 0, size, nil); err != nil {
-					return
-				}
-				if _, err := r.Recv(ctx, pc, peer, 0); err != nil {
-					return
-				}
-				oneWay += size
-			} else {
-				if _, err := r.Recv(ctx, pc, peer, 0); err != nil {
-					return
-				}
-				if err := r.Send(ctx, pc, peer, 0, size, nil); err != nil {
-					return
-				}
-			}
-		}
-	})
+	defer tb.Close()
+	p := experiments.StartPingPong(experiments.Config{}, tb, size, rsv, contend, dur)
 	if err := tb.K.RunUntil(dur); err != nil {
 		panic(err)
 	}
-	return units.RateOf(oneWay, dur)
+	return p.Result().Throughput
 }

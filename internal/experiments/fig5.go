@@ -87,9 +87,7 @@ func RunFigure5(cfg Config) Figure5Result {
 	}
 	points := Sweep(cfg.Parallel, len(jobs), func(i int) PingPongPoint {
 		j := jobs[i]
-		p := pingPongThroughput(cfg, i, j.size, j.rsv, j.contended, dur)
-		p.Reservation = j.rsv
-		return p
+		return pingPongThroughput(cfg, i, j.size, j.rsv, j.contended, dur)
 	})
 	for i, j := range jobs {
 		if j.contended {
@@ -102,26 +100,43 @@ func RunFigure5(cfg Config) Figure5Result {
 }
 
 // pingPongThroughput measures one-way ping-pong throughput for one
-// (message size, reservation) point. reservation 0 = best effort.
-//
-// One-way goodput is read from the metrics layer rather than counted
-// by hand: rank 0 receives exactly one msgSize reply per completed
-// round trip, so the delta of its mpi_recv_bytes_total counter on the
-// pair comm over the measurement window is the one-way byte count.
+// (message size, reservation) point on a fresh testbed.
 func pingPongThroughput(cfg Config, pid int, msgSize units.ByteSize, reservation units.BitRate, contended bool, dur time.Duration) PingPongPoint {
 	tb := garnet.New(cfg.Seed)
 	defer tb.Close()
 	cfg.enableTrace(tb.K)
+	p := StartPingPong(cfg, tb, msgSize, reservation, contended, dur)
+	if err := tb.K.RunUntil(dur); err != nil {
+		panic(fmt.Sprintf("experiments: figure 5: %v", err))
+	}
+	cfg.collectTrace(tb.K, pid, fmt.Sprintf("fig5 msg=%dKb rsv=%.0fKb/s", msgSize.Bits()/1000, reservation.Kbps()))
+	return p.Result()
+}
+
+// PingPong is one Figure 5 point running on a testbed.
+type PingPong struct {
+	tb          *garnet.Testbed
+	reservation units.BitRate
+	dur         time.Duration
+	recvBytes   *metrics.Counter
+	baseline    int64
+}
+
+// StartPingPong builds one Figure 5 point on tb: the contention
+// generator (packet-level or fluid per cfg) when contended, and an MPI
+// pair on the premium hosts that ping-pongs msgSize messages until dur
+// under a premium reservation of that one-way bandwidth (0 = best
+// effort). Run tb's kernel to dur, then read the point with Result.
+func StartPingPong(cfg Config, tb *garnet.Testbed, msgSize units.ByteSize, reservation units.BitRate, contended bool, dur time.Duration) *PingPong {
 	if contended {
 		cfg.blast(tb, 0, 0)
 	}
+	p := &PingPong{tb: tb, reservation: reservation, dur: dur}
 	job := tb.NewMPIPair(tcpsim.DefaultOptions(), mpi.JobOptions{})
 	agent := gq.NewAgent(tb.Gara, job)
 	// The x-axis of Figure 5 is the raw network reservation, so
 	// disable the agent's overhead scaling for this experiment.
 	agent.OverheadFactor = 1.0
-	var recvBytes *metrics.Counter
-	var baseline int64
 	job.Start(func(ctx *sim.Ctx, r *mpi.Rank) {
 		pc, err := r.PairComm(ctx, 1-r.ID())
 		if err != nil {
@@ -141,8 +156,8 @@ func pingPongThroughput(cfg Config, pid int, msgSize units.ByteSize, reservation
 		if r.ID() == 0 {
 			// Sample the baseline here so the PairComm handshake (and
 			// any setup traffic) is excluded from the measurement.
-			recvBytes = r.RecvBytesCounter(pc)
-			baseline = recvBytes.Value()
+			p.recvBytes = r.RecvBytesCounter(pc)
+			p.baseline = p.recvBytes.Value()
 		}
 		for ctx.Now() < dur {
 			if r.ID() == 0 {
@@ -162,22 +177,29 @@ func pingPongThroughput(cfg Config, pid int, msgSize units.ByteSize, reservation
 			}
 		}
 	})
-	if err := tb.K.RunUntil(dur); err != nil {
-		panic(fmt.Sprintf("experiments: figure 5: %v", err))
-	}
+	return p
+}
+
+// Result reads the point once its kernel has run to dur.
+//
+// One-way goodput is read from the metrics layer rather than counted
+// by hand: rank 0 receives exactly one msgSize reply per completed
+// round trip, so the delta of its mpi_recv_bytes_total counter on the
+// pair comm over the measurement window is the one-way byte count.
+func (p *PingPong) Result() PingPongPoint {
 	var oneWayBytes units.ByteSize
-	if recvBytes != nil {
-		oneWayBytes = units.ByteSize(recvBytes.Value() - baseline)
+	if p.recvBytes != nil {
+		oneWayBytes = units.ByteSize(p.recvBytes.Value() - p.baseline)
 	}
-	cfg.collectTrace(tb.K, pid, fmt.Sprintf("fig5 msg=%dKb rsv=%.0fKb/s", msgSize.Bits()/1000, reservation.Kbps()))
-	reg := tb.K.Metrics()
+	reg := p.tb.K.Metrics()
 	conform, _ := reg.CounterValue("diffserv_conform_packets_total", "dscp", "EF")
 	exceed, _ := reg.CounterValue("diffserv_exceed_packets_total", "dscp", "EF")
 	dropped, _ := reg.CounterValue("diffserv_police_drops_total", "dscp", "EF")
 	return PingPongPoint{
-		Throughput: units.RateOf(oneWayBytes, dur),
-		Conform:    conform, Exceed: exceed, Dropped: dropped,
-		Events: tb.K.EventsRun(),
+		Reservation: p.reservation,
+		Throughput:  units.RateOf(oneWayBytes, p.dur),
+		Conform:     conform, Exceed: exceed, Dropped: dropped,
+		Events: p.tb.K.EventsRun(),
 	}
 }
 

@@ -160,12 +160,9 @@ func (r *Registry) TakeSnapshot() Snapshot {
 		s.Metrics = append(s.Metrics, ms)
 	}
 	for _, ev := range r.events.Snapshot() {
-		s.Events = append(s.Events, EventSnapshot{
-			Seq: ev.Seq, AtNs: int64(ev.At), Type: ev.Type.String(),
-			Subject: ev.Subject, V1: ev.V1, V2: ev.V2, V3: ev.V3,
-		})
+		s.Events = append(s.Events, ev.Snapshot())
 	}
-	s.EventsOverwritten = r.events.Overwritten()
+	s.EventsOverwritten = r.events.Dropped()
 	return s
 }
 

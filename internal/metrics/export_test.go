@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -137,8 +138,8 @@ func TestSnapshotUnderConcurrentWrites(t *testing.T) {
 	}
 }
 
-// TestFilterEvents covers the shared tail-query filter behind
-// gqctl events and gqd /events.
+// TestFilterEvents covers the shared tail query behind gqctl events
+// and gqd /events.
 func TestFilterEvents(t *testing.T) {
 	now := time.Duration(0)
 	r := New(testClock(&now))
@@ -151,28 +152,55 @@ func TestFilterEvents(t *testing.T) {
 		}
 		rec.Emit(typ, subj, int64(i), 0, 0)
 	}
-	all := rec.Snapshot()
 
-	if got := FilterEvents(all, EventFilter{}); len(got) != 10 {
+	if got := rec.Query(EventFilter{}); len(got) != 10 {
 		t.Fatalf("zero filter kept %d of 10", len(got))
 	}
-	if got := FilterEvents(all, EventFilter{Type: EvTCPRetransmit}); len(got) != 5 || got[0].Subject != "b" {
+	if got := rec.Query(EventFilter{Type: EvTCPRetransmit}); len(got) != 5 || got[0].Subject != "b" {
 		t.Fatalf("type filter = %+v", got)
 	}
-	if got := FilterEvents(all, EventFilter{Subject: "a"}); len(got) != 5 || got[0].V1 != 0 {
+	if got := rec.Query(EventFilter{Subject: "a"}); len(got) != 5 || got[0].V1 != 0 {
 		t.Fatalf("subject filter = %+v", got)
 	}
-	if got := FilterEvents(all, EventFilter{Since: 7 * time.Second}); len(got) != 3 || got[0].V1 != 7 {
+	if got := rec.Query(EventFilter{Since: 7 * time.Second}); len(got) != 3 || got[0].V1 != 7 {
 		t.Fatalf("since filter = %+v", got)
 	}
-	got := FilterEvents(all, EventFilter{Type: EvTCPSegment, Since: 3 * time.Second, Last: 2})
+	got := rec.Query(EventFilter{Type: EvTCPSegment, Since: 3 * time.Second, Last: 2})
 	if len(got) != 2 || got[0].V1 != 6 || got[1].V1 != 8 {
 		t.Fatalf("combined filter = %+v", got)
 	}
-	if got := FilterEvents(all, EventFilter{Subject: "nope"}); len(got) != 0 {
+	if got := rec.Query(EventFilter{Subject: "nope"}); len(got) != 0 {
 		t.Fatalf("non-matching filter kept %d events", len(got))
 	}
-	if got := FilterEvents(all, EventFilter{Last: 3}); len(got) != 3 || got[0].V1 != 7 {
+	if got := rec.Query(EventFilter{Last: 3}); len(got) != 3 || got[0].V1 != 7 {
 		t.Fatalf("last filter = %+v", got)
 	}
+}
+
+// FuzzLoadSnapshot feeds LoadSnapshot arbitrary bytes. It must never
+// panic, and a snapshot it accepts must re-encode to JSON that loads
+// again and encodes the same: the replay tools (dvis -from) can write
+// back what they read.
+func FuzzLoadSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := LoadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		s.Span()
+		s.Metric("tcp_rtt_seconds", "node", "prem-src")
+		s.EventsOfType("mpi-recv")
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("loaded snapshot does not re-encode: %v", err)
+		}
+		back, err := LoadSnapshot(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not load: %v\n%s", err, enc)
+		}
+		again, err := json.Marshal(back)
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("snapshot changed across a reload (err %v):\n%s\n%s", err, enc, again)
+		}
+	})
 }

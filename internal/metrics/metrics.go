@@ -1,8 +1,10 @@
 // Package metrics is the observability layer shared by every
 // simulated subsystem: a registry of counters, gauges, and
-// fixed-bucket histograms with cheap label support, plus a
-// ring-buffer flight recorder of structured events timestamped with
-// sim-kernel time (see recorder.go).
+// fixed-bucket histograms with cheap label support, plus a flight
+// recorder of structured events timestamped with sim-kernel time
+// (recorder.go). The recorder keeps its events in a Ring (ring.go),
+// the overwrite-oldest record ring the spans package also keeps its
+// completed spans in.
 //
 // Handles are resolved once at setup time (Registry.Counter et al.
 // deduplicate by name + label set, so two subsystems asking for the
@@ -193,7 +195,7 @@ func New(clock func() time.Duration) *Registry {
 	return &Registry{
 		clock:  clock,
 		byKey:  make(map[string]*entry),
-		events: newRecorder(clock, DefaultRecorderCapacity),
+		events: &Recorder{Ring: Ring[Event]{buf: make([]Event, DefaultRecorderCapacity)}, clock: clock},
 	}
 }
 

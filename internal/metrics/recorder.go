@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // EventType identifies a flight-recorder event.
 type EventType uint8
@@ -182,23 +179,26 @@ type Event struct {
 	V1, V2, V3 int64
 }
 
+// Snapshot converts the event to its JSON export form — the record
+// TakeSnapshot writes and gqd /events serves.
+func (e Event) Snapshot() EventSnapshot {
+	return EventSnapshot{
+		Seq: e.Seq, AtNs: int64(e.At), Type: e.Type.String(),
+		Subject: e.Subject, V1: e.V1, V2: e.V2, V3: e.V3,
+	}
+}
+
 // DefaultRecorderCapacity is the ring size a fresh Registry starts
 // with. Long experiment runs raise it via SetCapacity.
 const DefaultRecorderCapacity = 16384
 
-// Recorder is a fixed-capacity ring buffer of Events. Emit is
-// allocation-free; when the ring is full the oldest events are
-// overwritten (Overwritten reports how many).
+// Recorder is the flight recorder: a Ring of Events, each stamped with
+// its ring sequence number as Seq. Emit is allocation-free; when the
+// ring is full the oldest events are overwritten (Dropped reports how
+// many).
 type Recorder struct {
-	mu    sync.Mutex
+	Ring[Event]
 	clock func() time.Duration
-	buf   []Event
-	next  uint64 // total events ever emitted
-	first uint64 // seq of the oldest retained event
-}
-
-func newRecorder(clock func() time.Duration, capacity int) *Recorder {
-	return &Recorder{clock: clock, buf: make([]Event, capacity)}
 }
 
 // Emit appends an event stamped with the current sim time. subject
@@ -207,90 +207,11 @@ func newRecorder(clock func() time.Duration, capacity int) *Recorder {
 func (r *Recorder) Emit(t EventType, subject string, v1, v2, v3 int64) {
 	now := r.clock()
 	r.mu.Lock()
-	if r.next-r.first == uint64(len(r.buf)) {
-		r.first++ // overwrite the oldest
+	seq := r.next
+	*r.slot() = Event{
+		Seq: seq, At: now, Type: t, Subject: subject, V1: v1, V2: v2, V3: v3,
 	}
-	r.buf[r.next%uint64(len(r.buf))] = Event{
-		Seq: r.next, At: now, Type: t, Subject: subject, V1: v1, V2: v2, V3: v3,
-	}
-	r.next++
 	r.mu.Unlock()
-}
-
-// Seq returns the number of events emitted so far — i.e. the Seq the
-// next event will carry. Capture it before a run and pass it to
-// Since to scope a query to that run.
-func (r *Recorder) Seq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
-}
-
-// Len returns how many events the ring currently retains.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return int(r.next - r.first)
-}
-
-// Capacity returns the ring size.
-func (r *Recorder) Capacity() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// Overwritten returns how many events have been evicted by
-// wraparound.
-func (r *Recorder) Overwritten() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.first
-}
-
-// SetCapacity resizes the ring, retaining the most recent events.
-func (r *Recorder) SetCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.retained()
-	r.buf = make([]Event, n)
-	if len(old) > n {
-		old = old[len(old)-n:]
-	}
-	for _, e := range old {
-		r.buf[e.Seq%uint64(n)] = e
-	}
-	r.first = r.next - uint64(len(old))
-}
-
-// retained returns the live events oldest-first. Caller holds mu.
-func (r *Recorder) retained() []Event {
-	out := make([]Event, 0, r.next-r.first)
-	for i := r.first; i < r.next; i++ {
-		out = append(out, r.buf[i%uint64(len(r.buf))])
-	}
-	return out
-}
-
-// Snapshot returns every retained event, oldest first.
-func (r *Recorder) Snapshot() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retained()
-}
-
-// Since returns retained events with Seq >= seq, oldest first. If
-// older events matching seq were already overwritten they are
-// silently absent — size the ring (SetCapacity) for the run.
-func (r *Recorder) Since(seq uint64) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	all := r.retained()
-	i := sortSearchEvents(all, seq)
-	return all[i:]
 }
 
 // EventFilter selects flight-recorder events for tail-style queries
@@ -307,38 +228,13 @@ type EventFilter struct {
 	Last int
 }
 
-// FilterEvents applies f to an event list, preserving order.
-func FilterEvents(events []Event, f EventFilter) []Event {
-	out := make([]Event, 0, len(events))
-	for _, e := range events {
-		if f.Type != EvNone && e.Type != f.Type {
-			continue
-		}
-		if f.Subject != "" && e.Subject != f.Subject {
-			continue
-		}
-		if e.At < f.Since {
-			continue
-		}
-		out = append(out, e)
-	}
-	if f.Last > 0 && len(out) > f.Last {
-		out = out[len(out)-f.Last:]
-	}
-	return out
+func (f EventFilter) match(e *Event) bool {
+	return (f.Type == EvNone || e.Type == f.Type) &&
+		(f.Subject == "" || e.Subject == f.Subject) &&
+		e.At >= f.Since
 }
 
-// sortSearchEvents finds the first index with Seq >= seq (events are
-// seq-ordered).
-func sortSearchEvents(evs []Event, seq uint64) int {
-	lo, hi := 0, len(evs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if evs[mid].Seq < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// Query returns the retained events f selects, oldest first.
+func (r *Recorder) Query(f EventFilter) []Event {
+	return r.Select(f.match, f.Last)
 }

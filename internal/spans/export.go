@@ -184,47 +184,13 @@ func writeTreeNode(w io.Writer, s Span, children map[SpanID][]Span, depth int) e
 	return nil
 }
 
-// attrJSON mirrors Attr for the gqd JSON wire format.
-type attrJSON struct {
-	Key string `json:"key"`
-	Str string `json:"str,omitempty"`
-	Val int64  `json:"val,omitempty"`
-}
-
-// spanJSON is the gqd /traces wire format for one span.
-type spanJSON struct {
-	Trace   string     `json:"trace"`
-	Span    uint64     `json:"span"`
-	Parent  uint64     `json:"parent,omitempty"`
-	Name    string     `json:"name"`
-	Subject string     `json:"subject,omitempty"`
-	StartNS int64      `json:"start_ns"`
-	DurNS   int64      `json:"dur_ns"`
-	Status  string     `json:"status"`
-	Attrs   []attrJSON `json:"attrs,omitempty"`
-}
-
 // WriteJSON writes spans as a JSON array in (Start, ID) order — the
 // gqd /traces format.
 func WriteJSON(w io.Writer, spans []Span) error {
 	sorted := make([]Span, len(spans))
 	copy(sorted, spans)
 	SortSpans(sorted)
-	out := make([]spanJSON, 0, len(sorted))
-	for _, s := range sorted {
-		j := spanJSON{
-			Trace: s.Trace.String(), Span: uint64(s.ID), Parent: uint64(s.Parent),
-			Name: s.Name, Subject: s.Subject,
-			StartNS: s.Start.Nanoseconds(), DurNS: s.Dur.Nanoseconds(),
-			Status: s.Status.String(),
-		}
-		for _, a := range s.Attrs {
-			j.Attrs = append(j.Attrs, attrJSON{Key: a.Key, Str: a.Str, Val: a.Val})
-		}
-		out = append(out, j)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return json.NewEncoder(w).Encode(sorted)
 }
 
 // Collector merges the traces of a multi-kernel experiment sweep into

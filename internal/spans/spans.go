@@ -18,15 +18,16 @@
 // deterministic because a kernel admits exactly one runnable
 // goroutine at a time.
 //
-// Completed spans land in a fixed-capacity ring (oldest evicted
-// first, Dropped reports how many) that concurrent readers — the gqd
-// daemon's HTTP handlers — may Snapshot or Query while the simulation
-// is still running. The ring is allocated when tracing is first
-// enabled (or resized), so a kernel that never traces pays nothing
-// for it.
+// Completed spans land in a metrics.Ring (oldest evicted first,
+// Dropped reports how many) that concurrent readers — the gqd daemon's
+// HTTP handlers — may Snapshot or Query while the simulation is still
+// running. The ring is allocated when tracing is first enabled (or
+// resized), so a kernel that never traces pays nothing for it. A Span
+// is also its own JSON wire form (WriteJSON, gqd /traces).
 //
-// The package depends only on the standard library and holds no
-// global state.
+// The package depends on the standard library and on internal/metrics
+// for its ring. Its only global is an empty ring that stands in for a
+// tracer's ring before one exists.
 package spans
 
 import (
@@ -34,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mpichgq/internal/metrics"
 )
 
 // TraceID identifies a trace: the set of causally related spans that
@@ -42,6 +45,10 @@ type TraceID uint64
 
 // String renders the trace ID the way exporters and gqd print it.
 func (t TraceID) String() string { return fmt.Sprintf("%016x", uint64(t)) }
+
+// MarshalText encodes the trace ID in its String form (the JSON wire
+// form).
+func (t TraceID) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
 
 // ParseTraceID parses the hex form produced by TraceID.String.
 func ParseTraceID(s string) (TraceID, bool) {
@@ -103,6 +110,9 @@ func (s Status) String() string {
 	}
 	return "unknown"
 }
+
+// MarshalText encodes the status by its wire name.
+func (s Status) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 // ParseStatus maps a wire name back to its Status.
 func ParseStatus(s string) (Status, bool) {
@@ -177,26 +187,27 @@ func (c Context) Valid() bool { return c.Trace != 0 }
 // Attr is one typed span attribute. Exactly one of Str/Val is
 // meaningful; Str == "" means the attribute is numeric.
 type Attr struct {
-	Key string
-	Str string
-	Val int64
+	Key string `json:"key"`
+	Str string `json:"str,omitempty"`
+	Val int64  `json:"val,omitempty"`
 }
 
 // Span is one timed operation. Fields are populated by the Tracer;
 // instrumentation sites interact through the nil-safe methods, so a
-// site needs no "is tracing on?" branching of its own.
+// site needs no "is tracing on?" branching of its own. The JSON tags
+// are the gqd /traces wire form.
 type Span struct {
-	Trace   TraceID
-	ID      SpanID
-	Parent  SpanID
-	Name    string
-	Subject string
+	Trace   TraceID `json:"trace"`
+	ID      SpanID  `json:"span"`
+	Parent  SpanID  `json:"parent,omitempty"`
+	Name    string  `json:"name"`
+	Subject string  `json:"subject,omitempty"`
 	// Start is the sim-kernel time Begin was called; Dur the virtual
 	// time until End.
-	Start  time.Duration
-	Dur    time.Duration
-	Status Status
-	Attrs  []Attr
+	Start  time.Duration `json:"start_ns"`
+	Dur    time.Duration `json:"dur_ns"`
+	Status Status        `json:"status"`
+	Attrs  []Attr        `json:"attrs,omitempty"`
 
 	tr    *Tracer
 	ended bool
@@ -302,11 +313,9 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	nextID SpanID
-	size   int    // ring capacity
-	buf    []Span // the ring; nil until tracing is enabled or resized
-	next   uint64 // total spans ever committed
-	first  uint64 // index of the oldest retained span
 	active int
+	size   int                 // ring capacity
+	ring   *metrics.Ring[Span] // nil until tracing is enabled or resized
 }
 
 // New creates a disabled tracer. clock supplies timestamps — pass the
@@ -323,8 +332,8 @@ func New(clock func() time.Duration) *Tracer {
 func (t *Tracer) SetEnabled(on bool) {
 	if on {
 		t.mu.Lock()
-		if t.buf == nil {
-			t.buf = make([]Span, t.size)
+		if t.ring == nil {
+			t.ring = metrics.NewRing[Span](t.size)
 		}
 		t.mu.Unlock()
 	}
@@ -352,26 +361,34 @@ func (t *Tracer) Begin(trace TraceID, parent SpanID, name, subject string) *Span
 	}
 }
 
-// commit moves an ended span into the ring.
+// commit moves an ended span into the ring, which exists: the span
+// was begun with tracing enabled.
 func (t *Tracer) commit(s *Span) {
-	t.mu.Lock()
-	if t.next-t.first == uint64(len(t.buf)) {
-		t.first++ // evict the oldest
-	}
 	rec := *s
 	rec.tr = nil
-	t.buf[t.next%uint64(len(t.buf))] = rec
-	t.next++
+	t.mu.Lock()
 	t.active--
+	ring := t.ring
 	t.mu.Unlock()
+	ring.Put(rec)
+}
+
+// noSpans stands in for the ring of a tracer that has never been
+// enabled or resized: it retains nothing.
+var noSpans = metrics.NewRing[Span](1)
+
+// spans returns the completed-span ring, or noSpans before it exists.
+func (t *Tracer) spans() *metrics.Ring[Span] {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ring == nil {
+		return noSpans
+	}
+	return t.ring
 }
 
 // Len returns how many completed spans the ring retains.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return int(t.next - t.first)
-}
+func (t *Tracer) Len() int { return t.spans().Len() }
 
 // Active returns how many spans are begun but not yet ended.
 func (t *Tracer) Active() int {
@@ -381,11 +398,7 @@ func (t *Tracer) Active() int {
 }
 
 // Dropped returns how many completed spans wraparound has evicted.
-func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.first
-}
+func (t *Tracer) Dropped() uint64 { return t.spans().Dropped() }
 
 // Capacity returns the ring size.
 func (t *Tracer) Capacity() int {
@@ -396,40 +409,19 @@ func (t *Tracer) Capacity() int {
 
 // SetCapacity resizes the ring, retaining the most recent spans.
 func (t *Tracer) SetCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := t.retained()
-	t.size = n
-	t.buf = make([]Span, n)
-	if len(old) > n {
-		old = old[len(old)-n:]
+	t.size = max(n, 1)
+	if t.ring == nil {
+		t.ring = metrics.NewRing[Span](t.size)
+	} else {
+		t.ring.SetCapacity(t.size)
 	}
-	first := t.next - uint64(len(old))
-	for i, s := range old {
-		t.buf[(first+uint64(i))%uint64(n)] = s
-	}
-	t.first = first
-}
-
-// retained returns live spans in commit order. Caller holds mu.
-func (t *Tracer) retained() []Span {
-	out := make([]Span, 0, t.next-t.first)
-	for i := t.first; i < t.next; i++ {
-		out = append(out, t.buf[i%uint64(len(t.buf))])
-	}
-	return out
 }
 
 // Snapshot returns every retained completed span in commit order
 // (which is End order — children before parents).
-func (t *Tracer) Snapshot() []Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.retained()
-}
+func (t *Tracer) Snapshot() []Span { return t.spans().Snapshot() }
 
 // Filter selects spans for Query. The zero Filter matches everything.
 type Filter struct {
@@ -494,19 +486,7 @@ func (f Filter) match(s *Span) bool {
 
 // Query returns retained spans matching f, in commit order. With a
 // Limit it keeps the most recent matches.
-func (t *Tracer) Query(f Filter) []Span {
-	all := t.Snapshot()
-	out := make([]Span, 0, len(all))
-	for i := range all {
-		if f.match(&all[i]) {
-			out = append(out, all[i])
-		}
-	}
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[len(out)-f.Limit:]
-	}
-	return out
-}
+func (t *Tracer) Query(f Filter) []Span { return t.spans().Select(f.match, f.Limit) }
 
 // Trace returns every retained span of one trace, sorted by
 // (Start, ID) — the order exporters and operators want.
