@@ -76,13 +76,13 @@ var wallClockFns = map[string]bool{
 // steps in call order; Waiter.Wake/WakeAfter, Cond.Await/AwaitTimeout
 // and the Serve receivers queue callbacks), flight recorder emission,
 // control-plane RPC transmission, and the fluid flow lifecycle
-// (Start/Stop/SetRate emit flight-recorder events and trigger the rate
-// solver, whose per-flow EvFluidRate emissions follow call order).
+// (Start/Stop emit flight-recorder events and trigger the rate solver,
+// whose per-flow EvFluidRate emissions follow call order).
 var emissionMethods = map[string]bool{
 	"Schedule": true, "At": true, "AtFunc": true, "After": true,
 	"AfterFunc": true, "AfterPrio": true, "AfterPrioFunc": true,
 	"Spawn": true, "Emit": true, "call": true, "transmit": true,
-	"Start": true, "Stop": true, "SetRate": true, "refreshFluid": true,
+	"Start": true, "Stop": true, "refreshFluid": true,
 	"Signal": true, "Broadcast": true, "Wake": true, "WakeAfter": true,
 	"Await": true, "AwaitTimeout": true, "Serve": true,
 }

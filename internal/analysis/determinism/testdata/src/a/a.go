@@ -60,9 +60,6 @@ func (s *server) mapOrder(d time.Duration) {
 
 func (s *server) fluidMapOrder(flows map[string]*netsim.FluidFlow) {
 	for _, fl := range flows {
-		fl.SetRate(0) // want `SetRate called while ranging over a map`
-	}
-	for _, fl := range flows {
 		fl.Stop() // want `Stop called while ranging over a map`
 	}
 	// ok: sorted iteration

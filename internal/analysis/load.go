@@ -112,9 +112,6 @@ func dirExists(path string) bool {
 // ModuleRoot returns the directory containing go.mod.
 func (l *Loader) ModuleRoot() string { return l.modRoot }
 
-// ModulePath returns the module's import path.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 // Import implements types.Importer. Module-internal paths are loaded
 // from source under the module root; everything else (the standard
 // library) goes through the source importer.

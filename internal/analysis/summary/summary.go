@@ -105,9 +105,6 @@ func (s *Set) Callee(call *ast.CallExpr) *FuncSummary {
 	return s.ByFunc[fn]
 }
 
-// Of returns the summary for fn, or nil.
-func (s *Set) Of(fn *types.Func) *FuncSummary { return s.ByFunc[fn] }
-
 // ArgFacts maps argument position i of a call with nargs arguments
 // (hasEllipsis when the call uses f(xs...)) onto the callee's
 // parameter facts. ok is false when the position cannot be mapped

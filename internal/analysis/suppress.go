@@ -105,19 +105,6 @@ func MarkSuppressed(pkg *Package, diags []Diagnostic) {
 	}
 }
 
-// Suppress filters diags through the package's //lint:ignore
-// directives.
-func Suppress(pkg *Package, diags []Diagnostic) []Diagnostic {
-	MarkSuppressed(pkg, diags)
-	out := diags[:0]
-	for _, d := range diags {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // StaleSuppressions reports //lint:ignore directives in pkg that did
 // not suppress any diagnostic in diags (which must be RunAll output:
 // suppressed findings marked, not dropped). ran lists the analyzers

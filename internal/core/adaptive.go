@@ -33,9 +33,6 @@ type Adapter struct {
 	Headroom float64
 
 	monitor *nws.Monitor
-	stopped bool
-
-	adjustments int
 }
 
 // NewAdapter prepares adaptation of rank r's binding on c toward
@@ -54,7 +51,7 @@ func (a *Agent) NewAdapter(r *mpi.Rank, c *mpi.Comm, target units.BitRate) (*Ada
 }
 
 // Run executes the control loop in the calling process until dur
-// elapses (or Stop). interval is both the NWS sampling period and the
+// elapses. interval is both the NWS sampling period and the
 // adjustment period.
 func (ad *Adapter) Run(ctx *sim.Ctx, interval, dur time.Duration) {
 	peer := ad.peerRank()
@@ -66,7 +63,7 @@ func (ad *Adapter) Run(ctx *sim.Ctx, interval, dur time.Duration) {
 	ad.monitor = nws.Attach(k, conn.Conn(), interval)
 	defer ad.monitor.Stop()
 	deadline := k.Now() + dur
-	for k.Now() < deadline && !ad.stopped {
+	for k.Now() < deadline {
 		ctx.Sleep(interval)
 		ad.step()
 	}
@@ -96,10 +93,8 @@ func (ad *Adapter) step() {
 	case float64(achieved) < 0.95*float64(ad.Target) && loss > 0:
 		// Starved and dropping: the reservation/bucket is too small.
 		attr.Bandwidth = units.BitRate(float64(attr.Bandwidth) * ad.GrowFactor)
-		if err := ad.agent.Apply(ad.rank, ad.comm, &attr); err == nil {
-			ad.adjustments++
-		}
 		// On admission failure, keep the current reservation.
+		_ = ad.agent.Apply(ad.rank, ad.comm, &attr)
 	case float64(attr.Bandwidth) > ad.Headroom*float64(ad.Target) && loss == 0:
 		// Comfortably over-provisioned: release scarce EF capacity.
 		next := units.BitRate(float64(attr.Bandwidth) * ad.DecayFactor)
@@ -108,15 +103,10 @@ func (ad *Adapter) step() {
 		}
 		if next < attr.Bandwidth {
 			attr.Bandwidth = next
-			if err := ad.agent.Apply(ad.rank, ad.comm, &attr); err == nil {
-				ad.adjustments++
-			}
+			_ = ad.agent.Apply(ad.rank, ad.comm, &attr)
 		}
 	}
 }
-
-// Adjustments returns how many reservation changes the adapter made.
-func (ad *Adapter) Adjustments() int { return ad.adjustments }
 
 // Current returns the binding's current reserved bandwidth.
 func (ad *Adapter) Current() (units.BitRate, bool) {
@@ -126,6 +116,3 @@ func (ad *Adapter) Current() (units.BitRate, bool) {
 	}
 	return b.Attr.Bandwidth, true
 }
-
-// Stop ends the control loop at the next interval.
-func (ad *Adapter) Stop() { ad.stopped = true }

@@ -7,17 +7,15 @@ import (
 )
 
 // Backoff produces the retry schedule for the self-healing watchdog:
-// exponential growth from Base by Factor per failure, capped at Max,
-// with bounded multiplicative jitter drawn from a sim RNG so repeated
-// runs under one seed replay the same schedule and a fleet of agents
-// under different seeds does not retry in lockstep.
+// exponential growth from Base by backoffFactor per failure, capped at
+// Max, with bounded multiplicative jitter drawn from a sim RNG so
+// repeated runs under one seed replay the same schedule and a fleet of
+// agents under different seeds does not retry in lockstep.
 type Backoff struct {
 	// Base is the first retry interval.
 	Base time.Duration
 	// Max caps the un-jittered interval.
 	Max time.Duration
-	// Factor is the per-failure growth multiplier (default 2).
-	Factor float64
 	// Jitter bounds the multiplicative noise: each interval is scaled
 	// by a factor in [1-Jitter, 1+Jitter] (default 0.2, 0 disables).
 	Jitter float64
@@ -27,10 +25,12 @@ type Backoff struct {
 	hint time.Duration
 }
 
-// NewBackoff returns a Backoff with the default growth factor (2) and
-// jitter (±20%).
+// backoffFactor is the per-failure growth multiplier.
+const backoffFactor = 2
+
+// NewBackoff returns a Backoff with the default jitter (±20%).
 func NewBackoff(rng *sim.RNG, base, max time.Duration) *Backoff {
-	return &Backoff{Base: base, Max: max, Factor: 2, Jitter: 0.2, rng: rng}
+	return &Backoff{Base: base, Max: max, Jitter: 0.2, rng: rng}
 }
 
 // Next returns the interval to wait before the next attempt and
@@ -40,7 +40,7 @@ func NewBackoff(rng *sim.RNG, base, max time.Duration) *Backoff {
 func (b *Backoff) Next() time.Duration {
 	d := float64(b.Base)
 	for i := 0; i < b.n; i++ {
-		d *= b.Factor
+		d *= backoffFactor
 		if d >= float64(b.Max) {
 			break
 		}

@@ -31,7 +31,7 @@ func TestBackoffJitterBoundedAndCapped(t *testing.T) {
 		if d < (1-b.Jitter)*ideal || d > (1+b.Jitter)*ideal {
 			t.Fatalf("attempt %d: %v outside jitter band around %v", i, time.Duration(d), time.Duration(ideal))
 		}
-		ideal *= b.Factor
+		ideal *= backoffFactor
 	}
 	// Deep into the schedule the interval must sit at the cap (within
 	// jitter), never beyond.
@@ -94,7 +94,7 @@ func TestBackoffHintFloorsJitteredInterval(t *testing.T) {
 	b.Hint(5 * time.Second)
 	b.Next()
 	d = float64(b.Next())
-	ideal := float64(base) * b.Factor
+	ideal := float64(base) * backoffFactor
 	if d < (1-b.Jitter)*ideal || d > (1+b.Jitter)*ideal {
 		t.Fatalf("hint leaked past one interval: %v outside band around %v",
 			time.Duration(d), time.Duration(ideal))

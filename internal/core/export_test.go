@@ -15,3 +15,6 @@ const (
 	PhaseRepair  = phaseRepair
 	PhaseUpgrade = phaseUpgrade
 )
+
+// FallbackAfter is the watchdog's failed-attempt count before fallback.
+const FallbackAfter = fallbackAfter

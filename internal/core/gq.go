@@ -20,7 +20,6 @@
 package gq
 
 import (
-	"errors"
 	"fmt"
 
 	"mpichgq/internal/diffserv"
@@ -78,10 +77,6 @@ type QosAttribute struct {
 	Err     error
 }
 
-// ErrNoAgent is returned when the QoS keyval is used before an agent
-// is attached to the job.
-var ErrNoAgent = errors.New("gq: no QoS agent attached to job")
-
 // LowLatencyBandwidth is the reservation size used for the
 // low-latency class.
 const LowLatencyBandwidth = 500 * units.Kbps
@@ -106,17 +101,6 @@ type Agent struct {
 	// MaxMessageSize instead of the fixed divisor — the §5.4
 	// "compute the correct token bucket size dynamically" extension.
 	DynamicBucket bool
-	// ReserveAcks adds a small reverse-direction reservation so the
-	// flow's ACK stream also rides the expedited queue. Off by
-	// default: in the usual MPICH-GQ pattern both endpoints put the
-	// attribute, so each direction gets a full data reservation and
-	// an extra ACK rule for the same 5-tuple would shadow the peer's
-	// (first-match classification). Enable it only for one-sided
-	// usage with reverse-path contention.
-	ReserveAcks bool
-	// AckFraction sizes the ACK reservation relative to the forward
-	// one.
-	AckFraction float64
 
 	// bindings tracks live reservations per (world rank, context).
 	bindings map[bindingKey]*Binding
@@ -142,8 +126,6 @@ func NewAgent(g *gara.Gara, job *mpi.Job) *Agent {
 		job:            job,
 		OverheadFactor: 1.06,
 		BucketDivisor:  diffserv.NormalBucketDivisor,
-		ReserveAcks:    false,
-		AckFraction:    0.05,
 		bindings:       make(map[bindingKey]*Binding),
 	}
 	a.kv = job.KeyvalCreate("MPICH_QOS", a.onPut)
@@ -153,9 +135,6 @@ func NewAgent(g *gara.Gara, job *mpi.Job) *Agent {
 // Keyval returns the MPICH_QOS attribute key applications put their
 // QosAttribute under.
 func (a *Agent) Keyval() mpi.Keyval { return a.kv }
-
-// Gara returns the underlying reservation system.
-func (a *Agent) Gara() *gara.Gara { return a.g }
 
 // onPut is the attribute trigger: translate and reserve.
 func (a *Agent) onPut(r *mpi.Rank, c *mpi.Comm, val any) error {
@@ -254,18 +233,6 @@ func (a *Agent) flowSpecs(r *mpi.Rank, c *mpi.Comm, attr *QosAttribute) []gara.S
 			Bandwidth:   reserved,
 			BucketDepth: depth,
 		})
-		if a.ReserveAcks {
-			ackBW := units.BitRate(float64(reserved) * a.AckFraction)
-			if min := 50 * units.Kbps; ackBW < min {
-				ackBW = min
-			}
-			specs = append(specs, gara.Spec{
-				Type:        gara.ResourceNetwork,
-				Flow:        diffserv.MatchFlow(fwd.Reverse()),
-				Bandwidth:   ackBW,
-				BucketDepth: diffserv.DepthForRate(ackBW, diffserv.LargeBucketDivisor),
-			})
-		}
 	}
 	return specs
 }

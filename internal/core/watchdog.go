@@ -38,6 +38,19 @@ type RepairGate interface {
 	Allow() bool
 }
 
+// Watchdog thresholds.
+const (
+	// breachFraction: a sample below breachFraction*Target counts as a
+	// breach.
+	breachFraction = 0.8
+	// breachCount consecutive breach samples trigger the repair loop —
+	// one bad forecast is noise, a run is an outage.
+	breachCount = 3
+	// fallbackAfter failed repair attempts demote the flow to best
+	// effort.
+	fallbackAfter = 4
+)
+
 // Watchdog is the self-healing extension of the QoS agent: it watches
 // a premium communicator's achieved goodput (from the metrics layer,
 // smoothed by an NWS forecaster) against the application's target and
@@ -58,15 +71,6 @@ type Watchdog struct {
 
 	// Target is the application's desired payload goodput.
 	Target units.BitRate
-	// BreachFraction: a sample below BreachFraction*Target counts as
-	// a breach (default 0.8).
-	BreachFraction float64
-	// BreachCount consecutive breach samples trigger the repair loop
-	// (default 3) — one bad forecast is noise, a run is an outage.
-	BreachCount int
-	// FallbackAfter failed repair attempts demote the flow to best
-	// effort (default 4).
-	FallbackAfter int
 	// Backoff paces repair attempts.
 	Backoff *Backoff
 	// Gate, when set, is consulted before each repair attempt; a
@@ -78,7 +82,6 @@ type Watchdog struct {
 	recv      *metrics.Counter
 	lastBytes int64
 	breaches  int
-	stopped   bool
 	rec       *metrics.Recorder
 	tr        *spans.Tracer
 	// episodes numbers breach→repair episodes so each gets its own
@@ -113,19 +116,16 @@ func (a *Agent) NewWatchdog(r *mpi.Rank, c *mpi.Comm, target units.BitRate) (*Wa
 	}
 	k := a.g.Kernel()
 	w := &Watchdog{
-		agent:          a,
-		rank:           r,
-		comm:           c,
-		attr:           b.Attr,
-		Target:         target,
-		BreachFraction: 0.8,
-		BreachCount:    3,
-		FallbackAfter:  4,
-		Backoff:        NewBackoff(sim.NewRNG(k.RNG().Int63()), 500*time.Millisecond, 4*time.Second),
-		fc:             nws.NewForecaster(),
-		recv:           a.job.Rank(peer).RecvBytesCounter(c),
-		rec:            k.Metrics().Events(),
-		tr:             k.Tracer(),
+		agent:   a,
+		rank:    r,
+		comm:    c,
+		attr:    b.Attr,
+		Target:  target,
+		Backoff: NewBackoff(sim.NewRNG(k.RNG().Int63()), 500*time.Millisecond, 4*time.Second),
+		fc:      nws.NewForecaster(),
+		recv:    a.job.Rank(peer).RecvBytesCounter(c),
+		rec:     k.Metrics().Events(),
+		tr:      k.Tracer(),
 	}
 	// Close the QoS loop on rank restart: when a member of the watched
 	// communicator comes back, its flows run over new connections the
@@ -154,7 +154,7 @@ func (w *Watchdog) Run(ctx *sim.Ctx, interval, dur time.Duration) {
 	deadline := k.Now() + dur
 	w.lastBytes = w.recv.Value()
 	lastAt := k.Now()
-	for k.Now() < deadline && !w.stopped {
+	for k.Now() < deadline {
 		ctx.Sleep(interval)
 		w.sample(k.Now() - lastAt)
 		lastAt = k.Now()
@@ -189,7 +189,7 @@ func (w *Watchdog) Run(ctx *sim.Ctx, interval, dur time.Duration) {
 		} else {
 			w.breaches = 0
 		}
-		if w.breaches >= w.BreachCount {
+		if w.breaches >= breachCount {
 			w.rec.Emit(metrics.EvQosRepair, phaseBreach,
 				int64(w.rank.ID()), int64(w.comm.Context()), int64(w.fc.Forecast()))
 			w.episodes++
@@ -236,21 +236,20 @@ func (w *Watchdog) breachedNow() bool {
 	if w.fc.Len() < 2 {
 		return false
 	}
-	return w.fc.Forecast() < w.BreachFraction*float64(w.Target)
+	return w.fc.Forecast() < breachFraction*float64(w.Target)
 }
 
 // repairLoop retries restoration on the backoff schedule until it
-// succeeds, the deadline passes, or Stop is called. After
-// FallbackAfter failures the flow is demoted to best effort; the loop
-// keeps probing (at the capped interval) and upgrades back when
-// admission succeeds again.
+// succeeds or the deadline passes. After fallbackAfter failures the
+// flow is demoted to best effort; the loop keeps probing (at the
+// capped interval) and upgrades back when admission succeeds again.
 func (w *Watchdog) repairLoop(ctx *sim.Ctx, deadline time.Duration, outage *spans.Span) {
 	k := w.agent.g.Kernel()
 	trace := outage.TraceID()
 	w.Backoff.Reset()
 	failures := 0
 	fellBack := false
-	for k.Now() < deadline && !w.stopped {
+	for k.Now() < deadline {
 		if w.Gate != nil && !w.Gate.Allow() {
 			// The control plane is known-bad; don't hammer it. The
 			// skipped attempt still counts toward fallback.
@@ -259,7 +258,7 @@ func (w *Watchdog) repairLoop(ctx *sim.Ctx, deadline time.Duration, outage *span
 			w.tr.Begin(trace, outage.SpanID(), "wd.gated", "watchdog").
 				Int("failures", int64(failures)).EndStatus(spans.StatusFailed)
 			failures++
-			if !fellBack && failures >= w.FallbackAfter {
+			if !fellBack && failures >= fallbackAfter {
 				be := QosAttribute{Class: BestEffort}
 				_ = w.agent.Apply(w.rank, w.comm, &be)
 				fellBack = true
@@ -295,7 +294,7 @@ func (w *Watchdog) repairLoop(ctx *sim.Ctx, deadline time.Duration, outage *span
 		}
 		attempt.EndStatus(spans.StatusFailed)
 		failures++
-		if !fellBack && failures >= w.FallbackAfter {
+		if !fellBack && failures >= fallbackAfter {
 			be := QosAttribute{Class: BestEffort}
 			_ = w.agent.Apply(w.rank, w.comm, &be)
 			fellBack = true
@@ -355,9 +354,6 @@ func (w *Watchdog) rebuild() bool {
 	attr := w.attr
 	return w.agent.Apply(w.rank, w.comm, &attr) == nil
 }
-
-// Stop ends Run at the next wakeup.
-func (w *Watchdog) Stop() { w.stopped = true }
 
 // Repairs returns how many times the watchdog restored the premium
 // binding without a fallback.

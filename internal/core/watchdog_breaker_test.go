@@ -154,9 +154,9 @@ func TestWatchdogRespectsCircuitBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if gate.denials < w.FallbackAfter {
+	if gate.denials < gq.FallbackAfter {
 		t.Fatalf("breaker denied %d attempts, want at least FallbackAfter=%d",
-			gate.denials, w.FallbackAfter)
+			gate.denials, gq.FallbackAfter)
 	}
 	if gate.denials > 64 {
 		t.Fatalf("gate consulted %d times during the outage: repair loop is hot-looping",
@@ -180,8 +180,8 @@ func TestWatchdogRespectsCircuitBreaker(t *testing.T) {
 			}
 		}
 	}
-	if gated < w.FallbackAfter {
-		t.Fatalf("recorded %d gated events, want at least %d", gated, w.FallbackAfter)
+	if gated < gq.FallbackAfter {
+		t.Fatalf("recorded %d gated events, want at least %d", gated, gq.FallbackAfter)
 	}
 	if w.Fallbacks() != 1 {
 		t.Fatalf("fallbacks = %d, want 1", w.Fallbacks())

@@ -52,9 +52,9 @@ func TestWatchdogRespectsRepairGate(t *testing.T) {
 	if gate == nil {
 		t.Fatal("gate was never installed")
 	}
-	if gate.denials < w.FallbackAfter {
+	if gate.denials < gq.FallbackAfter {
 		t.Fatalf("gate denied %d attempts, want at least FallbackAfter=%d",
-			gate.denials, w.FallbackAfter)
+			gate.denials, gq.FallbackAfter)
 	}
 	// Backoff caps repair attempts at one per 4s; over a 10s outage a
 	// hot loop would consult the gate thousands of times.
@@ -78,8 +78,8 @@ func TestWatchdogRespectsRepairGate(t *testing.T) {
 			}
 		}
 	}
-	if gated < w.FallbackAfter {
-		t.Fatalf("recorded %d gated events, want at least %d", gated, w.FallbackAfter)
+	if gated < gq.FallbackAfter {
+		t.Fatalf("recorded %d gated events, want at least %d", gated, gq.FallbackAfter)
 	}
 	if w.Fallbacks() != 1 {
 		t.Fatalf("fallbacks = %d, want 1 (gated attempts still drive fallback)", w.Fallbacks())

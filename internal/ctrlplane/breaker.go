@@ -52,8 +52,7 @@ var breakerStateNames = [...]string{
 // the self-healing loop from hammering an RM that is already timing
 // out.
 type Breaker struct {
-	k    *sim.Kernel
-	name string // RM/domain name, interned
+	k *sim.Kernel
 
 	// Threshold is the consecutive-failure count that trips the
 	// breaker (default 4).
@@ -84,7 +83,7 @@ func NewBreaker(k *sim.Kernel, name string, threshold int, cooldown time.Duratio
 	}
 	reg := k.Metrics()
 	b := &Breaker{
-		k: k, name: name, Threshold: threshold, Cooldown: cooldown,
+		k: k, Threshold: threshold, Cooldown: cooldown,
 		gauge: reg.Gauge("ctrl_breaker_state",
 			"per-RM circuit breaker position (0 closed, 1 open, 2 half-open)", "rm", name),
 		mTrips: reg.Counter("ctrl_breaker_trips_total",
@@ -94,9 +93,6 @@ func NewBreaker(k *sim.Kernel, name string, threshold int, cooldown time.Duratio
 	b.gauge.Set(0)
 	return b
 }
-
-// Name returns the RM name the breaker guards.
-func (b *Breaker) Name() string { return b.name }
 
 // State returns the breaker's current position (open transitions to
 // half-open lazily, on the first Allow after the cooldown).

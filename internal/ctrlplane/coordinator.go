@@ -22,12 +22,6 @@ type Coordinator struct {
 	// the worst-case commit round: Deadline per prepare/commit times
 	// the number of domains.
 	LeaseTTL time.Duration
-	// RollbackRetries is how many extra whole calls a rollback
-	// cancel/abort gets after its first fails. A lost rollback on a
-	// *committed* segment orphans capacity until the window ends — the
-	// one leak the lease cannot bound — so rollback is worth retrying
-	// harder than the happy path (default 2).
-	RollbackRetries int
 
 	tr *spans.Tracer
 	// nextAttempt numbers Reserve/ReserveNaive calls; each gets its own
@@ -41,8 +35,15 @@ func NewCoordinator(conns ...*Conn) *Coordinator {
 	if len(conns) == 0 {
 		panic("ctrlplane: coordinator needs at least one domain")
 	}
-	return &Coordinator{conns: conns, RollbackRetries: 2, tr: conns[0].k.Tracer()}
+	return &Coordinator{conns: conns, tr: conns[0].k.Tracer()}
 }
+
+// rollbackRetries is how many extra whole calls a rollback
+// cancel/abort gets after its first fails. A lost rollback on a
+// *committed* segment orphans capacity until the window ends — the one
+// leak the lease cannot bound — so rollback is worth retrying harder
+// than the happy path.
+const rollbackRetries = 2
 
 // segment is one domain's share of a co-reservation.
 type segment struct {
@@ -55,11 +56,6 @@ type MultiRes struct {
 	segs  []segment
 	trace spans.TraceID
 }
-
-// Trace returns the trace ID the co-reservation's spans were recorded
-// under (zero when tracing was disabled at reserve time — the ID is
-// still derived, so it is always usable for queries).
-func (m *MultiRes) Trace() spans.TraceID { return m.trace }
 
 // IDs returns the per-domain reservation ids, in domain order.
 func (m *MultiRes) IDs() map[string]uint64 {
@@ -186,7 +182,7 @@ func (co *Coordinator) release(ctx *sim.Ctx, sg segment, method string, trace sp
 	for try := 0; ; try++ {
 		_, err := sg.conn.call(ctx, method,
 			request{resID: sg.resID, trace: trace, parent: parent})
-		if err == nil || try >= co.RollbackRetries {
+		if err == nil || try >= rollbackRetries {
 			return
 		}
 		pause := sg.conn.Deadline

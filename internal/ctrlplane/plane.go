@@ -9,24 +9,28 @@ import (
 	"mpichgq/internal/sim"
 )
 
-// Options tunes a Plane's channels and reliability layer. Zero values
-// take the defaults noted per field.
+// Fixed channel and breaker parameters.
+const (
+	// chanDelay is the one-way control-channel delay: a wide-area
+	// control connection, not a LAN.
+	chanDelay = 5 * time.Millisecond
+	// chanJitter is the channel delay's multiplicative noise.
+	chanJitter = 0.1
+	// breakerCooldown holds a tripped breaker open this long.
+	breakerCooldown = 2 * time.Second
+)
+
+// Options tunes a Plane's reliability layer. Zero values take the
+// defaults noted per field.
 type Options struct {
-	// Delay is the one-way control-channel delay (default 5ms — a
-	// wide-area control connection, not a LAN).
-	Delay time.Duration
-	// Jitter is the channel delay's multiplicative noise (default 0.1).
-	Jitter float64
 	// Timeout is the client's per-attempt reply timeout (default
-	// 4×Delay + 10ms).
+	// 4×chanDelay + 10ms).
 	Timeout time.Duration
 	// Deadline is the per-call retry budget (default 8×Timeout).
 	Deadline time.Duration
 	// BreakerThreshold trips the per-RM breaker after this many
 	// consecutive failures (default 4).
 	BreakerThreshold int
-	// BreakerCooldown holds the breaker open this long (default 2s).
-	BreakerCooldown time.Duration
 	// LeaseTTL is the coordinator's prepare-lease length (default
 	// 2×Deadline×domains at Coordinator build time; 0 here defers to
 	// gara.DefaultLeaseTTL).
@@ -39,23 +43,14 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Delay <= 0 {
-		o.Delay = 5 * time.Millisecond
-	}
-	if o.Jitter == 0 {
-		o.Jitter = 0.1
-	}
 	if o.Timeout <= 0 {
-		o.Timeout = 4*o.Delay + 10*time.Millisecond
+		o.Timeout = 4*chanDelay + 10*time.Millisecond
 	}
 	if o.Deadline <= 0 {
 		o.Deadline = 8 * o.Timeout
 	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 4
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 2 * time.Second
 	}
 	return o
 }
@@ -102,9 +97,9 @@ func (p *Plane) AddDomain(name string, g *gara.Gara, rm *gara.NetworkRM) *Conn {
 
 // newConn builds a client stub (channels, breaker, backoff) for srv.
 func (p *Plane) newConn(srv *Server, chanName, tenant string) *Conn {
-	toSrv := newChan(p.k, chanName+"/req", p.opts.Delay, p.opts.Jitter)
-	fromSrv := newChan(p.k, chanName+"/rep", p.opts.Delay, p.opts.Jitter)
-	breaker := NewBreaker(p.k, chanName, p.opts.BreakerThreshold, p.opts.BreakerCooldown)
+	toSrv := newChan(p.k, chanName+"/req", chanDelay, chanJitter)
+	fromSrv := newChan(p.k, chanName+"/rep", chanDelay, chanJitter)
+	breaker := NewBreaker(p.k, chanName, p.opts.BreakerThreshold, breakerCooldown)
 	backoff := gq.NewBackoff(sim.NewRNG(p.k.RNG().Int63()),
 		p.opts.Timeout/2, 4*p.opts.Timeout)
 	conn := NewConn(p.k, srv, toSrv, fromSrv, p.opts.Timeout, p.opts.Deadline, backoff, breaker)

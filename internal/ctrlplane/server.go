@@ -65,12 +65,6 @@ func NewServer(k *sim.Kernel, name string, g *gara.Gara, rm *gara.NetworkRM) *Se
 // Name returns the server's domain name.
 func (s *Server) Name() string { return s.name }
 
-// RM returns the wrapped resource manager.
-func (s *Server) RM() *gara.NetworkRM { return s.rm }
-
-// Crashed reports whether the server is currently down.
-func (s *Server) Crashed() bool { return s.crashed }
-
 // EnableAdmission puts the overload-control layer in front of the
 // server: a bounded admission queue with per-tenant fair dequeue,
 // deadline-expired drop, CoDel shedding, and brownout. Must be called
@@ -80,18 +74,6 @@ func (s *Server) EnableAdmission(cfg Admission) {
 		panic("ctrlplane: EnableAdmission needs ServiceTime > 0")
 	}
 	s.adm = newAdmitQueue(s.k, s.name, s, cfg)
-}
-
-// Admission returns the overload-control layer, or nil when disabled.
-func (s *Server) Admission() *admitQueue { return s.adm }
-
-// SetBrownoutSink mirrors admission brownout-level changes into the
-// policy broker above this domain's Gara (e.g. *broker.Broker), so
-// quota decisions follow the same degradation ladder.
-func (s *Server) SetBrownoutSink(sink interface{ SetBrownout(int) }) {
-	if s.adm != nil {
-		s.adm.sink = sink
-	}
 }
 
 // QueueDepth returns the admission queue depth (0 when admission is

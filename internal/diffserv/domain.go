@@ -124,9 +124,6 @@ func (fr *FlowReservation) Depth() units.ByteSize { return fr.tb.Depth() }
 // Bucket returns the underlying token bucket (for stats).
 func (fr *FlowReservation) Bucket() *TokenBucket { return fr.tb }
 
-// Rule returns the installed classifier rule (for stats).
-func (fr *FlowReservation) Rule() *Rule { return fr.rule }
-
 // Active reports whether the reservation is still installed.
 func (fr *FlowReservation) Active() bool { return fr.active }
 

@@ -37,11 +37,6 @@ type DVis struct {
 	CopyCostPerKB time.Duration
 	// SockBuf overrides MPI socket buffers (0 = default 64 KB).
 	SockBuf units.ByteSize
-	// EagerThreshold overrides the job's eager/rendezvous switch
-	// (0 = 1 MB: MPICH's TCP devices of the era pushed even large
-	// messages eagerly; rendezvous stalls at frame tails interact
-	// badly with policers — see AblationEagerThreshold).
-	EagerThreshold units.ByteSize
 	// TCPOpts overrides the transport options (nil = defaults). The
 	// era-TCP ablation uses this to set 500 ms timer granularity and
 	// delayed ACKs.
@@ -90,13 +85,13 @@ func (d *DVis) Run(tb *garnet.Testbed) DVisResult {
 	if d.TraceBucket == 0 {
 		d.TraceBucket = time.Second
 	}
+	// The eager threshold is 1 MB: MPICH's TCP devices of the era
+	// pushed even large messages eagerly; rendezvous stalls at frame
+	// tails interact badly with policers (see AblationEagerThreshold).
 	jobOpts := mpi.JobOptions{
 		CopyCostPerKB:  d.CopyCostPerKB,
 		SockBuf:        d.SockBuf,
-		EagerThreshold: d.EagerThreshold,
-	}
-	if jobOpts.EagerThreshold == 0 {
-		jobOpts.EagerThreshold = units.MB
+		EagerThreshold: units.MB,
 	}
 	if d.Shaper {
 		reserved := d.OfferedRate()

@@ -65,9 +65,6 @@ func (c Config) collectTrace(k *sim.Kernel, pid int, label string) {
 	}
 }
 
-// DefaultConfig runs experiments at paper length.
-func DefaultConfig() Config { return Config{Seed: 1, TimeScale: 1.0} }
-
 // QuickConfig runs abbreviated experiments for tests.
 func QuickConfig() Config { return Config{Seed: 1, TimeScale: 0.2} }
 

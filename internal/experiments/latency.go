@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"sort"
+	"strconv"
 	"time"
 
 	gq "mpichgq/internal/core"
@@ -134,22 +135,10 @@ func LatencyTable(r LatencyResult) trace.Table {
 		Headers: []string{"class", "rounds", "mean", "median", "p99"},
 	}
 	add := func(name string, s LatencyStats) {
-		t.Add(name, itoa(s.Rounds), s.Mean.String(), s.Median.String(), s.P99.String())
+		t.Add(name, strconv.Itoa(s.Rounds), s.Mean.String(), s.Median.String(), s.P99.String())
 	}
 	add("best effort", r.BestEffort)
 	add("low latency", r.LowLatency)
 	t.Add("(quiet baseline)", "", "", r.Uncontended.String(), "")
 	return t
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b []byte
-	for i > 0 {
-		b = append([]byte{byte('0' + i%10)}, b...)
-		i /= 10
-	}
-	return string(b)
 }

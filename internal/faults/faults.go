@@ -11,8 +11,7 @@
 //		LinkUp(32*time.Second, "edge1-core")
 //	sc.Apply(net)
 //
-// — or fetched from the registry by name (see Register/Build), which
-// is how `cmd/garnet` and the chaos tests share canned scenarios.
+// — or drawn at random (RandomScenario, RankMTBF) for chaos tests.
 // Faults reference links and nodes by name and resolve them at Apply
 // time, so one scenario can run against any topology that has them.
 package faults
@@ -118,12 +117,6 @@ type Scenario struct {
 
 // NewScenario returns an empty scenario with the given name.
 func NewScenario(name string) *Scenario { return &Scenario{name: name} }
-
-// Name returns the scenario's name.
-func (s *Scenario) Name() string { return s.name }
-
-// Len returns the number of scheduled actions.
-func (s *Scenario) Len() int { return len(s.actions) }
 
 // LinkDown schedules the named link to leave service at t.
 func (s *Scenario) LinkDown(t time.Duration, link string) *Scenario {
@@ -233,10 +226,6 @@ type Injection struct {
 	lossDrops    uint64
 	corruptDrops uint64
 }
-
-// Trace returns the trace ID the injection's fault spans are recorded
-// under.
-func (in *Injection) Trace() spans.TraceID { return in.trace }
 
 // instant records a zero-duration fault span at the current sim time.
 func (in *Injection) instant(name, target string) {

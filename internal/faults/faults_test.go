@@ -141,22 +141,6 @@ func TestCorruptionCountsSeparately(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	sc, ok := Build("wan-flap")
-	if !ok || sc.Len() != 2 {
-		t.Fatalf("wan-flap = %v (ok=%v), want 2-action scenario", sc, ok)
-	}
-	if _, ok := Build("nope"); ok {
-		t.Fatal("unknown scenario should not build")
-	}
-	names := Names()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("names not sorted: %v", names)
-		}
-	}
-}
-
 func TestRandomScenarioDeterministic(t *testing.T) {
 	links := []string{"a-b", "b-c"}
 	s1 := RandomScenario(sim.NewRNG(42), links, 8, time.Minute)

@@ -15,7 +15,6 @@ import (
 // best-effort sessions splitting the remainder equally.
 type DPSS struct {
 	k        *sim.Kernel
-	name     string
 	capacity units.BitRate
 	reserved units.BitRate
 	sessions []*DPSSSession
@@ -23,15 +22,12 @@ type DPSS struct {
 
 // NewDPSS returns a storage server with the given aggregate read
 // capacity.
-func NewDPSS(k *sim.Kernel, name string, capacity units.BitRate) *DPSS {
+func NewDPSS(k *sim.Kernel, capacity units.BitRate) *DPSS {
 	if capacity <= 0 {
 		panic("gara: non-positive DPSS capacity")
 	}
-	return &DPSS{k: k, name: name, capacity: capacity}
+	return &DPSS{k: k, capacity: capacity}
 }
-
-// Name returns the server's name.
-func (d *DPSS) Name() string { return d.name }
 
 // Capacity returns the server's aggregate read capacity.
 func (d *DPSS) Capacity() units.BitRate { return d.capacity }

@@ -31,7 +31,7 @@ func TestStorageModify(t *testing.T) {
 		t.Fatal("failed modify changed enforcement")
 	}
 	// Moving between servers is rejected.
-	other := NewDPSS(r.k, "dpss2", 100*units.Mbps)
+	other := NewDPSS(r.k, 100*units.Mbps)
 	spec.Store = other
 	spec.ReadRate = 10 * units.Mbps
 	if err := res.Modify(spec); err == nil {

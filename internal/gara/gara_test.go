@@ -44,7 +44,7 @@ func newRig() *rig {
 		k: k, net: n, a: a, b: b, bott: bott, domain: domain,
 		g: g, netRM: netRM,
 		cpu:  dsrt.NewCPU(k, "host-a"),
-		dpss: NewDPSS(k, "dpss", 100*units.Mbps),
+		dpss: NewDPSS(k, 100*units.Mbps),
 	}
 }
 

@@ -89,16 +89,6 @@ func (j *Journal) append(rec JournalRecord) uint64 {
 // empty).
 func (j *Journal) LastSeq() uint64 { return j.seq }
 
-// Len returns the number of records.
-func (j *Journal) Len() int { return len(j.recs) }
-
-// Records returns a copy of the log, oldest first.
-func (j *Journal) Records() []JournalRecord {
-	out := make([]JournalRecord, len(j.recs))
-	copy(out, j.recs)
-	return out
-}
-
 // replayState is the folded per-reservation state a journal replay
 // produces.
 type replayState struct {

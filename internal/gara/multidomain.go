@@ -2,8 +2,6 @@ package gara
 
 import (
 	"errors"
-	"fmt"
-	"time"
 
 	"mpichgq/internal/netsim"
 )
@@ -13,9 +11,9 @@ import (
 // when resources span multiple administrative domains" (§4.2), and
 // GARNET itself connected to the ESnet and MREN testbeds. Here each
 // administrative domain runs its own Gara with a *scoped* NetworkRM
-// that owns a subset of links; a MultiDomain coordinator splits an
-// end-to-end request into per-domain segment reservations, all or
-// nothing.
+// that owns a subset of links; ctrlplane's Coordinator books an
+// end-to-end request as per-domain segments, all or nothing, with
+// Gara.Prepare and Prepared.Commit.
 
 // ErrNotInDomain is returned by a scoped NetworkRM when a flow's path
 // does not traverse any link the domain owns.
@@ -32,95 +30,4 @@ func LinkScope(links ...*netsim.Link) Scope {
 		owned[l] = true
 	}
 	return func(ifc *netsim.Iface) bool { return owned[ifc.Link()] }
-}
-
-// MultiDomain coordinates end-to-end reservations across domains using
-// a two-phase prepare/commit protocol: phase one books every segment
-// under a lease TTL, phase two commits them all. A coordinator (or
-// domain) crash between the phases cannot leak booked bandwidth — the
-// un-committed segments' leases expire and the capacity is reclaimed
-// by each domain on its own.
-type MultiDomain struct {
-	domains []*Gara
-	// LeaseTTL is the prepare-lease length used for phase one; zero
-	// means DefaultLeaseTTL.
-	LeaseTTL time.Duration
-}
-
-// NewMultiDomain returns a coordinator over the given domain Garas
-// (each registered with a scoped NetworkRM).
-func NewMultiDomain(domains ...*Gara) *MultiDomain {
-	if len(domains) == 0 {
-		panic("gara: MultiDomain needs at least one domain")
-	}
-	return &MultiDomain{domains: domains}
-}
-
-// Prepare runs phase one only: book spec under a lease in every domain
-// the flow traverses (domains the path never enters are skipped). On
-// any refusal the already-prepared segments are aborted. At least one
-// domain must admit.
-func (m *MultiDomain) Prepare(spec Spec) ([]*Prepared, error) {
-	var prepared []*Prepared
-	for i, g := range m.domains {
-		p, err := g.Prepare(spec, m.LeaseTTL)
-		if err != nil {
-			if errors.Is(err, ErrNotInDomain) {
-				continue
-			}
-			// Explicit rollback; even if an Abort were lost (a crashed
-			// domain), the segment's lease expiry reclaims it.
-			for _, prev := range prepared {
-				prev.Abort()
-			}
-			return nil, fmt.Errorf("gara: domain %d refused: %w", i, err)
-		}
-		prepared = append(prepared, p)
-	}
-	if len(prepared) == 0 {
-		return nil, fmt.Errorf("gara: no domain owns any hop of the flow's path")
-	}
-	return prepared, nil
-}
-
-// Commit runs phase two over prepared segments: commit each in order.
-// A commit failure cancels the segments already committed and aborts
-// the rest.
-func (m *MultiDomain) Commit(prepared []*Prepared) ([]*Reservation, error) {
-	var got []*Reservation
-	for i, p := range prepared {
-		r, err := p.Commit()
-		if err != nil {
-			for _, prev := range got {
-				prev.Cancel()
-			}
-			for _, rest := range prepared[i+1:] {
-				rest.Abort()
-			}
-			return nil, fmt.Errorf("gara: commit failed in segment %d: %w", i, err)
-		}
-		got = append(got, r)
-	}
-	return got, nil
-}
-
-// Reserve books spec in every domain the flow traverses, all or
-// nothing: prepare every segment under a lease, then commit them all.
-// Any prepare refusal aborts the segments already prepared; a commit
-// failure cancels committed segments and aborts the remainder. Either
-// way no capacity outlives a failed Reserve — and if rollback itself
-// is cut short (a domain crash), the lease TTL reclaims the orphan.
-func (m *MultiDomain) Reserve(spec Spec) ([]*Reservation, error) {
-	prepared, err := m.Prepare(spec)
-	if err != nil {
-		return nil, err
-	}
-	return m.Commit(prepared)
-}
-
-// CancelAll cancels every segment of a multi-domain reservation.
-func CancelAll(rs []*Reservation) {
-	for _, r := range rs {
-		r.Cancel()
-	}
 }

@@ -26,13 +26,6 @@ type NetworkRM struct {
 	// independently in each direction.
 	tables map[*netsim.Iface]*SlotTable
 
-	// DepthDivisor is the bucket policy used when a spec does not fix
-	// a depth: depth = bandwidth / DepthDivisor (§4.3's
-	// bandwidth/40 default).
-	DepthDivisor int
-	// Exceed is the policer's out-of-profile action (drop, per the
-	// testbed configuration).
-	Exceed diffserv.ExceedAction
 	// Scope restricts this manager to the links its administrative
 	// domain owns; nil owns everything. With a scope set, Admit books
 	// only in-scope hops (ErrNotInDomain when there are none) and
@@ -76,17 +69,15 @@ func NewNetworkRM(net *netsim.Network, domain *diffserv.Domain, efFraction float
 		panic(fmt.Sprintf("gara: EF fraction %v out of (0, 1]", efFraction))
 	}
 	rm := &NetworkRM{
-		k:            net.Kernel(),
-		net:          net,
-		domain:       domain,
-		efFraction:   efFraction,
-		tables:       make(map[*netsim.Iface]*SlotTable),
-		DepthDivisor: diffserv.NormalBucketDivisor,
-		Exceed:       diffserv.ExceedDrop,
-		Name:         "netrm",
-		active:       make(map[uint64]*Reservation),
-		attach:       make(map[uint64]*netAttachment),
-		leases:       make(map[uint64]time.Duration),
+		k:          net.Kernel(),
+		net:        net,
+		domain:     domain,
+		efFraction: efFraction,
+		tables:     make(map[*netsim.Iface]*SlotTable),
+		Name:       "netrm",
+		active:     make(map[uint64]*Reservation),
+		attach:     make(map[uint64]*netAttachment),
+		leases:     make(map[uint64]time.Duration),
 	}
 	// Re-validate enforced reservations whenever the topology changes.
 	// Healthy runs never trigger this: links only change state under
@@ -209,12 +200,13 @@ func (rm *NetworkRM) Release(r *Reservation) {
 	}
 }
 
-// depthFor computes the token bucket depth for a spec.
+// depthFor computes the token bucket depth for a spec. A spec that
+// does not fix a depth gets §4.3's bandwidth/40 rule.
 func (rm *NetworkRM) depthFor(spec Spec) units.ByteSize {
 	if spec.BucketDepth > 0 {
 		return spec.BucketDepth
 	}
-	return diffserv.DepthForRate(spec.Bandwidth, rm.DepthDivisor)
+	return diffserv.DepthForRate(spec.Bandwidth, diffserv.NormalBucketDivisor)
 }
 
 // Activate implements ResourceManager: install the classify+mark+
@@ -232,7 +224,7 @@ func (rm *NetworkRM) Activate(r *Reservation) error {
 	}
 	att := &netAttachment{hops: hops}
 	if rm.Scope == nil || rm.Scope(hops[0]) {
-		att.fr = rm.domain.ReserveFlow(edgeIngress, r.spec.Flow, r.spec.Bandwidth, rm.depthFor(r.spec), rm.Exceed)
+		att.fr = rm.domain.ReserveFlow(edgeIngress, r.spec.Flow, r.spec.Bandwidth, rm.depthFor(r.spec), diffserv.ExceedDrop)
 	}
 	// Transit domains install no rule but still track the reservation:
 	// their booked hops can break too.
@@ -412,7 +404,7 @@ func (rm *NetworkRM) Reattach(r *Reservation) error {
 	}
 	att := &netAttachment{hops: hops}
 	if rm.Scope == nil || rm.Scope(hops[0]) {
-		att.fr = rm.domain.ReserveFlow(edgeIngress, r.spec.Flow, r.spec.Bandwidth, rm.depthFor(r.spec), rm.Exceed)
+		att.fr = rm.domain.ReserveFlow(edgeIngress, r.spec.Flow, r.spec.Bandwidth, rm.depthFor(r.spec), diffserv.ExceedDrop)
 	}
 	rm.attach[r.id] = att
 	rm.active[r.id] = r

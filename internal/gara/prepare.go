@@ -132,14 +132,8 @@ func (g *Gara) Prepare(spec Spec, ttl time.Duration) (*Prepared, error) {
 // booking is held under).
 func (p *Prepared) ID() uint64 { return p.r.id }
 
-// Spec returns the prepared specification.
-func (p *Prepared) Spec() Spec { return p.r.spec }
-
 // State returns the prepare-phase state.
 func (p *Prepared) State() PrepareState { return p.state }
-
-// LeaseEnd returns the absolute time the lease expires.
-func (p *Prepared) LeaseEnd() time.Duration { return p.leaseEnd }
 
 // Reservation returns the committed reservation handle, or nil before
 // a successful Commit.

@@ -129,19 +129,29 @@ func TestPrepareAdvanceReservationCommitsToPending(t *testing.T) {
 	res.Cancel()
 }
 
-// Satellite: MultiDomain rollback must not leak even when the refusing
-// domain comes last — and because rollback is an Abort of leased
-// prepares, a rollback message that never lands is still reclaimed by
-// lease expiry (exercised in TestMultiDomainCrashMidReserve).
+// Two-phase rollback must not leak when the refusing domain comes
+// last: domain 1's prepared segment is aborted, and neither domain
+// keeps a lease. Because rollback is an Abort of leased prepares, a
+// rollback message that never lands is still reclaimed by lease expiry
+// (exercised in TestMultiDomainCrashMidReserve).
 func TestMultiDomainTwoPhaseRollbackReleasesLeases(t *testing.T) {
 	r := newTwoDomains()
-	// Fill domain 2's EF share so its prepare refuses the next flow.
+	// Fill domain 2's EF share (0.5 × 100 Mb/s on e2-hostB) so its
+	// prepare refuses the next flow.
 	if _, err := r.g2.Reserve(r.spec(45 * units.Mbps)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.md.Reserve(r.spec(10 * units.Mbps)); err == nil {
+	p1, err := r.g1.Prepare(r.spec(10*units.Mbps), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.borderEF() == 0 {
+		t.Fatal("domain 1's prepare did not book the border link")
+	}
+	if _, err := r.g2.Prepare(r.spec(10*units.Mbps), 0); err == nil {
 		t.Fatal("downstream refusal expected")
 	}
+	p1.Abort()
 	if r.borderEF() != 0 {
 		t.Fatal("rollback left capacity booked in domain 1")
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"mpichgq/internal/diffserv"
 	"mpichgq/internal/metrics"
 	"mpichgq/internal/netsim"
 	"mpichgq/internal/sim"
@@ -175,7 +176,7 @@ func (rm *NetworkRM) Recover() (RecoverStats, error) {
 			att := &netAttachment{hops: hops}
 			if st.edge {
 				att.fr = rm.domain.ReserveFlow(edgeIngress, st.spec.Flow, st.spec.Bandwidth,
-					rm.depthFor(st.spec), rm.Exceed)
+					rm.depthFor(st.spec), diffserv.ExceedDrop)
 				stats.Reinstalled++
 			}
 			rm.attach[id] = att

@@ -176,23 +176,20 @@ func TestNetworkRMJournalReplayProperty(t *testing.T) {
 	}
 }
 
-// The chaos acceptance test: a domain RM crashes mid-MultiDomain
-// reservation (after prepare, before commit) and the coordinator dies
-// with it. No booked bandwidth may outlive the lease TTL, in either
-// the crashed domain (journal recovery reconciles against the lease)
-// or the surviving one (its own lease timer fires).
+// The chaos acceptance test: a domain RM crashes mid-way through a
+// two-domain reservation (after prepare, before commit) and the
+// coordinator dies with it. No booked bandwidth may outlive the lease
+// TTL, in either the crashed domain (journal recovery reconciles
+// against the lease) or the surviving one (its own lease timer fires).
 func TestMultiDomainCrashMidReserve(t *testing.T) {
 	r := newTwoDomains()
 	r.rm1.Name, r.rm2.Name = "dom1", "dom2"
 	r.rm2.Journal = NewJournal()
-	r.md.LeaseTTL = time.Second
 
-	prepared, err := r.md.Prepare(r.spec(10 * units.Mbps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prepared) != 2 {
-		t.Fatalf("prepared segments = %d, want 2", len(prepared))
+	for _, g := range []*Gara{r.g1, r.g2} {
+		if _, err := g.Prepare(r.spec(10*units.Mbps), time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Domain 2 crashes mid-protocol; the coordinator never commits or
 	// aborts (it "died" too — handles are simply abandoned).

@@ -28,17 +28,24 @@ import (
 	"mpichgq/internal/units"
 )
 
+// Fixed testbed parameters.
+const (
+	// linkRate is the router-to-router (OC3) rate.
+	linkRate = 155 * units.Mbps
+	// hopDelay is the one-way delay per link, giving a ~2 ms round
+	// trip across the testbed.
+	hopDelay = 250 * time.Microsecond
+	// backupRate is the bottleneck standby path's capacity. Site backup
+	// paths use a quarter of their own WAN rate.
+	backupRate = linkRate / 4
+)
+
 // Options configure the testbed build.
 type Options struct {
-	// LinkRate is the router-to-router (OC3) rate. Default 155 Mb/s.
-	LinkRate units.BitRate
 	// AccessRate is the host-to-edge rate. Default 155 Mb/s (OC3
 	// attachment, so a single competitive host can overwhelm the
 	// core path like the paper's UDP generator).
 	AccessRate units.BitRate
-	// HopDelay is the one-way delay per link. Default 250 µs, giving
-	// a ~2 ms round trip across the testbed.
-	HopDelay time.Duration
 	// EFFraction caps EF reservations per link. Default 0.7.
 	EFFraction float64
 	// Seed for the simulation kernel. Default 1.
@@ -50,21 +57,11 @@ type Options struct {
 	// default: the paper's testbed is single-homed, and static routing
 	// keeps healthy-run results byte-identical.
 	BackupPaths bool
-	// BackupRate is the bottleneck standby path's capacity (default
-	// LinkRate/4). Site backup paths use a quarter of their own WAN
-	// rate.
-	BackupRate units.BitRate
 }
 
 func (o Options) withDefaults() Options {
-	if o.LinkRate == 0 {
-		o.LinkRate = 155 * units.Mbps
-	}
 	if o.AccessRate == 0 {
 		o.AccessRate = 155 * units.Mbps
-	}
-	if o.HopDelay == 0 {
-		o.HopDelay = 250 * time.Microsecond
 	}
 	if o.EFFraction == 0 {
 		o.EFFraction = 0.7
@@ -119,23 +116,19 @@ func NewWithOptions(o Options) *Testbed {
 	tb.Core = n.AddNode("core")
 	tb.Edge2 = n.AddNode("edge2")
 
-	n.Connect(tb.PremSrc, tb.Edge1, o.AccessRate, o.HopDelay)
-	n.Connect(tb.CompSrc, tb.Edge1, o.AccessRate, o.HopDelay)
-	tb.Bottleneck = n.Connect(tb.Edge1, tb.Core, o.LinkRate, o.HopDelay)
-	n.Connect(tb.Core, tb.Edge2, o.LinkRate, o.HopDelay)
-	n.Connect(tb.Edge2, tb.PremDst, o.AccessRate, o.HopDelay)
-	n.Connect(tb.Edge2, tb.CompDst, o.AccessRate, o.HopDelay)
+	n.Connect(tb.PremSrc, tb.Edge1, o.AccessRate, hopDelay)
+	n.Connect(tb.CompSrc, tb.Edge1, o.AccessRate, hopDelay)
+	tb.Bottleneck = n.Connect(tb.Edge1, tb.Core, linkRate, hopDelay)
+	n.Connect(tb.Core, tb.Edge2, linkRate, hopDelay)
+	n.Connect(tb.Edge2, tb.PremDst, o.AccessRate, hopDelay)
+	n.Connect(tb.Edge2, tb.CompDst, o.AccessRate, hopDelay)
 	if o.BackupPaths {
 		// Standby path around the bottleneck. Connected after the
 		// primary links and one hop longer, so shortest-path routing
 		// only chooses it when the bottleneck is down.
-		bakRate := o.BackupRate
-		if bakRate == 0 {
-			bakRate = o.LinkRate / 4
-		}
 		tb.Backup = n.AddNode("backup")
-		n.Connect(tb.Edge1, tb.Backup, bakRate, o.HopDelay)
-		n.Connect(tb.Backup, tb.Core, bakRate, o.HopDelay)
+		n.Connect(tb.Edge1, tb.Backup, backupRate, hopDelay)
+		n.Connect(tb.Backup, tb.Core, backupRate, hopDelay)
 		n.SetAutoReroute(true)
 	}
 	n.ComputeRoutes()
@@ -164,7 +157,7 @@ func (tb *Testbed) Close() { tb.K.Close() }
 
 // RTT returns the round-trip propagation delay between the premium
 // hosts (4 hops each way).
-func (tb *Testbed) RTT() time.Duration { return 8 * tb.opts.HopDelay }
+func (tb *Testbed) RTT() time.Duration { return 8 * hopDelay }
 
 // AddSite attaches a remote site (an extra edge router plus host) to
 // the core over a constrained wide-area link, like GARNET's ESnet and
@@ -173,7 +166,7 @@ func (tb *Testbed) AddSite(name string, wanRate units.BitRate, wanDelay time.Dur
 	edge := tb.Net.AddNode(name + "-edge")
 	host := tb.Net.AddNode(name + "-host")
 	tb.Net.Connect(tb.Core, edge, wanRate, wanDelay)
-	tb.Net.Connect(edge, host, tb.opts.AccessRate, tb.opts.HopDelay)
+	tb.Net.Connect(edge, host, tb.opts.AccessRate, hopDelay)
 	if tb.opts.BackupPaths {
 		// Second WAN path at a quarter of the primary's capacity,
 		// one hop longer so it only carries traffic during failover.

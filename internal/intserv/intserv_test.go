@@ -221,7 +221,7 @@ func TestRSVPSoftStateExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.AutoRefresh = false // sender dies; refreshes stop
-	k.RunUntil(4 * r.RefreshPeriod)
+	k.RunUntil(4 * refreshPeriod)
 	if s.Active() || r.TotalState() != 0 {
 		t.Fatalf("soft state should expire without refreshes (state=%d)", r.TotalState())
 	}
@@ -236,7 +236,7 @@ func TestRSVPRefreshKeepsStateAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.RunUntil(20 * r.RefreshPeriod)
+	k.RunUntil(20 * refreshPeriod)
 	if !s.Active() || r.TotalState() != 3 {
 		t.Fatal("auto-refreshed state should persist")
 	}

@@ -20,21 +20,23 @@ type RSVP struct {
 	// queues holds the WFQ installed at each managed egress
 	// interface (installed lazily on first reservation through it).
 	queues map[*netsim.Iface]*WFQ
-	// Fraction of each link reservable by guaranteed flows.
-	Fraction float64
-	// RefreshPeriod between soft-state refreshes; state expires after
-	// 3 missed refreshes. Default 5 s.
-	RefreshPeriod time.Duration
 }
+
+const (
+	// guaranteedFraction of each link is reservable by guaranteed
+	// flows.
+	guaranteedFraction = 0.9
+	// refreshPeriod between soft-state refreshes; state expires after
+	// 3 missed refreshes.
+	refreshPeriod = 5 * time.Second
+)
 
 // NewRSVP returns a manager over net.
 func NewRSVP(net *netsim.Network) *RSVP {
 	return &RSVP{
-		k:             net.Kernel(),
-		net:           net,
-		queues:        make(map[*netsim.Iface]*WFQ),
-		Fraction:      0.9,
-		RefreshPeriod: 5 * time.Second,
+		k:      net.Kernel(),
+		net:    net,
+		queues: make(map[*netsim.Iface]*WFQ),
 	}
 }
 
@@ -43,7 +45,7 @@ func (r *RSVP) queueAt(out *netsim.Iface) *WFQ {
 	if q, ok := r.queues[out]; ok {
 		return q
 	}
-	q := NewWFQ(units.BitRate(float64(out.Link().Rate())*r.Fraction), netsim.DefaultQueueCap)
+	q := NewWFQ(units.BitRate(float64(out.Link().Rate())*guaranteedFraction), netsim.DefaultQueueCap)
 	out.SetQueue(q)
 	r.queues[out] = q
 	return q
@@ -98,7 +100,7 @@ func (r *RSVP) Reserve(flow netsim.FlowKey, rate units.BitRate) (*Session, error
 			s.rollback()
 			return nil, err
 		}
-		s.hops = append(s.hops, &hopState{q: q, expires: r.k.Now() + 3*r.RefreshPeriod})
+		s.hops = append(s.hops, &hopState{q: q, expires: r.k.Now() + 3*refreshPeriod})
 		node = out.Peer().Node()
 		if len(s.hops) > len(r.net.Nodes()) {
 			s.rollback()
@@ -114,14 +116,14 @@ func (r *RSVP) Reserve(flow netsim.FlowKey, rate units.BitRate) (*Session, error
 
 // scheduleRefresh arms the soft-state timer chain.
 func (s *Session) scheduleRefresh() {
-	s.refreshTimer = s.rsvp.k.After(s.rsvp.RefreshPeriod, func() {
+	s.refreshTimer = s.rsvp.k.After(refreshPeriod, func() {
 		if s.done {
 			return
 		}
 		now := s.rsvp.k.Now()
 		if s.AutoRefresh {
 			for _, h := range s.hops {
-				h.expires = now + 3*s.rsvp.RefreshPeriod
+				h.expires = now + 3*refreshPeriod
 			}
 			s.scheduleRefresh()
 			return

@@ -116,18 +116,6 @@ func OpMax(a, b []float64) []float64 {
 	return out
 }
 
-// OpMin takes the elementwise minimum.
-func OpMin(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i]
-		if b[i] < out[i] {
-			out[i] = b[i]
-		}
-	}
-	return out
-}
-
 // vecSize is the wire size of a float64 vector.
 func vecSize(v []float64) units.ByteSize { return units.ByteSize(8 * len(v)) }
 

@@ -13,7 +13,6 @@ import (
 const (
 	tagAlltoall = 1<<20 + 5
 	tagScan     = 1<<20 + 6
-	tagRedScat  = 1<<20 + 7
 )
 
 // Alltoall delivers parts[i] (one slice per member, rank order) to

@@ -217,12 +217,6 @@ func (r *Rank) failAllLocal(err error) {
 	}
 }
 
-// RestartOn installs a host policy for fault-injected restarts
-// (faults.RankTarget.RankRestart): fn returns the host the named rank
-// should restart on, nil meaning "same host as before". Without a
-// policy, restarts reuse the rank's previous host.
-func (j *Job) RestartOn(fn func(rank int) *Host) { j.restartOn = fn }
-
 // RestartRank brings a crashed rank back as a fresh incarnation on h
 // (nil = the rank's previous host, reusing its node, TCP stack, and
 // CPU). The new process re-wires connections to every live peer and
@@ -381,12 +375,6 @@ type rankTarget struct {
 // RankCrash implements faults.RankTarget.
 func (t rankTarget) RankCrash() { t.j.CrashRank(t.i) }
 
-// RankRestart implements faults.RankTarget: the restart host comes
-// from the job's RestartOn policy (default: same host).
-func (t rankTarget) RankRestart() {
-	var h *Host
-	if t.j.restartOn != nil {
-		h = t.j.restartOn(t.i)
-	}
-	t.j.RestartRank(t.i, h)
-}
+// RankRestart implements faults.RankTarget: the rank restarts on its
+// previous host.
+func (t rankTarget) RankRestart() { t.j.RestartRank(t.i, nil) }

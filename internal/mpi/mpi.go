@@ -41,10 +41,11 @@ func NewHost(nd *netsim.Node, tcpOpts tcpsim.Options) *Host {
 	}
 }
 
+// basePort: rank i listens on basePort+i.
+const basePort netsim.Port = 5000
+
 // JobOptions tune an MPI job.
 type JobOptions struct {
-	// BasePort: rank i listens on BasePort+i. Default 5000.
-	BasePort netsim.Port
 	// EagerThreshold: messages at or below go eager; above use
 	// rendezvous. Default 128 KB (MPICH TCP device era default).
 	EagerThreshold units.ByteSize
@@ -60,9 +61,6 @@ type JobOptions struct {
 }
 
 func (o JobOptions) withDefaults() JobOptions {
-	if o.BasePort == 0 {
-		o.BasePort = 5000
-	}
 	if o.EagerThreshold == 0 {
 		o.EagerThreshold = 128 * units.KB
 	}
@@ -100,7 +98,6 @@ type Job struct {
 	restarts   int          // total restarts (0 = mesh never changed)
 	observers  []func(rank int, ev RankEvent)
 	errhandler Errhandler
-	restartOn  func(rank int) *Host
 	ckpts      map[int]Checkpoint // latest application checkpoint per rank
 	inits      map[int]Checkpoint // MPI_Init-time system snapshot per rank
 
@@ -147,12 +144,6 @@ func (j *Job) Size() int { return len(j.ranks) }
 // Rank returns rank i's handle (valid after NewJob, usable after
 // Start).
 func (j *Job) Rank(i int) *Rank { return j.ranks[i] }
-
-// World returns the world communicator.
-func (j *Job) World() *Comm { return j.world }
-
-// Kernel returns the simulation kernel.
-func (j *Job) Kernel() *sim.Kernel { return j.k }
 
 // Start launches every rank: connections are established all-to-all,
 // then main runs on each rank's process. Call once. The main function
@@ -354,7 +345,7 @@ func (r *Rank) Compute(ctx *sim.Ctx, work time.Duration) {
 
 // port returns the listen port of rank i.
 func (j *Job) port(i int) netsim.Port {
-	return j.opts.BasePort + netsim.Port(i)
+	return basePort + netsim.Port(i)
 }
 
 // ioConfig builds the globus-io wrapper configuration for this rank.

@@ -580,26 +580,6 @@ func (r *Rank) dropMatchedRdv(env *envelope) {
 	}
 }
 
-// Probe reports whether a matching message is available without
-// receiving it.
-func (r *Rank) Probe(comm *Comm, src, tag int) bool {
-	gsrc := src
-	if src != AnySource {
-		var err error
-		gsrc, err = comm.globalRank(src)
-		if err != nil {
-			return false
-		}
-	}
-	p := postedRecv{src: gsrc, ctx: comm.ctxID, tag: tag}
-	for _, e := range r.unexpected {
-		if p.matches(e) {
-			return true
-		}
-	}
-	return false
-}
-
 // SendRecv performs a blocking exchange: send to dest then receive
 // from src (issued concurrently to avoid deadlock on symmetric
 // exchanges).

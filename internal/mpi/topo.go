@@ -25,18 +25,6 @@ type Topo struct {
 	leaders *Comm
 }
 
-// Comm returns the underlying communicator.
-func (t *Topo) Comm() *Comm { return t.comm }
-
-// Sites returns the number of distinct sites.
-func (t *Topo) Sites() int {
-	seen := map[int]bool{}
-	for _, s := range t.site {
-		seen[s] = true
-	}
-	return len(seen)
-}
-
 // NewTopo builds the topology structure over comm. Every member must
 // call it with the same site slice (one entry per communicator rank,
 // arbitrary non-negative site ids). It is collective: two CommSplits.

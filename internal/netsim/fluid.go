@@ -130,18 +130,6 @@ func (n *Network) NewFluidFlow(name string, src, dst *Node, port Port, rate unit
 	return f
 }
 
-// Key returns the flow's 5-tuple (with its synthetic source port).
-func (f *FluidFlow) Key() FlowKey { return f.key }
-
-// Name returns the flow's name.
-func (f *FluidFlow) Name() string { return f.name }
-
-// Active reports whether the flow is currently offering traffic.
-func (f *FluidFlow) Active() bool { return f.active }
-
-// Rate returns the offered rate.
-func (f *FluidFlow) Rate() units.BitRate { return f.rate }
-
 // DeliveredRate returns the end-to-end delivered rate the last fluid
 // solve computed for the flow.
 func (f *FluidFlow) DeliveredRate() units.BitRate {
@@ -206,28 +194,12 @@ func (f *FluidFlow) Stop() {
 	f.net.refreshFluid()
 }
 
-// SetRate changes the offered rate; accounting is settled at the old
-// rate first.
-func (f *FluidFlow) SetRate(r units.BitRate) {
-	if r < 0 {
-		panic("netsim: negative fluid flow rate")
-	}
-	f.account(f.net.k.Now())
-	f.rate = r
-	if f.active {
-		f.net.refreshFluid()
-	}
-}
-
 // traceKey folds the flow 5-tuple into a stable 64-bit key for
 // deterministic trace IDs.
 func (f *FluidFlow) traceKey() uint64 {
 	return uint64(f.key.Src)<<40 | uint64(f.key.Dst)<<24 |
 		uint64(f.key.SrcPort)<<8 | uint64(f.key.DstPort)<<4 | uint64(f.key.Proto)
 }
-
-// FluidFlows returns the network's fluid flows in creation order.
-func (n *Network) FluidFlows() []*FluidFlow { return n.fluidFlows }
 
 // ifaceFluid is the per-interface fluid state: arrival rates and
 // analytically integrated backlogs for the expedited and best-effort

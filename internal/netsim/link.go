@@ -43,13 +43,6 @@ type Iface struct {
 	// traffic sharing this egress; see fluid.go.
 	fluid *ifaceFluid
 
-	// OnEgressDrop, if non-nil, is called when the egress queue
-	// rejects a packet.
-	OnEgressDrop func(p *Packet)
-	// OnIngressDrop, if non-nil, is called when an ingress filter
-	// drops a packet.
-	OnIngressDrop func(p *Packet)
-
 	txPackets    uint64
 	txBytes      int64
 	egressDrops  uint64
@@ -99,9 +92,6 @@ func (i *Iface) InsertIngress(f IngressFilter) {
 	i.ingress = append([]IngressFilter{f}, i.ingress...)
 }
 
-// ClearIngress removes all ingress filters.
-func (i *Iface) ClearIngress() { i.ingress = nil }
-
 // peer returns the interface at the other end of the link.
 func (i *Iface) peer() *Iface {
 	if i.link == nil {
@@ -130,9 +120,6 @@ func (i *Iface) enqueue(p *Packet) bool {
 		i.egressDrops++
 		i.mEgressDrops.Inc()
 		i.rec.Emit(metrics.EvPacketDropEgress, i.label, int64(p.Size), int64(p.DSCP), 0)
-		if i.OnEgressDrop != nil {
-			i.OnEgressDrop(p)
-		}
 		i.node.net.FreePacket(p)
 		return false
 	}
@@ -221,9 +208,6 @@ func (i *Iface) arrive(p *Packet) {
 			i.ingressDrops++
 			i.mIngressDrops.Inc()
 			i.rec.Emit(metrics.EvPacketDropIngress, i.label, int64(p.Size), int64(p.DSCP), 0)
-			if i.OnIngressDrop != nil {
-				i.OnIngressDrop(p)
-			}
 			i.node.net.FreePacket(p)
 			return
 		}

@@ -141,15 +141,6 @@ func (nd *Node) receive(in *Iface, p *Packet) {
 	_ = nd.forward(p)
 }
 
-// SetRoute installs iface as the next hop toward dst. The interface
-// must belong to this node.
-func (nd *Node) SetRoute(dst Addr, out *Iface) {
-	if out.node != nd {
-		panic(fmt.Sprintf("netsim: route on node %q via foreign interface", nd.name))
-	}
-	nd.routes[dst] = out
-}
-
 // RouteTo returns the next-hop interface for dst, or nil.
 func (nd *Node) RouteTo(dst Addr) *Iface { return nd.routes[dst] }
 

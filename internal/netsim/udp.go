@@ -83,9 +83,6 @@ func (s *UDPStack) Bind(port Port) (*UDPSocket, error) {
 	return sock, nil
 }
 
-// Node returns the node the stack runs on.
-func (s *UDPStack) Node() *Node { return s.node }
-
 // RxDrops returns the number of datagrams dropped for lack of a bound
 // socket.
 func (s *UDPStack) RxDrops() uint64 { return s.rxDrops }

@@ -327,6 +327,3 @@ func (m *Mailbox) TryRecv() (any, bool) {
 
 // Len returns the number of queued items.
 func (m *Mailbox) Len() int { return len(m.items) }
-
-// Closed reports whether Close has been called.
-func (m *Mailbox) Closed() bool { return m.closed }

@@ -440,11 +440,6 @@ type Filter struct {
 	HasStatus bool
 	// MinDur, when positive, keeps only spans at least that long.
 	MinDur time.Duration
-	// AttrKey, when nonempty, requires an attribute with that key
-	// whose value equals AttrStr (if nonempty) or AttrVal.
-	AttrKey string
-	AttrStr string
-	AttrVal int64
 	// Limit, when positive, caps the result count (most recent kept).
 	Limit int
 }
@@ -467,19 +462,6 @@ func (f Filter) match(s *Span) bool {
 	}
 	if f.MinDur > 0 && s.Dur < f.MinDur {
 		return false
-	}
-	if f.AttrKey != "" {
-		a, ok := s.Attr(f.AttrKey)
-		if !ok {
-			return false
-		}
-		if f.AttrStr != "" {
-			if a.Str != f.AttrStr {
-				return false
-			}
-		} else if a.Val != f.AttrVal {
-			return false
-		}
 	}
 	return true
 }

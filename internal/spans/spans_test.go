@@ -209,9 +209,6 @@ func TestQueryFilters(t *testing.T) {
 	if got := tr.Query(Filter{MinDur: 10 * time.Millisecond}); len(got) != 1 || got[0].Name != "rpc.prepare" {
 		t.Fatalf("MinDur filter: %+v", got)
 	}
-	if got := tr.Query(Filter{AttrKey: "res", AttrVal: 2}); len(got) != 1 || got[0].Trace != tB {
-		t.Fatalf("Attr filter: %+v", got)
-	}
 	if got := tr.Query(Filter{Subject: "dom2", Limit: 1}); len(got) != 1 || got[0].Name != "rpc.commit" {
 		t.Fatalf("Limit keeps most recent: %+v", got)
 	}

@@ -59,9 +59,6 @@ type Conn struct {
 	state    connState
 	listener *Listener
 	err      error
-	dscp     netsim.DSCP
-
-	mss units.ByteSize
 
 	// Handshake.
 	iss, irs    int64
@@ -120,11 +117,6 @@ type Conn struct {
 	trace   spans.TraceID
 	connect *spans.Span
 	recSpan *spans.Span
-
-	// TraceSend, if non-nil, is called for every data segment
-	// transmission (including retransmissions); Figure 7's
-	// sequence-number traces hook in here.
-	TraceSend func(now time.Duration, seq int64, length units.ByteSize, retx bool)
 }
 
 // interval is a received out-of-order byte range [start, end).
@@ -156,11 +148,10 @@ func newConn(s *Stack, lport netsim.Port, raddr netsim.Addr, rport netsim.Port) 
 		lport:       lport,
 		raddr:       raddr,
 		rport:       rport,
-		mss:         o.MSS,
 		established: sim.NewCond(s.k),
 		sndBufCap:   o.SndBuf,
 		rcvBufCap:   o.RcvBuf,
-		cwnd:        float64(o.MSS) * float64(o.InitialCwndSegs),
+		cwnd:        float64(mss) * initialCwndSegs,
 		ssthresh:    1 << 30,
 		rwnd:        o.RcvBuf,
 		rto:         o.InitialRTO,
@@ -210,13 +201,10 @@ func (c *Conn) FlowKey() netsim.FlowKey {
 	}
 }
 
-// SetDSCP sets the code point stamped on outgoing packets.
-func (c *Conn) SetDSCP(d netsim.DSCP) { c.dscp = d }
-
 // SetSndBuf resizes the send socket buffer (the §5.5 tuning knob).
 func (c *Conn) SetSndBuf(n units.ByteSize) {
-	if n < c.mss {
-		n = c.mss
+	if n < mss {
+		n = mss
 	}
 	c.sndBufCap = n
 	c.sndCond.Broadcast()
@@ -224,8 +212,8 @@ func (c *Conn) SetSndBuf(n units.ByteSize) {
 
 // SetRcvBuf resizes the receive socket buffer.
 func (c *Conn) SetRcvBuf(n units.ByteSize) {
-	if n < c.mss {
-		n = c.mss
+	if n < mss {
+		n = mss
 	}
 	c.rcvBufCap = n
 }
@@ -241,11 +229,6 @@ func (c *Conn) Stats() ConnStats {
 	st.SRTT = c.srtt
 	st.RTO = c.rto
 	return st
-}
-
-// BufferedSend returns the bytes written but not yet acknowledged.
-func (c *Conn) BufferedSend() units.ByteSize {
-	return units.ByteSize(c.sndBufEnd - maxI64(c.sndUna, 1))
 }
 
 func maxI64(a, b int64) int64 {
@@ -484,9 +467,9 @@ func (c *Conn) dataLimit() int64 {
 // consume advances the app read position and sends a window update if
 // the advertised window was nearly closed.
 func (c *Conn) consume(n int64) {
-	wasSmall := c.advertisedWnd() < c.mss
+	wasSmall := c.advertisedWnd() < mss
 	c.readPos += n
-	if wasSmall && c.advertisedWnd() >= c.mss {
+	if wasSmall && c.advertisedWnd() >= mss {
 		c.sendAck()
 	}
 }
@@ -498,9 +481,6 @@ func (c *Conn) advertisedWnd() units.ByteSize {
 	}
 	return c.rcvBufCap - used
 }
-
-// Buffered returns the bytes received and not yet read by the app.
-func (c *Conn) Buffered() units.ByteSize { return units.ByteSize(c.rcvNxt - c.readPos) }
 
 // Drain blocks until every written byte has been acknowledged.
 func (c *Conn) Drain(ctx *sim.Ctx) error {

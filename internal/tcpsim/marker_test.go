@@ -36,9 +36,7 @@ func TestMarkerDeliveryProperty(t *testing.T) {
 // arriving segments overran the receive buffer.
 func runMarkerProperty(t *testing.T, seed int) int {
 	t.Helper()
-	opts := DefaultOptions()
-	mss := opts.MSS
-	k, sa, sb := testNet(10*units.Mbps, time.Millisecond, opts)
+	k, sa, sb := testNet(10*units.Mbps, time.Millisecond, DefaultOptions())
 	rng := sim.NewRNG(int64(seed))
 	loss := 0.02 + 0.13*rng.Float64()
 	nMsgs := 40 + rng.Intn(80)

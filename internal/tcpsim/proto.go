@@ -65,7 +65,6 @@ func (c *Conn) sendSegment(seg *segment) {
 	p.SrcPort = c.lport
 	p.DstPort = c.rport
 	p.Proto = netsim.ProtoTCP
-	p.DSCP = c.dscp
 	p.Size = seg.length + netsim.TCPHeader + netsim.IPHeader
 	p.PayloadLen = seg.length
 	p.Payload = seg
@@ -94,7 +93,7 @@ func (c *Conn) trySend() {
 	// ACK clock; collapse cwnd to the initial window and ramp again.
 	if !c.stack.opts.DisableSSR && c.sndNxt == c.sndUna && c.sndNxt < c.sndBufEnd &&
 		c.lastSend > 0 && c.stack.k.Now()-c.lastSend > c.rto {
-		if iw := float64(c.mss) * float64(c.stack.opts.InitialCwndSegs); c.cwnd > iw {
+		if iw := float64(mss) * initialCwndSegs; c.cwnd > iw {
 			c.cwnd = iw
 		}
 	}
@@ -110,7 +109,7 @@ func (c *Conn) trySend() {
 		}
 		dataEnd := c.sndBufEnd
 		if c.sndNxt < dataEnd {
-			n := int64(c.mss)
+			n := int64(mss)
 			if rem := dataEnd - c.sndNxt; rem < n {
 				n = rem
 			}
@@ -172,9 +171,6 @@ func (c *Conn) transmitRange(seq int64, n units.ByteSize, retx bool) {
 		c.rttStart = c.stack.k.Now()
 	}
 	m.rec.Emit(metrics.EvTCPSegment, m.nodeName, seq, int64(n), retxFlag)
-	if c.TraceSend != nil {
-		c.TraceSend(c.stack.k.Now(), seq, n, retx)
-	}
 	c.sendDataSegment(seg)
 }
 
@@ -237,10 +233,10 @@ func (c *Conn) onRTO() {
 	c.stats.Timeouts++
 	flight := float64(c.sndNxt - c.sndUna)
 	c.ssthresh = flight / 2
-	if min := 2 * float64(c.mss); c.ssthresh < min {
+	if min := 2 * float64(mss); c.ssthresh < min {
 		c.ssthresh = min
 	}
-	c.cwnd = float64(c.mss)
+	c.cwnd = float64(mss)
 	c.inRecovery = false
 	// An RTO during fast recovery means recovery failed; either way the
 	// timeout itself is an instant span on the flow's trace.
@@ -252,8 +248,8 @@ func (c *Conn) onRTO() {
 	c.dupAcks = 0
 	c.rttTiming = false
 	c.rto *= 2
-	if c.rto > c.stack.opts.MaxRTO {
-		c.rto = c.stack.opts.MaxRTO
+	if c.rto > maxRTO {
+		c.rto = maxRTO
 	}
 	c.stack.m.timeouts.Inc()
 	c.stack.m.rec.Emit(metrics.EvTCPTimeout, c.stack.m.nodeName, c.sndUna, int64(c.rto), 0)
@@ -261,7 +257,7 @@ func (c *Conn) onRTO() {
 	// regardless of the advertised window (a zero window must not
 	// block recovery of already-sent data).
 	c.sndNxt = c.sndUna
-	n := int64(c.mss)
+	n := int64(mss)
 	if rem := c.sndBufEnd - c.sndUna; rem < n {
 		n = rem
 	}
@@ -296,8 +292,8 @@ func (c *Conn) sampleRTT(r time.Duration) {
 	if c.rto < c.stack.opts.MinRTO {
 		c.rto = c.stack.opts.MinRTO
 	}
-	if c.rto > c.stack.opts.MaxRTO {
-		c.rto = c.stack.opts.MaxRTO
+	if c.rto > maxRTO {
+		c.rto = maxRTO
 	}
 }
 
@@ -374,7 +370,7 @@ func (c *Conn) handleSegment(seg *segment, p *netsim.Packet) {
 	}
 }
 
-// processAck implements Reno/NewReno ACK processing.
+// processAck implements NewReno ACK processing (RFC 2582).
 func (c *Conn) processAck(seg *segment) {
 	ack := seg.ack
 	if ack > c.sndMax {
@@ -396,9 +392,9 @@ func (c *Conn) processAck(seg *segment) {
 			c.sampleRTT(c.stack.k.Now() - c.rttStart)
 			c.rttTiming = false
 		}
-		mss := float64(c.mss)
+		mss := float64(mss)
 		if c.inRecovery {
-			if !c.stack.opts.NewReno || ack > c.recover {
+			if ack > c.recover {
 				// Full ACK: leave fast recovery.
 				c.inRecovery = false
 				c.recSpan.Int("cwnd_exit", int64(c.ssthresh))
@@ -449,7 +445,7 @@ func (c *Conn) processAck(seg *segment) {
 	if ack == c.sndUna && seg.length == 0 && !wndChanged && c.sndNxt > c.sndUna {
 		c.stats.DupAcksSeen++
 		c.dupAcks++
-		mss := float64(c.mss)
+		mss := float64(mss)
 		if c.inRecovery {
 			c.cwnd += mss // inflate
 			c.trySend()
@@ -480,7 +476,7 @@ func (c *Conn) processAck(seg *segment) {
 
 // retransmitHole resends the segment (or FIN) starting at sndUna.
 func (c *Conn) retransmitHole() {
-	n := int64(c.mss)
+	n := int64(mss)
 	if rem := c.sndBufEnd - c.sndUna; rem < n {
 		n = rem
 	}

@@ -1,5 +1,5 @@
-// Package tcpsim implements a TCP transport (Reno/NewReno congestion
-// control) over the netsim packet network.
+// Package tcpsim implements a TCP transport (NewReno congestion
+// control, RFC 2582) over the netsim packet network.
 //
 // The paper's central difficulty is TCP's reaction to token-bucket
 // policing: "TCP kicks into slow start mode and starts sending more
@@ -38,25 +38,31 @@ var (
 	ErrListenClosed = errors.New("tcpsim: listener closed")
 )
 
+// Fixed connection parameters.
+const (
+	// mss is the maximum segment (payload) size.
+	mss units.ByteSize = 1460
+	// initialCwndSegs is the initial congestion window in segments
+	// (RFC 2581).
+	initialCwndSegs = 2
+	// maxRTO caps the retransmission timer.
+	maxRTO = 60 * time.Second
+	// synRetries is the number of SYN (re)transmissions before Dial
+	// fails with ErrTimeout.
+	synRetries = 5
+)
+
 // Options configure a stack's default connection parameters.
-// Individual connections can override buffers and DSCP after creation.
+// Individual connections can override buffers after creation.
 type Options struct {
-	// MSS is the maximum segment (payload) size. Default 1460 bytes.
-	MSS units.ByteSize
 	// SndBuf is the send socket buffer size. Default 64 KB. The
 	// paper's §5.5 anecdote used 8 KB before tuning.
 	SndBuf units.ByteSize
 	// RcvBuf is the receive socket buffer size. Default 64 KB.
 	RcvBuf units.ByteSize
-	// InitialCwnd is the initial congestion window in segments.
-	// Default 2 (RFC 2581).
-	InitialCwndSegs int
-	// MinRTO / MaxRTO / InitialRTO bound the retransmission timer.
-	// Defaults 200 ms / 60 s / 1 s.
-	MinRTO, MaxRTO, InitialRTO time.Duration
-	// NewReno enables partial-ACK retransmission during fast
-	// recovery (RFC 2582). Default true.
-	NewReno bool
+	// MinRTO is the retransmission timer's floor; InitialRTO its value
+	// before the first RTT sample. Defaults 200 ms / 1 s.
+	MinRTO, InitialRTO time.Duration
 	// DelayedAck enables a 40 ms delayed-ACK timer with
 	// ack-every-other-segment. Default false (immediate ACKs).
 	DelayedAck bool
@@ -71,43 +77,27 @@ type Options struct {
 	// did. This is a large part of why very bursty (1 fps) flows
 	// need bigger reservations (§5.4).
 	DisableSSR bool
-	// SynRetries is the number of SYN (re)transmissions before Dial
-	// fails with ErrTimeout. Default 5.
-	SynRetries int
 }
 
 func (o Options) withDefaults() Options {
-	if o.MSS == 0 {
-		o.MSS = 1460
-	}
 	if o.SndBuf == 0 {
 		o.SndBuf = 64 * units.KB
 	}
 	if o.RcvBuf == 0 {
 		o.RcvBuf = 64 * units.KB
 	}
-	if o.InitialCwndSegs == 0 {
-		o.InitialCwndSegs = 2
-	}
 	if o.MinRTO == 0 {
 		o.MinRTO = 200 * time.Millisecond
-	}
-	if o.MaxRTO == 0 {
-		o.MaxRTO = 60 * time.Second
 	}
 	if o.InitialRTO == 0 {
 		o.InitialRTO = time.Second
 	}
-	if o.SynRetries == 0 {
-		o.SynRetries = 5
-	}
 	return o
 }
 
-// DefaultOptions returns the stack defaults (NewReno enabled).
+// DefaultOptions returns the stack defaults.
 func DefaultOptions() Options {
-	o := Options{NewReno: true}
-	return o.withDefaults()
+	return Options{}.withDefaults()
 }
 
 // connKey packs a connection's (local port, remote address, remote
@@ -180,9 +170,7 @@ type stackMetrics struct {
 }
 
 // NewStack creates a TCP stack on node nd and registers it as the
-// node's TCP handler. Zero-valued Options fields get defaults;
-// DefaultOptions().NewReno is only applied when opts is entirely zero,
-// so pass DefaultOptions() (or set NewReno explicitly) for NewReno.
+// node's TCP handler. Zero-valued Options fields get defaults.
 func NewStack(nd *netsim.Node, opts Options) *Stack {
 	s := &Stack{
 		k:         nd.Network().Kernel(),
@@ -216,9 +204,6 @@ func NewStack(nd *netsim.Node, opts Options) *Stack {
 
 // Node returns the node the stack runs on.
 func (s *Stack) Node() *netsim.Node { return s.node }
-
-// Options returns the stack's default options.
-func (s *Stack) Options() Options { return s.opts }
 
 func (s *Stack) allocPort() netsim.Port {
 	for {
@@ -303,7 +288,7 @@ func (s *Stack) DialFrom(ctx *sim.Ctx, lport netsim.Port, raddr netsim.Addr, rpo
 	c.connect = c.tr.Begin(c.trace, 0, "tcp.connect", s.m.nodeName)
 	c.connect.Int("lport", int64(lport)).Int("rport", int64(rport))
 	rto := s.opts.InitialRTO
-	for attempt := 0; attempt < s.opts.SynRetries; attempt++ {
+	for attempt := 0; attempt < synRetries; attempt++ {
 		c.sendFlags(flagSYN, c.iss, 0)
 		if c.established.WaitTimeout(ctx, rto) {
 			break
@@ -349,9 +334,6 @@ type Listener struct {
 	backlog *sim.Mailbox
 	closed  bool
 }
-
-// Port returns the listening port.
-func (l *Listener) Port() netsim.Port { return l.port }
 
 // Accept blocks until a fully established connection is available.
 func (l *Listener) Accept(ctx *sim.Ctx) (*Conn, error) {

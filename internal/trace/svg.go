@@ -18,8 +18,6 @@ type Plot struct {
 	// Scatter renders points as marks instead of connected lines
 	// (Figure 7's sequence plots).
 	Scatter bool
-	// Width and Height of the chart in pixels (defaults 640×400).
-	Width, Height int
 }
 
 // chart geometry.
@@ -34,13 +32,7 @@ var plotColors = []string{"#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 // SVG renders the plot.
 func (p Plot) SVG() string {
-	w, h := p.Width, p.Height
-	if w == 0 {
-		w = 640
-	}
-	if h == 0 {
-		h = 400
-	}
+	const w, h = 640, 400 // chart size in pixels
 	plotW := float64(w - marginLeft - marginRight)
 	plotH := float64(h - marginTop - marginBottom)
 

@@ -166,14 +166,13 @@ type SeqPoint struct {
 	Retx bool
 }
 
-// SeqTrace records TCP segment transmissions (Figure 7). Attach its
-// Record method to tcpsim.Conn.TraceSend.
+// SeqTrace records TCP segment transmissions (Figure 7). DVis fills it
+// from the flight recorder's tcp-segment events.
 type SeqTrace struct {
 	Points []SeqPoint
 }
 
-// Record appends a transmission; it has the signature of
-// tcpsim.Conn.TraceSend.
+// Record appends a transmission.
 func (t *SeqTrace) Record(now time.Duration, seq int64, length units.ByteSize, retx bool) {
 	t.Points = append(t.Points, SeqPoint{T: now, Seq: seq, Len: length, Retx: retx})
 }

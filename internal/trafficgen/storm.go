@@ -10,6 +10,9 @@ import (
 	"mpichgq/internal/sim"
 )
 
+// stormWindowMax caps the adaptive clients' AIMD window.
+const stormWindowMax = 32
+
 // ReservationStorm slams a control-plane domain with reservation
 // requests: seeded open-loop Poisson arrivals (demand that does not
 // slow down when the broker does — the overload regime) plus
@@ -38,8 +41,6 @@ type ReservationStorm struct {
 	// Think is the closed-loop think time between requests (default
 	// 50ms).
 	Think time.Duration
-	// WindowMax caps the adaptive clients' AIMD window (default 32).
-	WindowMax float64
 	// Spec builds the i-th request (class mix, bandwidth, window).
 	// Required.
 	Spec func(i int) gara.Spec
@@ -102,9 +103,6 @@ func (s *ReservationStorm) Run(k *sim.Kernel) {
 	if s.Think <= 0 {
 		s.Think = 50 * time.Millisecond
 	}
-	if s.WindowMax <= 0 {
-		s.WindowMax = 32
-	}
 	s.k = k
 	if s.Adaptive {
 		s.limiters = make([][]*ctrlplane.Limiter, len(s.Conns))
@@ -112,7 +110,7 @@ func (s *ReservationStorm) Run(k *sim.Kernel) {
 			s.limiters[i] = make([]*ctrlplane.Limiter, 3)
 			for cl := range s.limiters[i] {
 				s.limiters[i][cl] = ctrlplane.NewLimiter(k,
-					fmt.Sprintf("%s/%d/%s", cn.Name(), i, gara.Class(cl)), 1, s.WindowMax)
+					fmt.Sprintf("%s/%d/%s", cn.Name(), i, gara.Class(cl)), 1, stormWindowMax)
 			}
 		}
 	}

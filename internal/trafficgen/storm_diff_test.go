@@ -228,9 +228,6 @@ func (s *refStorm) run(k *sim.Kernel) {
 	if s.Think <= 0 {
 		s.Think = 50 * time.Millisecond
 	}
-	if s.WindowMax <= 0 {
-		s.WindowMax = 32
-	}
 	for _, cn := range s.Conns {
 		s.cos = append(s.cos, ctrlplane.NewCoordinator(cn))
 	}
@@ -239,7 +236,7 @@ func (s *refStorm) run(k *sim.Kernel) {
 		for i := range s.Conns {
 			s.lims[i] = make([]*refLimiter, 3)
 			for cl := range s.lims[i] {
-				s.lims[i][cl] = &refLimiter{k: k, cond: sim.NewCond(k), min: 1, max: s.WindowMax, window: 1}
+				s.lims[i][cl] = &refLimiter{k: k, cond: sim.NewCond(k), min: 1, max: stormWindowMax, window: 1}
 			}
 		}
 	}

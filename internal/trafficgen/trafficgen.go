@@ -176,34 +176,26 @@ func (b *FluidBlaster) Sent() int64 {
 	return int64(b.flow.OfferedBytes() / b.PacketSize)
 }
 
-// Flow returns the underlying fluid flow (nil before Run).
-func (b *FluidBlaster) Flow() *netsim.FluidFlow { return b.flow }
-
 // CPUHog occupies a CPU with continuous best-effort computation
 // between Start and Stop (Stop 0 = forever), emulating "a
 // CPU-intensive application ... running on the same machine as the
 // sending side" (§5.5).
 type CPUHog struct {
 	Start, Stop time.Duration
-	// Slice is the length of each compute burst. Default 10 ms.
-	Slice time.Duration
 
 	task *dsrt.Task
 }
 
+// hogSlice is the length of each CPUHog compute burst.
+const hogSlice = 10 * time.Millisecond
+
 // Run attaches the hog to a CPU and spawns its process.
 func (h *CPUHog) Run(k *sim.Kernel, cpu *dsrt.CPU) {
-	if h.Slice == 0 {
-		h.Slice = 10 * time.Millisecond
-	}
 	h.task = cpu.NewTask("cpu-hog")
 	k.SpawnAt(h.Start, fmt.Sprintf("cpu-hog-%s", cpu.Name()), func(ctx *sim.Ctx) {
 		for h.Stop == 0 || ctx.Now() < h.Stop {
-			h.task.Compute(ctx, h.Slice)
+			h.task.Compute(ctx, hogSlice)
 		}
 		h.task.Close()
 	})
 }
-
-// Task returns the hog's DSRT task (for inspection).
-func (h *CPUHog) Task() *dsrt.Task { return h.task }

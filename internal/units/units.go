@@ -79,7 +79,6 @@ const (
 
 	// Kbit is the size of one kilobit of payload expressed in bytes.
 	Kbit = 125 * Byte
-	Mbit = 1000 * Kbit
 )
 
 // Bits returns the size in bits.
