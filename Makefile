@@ -94,9 +94,11 @@ bench-micro:
 smoke-gqd:
 	bash scripts/gqd_smoke.sh
 
-# Paper-length regeneration of every table and figure (takes a while).
+# Paper-length regeneration of every table and figure's text output
+# (takes a while). It writes no SVGs: those are the figures target's,
+# which runs the contention sweeps in fluid mode.
 results:
-	$(GO) run ./cmd/garnet -exp all -scale 1 -svgdir docs/figures > RESULTS.txt
+	$(GO) run ./cmd/garnet -exp all -scale 1 > RESULTS.txt
 
 # Figure regeneration for docs. The contention-sweep figures (fig5,
 # fig6, fig7, figF) run their background traffic in hybrid fluid mode:

@@ -373,7 +373,7 @@ func figHWorker(ctx *sim.Ctx, r *mpi.Rank, world *mpi.Comm, stepWork time.Durati
 		return
 	}
 	for {
-		var m *mpi.Message
+		var m mpi.Message
 		var err error
 		if r.ID() == 1 {
 			m, err = r.Recv(ctx, pc, 1-r.RankIn(pc), tagHTask)

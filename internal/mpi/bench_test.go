@@ -9,48 +9,79 @@ import (
 	"mpichgq/internal/units"
 )
 
-// BenchmarkMPIEagerSendRecv measures one eager ping-pong between two
-// ranks on separate hosts: rank 0 sends, rank 1 receives and replies,
-// rank 0 receives. One op is two messages through matching, globus-io
-// framing and TCP, with the kernel's work between them.
-func BenchmarkMPIEagerSendRecv(b *testing.B) {
-	for _, size := range []units.ByteSize{64, 2 * units.KB} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			k, j := testJob(2, JobOptions{})
-			var failed error
-			j.Start(func(ctx *sim.Ctx, r *Rank) {
-				w := r.World()
-				peer := 1 - r.ID()
-				for failed == nil {
-					if r.ID() == 0 {
-						// Hand control back to the benchmark loop
-						// before each round.
-						ctx.Kernel().Stop()
-						if failed = r.Send(ctx, w, peer, 0, size, nil); failed != nil {
-							return
-						}
-					}
-					if _, failed = r.Recv(ctx, w, peer, 0); failed != nil {
-						return
-					}
-					if r.ID() == 1 {
-						failed = r.Send(ctx, w, peer, 0, size, nil)
-					}
+// startPingPong wires up a two-rank job on separate hosts whose ranks
+// play one blocking ping-pong of size-byte messages per k.Run: rank 0
+// stops the kernel before each round, sends and receives, and rank 1
+// receives and replies. The returned round function runs one round
+// trip and reports the first error either rank saw.
+func startPingPong(tb testing.TB, size units.ByteSize) (k *sim.Kernel, round func() error) {
+	k, j := testJob(2, JobOptions{})
+	var failed error
+	j.Start(func(ctx *sim.Ctx, r *Rank) {
+		w := r.World()
+		peer := 1 - r.ID()
+		for failed == nil {
+			if r.ID() == 0 {
+				// Hand control back to the caller before each round.
+				ctx.Kernel().Stop()
+				if failed = r.Send(ctx, w, peer, 0, size, nil); failed != nil {
+					return
 				}
-			})
-			// Wire the job up; rank 0 stops the kernel before round 1.
-			if err := k.Run(); err != nil {
-				b.Fatal(err)
 			}
+			if _, failed = r.Recv(ctx, w, peer, 0); failed != nil {
+				return
+			}
+			if r.ID() == 1 {
+				failed = r.Send(ctx, w, peer, 0, size, nil)
+			}
+		}
+	})
+	// Wire the job up; rank 0 stops the kernel before round 1.
+	if err := k.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	return k, func() error {
+		if err := k.Run(); err != nil {
+			return err
+		}
+		return failed
+	}
+}
+
+// benchPingPong times round trips of each size; one op is two
+// messages through matching, globus-io framing and TCP, with the
+// kernel's work between them.
+func benchPingPong(b *testing.B, sizes ...units.ByteSize) {
+	for _, size := range sizes {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			k, round := startPingPong(b, size)
+			defer k.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := k.Run(); err != nil || failed != nil {
-					b.Fatal(err, failed)
+				if err := round(); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// rdvSize is a message size above the default eager threshold, so it
+// takes the rendezvous path.
+var rdvSize = 2 * JobOptions{}.withDefaults().EagerThreshold
+
+// BenchmarkMPIEagerSendRecv measures eager ping-pongs between two
+// ranks on separate hosts.
+func BenchmarkMPIEagerSendRecv(b *testing.B) {
+	benchPingPong(b, 64, 2*units.KB)
+}
+
+// BenchmarkMPIRendezvousSendRecv measures ping-pongs above the eager
+// threshold: each message is an RTS, matched against the posted
+// receive, a clear-to-send from a helper process, and the bulk data.
+func BenchmarkMPIRendezvousSendRecv(b *testing.B) {
+	benchPingPong(b, rdvSize)
 }
 
 // BenchmarkIrecvWait measures a nonblocking receive: rank 1 posts an

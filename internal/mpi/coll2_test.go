@@ -223,7 +223,7 @@ func TestPersistentStartWhileActiveFails(t *testing.T) {
 
 func TestCommDupIsolatesContext(t *testing.T) {
 	k, j := testJob(2, JobOptions{})
-	var viaDup, viaOrig *Message
+	var viaDup, viaOrig Message
 	j.Start(func(ctx *sim.Ctx, r *Rank) {
 		w := r.World()
 		dup, err := r.CommDup(ctx, w)
@@ -255,7 +255,7 @@ func TestCommDupIsolatesContext(t *testing.T) {
 	if err := k.RunUntil(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if viaDup == nil || viaDup.Data != "dup" || viaOrig == nil || viaOrig.Data != "orig" {
+	if viaDup.Data != "dup" || viaOrig.Data != "orig" {
 		t.Fatalf("dup=%+v orig=%+v", viaDup, viaOrig)
 	}
 }

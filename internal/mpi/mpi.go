@@ -227,10 +227,14 @@ type Rank struct {
 	conns     map[int]*globusio.IO
 	finalized bool
 
-	// Matching engine. envFree recycles eager envelopes, and conds
-	// the Conds of blocking receives and of Request.Wait.
+	// Matching engine. envFree recycles envelopes, postFree the posted
+	// records of blocking receives, sendFree the rendezvous sends
+	// awaiting CTS, and conds the Conds of all three and of
+	// Request.Wait.
 	unexpected []*envelope
 	envFree    []*envelope
+	postFree   []*postedRecv
+	sendFree   []*rdvSend
 	conds      []*sim.Cond
 	posted     []*postedRecv
 	matchedRdv []*envelope // matched rendezvous envelopes awaiting data

@@ -42,7 +42,7 @@ func itoa(i int) string {
 
 func TestSendRecvBasic(t *testing.T) {
 	k, j := testJob(2, JobOptions{})
-	var got *Message
+	var got Message
 	j.Start(func(ctx *sim.Ctx, r *Rank) {
 		w := r.World()
 		switch r.ID() {
@@ -65,7 +65,7 @@ func TestSendRecvBasic(t *testing.T) {
 	if !j.Done() {
 		t.Fatal("job did not finish")
 	}
-	if got == nil || got.Src != 0 || got.Tag != 7 || got.Len != 10*units.KB || got.Data != "hi" {
+	if got.Src != 0 || got.Tag != 7 || got.Len != 10*units.KB || got.Data != "hi" {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -104,7 +104,7 @@ func TestMessageOrderingSameSource(t *testing.T) {
 
 func TestTagAndSourceMatching(t *testing.T) {
 	k, j := testJob(3, JobOptions{})
-	var fromTag2, fromRank2 *Message
+	var fromTag2, fromRank2 Message
 	j.Start(func(ctx *sim.Ctx, r *Rank) {
 		w := r.World()
 		switch r.ID() {
@@ -132,17 +132,17 @@ func TestTagAndSourceMatching(t *testing.T) {
 	if err := k.RunUntil(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if fromTag2 == nil || fromTag2.Data != "tag2" {
+	if fromTag2.Data != "tag2" {
 		t.Fatalf("tag matching failed: %+v", fromTag2)
 	}
-	if fromRank2 == nil || fromRank2.Data != "tag1" {
+	if fromRank2.Data != "tag1" {
 		t.Fatalf("wildcard recv got %+v, want tag1", fromRank2)
 	}
 }
 
 func TestSelfSend(t *testing.T) {
 	k, j := testJob(1, JobOptions{})
-	var got *Message
+	var got Message
 	j.Start(func(ctx *sim.Ctx, r *Rank) {
 		w := r.World()
 		if err := r.Send(ctx, w, 0, 3, units.KB, 42); err != nil {
@@ -159,14 +159,14 @@ func TestSelfSend(t *testing.T) {
 	if err := k.RunUntil(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.Data != 42 {
+	if got.Data != 42 {
 		t.Fatalf("self-send got %+v", got)
 	}
 }
 
 func TestRendezvousLargeMessage(t *testing.T) {
 	k, j := testJob(2, JobOptions{EagerThreshold: 16 * units.KB})
-	var got *Message
+	var got Message
 	j.Start(func(ctx *sim.Ctx, r *Rank) {
 		w := r.World()
 		switch r.ID() {
@@ -188,14 +188,14 @@ func TestRendezvousLargeMessage(t *testing.T) {
 	if err := k.RunUntil(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.Len != 500*units.KB || got.Data != "big" {
+	if got.Len != 500*units.KB || got.Data != "big" {
 		t.Fatalf("rendezvous got %+v", got)
 	}
 }
 
 func TestRendezvousRecvPostedFirst(t *testing.T) {
 	k, j := testJob(2, JobOptions{EagerThreshold: units.KB})
-	var got *Message
+	var got Message
 	j.Start(func(ctx *sim.Ctx, r *Rank) {
 		w := r.World()
 		switch r.ID() {
@@ -216,7 +216,7 @@ func TestRendezvousRecvPostedFirst(t *testing.T) {
 	if err := k.RunUntil(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.Data != "late" {
+	if got.Data != "late" {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -484,7 +484,7 @@ func TestCommSplitUndefined(t *testing.T) {
 
 func TestPairCommAndContextIsolation(t *testing.T) {
 	k, j := testJob(2, JobOptions{})
-	var viaWorld, viaPair *Message
+	var viaWorld, viaPair Message
 	j.Start(func(ctx *sim.Ctx, r *Rank) {
 		w := r.World()
 		pc, err := r.PairComm(ctx, 1-r.ID())
@@ -515,10 +515,10 @@ func TestPairCommAndContextIsolation(t *testing.T) {
 	if err := k.RunUntil(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if viaPair == nil || viaPair.Data != "pair" {
+	if viaPair.Data != "pair" {
 		t.Fatalf("pair context got %+v", viaPair)
 	}
-	if viaWorld == nil || viaWorld.Data != "world" {
+	if viaWorld.Data != "world" {
 		t.Fatalf("world context got %+v", viaWorld)
 	}
 }

@@ -58,9 +58,11 @@ type wireMsg struct {
 }
 
 // envelope is a message known to the receiver (arrived eagerly, or
-// announced by RTS with data still in flight). Eager envelopes come
-// from a per-rank freelist and go back to it once a receive has copied
-// them into a Message; rendezvous ones are allocated for each RTS.
+// announced by RTS with data still in flight). Envelopes come from a
+// per-rank freelist and go back to it once a receive has copied them
+// into a Message, a rendezvous envelope's ready Cond to the rank's
+// Cond pool with it. A rendezvous envelope that failed (err set) is
+// dropped instead.
 type envelope struct {
 	src     int // global rank
 	ctx     int
@@ -171,6 +173,16 @@ type rdvSend struct {
 	err  error
 }
 
+// putSend ends rendezvous send seq once its sender has stopped
+// waiting: it leaves rdvPending, the only place CTS and the failure
+// paths find it, and goes back to the rank's freelist with its Cond.
+func (r *Rank) putSend(seq uint64, s *rdvSend) {
+	delete(r.rdvPending, seq)
+	r.putCond(s.cond)
+	*s = rdvSend{}
+	r.sendFree = append(r.sendFree, s)
+}
+
 // pendingSends returns the rendezvous sends awaiting CTS in the order
 // they started, so that failing them wakes their senders in that
 // order rather than in Go's map order.
@@ -206,12 +218,11 @@ func (r *Rank) handleWire(obj any) {
 			size: m.size, data: m.data, arrived: true, sentAt: m.sentAt,
 		}))
 	case kindRTS:
-		env := &envelope{
+		r.deliver(r.newEnvelope(envelope{
 			src: m.src, ctx: m.ctx, tag: m.tag,
 			size: m.size, rdvSeq: m.seq, rdvFrom: m.src,
-			ready: sim.NewCond(r.job.k), sentAt: m.sentAt,
-		}
-		r.deliver(env)
+			ready: r.takeCond(), sentAt: m.sentAt,
+		}))
 	case kindCTS:
 		if s := r.rdvPending[m.seq]; s != nil {
 			s.cts = true
@@ -224,11 +235,11 @@ func (r *Rank) handleWire(obj any) {
 }
 
 // takeFree pops the most recently freed item off a freelist, or
-// returns nil when the list is empty.
+// returns a new one when the list is empty.
 func takeFree[T any](free *[]*T) *T {
 	n := len(*free)
 	if n == 0 {
-		return nil
+		return new(T)
 	}
 	x := (*free)[n-1]
 	(*free)[n-1] = nil
@@ -237,14 +248,15 @@ func takeFree[T any](free *[]*T) *T {
 }
 
 // takeCond returns an idle Cond from the rank's pool, or a new one. A
-// blocking Recv and Request.Wait take their Cond here and give it back
-// once its waiters have been woken for good, so that neither a Cond
-// nor its queue is allocated per receive.
+// blocking Recv, Request.Wait, a rendezvous envelope and a rendezvous
+// send take their Cond here and give it back once its waiters have been
+// woken for good, so that neither a Cond nor its queue is allocated per
+// message.
 func (r *Rank) takeCond() *sim.Cond {
-	if c := takeFree(&r.conds); c != nil {
-		return c
+	if len(r.conds) == 0 {
+		return sim.NewCond(r.job.k)
 	}
-	return sim.NewCond(r.job.k)
+	return takeFree(&r.conds)
 }
 
 // putCond returns an idle Cond, one that holds no waiter, to the pool.
@@ -254,9 +266,6 @@ func (r *Rank) putCond(c *sim.Cond) { r.conds = append(r.conds, c) }
 // a new one.
 func (r *Rank) newEnvelope(e envelope) *envelope {
 	env := takeFree(&r.envFree)
-	if env == nil {
-		env = new(envelope)
-	}
 	*env = e
 	return env
 }
@@ -413,20 +422,22 @@ func (r *Rank) Send(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, d
 	// Rendezvous: RTS, wait for CTS, then bulk data.
 	r.nextRdvSeq++
 	seq := r.nextRdvSeq
-	pend := &rdvSend{peer: gdest, cond: sim.NewCond(r.job.k)}
+	pend := takeFree(&r.sendFree)
+	*pend = rdvSend{peer: gdest, cond: r.takeCond()}
 	r.rdvPending[seq] = pend
 	if err := r.job.writeWire(ctx, conn, envelopeSize, wireMsg{
 		kind: kindRTS, src: r.id, ctx: comm.ctxID, tag: tag, size: n, seq: seq, sentAt: now,
 	}); err != nil {
-		delete(r.rdvPending, seq)
+		r.putSend(seq, pend)
 		return r.handleErr(r.commFail(gdest, err))
 	}
 	for !pend.cts && pend.err == nil {
 		pend.cond.Wait(ctx)
 	}
-	delete(r.rdvPending, seq)
-	if pend.err != nil {
-		return r.handleErr(pend.err)
+	err = pend.err
+	r.putSend(seq, pend)
+	if err != nil {
+		return r.handleErr(err)
 	}
 	if err := r.job.writeWire(ctx, conn, envelopeSize+n, wireMsg{
 		kind: kindRdvData, src: r.id, size: n, data: data, seq: seq,
@@ -443,9 +454,6 @@ func (r *Rank) Send(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, d
 // never read again.
 func (j *Job) writeWire(ctx *sim.Ctx, conn *globusio.IO, n units.ByteSize, m wireMsg) error {
 	w := takeFree(&j.wireFree)
-	if w == nil {
-		w = new(wireMsg)
-	}
 	*w = m
 	return conn.WriteMsg(ctx, n, w)
 }
@@ -465,27 +473,21 @@ func (r *Rank) commFail(peer int, err error) error {
 
 // Recv blocks until a message matching (src, tag) on comm arrives and
 // returns it. src may be AnySource and tag AnyTag.
-func (r *Rank) Recv(ctx *sim.Ctx, comm *Comm, src, tag int) (*Message, error) {
+func (r *Rank) Recv(ctx *sim.Ctx, comm *Comm, src, tag int) (Message, error) {
 	gsrc := src
 	if src != AnySource {
 		var err error
 		gsrc, err = comm.globalRank(src)
 		if err != nil {
-			return nil, err
+			return Message{}, err
 		}
 	}
 	env, err := r.tryMatch(comm, gsrc, tag)
 	if env == nil && err == nil {
-		p := &postedRecv{src: gsrc, ctx: comm.ctxID, tag: tag, cond: r.takeCond()}
-		r.posted = append(r.posted, p)
-		for p.env == nil && p.err == nil {
-			p.cond.Wait(ctx)
-		}
-		env, err = p.env, p.err
-		r.putCond(p.cond)
+		env, err = r.waitPosted(ctx, postedRecv{src: gsrc, ctx: comm.ctxID, tag: tag})
 	}
 	if err != nil {
-		return nil, r.handleErr(err)
+		return Message{}, r.handleErr(err)
 	}
 	// Rendezvous: data may still be in flight.
 	if !env.arrived {
@@ -495,15 +497,36 @@ func (r *Rank) Recv(ctx *sim.Ctx, comm *Comm, src, tag int) (*Message, error) {
 		}
 		r.dropMatchedRdv(env)
 		if env.err != nil {
-			return nil, r.handleErr(env.err)
+			return Message{}, r.handleErr(env.err)
 		}
 	}
-	msg := r.takeMessage(comm, env)
-	return &msg, nil
+	return r.takeMessage(comm, env), nil
+}
+
+// waitPosted posts a blocking receive in a record from the rank's
+// freelist and waits until deliver matches it or peerDown or
+// failAllLocal fails it. Each of those takes the record off the posted
+// list before waking the receive, so once awake the receive holds the
+// only reference and recycles the record itself.
+func (r *Rank) waitPosted(ctx *sim.Ctx, want postedRecv) (*envelope, error) {
+	p := takeFree(&r.postFree)
+	*p = want
+	p.cond = r.takeCond()
+	r.posted = append(r.posted, p)
+	for p.env == nil && p.err == nil {
+		p.cond.Wait(ctx)
+	}
+	env, err := p.env, p.err
+	r.putCond(p.cond)
+	*p = postedRecv{}
+	r.postFree = append(r.postFree, p)
+	return env, err
 }
 
 // takeMessage copies a received envelope into a Message, records the
-// delivery, and recycles the envelope if it came eagerly.
+// delivery, and recycles the envelope. Its receive has left every list
+// that findRdv and the failure paths search, and a rendezvous
+// envelope's ready Cond has woken its one waiter for good.
 func (r *Rank) takeMessage(comm *Comm, env *envelope) Message {
 	r.observeRecv(comm.ctxID, env)
 	msg := Message{
@@ -512,10 +535,11 @@ func (r *Rank) takeMessage(comm *Comm, env *envelope) Message {
 		Len:  env.size,
 		Data: env.data,
 	}
-	if env.ready == nil {
-		*env = envelope{}
-		r.envFree = append(r.envFree, env)
+	if env.ready != nil {
+		r.putCond(env.ready)
 	}
+	*env = envelope{}
+	r.envFree = append(r.envFree, env)
 	return msg
 }
 
@@ -583,17 +607,17 @@ func (r *Rank) dropMatchedRdv(env *envelope) {
 // SendRecv performs a blocking exchange: send to dest then receive
 // from src (issued concurrently to avoid deadlock on symmetric
 // exchanges).
-func (r *Rank) SendRecv(ctx *sim.Ctx, comm *Comm, dest, sendTag int, n units.ByteSize, data any, src, recvTag int) (*Message, error) {
+func (r *Rank) SendRecv(ctx *sim.Ctx, comm *Comm, dest, sendTag int, n units.ByteSize, data any, src, recvTag int) (Message, error) {
 	req, err := r.Isend(ctx, comm, dest, sendTag, n, data)
 	if err != nil {
-		return nil, err
+		return Message{}, err
 	}
 	msg, err := r.Recv(ctx, comm, src, recvTag)
 	if err != nil {
-		return nil, err
+		return Message{}, err
 	}
 	if err := req.Wait(ctx); err != nil {
-		return nil, err
+		return Message{}, err
 	}
 	return msg, nil
 }

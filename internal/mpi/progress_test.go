@@ -61,7 +61,7 @@ func genExchanges(seed int64) exchangeProgram {
 // for event.
 type helperRecv struct {
 	done bool
-	msg  *Message
+	msg  Message
 	err  error
 	cond *sim.Cond
 }
@@ -77,7 +77,7 @@ func spawnHelperRecv(r *Rank, comm *Comm, src, tag int) *helperRecv {
 	return h
 }
 
-func (h *helperRecv) wait(ctx *sim.Ctx) (*Message, error) {
+func (h *helperRecv) wait(ctx *sim.Ctx) (Message, error) {
 	for !h.done {
 		h.cond.Wait(ctx)
 	}
@@ -154,13 +154,12 @@ func runExchanges(t *testing.T, prog exchangeProgram, helpers bool) string {
 			recvs = append(recvs, p)
 		}
 		for _, p := range recvs {
-			var msg *Message
+			var msg Message
 			var err error
 			if p.h != nil {
 				msg, err = p.h.wait(ctx)
-			} else {
-				err = p.q.Wait(ctx)
-				msg = p.q.Message()
+			} else if err = p.q.Wait(ctx); err == nil {
+				msg = *p.q.Message()
 			}
 			fmt.Fprintf(&out, "%d rank %d tag %d: ", ctx.Now(), r.ID(), p.m.tag)
 			if err != nil {

@@ -168,7 +168,6 @@ func (n *Network) AddNode(name string) *Node {
 		name:     name,
 		addr:     n.nextAddr,
 		handlers: make(map[Proto]Handler),
-		routes:   make(map[Addr]*Iface),
 		mNoRoute: reg.Counter("netsim_no_route_drops_total",
 			"packets dropped for lack of a route", "node", name),
 		rec: reg.Events(),
@@ -216,7 +215,7 @@ func (n *Network) OnTopologyChange(f func()) {
 // observers.
 func (n *Network) RecomputeRoutes() {
 	for _, nd := range n.nodes {
-		nd.routes = make(map[Addr]*Iface)
+		clear(nd.routes)
 	}
 	n.ComputeRoutes()
 	n.notifyTopology()

@@ -45,7 +45,7 @@ type Node struct {
 	name     string
 	addr     Addr
 	ifaces   []*Iface
-	routes   map[Addr]*Iface
+	routes   []*Iface // next hop indexed by Addr (dense from 1); nil or past the end: no route
 	handlers map[Proto]Handler
 	udp      *UDPStack
 
@@ -102,7 +102,7 @@ func (nd *Node) forward(p *Packet) error {
 		nd.net.k.AfterPrioFunc(0, sim.PrioNet, nodeDeliverLocal, nd, p)
 		return nil
 	}
-	out := nd.routes[p.Dst]
+	out := nd.RouteTo(p.Dst)
 	if out == nil {
 		nd.noRouteDrops++
 		nd.mNoRoute.Inc()
@@ -142,7 +142,12 @@ func (nd *Node) receive(in *Iface, p *Packet) {
 }
 
 // RouteTo returns the next-hop interface for dst, or nil.
-func (nd *Node) RouteTo(dst Addr) *Iface { return nd.routes[dst] }
+func (nd *Node) RouteTo(dst Addr) *Iface {
+	if int(dst) < len(nd.routes) {
+		return nd.routes[dst]
+	}
+	return nil
+}
 
 // Stats returns cumulative node-level counters.
 func (nd *Node) Stats() NodeStats {
@@ -169,6 +174,11 @@ type NodeStats struct {
 // destination. Call after the topology is complete; safe to call again
 // after changes.
 func (n *Network) ComputeRoutes() {
+	for _, nd := range n.nodes {
+		if grow := int(n.nextAddr) - len(nd.routes); grow > 0 {
+			nd.routes = append(nd.routes, make([]*Iface, grow)...)
+		}
+	}
 	for _, dst := range n.nodes {
 		// BFS outward from dst; for each reached node, record the
 		// interface pointing one hop back toward dst.
