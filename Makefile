@@ -68,13 +68,16 @@ test-chaos:
 	$(GO) test -race -count=5 -run 'LineDifferential|ServeDifferential|AwaitDifferential|IrecvDifferential|StormDifferential' \
 		./internal/sim/ ./internal/netsim/ ./internal/globusio/ ./internal/mpi/ ./internal/trafficgen/ -timeout 900s
 
-# Ten seconds of the native fuzz target over metrics.LoadSnapshot,
-# starting from its committed corpus (internal/metrics/testdata/fuzz/).
-# Minimizing a new input is capped at 1 s: the corpus holds a 26 KB
-# snapshot, and the default 60 s would spend the whole run shrinking
-# it. The corpus seeds also run as ordinary tests under `make test`.
+# Ten seconds of each native fuzz target, starting from its committed
+# corpus (testdata/fuzz/ in its package): metrics.LoadSnapshot, and the
+# kernel's event queue against a reference model. Minimizing a new
+# input is capped at 1 s: the corpora hold inputs of 4 KB and more (a
+# 26 KB snapshot), and the default 60 s would spend the whole run
+# shrinking one. The corpus seeds also run as ordinary tests under
+# `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # One pass of every figure and ablation benchmark. Performance claims
 # cite the repo benchmark, BENCHMARK.json, run by bench/run.sh and

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mpichgq/internal/sim"
+	"mpichgq/internal/units"
 )
 
 // benchLink builds a two-node network with one 100 Mbps link and a
@@ -105,5 +106,34 @@ func TestBlasterTickZeroAlloc(t *testing.T) {
 	}
 	if received != 64+1001 {
 		t.Fatalf("received %d datagrams, want %d", received, 64+1001)
+	}
+}
+
+// BenchmarkRefreshFluid measures one network-wide re-solve of the
+// fluid rates, the work of every fluid Start, Stop and SetRate: two
+// 8 Mb/s flows share a 10 Mb/s bottleneck in a dumbbell, so the
+// solver integrates a growing backlog and attenuates both flows. Each
+// iteration first advances the clock by a millisecond.
+func BenchmarkRefreshFluid(b *testing.B) {
+	k := sim.New(1)
+	n := New(k)
+	a1, a2 := n.AddNode("a1"), n.AddNode("a2")
+	r1, r2 := n.AddNode("r1"), n.AddNode("r2")
+	b1, b2 := n.AddNode("b1"), n.AddNode("b2")
+	n.Connect(a1, r1, 100*units.Mbps, time.Millisecond)
+	n.Connect(a2, r1, 100*units.Mbps, time.Millisecond)
+	n.Connect(r1, r2, 10*units.Mbps, time.Millisecond)
+	n.Connect(r2, b1, 100*units.Mbps, time.Millisecond)
+	n.Connect(r2, b2, 100*units.Mbps, time.Millisecond)
+	n.ComputeRoutes()
+	n.NewFluidFlow("bg1", a1, b1, 9000, 8*units.Mbps, 1000).Start()
+	n.NewFluidFlow("bg2", a2, b2, 9000, 8*units.Mbps, 1000).Start()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := k.RunFor(time.Millisecond); err != nil {
+			b.Fatal(err)
+		}
+		n.refreshFluid()
 	}
 }

@@ -37,6 +37,49 @@ func BenchmarkKernelAfterCancel(b *testing.B) {
 	}
 }
 
+// BenchmarkEventQueueHold runs the hold model on the kernel: a fixed
+// population of pending events, each of which schedules its successor
+// a random gap ahead when it fires, so that an iteration is one pop
+// and one push at that depth. 12 pending events is fig5-packet's
+// operating point, 1,024 the admission storm's.
+func BenchmarkEventQueueHold(b *testing.B) {
+	for _, pending := range []int{12, 1024} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			k := New(1)
+			h := &hold{k: k, left: b.N}
+			for i := range h.gaps {
+				h.gaps[i] = time.Duration(1+k.RNG().Intn(1000)) * time.Microsecond
+			}
+			for i := 0; i < pending; i++ {
+				k.AfterFunc(h.gaps[i], holdFire, h, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// hold is BenchmarkEventQueueHold's state: the events left to run and
+// a table of gaps, drawn before the timer starts.
+type hold struct {
+	k    *Kernel
+	left int
+	next int
+	gaps [1024]time.Duration
+}
+
+func holdFire(a0, _ any) {
+	h := a0.(*hold)
+	if h.left--; h.left <= 0 {
+		h.k.Stop()
+	}
+	h.next = (h.next + 1) % len(h.gaps)
+	h.k.AfterFunc(h.gaps[h.next], holdFire, h, nil)
+}
+
 // TestKernelAfterFuncZeroAlloc pins the zero-allocation guarantee of
 // the pooled event path once the freelist is warm.
 func TestKernelAfterFuncZeroAlloc(t *testing.T) {

@@ -139,6 +139,8 @@ func (c *Cond) AwaitTimeout(w *Waiter, d time.Duration) Timer {
 
 // push queues p behind the current waiters. A full backing array with
 // consumed slots at its head is compacted in place rather than grown.
+// The waiters stay a slice, not a ring as a Line's items are, because
+// remove takes a waiter from the middle of the queue.
 func (c *Cond) push(p *Proc) {
 	if c.head > 0 && len(c.waiters) == cap(c.waiters) {
 		n := copy(c.waiters, c.waiters[c.head:])

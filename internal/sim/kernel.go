@@ -42,24 +42,31 @@
 //     per-connection readers of the MPI progress engine, and the
 //     admission storm's requests and control RPCs.
 //
-// The event queue is a 4-ary indexed heap over pooled event structs:
-// scheduling on the steady-state hot path performs no allocation (use
-// the AtFunc/AfterFunc variants; the closure-taking forms still cost
-// whatever the closure itself captures), and Timer.Cancel physically
-// removes the event from the heap, so cancel-heavy workloads keep the
-// queue small. Events that are known to fire in the order they are
-// scheduled, such as packet arrivals at the far end of a fixed-delay
-// link, go on a delay line (Kernel.NewLine): a FIFO of which only the
-// head sits in the heap, under the same (time, priority, sequence) key
-// it would have had as an ordinary event. A Broadcast that wakes two or
-// more waiters is such a run of events too, all at the current instant
-// and in queue order, so it goes on a line the kernel keeps for herds;
-// a lone wakeup stays an ordinary event, which is cheaper for one. See
-// docs/performance.md for the hot-path inventory.
+// The event queue is a 4-ary indexed heap of slots, each holding an
+// event's (time, priority, sequence) key inline beside a pointer to
+// its pooled event struct, so that a sift compares keys without
+// following a pointer, and a node picks its smallest child without a
+// data-dependent branch. Priorities must lie in [-128, 127], the byte
+// of the key above its 56-bit sequence number; scheduling outside that
+// range panics. Scheduling on the steady-state hot path performs no
+// allocation (use the AtFunc/AfterFunc variants; the closure-taking
+// forms still cost whatever the closure itself captures), and
+// Timer.Cancel physically removes the event from the heap, so
+// cancel-heavy workloads keep the queue small. Events that are known
+// to fire in the order they are scheduled, such as packet arrivals at
+// the far end of a fixed-delay link, go on a delay line
+// (Kernel.NewLine): a ring-buffer FIFO of which only the head sits in
+// the heap, under the same key it would have had as an ordinary event.
+// A Broadcast that wakes two or more waiters is such a run of events
+// too, all at the current instant and in queue order, so it goes on a
+// line the kernel keeps for herds; a lone wakeup stays an ordinary
+// event, which is cheaper for one. See docs/performance.md for the
+// hot-path inventory.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -68,7 +75,7 @@ import (
 )
 
 // Event priorities. Lower values run first among events scheduled for
-// the same instant.
+// the same instant. A priority must lie in [-128, 127].
 const (
 	// PrioNet orders packet deliveries ahead of application timers so
 	// that data "on the wire" at time t is visible to timers at t.
@@ -83,12 +90,9 @@ const (
 // An event is a scheduled callback. Events are pooled: after firing or
 // cancellation the struct returns to the kernel's freelist and its
 // generation counter advances, which invalidates any Timer handles
-// still pointing at it.
+// still pointing at it. Its key lives only in its heap slot.
 type event struct {
-	at    time.Duration
-	prio  int32
 	index int32 // position in the heap, -1 when not queued
-	seq   uint64
 	gen   uint64
 	// Exactly one of fn / afn is set. afn receives the two scheduling
 	// arguments, letting hot paths schedule prebound functions without
@@ -102,103 +106,150 @@ type event struct {
 	owner *Kernel
 }
 
-// eventHeap is a 4-ary min-heap ordered by (at, prio, seq), maintaining
-// each event's index for O(log n) removal by handle. A 4-ary layout
-// halves the tree depth of a binary heap and keeps children of a node
-// in one cache line's worth of pointers, which measurably speeds up the
-// push/pop churn a packet simulation generates.
-type eventHeap []*event
+// seqBits is the width of the sequence number in a heap key. The
+// priority, offset by 128 to be non-negative, takes the byte above it,
+// so that (priority, sequence) orders as one unsigned integer. A kernel
+// runs out of sequence numbers after 2^56 schedules, which no
+// simulation comes near.
+const seqBits = 56
 
-func (h eventHeap) less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// prioKey returns prio's share of a heap key. A priority outside
+// [-128, 127] does not fit its byte and panics.
+func prioKey(prio int) uint64 {
+	if int(int8(prio)) != prio {
+		panic(prioError(prio))
 	}
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
-	return a.seq < b.seq
+	return uint64(prio+128) << seqBits
 }
 
-func (h *eventHeap) push(e *event) {
-	*h = append(*h, e)
+// prioError is prioKey's panic value: formatting the message only in
+// Error keeps prioKey small enough to inline into schedule.
+type prioError int
+
+func (p prioError) Error() string {
+	return fmt.Sprintf("sim: priority %d outside [-128, 127]", int(p))
+}
+
+// A heapSlot is one queued event under its key, kept inline so that a
+// sift compares keys without following a pointer: at, then key, which
+// holds the priority in its top byte and the sequence number below it.
+// Sequence numbers are unique, so no two slots compare equal and the
+// pop order depends only on the keys, never on the heap's shape.
+type heapSlot struct {
+	at  time.Duration
+	key uint64
+	e   *event
+}
+
+// less reports whether a sorts before b, comparing (at, key) as one
+// 128-bit unsigned integer: a < b exactly when a - b borrows. Times are
+// never negative (schedule refuses the past, and the clock starts at
+// zero), so at orders the same as an unsigned number.
+func less(a, b *heapSlot) bool {
+	return lessBit(a, b) != 0
+}
+
+// lessBit is less as 0 or 1, for the branch-free tournament in down.
+func lessBit(a, b *heapSlot) uint64 {
+	_, borrow := bits.Sub64(a.key, b.key, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
+}
+
+// eventHeap is a 4-ary min-heap of slots ordered by (at, key),
+// maintaining each event's index for O(log n) removal by handle. A
+// 4-ary layout halves the tree depth of a binary heap, and a node's
+// four children sit side by side, where down picks the smallest
+// without a data-dependent branch.
+type eventHeap []heapSlot
+
+func (h *eventHeap) push(at time.Duration, key uint64, e *event) {
+	*h = append(*h, heapSlot{at: at, key: key, e: e})
 	h.up(len(*h) - 1)
 }
 
-// popMin removes and returns the earliest event.
+// popMin removes the earliest slot and returns its event.
 func (h *eventHeap) popMin() *event {
 	old := *h
-	root := old[0]
+	root := old[0].e
 	n := len(old) - 1
 	last := old[n]
-	old[n] = nil
+	old[n] = heapSlot{}
 	*h = old[:n]
 	if n > 0 {
 		old[0] = last
-		last.index = 0
 		h.down(0)
 	}
 	root.index = -1
 	return root
 }
 
-// remove deletes the event at heap position i.
+// remove deletes the slot at heap position i.
 func (h *eventHeap) remove(i int) {
 	old := *h
 	n := len(old) - 1
 	last := old[n]
-	old[n] = nil
+	old[n] = heapSlot{}
 	*h = old[:n]
 	if i < n {
 		old[i] = last
-		last.index = int32(i)
 		h.down(i)
 		h.up(i)
 	}
 }
 
 func (h eventHeap) up(j int) {
-	e := h[j]
+	s := h[j]
 	for j > 0 {
 		parent := (j - 1) / 4
-		p := h[parent]
-		if !h.less(e, p) {
+		if !less(&s, &h[parent]) {
 			break
 		}
-		h[j] = p
-		p.index = int32(j)
+		h[j] = h[parent]
+		h[j].e.index = int32(j)
 		j = parent
 	}
-	h[j] = e
-	e.index = int32(j)
+	h[j] = s
+	s.e.index = int32(j)
 }
 
+// down sifts the slot at j toward the leaves. A node with four
+// children finds the smallest by a two-round tournament, (c0, c1) and
+// (c2, c3) and then the two winners, so its four loads and first two
+// compares do not wait on one another and no branch depends on the
+// keys (the index masks only spare bounds checks); only a last node
+// with fewer children loops over them.
 func (h eventHeap) down(j int) {
 	n := len(h)
-	e := h[j]
+	s := h[j]
 	for {
 		first := 4*j + 1
-		if first >= n {
+		var min int
+		if first+3 < n {
+			c := (*[4]heapSlot)(h[first : first+4])
+			i01 := lessBit(&c[1], &c[0])
+			i23 := 2 + lessBit(&c[3], &c[2])
+			i := i01 + lessBit(&c[i23&3], &c[i01&3])*(i23-i01)
+			min = first + int(i&3)
+		} else if first < n {
+			min = first
+			for c := first + 1; c < n; c++ {
+				if less(&h[c], &h[min]) {
+					min = c
+				}
+			}
+		} else {
 			break
 		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if h.less(h[c], h[min]) {
-				min = c
-			}
-		}
-		if !h.less(h[min], e) {
+		if !less(&h[min], &s) {
 			break
 		}
 		h[j] = h[min]
-		h[j].index = int32(j)
+		h[j].e.index = int32(j)
 		j = min
 	}
-	h[j] = e
-	e.index = int32(j)
+	h[j] = s
+	s.e.index = int32(j)
 }
 
 // Kernel is a discrete-event simulator instance.
@@ -314,17 +365,18 @@ func (k *Kernel) schedule(at time.Duration, prio int, fn func(), afn func(a0, a1
 	if at < k.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past (at=%v now=%v)", at, k.now))
 	}
+	key := prioKey(prio)
 	k.seq++
 	e := k.newEvent()
-	e.at, e.prio, e.seq = at, int32(prio), k.seq
 	e.fn, e.afn, e.a0, e.a1 = fn, afn, a0, a1
-	k.queue.push(e)
+	k.queue.push(at, key|k.seq, e)
 	return Timer{e: e, gen: e.gen}
 }
 
 // At schedules fn to run at absolute virtual time at with the given
 // priority. Scheduling in the past (before Now) panics: that is always
-// a logic error in a simulation.
+// a logic error in a simulation. So does a priority outside
+// [-128, 127].
 func (k *Kernel) At(at time.Duration, prio int, fn func()) Timer {
 	return k.schedule(at, prio, fn, nil, nil, nil)
 }
@@ -391,14 +443,14 @@ func (k *Kernel) RunFor(d time.Duration) error {
 func (k *Kernel) run(deadline time.Duration) error {
 	k.stopped = false
 	for len(k.queue) > 0 && !k.stopped && k.err == nil {
-		next := k.queue[0]
-		if deadline >= 0 && next.at > deadline {
+		at, next := k.queue[0].at, k.queue[0].e
+		if deadline >= 0 && at > deadline {
 			break
 		}
-		if next.at < k.now {
+		if at < k.now {
 			panic("sim: time went backwards")
 		}
-		k.now = next.at
+		k.now = at
 		k.ran++
 		if next.line != nil {
 			next.line.fire(next)

@@ -18,18 +18,24 @@ import (
 // (time, priority, sequence) key its item was pushed with; every item
 // runs as one event (EventsRun) and counts as one pending event
 // (PendingEvents) while it waits. Line items cannot be cancelled.
+//
+// The items are a ring buffer whose length is a power of two. It
+// doubles only when a push finds it full, so once a line has reached
+// its deepest backlog, a push or a fire touches one slot and moves
+// or allocates nothing.
 type Line struct {
-	k    *Kernel
-	prio int32
-	// items[head:] are the queued callbacks, earliest first; items[head]
-	// is armed in the kernel's queue. Pops advance head, and a full
-	// backing array with consumed slots at its head is compacted in
-	// place rather than grown, as in Cond.
-	items []lineItem
-	head  int
+	k *Kernel
+	// prio is the line's priority as the top byte of a heap key.
+	prio uint64
+	// items[head], and the n-1 after it modulo len(items), are the
+	// queued callbacks, earliest first; items[head] is armed in the
+	// kernel's queue.
+	items   []lineItem
+	head, n int
 }
 
-// lineItem is one queued callback with the key it was pushed with.
+// lineItem is one queued callback with the time and sequence number
+// it was pushed with.
 type lineItem struct {
 	at     time.Duration
 	seq    uint64
@@ -38,8 +44,9 @@ type lineItem struct {
 }
 
 // NewLine returns an empty delay line whose callbacks run at priority
-// prio. Kernel.Close empties it.
-func (k *Kernel) NewLine(prio int) *Line { return &Line{k: k, prio: int32(prio)} }
+// prio, which must lie in [-128, 127] as for Kernel.At. Kernel.Close
+// empties it.
+func (k *Kernel) NewLine(prio int) *Line { return &Line{k: k, prio: prioKey(prio)} }
 
 // AfterFunc queues fn(a0, a1) to run d from now, behind every callback
 // already on the line. Its time must not be before that of the line's
@@ -50,51 +57,56 @@ func (l *Line) AfterFunc(d time.Duration, fn func(a0, a1 any), a0, a1 any) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past (at=%v now=%v)", at, k.now))
 	}
-	if n := len(l.items); n > l.head && at < l.items[n-1].at {
-		panic(fmt.Sprintf("sim: delay line out of order (at=%v after %v)", at, l.items[n-1].at))
+	mask := len(l.items) - 1
+	if l.n > 0 {
+		if last := l.items[(l.head+l.n-1)&mask].at; at < last {
+			panic(fmt.Sprintf("sim: delay line out of order (at=%v after %v)", at, last))
+		}
 	}
 	k.seq++
-	if l.head > 0 && len(l.items) == cap(l.items) {
-		n := copy(l.items, l.items[l.head:])
-		clear(l.items[n:])
-		l.items = l.items[:n]
-		l.head = 0
+	if l.n == len(l.items) {
+		l.grow()
+		mask = len(l.items) - 1
 	}
-	l.items = append(l.items, lineItem{at: at, seq: k.seq, fn: fn, a0: a0, a1: a1})
-	if len(l.items)-l.head == 1 {
-		l.arm()
+	l.items[(l.head+l.n)&mask] = lineItem{at: at, seq: k.seq, fn: fn, a0: a0, a1: a1}
+	l.n++
+	if l.n == 1 {
+		e := k.newEvent()
+		e.line = l
+		k.queue.push(at, l.prio|k.seq, e)
 	} else {
 		k.lined++
 	}
 }
 
-// arm puts the head item into the kernel's queue under its own key.
-func (l *Line) arm() {
-	it := &l.items[l.head]
-	e := l.k.newEvent()
-	e.at, e.prio, e.seq = it.at, l.prio, it.seq
-	e.line = l
-	l.k.queue.push(e)
+// grow doubles the full ring, unrolling it to start at index 0.
+func (l *Line) grow() {
+	items := make([]lineItem, max(2*len(l.items), 4))
+	c := copy(items, l.items[l.head:])
+	copy(items[c:], l.items[:l.head])
+	l.items, l.head = items, 0
 }
 
 // fire runs the line's head item; e is its event, at the root of the
 // kernel's queue. The next item is armed before the callback runs, so
-// that the queue is whole while it runs: e takes the next item's key
-// and sifts down in place, which costs one sift where a pop and a push
-// would cost two.
+// that the queue is whole while it runs: the root slot takes the next
+// item's key and sifts down in place, which costs one sift where a pop
+// and a push would cost two.
 func (l *Line) fire(e *event) {
+	k := l.k
 	it := l.items[l.head]
 	l.items[l.head] = lineItem{}
-	l.head++
-	if l.head == len(l.items) {
-		l.items, l.head = l.items[:0], 0
-		l.k.queue.popMin()
-		l.k.recycle(e)
+	l.head = (l.head + 1) & (len(l.items) - 1)
+	l.n--
+	if l.n == 0 {
+		k.queue.popMin()
+		k.recycle(e)
 	} else {
-		l.k.lined--
+		k.lined--
 		next := &l.items[l.head]
-		e.at, e.seq = next.at, next.seq
-		l.k.queue.down(0)
+		root := &k.queue[0]
+		root.at, root.key = next.at, l.prio|next.seq
+		k.queue.down(0)
 	}
 	it.fn(it.a0, it.a1)
 }
@@ -103,5 +115,5 @@ func (l *Line) fire(e *event) {
 // calls it on meeting the line's armed head, which it discards.
 func (l *Line) drop() {
 	clear(l.items)
-	l.items, l.head = nil, 0
+	l.items, l.head, l.n = nil, 0, 0
 }

@@ -200,3 +200,29 @@ func TestLineClose(t *testing.T) {
 		t.Fatalf("after Close: Run = %v, fired = %d, want nothing to run", err, fired)
 	}
 }
+
+// TestLineZeroAlloc pins the ring: once a line has reached its depth,
+// pushing an item and firing one allocates nothing, however many
+// times the ring wraps.
+func TestLineZeroAlloc(t *testing.T) {
+	k := New(1)
+	l := k.NewLine(PrioNet)
+	nop := func(a0, a1 any) {}
+	// One push a microsecond, each firing 5 µs later: four items wait
+	// on the line after every step, in a ring of eight.
+	step := func() {
+		l.AfterFunc(5*time.Microsecond, nop, nil, nil)
+		if err := k.RunFor(time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("a line push and fire allocate %.1f objects, want 0", allocs)
+	}
+	if k.PendingEvents() != 4 || len(l.items) != 8 {
+		t.Fatalf("pending %d in a ring of %d, want 4 in 8", k.PendingEvents(), len(l.items))
+	}
+}

@@ -245,7 +245,8 @@ func (k *Kernel) Close() {
 		}
 		p.fn, p.done = nil, true
 	}
-	for _, e := range k.queue {
+	for i := range k.queue {
+		e := k.queue[i].e
 		if e.line != nil {
 			// Every line with callbacks queued has its head here.
 			e.line.drop()
