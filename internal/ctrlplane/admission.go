@@ -82,8 +82,18 @@ var shedReasonNames = [...]string{
 	shedEvict:    "evict",
 }
 
+// shedErrText is each reason's refusal text, built once.
+var shedErrText = func() (t [len(shedReasonNames)]string) {
+	for r, name := range shedReasonNames {
+		t[r] = "ctrlplane: admission shed (" + name + ")"
+	}
+	return t
+}()
+
 // queuedReq is one request parked in the admission queue; its record
 // carries the reply path, so service can answer whenever it gets there.
+// The slot holds a reference to the record, and passes it on to
+// serving; whoever takes the request out for good drops it.
 type queuedReq struct {
 	m     *msg
 	enqAt time.Duration
@@ -215,7 +225,7 @@ func (q *admitQueue) enqueue(m *msg) {
 	req := &m.req
 	q.evalBrownout()
 	if !q.admitsClass(req.spec.Class) {
-		q.shedArrival(m, shedBrownout)
+		q.reject(m, shedBrownout)
 		return
 	}
 	if q.cfg.QueueLimit > 0 && q.depth >= q.cfg.QueueLimit {
@@ -223,7 +233,7 @@ func (q *admitQueue) enqueue(m *msg) {
 		// entry instead of being turned away — this is what "premium
 		// degrades last" means at the queue, not just at the door.
 		if !q.evictFor(req.spec.Class) {
-			q.shedArrival(m, shedFull)
+			q.reject(m, shedFull)
 			return
 		}
 	}
@@ -235,18 +245,20 @@ func (q *admitQueue) enqueue(m *msg) {
 	}
 	sp := q.tr.Begin(req.trace, req.parent, "admission.queue", q.name)
 	sp.Int("req", int64(req.reqID))
+	m.refs++
 	t.push(queuedReq{m: m, enqAt: q.k.Now(), sp: sp})
 	q.depth++
 	q.gDepth.Set(float64(q.depth))
 	q.kick()
 }
 
-// shedArrival rejects a request at the door with a retry-after hint.
-func (q *admitQueue) shedArrival(m *msg, reason int) {
+// reject sheds a request, at the door or from the queue, with an
+// overloaded reply carrying a retry-after hint.
+func (q *admitQueue) reject(m *msg, reason int) {
 	q.countShed(&m.req, reason)
 	m.answer(response{
 		reqID:        m.req.reqID,
-		errText:      "ctrlplane: admission shed (" + shedReasonNames[reason] + ")",
+		errText:      shedErrText[reason],
 		overloaded:   true,
 		retryAfterNS: int64(q.retryAfter()),
 	})
@@ -291,13 +303,8 @@ func (q *admitQueue) evictFor(c gara.Class) bool {
 	q.depth--
 	q.gDepth.Set(float64(q.depth))
 	victim.sp.EndStatus(spans.StatusFailed)
-	q.countShed(&victim.m.req, shedEvict)
-	victim.m.answer(response{
-		reqID:        victim.m.req.reqID,
-		errText:      "ctrlplane: admission shed (evict)",
-		overloaded:   true,
-		retryAfterNS: int64(q.retryAfter()),
-	})
+	q.reject(victim.m, shedEvict)
+	victim.m.unref()
 	return true
 }
 
@@ -334,6 +341,7 @@ func (q *admitQueue) kick() {
 			it.sp.Int("sojourn_us", int64((now-it.enqAt)/time.Microsecond))
 			it.sp.EndStatus(spans.StatusFailed)
 			q.countShed(req, shedExpired)
+			it.m.unref()
 			continue
 		}
 
@@ -350,13 +358,8 @@ func (q *admitQueue) kick() {
 				q.aboveAt = now
 				it.sp.Int("sojourn_us", int64(soj/time.Microsecond))
 				it.sp.EndStatus(spans.StatusFailed)
-				q.countShed(&it.m.req, shedCoDel)
-				it.m.answer(response{
-					reqID:        it.m.req.reqID,
-					errText:      "ctrlplane: admission shed (codel)",
-					overloaded:   true,
-					retryAfterNS: int64(q.retryAfter()),
-				})
+				q.reject(it.m, shedCoDel)
+				it.m.unref()
 				continue
 			}
 		}
@@ -381,6 +384,7 @@ func admitFinish(a0, _ any) {
 		q.mServed.Inc()
 		it.m.answer(resp)
 	}
+	it.m.unref()
 	q.evalBrownout()
 	q.kick()
 }
@@ -421,6 +425,7 @@ func (q *admitQueue) wipe() {
 			it := t.pop()
 			it.sp.EndStatus(spans.StatusLeaked)
 			q.countShed(&it.m.req, shedCrash)
+			it.m.unref()
 		}
 	}
 	q.depth = 0

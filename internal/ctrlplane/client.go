@@ -103,6 +103,13 @@ type Conn struct {
 	idHash  uint64 // lazy FNV of name/tenant, keys direct-call traces
 	waiting map[uint64]*call
 	free    []*call // finished calls, for reuse
+	// freeMsgs and freeReplies hold the stub's request and reply
+	// records once every reference to them is gone; madeMsgs and
+	// madeReplies count the records ever made.
+	freeMsgs              []*msg
+	freeReplies           []*reply
+	madeMsgs, madeReplies int
+	errBreaker            error // the open-breaker rejection, built once
 
 	mAttempts, mRetries, mTimeouts, mFailures, mRejected, mOverloads *metrics.Counter
 	rec                                                              *metrics.Recorder
@@ -117,7 +124,8 @@ func NewConn(k *sim.Kernel, srv *Server, toSrv, fromSrv *Chan,
 	return &Conn{
 		k: k, name: name, srv: srv, toSrv: toSrv, fromSrv: fromSrv,
 		Timeout: timeout, Deadline: deadline, Backoff: backoff, Breaker: breaker,
-		waiting: make(map[uint64]*call),
+		waiting:    make(map[uint64]*call),
+		errBreaker: &callError{base: ErrBreakerOpen, rm: name},
 		mAttempts: reg.Counter("ctrl_rpc_attempts_total",
 			"control RPC attempts (including retries)", "rm", name),
 		mRetries: reg.Counter("ctrl_rpc_retries_total",
@@ -164,8 +172,10 @@ const (
 // reply reaches a call only through Conn.waiting, which the call
 // leaves when it finishes.
 type call struct {
-	c        *Conn
-	req      request
+	c   *Conn
+	req request
+	// m is the record every attempt transmits, made on the first.
+	m        *msg
 	sp       *spans.Span
 	deadline time.Duration
 	attempt  int
@@ -190,11 +200,8 @@ type call struct {
 
 // newCall takes a call record from the freelist, or allocates one.
 func (c *Conn) newCall(method string, req request) *call {
-	var cl *call
-	if n := len(c.free); n > 0 {
-		cl = c.free[n-1]
-		c.free[n-1], c.free = nil, c.free[:n-1]
-	} else {
+	cl := takeFree(&c.free)
+	if cl == nil {
 		cl = &call{c: c, cond: sim.NewCond(c.k)}
 	}
 	cl.req = req
@@ -203,8 +210,11 @@ func (c *Conn) newCall(method string, req request) *call {
 }
 
 // release returns a finished call to the freelist, dropping what it
-// references.
+// references, its request record included.
 func (c *Conn) release(cl *call) {
+	if cl.m != nil {
+		cl.m.unref()
+	}
 	*cl = call{c: c, cond: cl.cond, w: cl.w}
 	c.free = append(c.free, cl)
 }
@@ -220,7 +230,7 @@ func (cl *call) start() (callOp, time.Duration) {
 		c.rec.Emit(metrics.EvCtrlRPC, req.method, 0, 0, rpcRejected)
 		cl.sp.Int("breaker_open", 1)
 		cl.sp.EndStatus(spans.StatusFailed)
-		cl.err = &callError{base: ErrBreakerOpen, rm: c.name}
+		cl.err = c.errBreaker
 		return callDone, 0
 	}
 	c.nextReq++
@@ -235,6 +245,7 @@ func (cl *call) start() (callOp, time.Duration) {
 	req.deadline = cl.deadline
 	c.waiting[req.reqID] = cl
 	c.Backoff.Reset()
+	cl.m = c.newMsg(req)
 	return cl.send()
 }
 
@@ -244,7 +255,7 @@ func (cl *call) send() (callOp, time.Duration) {
 	c := cl.c
 	cl.attempt++
 	c.mAttempts.Inc()
-	c.transmit(&cl.req)
+	c.transmit(cl.m)
 	wait := c.Timeout
 	if remain := cl.deadline - c.k.Now(); wait > remain {
 		wait = remain
@@ -391,13 +402,13 @@ func (cl *call) wake() {
 	cl.drive(cl.afterSleep())
 }
 
-// transmit ships a copy of req to the server in a record that also
-// carries the reply path. The server dispatches the request when the
-// channel delivers it — inline when admission control is off, through
-// the admission queue when on (the reply then comes whenever service
-// reaches it); a crashed server produces no reply at all.
-func (c *Conn) transmit(req *request) {
-	c.toSrv.send(req.reqID, deliverMsg, &msg{c: c, req: *req}, nil)
+// transmit ships m to the server; each delivery the request channel
+// schedules holds a reference to it. The server dispatches the request
+// when the channel delivers it — inline when admission control is off,
+// through the admission queue when on (the reply then comes whenever
+// service reaches it); a crashed server produces no reply at all.
+func (c *Conn) transmit(m *msg) {
+	m.refs += c.toSrv.send(m.req.reqID, deliverMsg, m, nil)
 }
 
 // deliver completes a pending call; late and duplicate replies (the
@@ -420,7 +431,13 @@ func (c *Conn) deliver(resp *response) {
 // context, at the instant and in the order in which a process's call
 // would have returned. done may run before Reserve returns.
 func (c *Conn) Reserve(spec gara.Spec, done func(resID uint64, err error)) {
-	cl := c.newCall(methodReserve, request{spec: spec, trace: c.nextCallTrace()})
+	c.callback(methodReserve, request{spec: spec, trace: c.nextCallTrace()}, done)
+}
+
+// callback starts a call in the callback form: it waits as a Waiter,
+// and done runs in kernel context with the result.
+func (c *Conn) callback(method string, req request, done func(resID uint64, err error)) {
+	cl := c.newCall(method, req)
 	if cl.w == nil {
 		cl.w = c.k.NewWaiter(cl.wake)
 	}

@@ -57,30 +57,106 @@ type request struct {
 	parent spans.SpanID
 }
 
-// msg is one request in flight: a copy of the call's request, made
-// per attempt, and the stub that sent it, which is where the reply
-// goes. The request channel delivers it to the server, and the
-// admission queue holds it while it waits; nothing changes it after
-// the send, so a duplicate delivers the same record twice.
+// msg is one request in flight: the call's copy of its request, made
+// on the first attempt, and the stub the reply goes to. Every attempt
+// and every duplicate delivers this one record; nothing changes it
+// after the copy. It comes from the stub's freelist and counts
+// references: the call's, one per delivery the channel scheduled, and
+// one per admission-queue slot or service holding it. The last to drop
+// its reference gives the record back.
 type msg struct {
-	c   *Conn
-	req request
+	c    *Conn
+	req  request
+	refs int32
 }
 
-// deliverMsg is the request channel's prebound delivery callback.
+// newMsg takes a request record from the freelist, or makes one, and
+// copies req into it. The caller holds its one reference.
+func (c *Conn) newMsg(req *request) *msg {
+	m := takeFree(&c.freeMsgs)
+	if m == nil {
+		m = &msg{c: c}
+		c.madeMsgs++
+	}
+	m.req, m.refs = *req, 1
+	return m
+}
+
+// unref drops one reference to m, and gives m back to its stub's
+// freelist with the last one.
+func (m *msg) unref() {
+	if m.refs--; m.refs > 0 {
+		return
+	} else if m.refs < 0 {
+		panic("ctrlplane: request record released twice")
+	}
+	m.req = request{}
+	m.c.freeMsgs = append(m.c.freeMsgs, m)
+}
+
+// takeFree pops the newest record off a freelist, or returns nil when
+// the list is empty.
+func takeFree[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	x := (*free)[n-1]
+	(*free)[n-1], *free = nil, (*free)[:n-1]
+	return x
+}
+
+// deliverMsg is the request channel's prebound delivery callback; the
+// delivery's reference ends when dispatch returns.
 func deliverMsg(a0, _ any) {
 	m := a0.(*msg)
 	m.c.srv.dispatch(m)
+	m.unref()
 }
 
-// answer sends resp back to m's stub. Each reply is a record of its
-// own: a duplicated request can be answered twice, differently.
+// reply is one response in flight, from its stub's freelist. It holds
+// one reference per delivery the reply channel scheduled, and goes
+// back when the last of them has run.
+type reply struct {
+	c    *Conn
+	resp response
+	refs int32
+}
+
+// answer sends resp back to m's stub. Each answer is a reply record of
+// its own: a duplicated request can be answered twice, differently.
 func (m *msg) answer(resp response) {
-	m.c.fromSrv.send(m.req.reqID, deliverReply, m.c, &resp)
+	c := m.c
+	r := takeFree(&c.freeReplies)
+	if r == nil {
+		r = &reply{c: c}
+		c.madeReplies++
+	}
+	// answer holds a reference while it sends, so a reply the channel
+	// drops goes back at once.
+	r.resp, r.refs = resp, 1
+	r.refs += c.fromSrv.send(m.req.reqID, deliverReply, r, nil)
+	r.unref()
+}
+
+// unref drops one reference to r, and gives r back to its stub's
+// freelist with the last one.
+func (r *reply) unref() {
+	if r.refs--; r.refs > 0 {
+		return
+	} else if r.refs < 0 {
+		panic("ctrlplane: reply record released twice")
+	}
+	r.resp = response{}
+	r.c.freeReplies = append(r.c.freeReplies, r)
 }
 
 // deliverReply is the reply channel's prebound delivery callback.
-func deliverReply(a0, a1 any) { a0.(*Conn).deliver(a1.(*response)) }
+func deliverReply(a0, _ any) {
+	r := a0.(*reply)
+	r.c.deliver(&r.resp)
+	r.unref()
+}
 
 // response is the server's reply.
 type response struct {
@@ -192,12 +268,13 @@ func (c *Chan) SetDup(p float64) { c.dup = p }
 
 // send schedules deliver(a0, a1) after the channel delay, subject to
 // loss and duplication; a duplicate delivers the same arguments again.
-// reqID only labels the flight-recorder event.
-func (c *Chan) send(reqID uint64, deliver func(a0, a1 any), a0, a1 any) {
+// It returns how many deliveries it scheduled: 0, 1 or 2. reqID only
+// labels the flight-recorder event.
+func (c *Chan) send(reqID uint64, deliver func(a0, a1 any), a0, a1 any) int32 {
 	if c.loss > 0 && c.rng.Float64() < c.loss {
 		c.mDropped.Inc()
 		c.rec.Emit(metrics.EvCtrlMsg, c.name, int64(reqID), msgDropped, 0)
-		return
+		return 0
 	}
 	c.k.AfterFunc(c.delay(), deliver, a0, a1)
 	c.mDelivered.Inc()
@@ -206,7 +283,9 @@ func (c *Chan) send(reqID uint64, deliver func(a0, a1 any), a0, a1 any) {
 		c.k.AfterFunc(c.delay(), deliver, a0, a1)
 		c.mDup.Inc()
 		c.rec.Emit(metrics.EvCtrlMsg, c.name, int64(reqID), msgDuplicate, 0)
+		return 2
 	}
+	return 1
 }
 
 func (c *Chan) delay() time.Duration {

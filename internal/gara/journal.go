@@ -6,11 +6,14 @@ import "time"
 // state-changing operation (booking, lease, commit, activation,
 // release) appends a record before the caller proceeds, so an RM that
 // crashes with its slot tables in memory can rebuild them exactly by
-// replay (NetworkRM.Recover). In this simulation the journal is an
-// in-memory slice standing in for durable storage: NetworkRM.Crash
-// wipes the RM's tables and enforcement state but leaves the journal
-// intact, the same way a real broker loses its process memory but not
-// its disk.
+// replay (NetworkRM.Recover). In this simulation the journal stands in
+// for durable storage: NetworkRM.Crash wipes the RM's tables and
+// enforcement state but leaves the journal intact, the same way a real
+// broker loses its process memory but not its disk. It keeps no slice
+// of records, only their fold (a compacted log): one state per id that
+// has not been released, which is all a replay reads. LastSeq still
+// counts every record, so a clean recovery still provably appends
+// nothing.
 
 // JournalOp discriminates journal records.
 type JournalOp uint8
@@ -58,7 +61,6 @@ func (op JournalOp) String() string {
 // data — everything Recover needs to rebuild slot tables and
 // re-install enforcement — never live handles.
 type JournalRecord struct {
-	Seq        uint64
 	Op         JournalOp
 	ID         uint64
 	Spec       Spec          // OpBook: the booked specification
@@ -68,26 +70,19 @@ type JournalRecord struct {
 }
 
 // Journal is an append-only reservation log with monotonic sequence
-// numbers.
+// numbers, kept folded: its memory grows with the live bookings, not
+// with the records appended.
 type Journal struct {
-	recs []JournalRecord
-	seq  uint64
+	// states are held by pointer: a map stores a value this large
+	// out of line anyway, and a released state goes to free for the
+	// next new id.
+	states map[uint64]*replayState
+	free   []*replayState
+	seq    uint64
 }
 
 // NewJournal returns an empty journal.
-func NewJournal() *Journal { return &Journal{} }
-
-// append stamps rec with the next sequence number and stores it.
-func (j *Journal) append(rec JournalRecord) uint64 {
-	j.seq++
-	rec.Seq = j.seq
-	j.recs = append(j.recs, rec)
-	return rec.Seq
-}
-
-// LastSeq returns the sequence number of the newest record (0 when
-// empty).
-func (j *Journal) LastSeq() uint64 { return j.seq }
+func NewJournal() *Journal { return &Journal{states: make(map[uint64]*replayState)} }
 
 // replayState is the folded per-reservation state a journal replay
 // produces.
@@ -101,38 +96,53 @@ type replayState struct {
 	edge       bool
 }
 
-// replay folds the log into per-id states (the exact booking set the
-// RM held when the last record was written).
-func (j *Journal) replay() map[uint64]*replayState {
-	states := make(map[uint64]*replayState)
-	get := func(id uint64) *replayState {
-		st := states[id]
-		if st == nil {
-			st = &replayState{}
-			states[id] = st
-		}
-		return st
-	}
-	for _, rec := range j.recs {
-		st := get(rec.ID)
-		switch rec.Op {
-		case OpBook:
-			st.booked = true
-			st.spec = rec.Spec
-			st.start, st.end = rec.Start, rec.End
-		case OpLease:
-			st.leaseEnd = rec.LeaseEnd
-		case OpCommit:
-			st.committed = true
-			st.leaseEnd = 0
-		case OpActivate:
-			st.activated = true
-			st.edge = rec.Edge
-		case OpDeactivate:
-			st.activated = false
-		case OpRelease:
+// append counts rec and folds it into its id's state. A release
+// forgets the id: nothing before it can matter to a replay, and a
+// later record for the id starts afresh.
+func (j *Journal) append(rec JournalRecord) {
+	j.seq++
+	st := j.states[rec.ID]
+	if rec.Op == OpRelease {
+		if st != nil {
+			delete(j.states, rec.ID)
 			*st = replayState{}
+			j.free = append(j.free, st)
 		}
+		return
 	}
-	return states
+	if st == nil {
+		if n := len(j.free); n > 0 {
+			st, j.free = j.free[n-1], j.free[:n-1]
+		} else {
+			st = new(replayState)
+		}
+		j.states[rec.ID] = st
+	}
+	switch rec.Op {
+	case OpBook:
+		st.booked = true
+		st.spec = rec.Spec
+		st.start, st.end = rec.Start, rec.End
+	case OpLease:
+		st.leaseEnd = rec.LeaseEnd
+	case OpCommit:
+		st.committed = true
+		st.leaseEnd = 0
+	case OpActivate:
+		st.activated = true
+		st.edge = rec.Edge
+	case OpDeactivate:
+		st.activated = false
+	}
 }
+
+// LastSeq returns the sequence number of the newest record (0 when
+// empty).
+func (j *Journal) LastSeq() uint64 { return j.seq }
+
+// replay returns the per-id states (the exact booking set the RM held
+// when the last record was written). Released ids are absent. The map
+// and its states are the journal's own: later appends change them,
+// and a released id's state is reused, so callers copy what they keep
+// and modify nothing.
+func (j *Journal) replay() map[uint64]*replayState { return j.states }

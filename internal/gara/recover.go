@@ -107,6 +107,8 @@ func (rm *NetworkRM) Recover() (RecoverStats, error) {
 		return RecoverStats{}, fmt.Errorf("gara: %s has no journal to recover from", rm.Name)
 	}
 	now := rm.k.Now()
+	// The releases journaled below recycle only the id in hand's
+	// state, after it has been copied out.
 	states := rm.Journal.replay()
 	ids := make([]uint64, 0, len(states))
 	for id := range states {
@@ -116,9 +118,9 @@ func (rm *NetworkRM) Recover() (RecoverStats, error) {
 
 	var stats RecoverStats
 	for _, id := range ids {
-		st := states[id]
+		st := *states[id]
 		if !st.booked {
-			continue // released before the crash
+			continue // records for the id, but no booking
 		}
 		if st.leaseEnd > 0 && !st.committed && st.leaseEnd <= now {
 			// Prepared but never committed, and the lease ran out while

@@ -109,12 +109,10 @@ func TestBlasterTickZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkRefreshFluid measures one network-wide re-solve of the
-// fluid rates, the work of every fluid Start, Stop and SetRate: two
-// 8 Mb/s flows share a 10 Mb/s bottleneck in a dumbbell, so the
-// solver integrates a growing backlog and attenuates both flows. Each
-// iteration first advances the clock by a millisecond.
-func BenchmarkRefreshFluid(b *testing.B) {
+// fluidDumbbell is two 8 Mb/s fluid flows sharing a 10 Mb/s
+// bottleneck in a dumbbell, so the solver integrates a growing backlog
+// and attenuates both flows.
+func fluidDumbbell() (*sim.Kernel, *Network) {
 	k := sim.New(1)
 	n := New(k)
 	a1, a2 := n.AddNode("a1"), n.AddNode("a2")
@@ -128,6 +126,15 @@ func BenchmarkRefreshFluid(b *testing.B) {
 	n.ComputeRoutes()
 	n.NewFluidFlow("bg1", a1, b1, 9000, 8*units.Mbps, 1000).Start()
 	n.NewFluidFlow("bg2", a2, b2, 9000, 8*units.Mbps, 1000).Start()
+	return k, n
+}
+
+// BenchmarkRefreshFluid measures one network-wide re-solve of the
+// fluid rates, the work of every fluid Start, Stop and SetRate, on
+// fluidDumbbell. Each iteration first advances the clock by a
+// millisecond.
+func BenchmarkRefreshFluid(b *testing.B) {
+	k, n := fluidDumbbell()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -135,5 +142,22 @@ func BenchmarkRefreshFluid(b *testing.B) {
 			b.Fatal(err)
 		}
 		n.refreshFluid()
+	}
+}
+
+// TestRefreshFluidZeroAlloc: a re-solve allocates nothing; the
+// components a flow carries along its path live in a scratch slice the
+// network keeps.
+func TestRefreshFluidZeroAlloc(t *testing.T) {
+	k, n := fluidDumbbell()
+	resolve := func() {
+		if err := k.RunFor(time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		n.refreshFluid()
+	}
+	resolve()
+	if allocs := testing.AllocsPerRun(200, resolve); allocs != 0 {
+		t.Fatalf("a fluid re-solve allocates %v times, want 0", allocs)
 	}
 }

@@ -417,7 +417,8 @@ func (n *Network) walkFluid(f *FluidFlow) {
 	if !f.active {
 		return
 	}
-	comps := []FluidComponent{{Rate: float64(f.rate) / 8, DSCP: f.dscp}}
+	comps := append(n.fluidComps[:0], FluidComponent{Rate: float64(f.rate) / 8, DSCP: f.dscp})
+	n.fluidComps = comps
 	node := f.src
 	var in *Iface
 	chunk := float64(f.chunk)

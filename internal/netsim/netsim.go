@@ -143,6 +143,8 @@ type Network struct {
 	fluidIfaces []*Iface
 	fluidGen    uint64
 	nextFluid   uint64
+	// fluidComps is walkFluid's scratch for a flow's components.
+	fluidComps []FluidComponent
 
 	// pktFree is the packet freelist; see AllocPacket.
 	pktFree []*Packet
