@@ -65,7 +65,7 @@ func main() {
 	tb := garnet.New(*seed)
 	cpu := dsrt.NewCPU(tb.K, "prem-src-cpu")
 	task := cpu.NewTask("app")
-	dpss := gara.NewDPSS(tb.K, 100*units.Mbps)
+	dpss := gara.NewDPSS(100 * units.Mbps)
 	tb.Gara.Manager(gara.ResourceStorage) // registered by the testbed
 
 	flow := diffserv.MatchHostPair(tb.PremSrc.Addr(), tb.PremDst.Addr(), netsim.ProtoTCP)
@@ -158,7 +158,7 @@ func must(err error) {
 func scenario(tb *garnet.Testbed) {
 	cpu := dsrt.NewCPU(tb.K, "prem-src-cpu")
 	task := cpu.NewTask("app")
-	dpss := gara.NewDPSS(tb.K, 100*units.Mbps)
+	dpss := gara.NewDPSS(100 * units.Mbps)
 	flow := diffserv.MatchHostPair(tb.PremSrc.Addr(), tb.PremDst.Addr(), netsim.ProtoTCP)
 	_, err := tb.Gara.Reserve(gara.Spec{
 		Type: gara.ResourceNetwork, Flow: flow, Bandwidth: 40 * units.Mbps,

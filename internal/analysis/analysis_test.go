@@ -13,7 +13,7 @@ func load(t *testing.T, dir string) (*Loader, *Package) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot(), dir))
+	pkg, err := l.LoadDir(filepath.Join(l.modRoot, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestLoaderResolvesModuleAndStdlib(t *testing.T) {
 		t.Errorf("imports missing: sim=%v time=%v", gotSim, gotTime)
 	}
 	// Loading again must hit the memo, not re-typecheck.
-	again, err := l.LoadDir(filepath.Join(l.ModuleRoot(), "internal/netsim"))
+	again, err := l.LoadDir(filepath.Join(l.modRoot, "internal/netsim"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestLoaderSkipsExternalTestPackages(t *testing.T) {
 	l.IncludeTests = true
 	// internal/gara has both in-package and package gara_test files;
 	// the loader must keep the former and drop the latter.
-	pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot(), "internal", "gara"))
+	pkg, err := l.LoadDir(filepath.Join(l.modRoot, "internal", "gara"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,13 @@ func TestLoadPatternsSkipsTestdata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := l.LoadPatterns([]string{filepath.Join(l.ModuleRoot(), "internal", "analysis") + "/..."})
+	pkgs, err := l.LoadPatterns([]string{filepath.Join(l.modRoot, "internal", "analysis") + "/..."})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range pkgs {
-		if strings.Contains(p.Dir, "testdata") {
-			t.Errorf("testdata package loaded: %s", p.Dir)
+		if strings.Contains(p.ImportPath, "testdata") {
+			t.Errorf("testdata package loaded: %s", p.ImportPath)
 		}
 	}
 	if len(pkgs) < 5 {
@@ -122,7 +122,7 @@ func TestIsGeneratedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot(), "internal", "units"))
+	pkg, err := l.LoadDir(filepath.Join(l.modRoot, "internal", "units"))
 	if err != nil {
 		t.Fatal(err)
 	}

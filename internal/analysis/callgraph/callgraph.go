@@ -31,10 +31,8 @@ type Node struct {
 	Fn   *types.Func
 	Decl *ast.FuncDecl
 
-	// Out lists static intra-package callees (deduplicated); In the
-	// reverse edges.
+	// Out lists static intra-package callees (deduplicated).
 	Out []*Node
-	In  []*Node
 
 	outSet map[*Node]bool
 	// Tarjan bookkeeping.
@@ -80,7 +78,6 @@ func Build(pass *analysis.Pass) *Graph {
 				if target, ok := g.ByFunc[callee]; ok && !n.outSet[target] {
 					n.outSet[target] = true
 					n.Out = append(n.Out, target)
-					target.In = append(target.In, n)
 				}
 			}
 			return true

@@ -80,7 +80,7 @@ var wallClockFns = map[string]bool{
 // whose per-flow EvFluidRate emissions follow call order).
 var emissionMethods = map[string]bool{
 	"Schedule": true, "At": true, "AtFunc": true, "After": true,
-	"AfterFunc": true, "AfterPrio": true, "AfterPrioFunc": true,
+	"AfterFunc": true, "AfterPrioFunc": true,
 	"Spawn": true, "Emit": true, "call": true, "transmit": true,
 	"Start": true, "Stop": true, "refreshFluid": true,
 	"Signal": true, "Broadcast": true, "Wake": true, "WakeAfter": true,

@@ -22,7 +22,7 @@ func schedule(c *conn, d time.Duration) {
 	// ok: prebound package-level function, state via a0/a1.
 	c.k.AfterFunc(d, onTimer, c, c.seq)
 	c.k.AtFunc(d, sim.PrioNet, onTimer, c, c.seq)
-	c.k.AfterPrioFunc(d, sim.PrioLate, onTimer, c, c.seq)
+	c.k.AfterPrioFunc(d, sim.PrioNormal, onTimer, c, c.seq)
 
 	// ok: the closure-taking APIs are the designated slow path.
 	c.k.After(d, func() { c.fire(c.seq) })
@@ -35,7 +35,7 @@ func schedule(c *conn, d time.Duration) {
 		a0.(*conn).fire(a1.(int))
 	}, c, c.seq)
 
-	c.k.AfterPrioFunc(d, sim.PrioLate, c.boundMethod, c, c.seq) // want `method value boundMethod passed to AfterPrioFunc allocates`
+	c.k.AfterPrioFunc(d, sim.PrioNormal, c.boundMethod, c, c.seq) // want `method value boundMethod passed to AfterPrioFunc allocates`
 }
 
 func (c *conn) boundMethod(a0, a1 any) {}

@@ -21,7 +21,6 @@ import (
 // be handed to analyzers.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -108,9 +107,6 @@ func dirExists(path string) bool {
 	fi, err := os.Stat(path)
 	return err == nil && fi.IsDir()
 }
-
-// ModuleRoot returns the directory containing go.mod.
-func (l *Loader) ModuleRoot() string { return l.modRoot }
 
 // Import implements types.Importer. Module-internal paths are loaded
 // from source under the module root; everything else (the standard
@@ -248,7 +244,6 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 
 	pkg := &Package{
 		ImportPath: importPath,
-		Dir:        abs,
 		Fset:       l.Fset,
 		Files:      files,
 		Types:      tpkg,

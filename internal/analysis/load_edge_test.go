@@ -97,8 +97,8 @@ func TestLoadPatternsSkipsVendor(t *testing.T) {
 		t.Fatalf("LoadPatterns: %v", err)
 	}
 	for _, pkg := range pkgs {
-		if strings.Contains(pkg.Dir, "vendor") {
-			t.Errorf("vendored package loaded: %s", pkg.Dir)
+		if strings.Contains(pkg.ImportPath, "vendor") {
+			t.Errorf("vendored package loaded: %s", pkg.ImportPath)
 		}
 	}
 	if len(pkgs) != 1 {

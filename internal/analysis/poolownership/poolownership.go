@@ -67,7 +67,6 @@ func run(pass *analysis.Pass) error {
 	// helper that merely inspects it leaves ownership — and the leak
 	// obligation — with the caller.
 	sums := summary.Compute(pass, &summary.Recognizer{
-		Name: "free",
 		Match: func(pass *analysis.Pass, call *ast.CallExpr) (*types.Var, bool) {
 			v, _, ok := freeCall(pass, call)
 			return v, ok

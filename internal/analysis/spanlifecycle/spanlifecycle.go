@@ -64,7 +64,6 @@ func run(pass *analysis.Pass) error {
 	// a helper that only reads it leaves the close obligation — and
 	// the leak report — with the caller.
 	sums := summary.Compute(pass, &summary.Recognizer{
-		Name: "end",
 		Match: func(pass *analysis.Pass, call *ast.CallExpr) (*types.Var, bool) {
 			v, _, ok := endCall(pass, call)
 			return v, ok

@@ -44,7 +44,6 @@ const (
 // returning the settled variable. poolownership passes its
 // FreePacket/freeSeg matcher, spanlifecycle its End/EndStatus matcher.
 type Recognizer struct {
-	Name  string
 	Match func(pass *analysis.Pass, call *ast.CallExpr) (*types.Var, bool)
 }
 
@@ -69,7 +68,6 @@ type FuncSummary struct {
 // A Set is the complete summary table for one package.
 type Set struct {
 	Pass   *analysis.Pass
-	Graph  *callgraph.Graph
 	ByFunc map[*types.Func]*FuncSummary
 }
 
@@ -78,7 +76,7 @@ type Set struct {
 // only escape facts are wanted.
 func Compute(pass *analysis.Pass, rec *Recognizer) *Set {
 	g := callgraph.Build(pass)
-	s := &Set{Pass: pass, Graph: g, ByFunc: make(map[*types.Func]*FuncSummary, len(g.Nodes))}
+	s := &Set{Pass: pass, ByFunc: make(map[*types.Func]*FuncSummary, len(g.Nodes))}
 	for _, n := range g.Nodes {
 		s.ByFunc[n.Fn] = newFuncSummary(pass, n)
 	}

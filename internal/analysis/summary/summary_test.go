@@ -17,7 +17,7 @@ func fixtureSet(t *testing.T) *Set {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(loader.ModuleRoot(), "internal", "analysis", "summary", "testdata", "src", "a")
+	dir := filepath.Join("testdata", "src", "a")
 	pkg, err := loader.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +30,6 @@ func fixtureSet(t *testing.T) *Set {
 		ImportPath: pkg.ImportPath,
 	}
 	rec := &Recognizer{
-		Name: "free",
 		Match: func(pass *analysis.Pass, call *ast.CallExpr) (*types.Var, bool) {
 			sel, ok := call.Fun.(*ast.SelectorExpr)
 			if !ok || sel.Sel.Name != "FreePacket" || len(call.Args) != 1 {

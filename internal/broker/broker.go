@@ -5,7 +5,7 @@
 // variety of resource types" (§4.2).
 //
 // The broker sits above GARA: principals (users, projects) submit
-// reservation requests; the broker enforces per-principal policy
+// reservation requests; the broker enforces one policy per principal
 // (bandwidth quota, duration and advance-booking limits), keeps an
 // auditable decision log, and only then forwards admitted requests to
 // GARA's slot-table admission.
@@ -23,7 +23,7 @@ import (
 // Principal identifies a requesting user or project.
 type Principal string
 
-// Policy bounds one principal's reservations.
+// Policy bounds each principal's reservations.
 type Policy struct {
 	// MaxBandwidth caps the sum of the principal's active and
 	// pending network reservations. Zero means no network quota.
@@ -50,10 +50,9 @@ type Decision struct {
 
 // Broker is a policy-enforcing front end to a Gara instance.
 type Broker struct {
-	g        *gara.Gara
-	policies map[Principal]Policy
-	fallback Policy
-	active   map[Principal][]*gara.Reservation
+	g      *gara.Gara
+	policy Policy
+	active map[Principal][]*gara.Reservation
 	// seen remembers the state each tracked reservation was last
 	// reconciled in, so a quota release is logged exactly once per
 	// transition.
@@ -63,29 +62,16 @@ type Broker struct {
 	mReleased *metrics.Counter
 }
 
-// New returns a broker over g. The fallback policy applies to
-// principals without an explicit one.
-func New(g *gara.Gara, fallback Policy) *Broker {
+// New returns a broker over g that holds every principal to policy.
+func New(g *gara.Gara, policy Policy) *Broker {
 	return &Broker{
-		g:        g,
-		policies: make(map[Principal]Policy),
-		fallback: fallback,
-		active:   make(map[Principal][]*gara.Reservation),
-		seen:     make(map[*gara.Reservation]gara.State),
+		g:      g,
+		policy: policy,
+		active: make(map[Principal][]*gara.Reservation),
+		seen:   make(map[*gara.Reservation]gara.State),
 		mReleased: g.Kernel().Metrics().Counter("broker_quota_released_total",
 			"reservations whose principal quota was released by reconciliation"),
 	}
-}
-
-// SetPolicy installs or replaces a principal's policy.
-func (b *Broker) SetPolicy(p Principal, pol Policy) { b.policies[p] = pol }
-
-// PolicyFor returns the effective policy for a principal.
-func (b *Broker) PolicyFor(p Principal) Policy {
-	if pol, ok := b.policies[p]; ok {
-		return pol
-	}
-	return b.fallback
 }
 
 // Usage returns the principal's currently committed network bandwidth
@@ -153,23 +139,11 @@ func (b *Broker) noteRelease(p Principal, r *gara.Reservation, s gara.State) {
 	})
 }
 
-// Reconcile sweeps every principal's ledger once, releasing quota held
-// by degraded or externally-cancelled reservations (e.g. a recovery
-// pass on a crashed resource manager cancelling leases behind the
-// broker's back). Usage and Request reconcile lazily on their own;
-// Reconcile is for callers that want the audit log and gauge current
-// without issuing a request.
-func (b *Broker) Reconcile() {
-	for p := range b.active {
-		b.live(p)
-	}
-}
-
 // Request submits a reservation on behalf of a principal. Policy
 // violations are rejected before GARA sees the request; admission
 // failures from GARA are logged the same way.
 func (b *Broker) Request(who Principal, spec gara.Spec) (*gara.Reservation, error) {
-	pol := b.PolicyFor(who)
+	pol := b.policy
 	now := b.g.Kernel().Now()
 	deny := func(reason string) (*gara.Reservation, error) {
 		b.log = append(b.log, Decision{T: now, Who: who, Spec: spec, Reason: reason})
@@ -210,11 +184,4 @@ func (b *Broker) Decisions() []Decision {
 	out := make([]Decision, len(b.log))
 	copy(out, b.log)
 	return out
-}
-
-// Cancel cancels a reservation previously granted to the principal
-// and frees its quota immediately.
-func (b *Broker) Cancel(who Principal, r *gara.Reservation) {
-	r.Cancel()
-	b.live(who)
 }

@@ -82,7 +82,7 @@ func TestCancelFreesQuota(t *testing.T) {
 	if _, err := b.Request("alice", netSpec(tb, units.Mbps)); err == nil {
 		t.Fatal("quota full")
 	}
-	b.Cancel("alice", r)
+	r.Cancel()
 	if _, err := b.Request("alice", netSpec(tb, 10*units.Mbps)); err != nil {
 		t.Fatalf("quota not freed by cancel: %v", err)
 	}
@@ -113,18 +113,6 @@ func TestCPUQuota(t *testing.T) {
 	spec.Fraction = 0.4
 	if _, err := b.Request("alice", spec); err == nil {
 		t.Fatal("0.5+0.4 over a 0.8 CPU quota should be denied")
-	}
-}
-
-func TestPerPrincipalPolicyOverride(t *testing.T) {
-	tb := garnet.New(1)
-	b := New(tb.Gara, Policy{MaxBandwidth: units.Mbps, MaxDuration: time.Hour})
-	b.SetPolicy("vip", Policy{MaxBandwidth: 100 * units.Mbps, MaxDuration: time.Hour})
-	if _, err := b.Request("pleb", netSpec(tb, 2*units.Mbps)); err == nil {
-		t.Fatal("default quota should deny 2 Mb/s")
-	}
-	if _, err := b.Request("vip", netSpec(tb, 50*units.Mbps)); err != nil {
-		t.Fatalf("vip policy should admit: %v", err)
 	}
 }
 
@@ -193,9 +181,10 @@ func TestReconcileReleasesDegradedAndRecoveredQuota(t *testing.T) {
 	}
 
 	// A recovery pass cancels the reservation without telling the
-	// broker; Reconcile notices, releases the quota, prunes the handle.
+	// broker; the next Usage notices, releases the quota, prunes the
+	// handle.
 	r.Cancel()
-	b.Reconcile()
+	b.Usage("alice")
 	if n, _ := tb.K.Metrics().CounterValue("broker_quota_released_total"); n != 2 {
 		t.Fatalf("broker_quota_released_total = %d, want 2", n)
 	}

@@ -74,7 +74,3 @@ func (b *Backoff) Hint(d time.Duration) {
 
 // Reset restarts the schedule from Base, called after a success.
 func (b *Backoff) Reset() { b.n = 0; b.hint = 0 }
-
-// Attempts returns how many intervals have been handed out since the
-// last Reset.
-func (b *Backoff) Attempts() int { return b.n }

@@ -51,12 +51,12 @@ func TestBackoffResetsAfterSuccess(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		b.Next()
 	}
-	if b.Attempts() != 6 {
-		t.Fatalf("attempts = %d, want 6", b.Attempts())
+	if b.n != 6 {
+		t.Fatalf("attempts = %d, want 6", b.n)
 	}
 	b.Reset()
-	if b.Attempts() != 0 {
-		t.Fatalf("attempts after reset = %d, want 0", b.Attempts())
+	if b.n != 0 {
+		t.Fatalf("attempts after reset = %d, want 0", b.n)
 	}
 	d := b.Next()
 	if d < 80*time.Millisecond || d > 120*time.Millisecond {

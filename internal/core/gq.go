@@ -74,7 +74,6 @@ type QosAttribute struct {
 
 	// Status, filled by the agent on AttrPut.
 	Granted bool
-	Err     error
 }
 
 // LowLatencyBandwidth is the reservation size used for the
@@ -128,7 +127,7 @@ func NewAgent(g *gara.Gara, job *mpi.Job) *Agent {
 		BucketDivisor:  diffserv.NormalBucketDivisor,
 		bindings:       make(map[bindingKey]*Binding),
 	}
-	a.kv = job.KeyvalCreate("MPICH_QOS", a.onPut)
+	a.kv = job.KeyvalCreate(a.onPut)
 	return a
 }
 
@@ -143,7 +142,6 @@ func (a *Agent) onPut(r *mpi.Rank, c *mpi.Comm, val any) error {
 		return fmt.Errorf("gq: MPICH_QOS attribute must be *gq.QosAttribute, got %T", val)
 	}
 	err := a.Apply(r, c, attr)
-	attr.Err = err
 	attr.Granted = err == nil && attr.Class != BestEffort
 	return err
 }

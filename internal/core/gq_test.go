@@ -256,6 +256,7 @@ func TestReservationFailureReportedInAttr(t *testing.T) {
 	job := tb.NewMPIPair(tcpsim.DefaultOptions(), mpi.JobOptions{})
 	agent := gq.NewAgent(tb.Gara, job)
 	var attr *gq.QosAttribute
+	var putErr error
 	job.Start(func(ctx *sim.Ctx, r *mpi.Rank) {
 		if r.ID() != 0 {
 			r.PairComm(ctx, 0)
@@ -264,12 +265,12 @@ func TestReservationFailureReportedInAttr(t *testing.T) {
 		pc, _ := r.PairComm(ctx, 1)
 		// Far beyond EF capacity (0.7*155 = 108.5 Mb/s).
 		attr = &gq.QosAttribute{Class: gq.Premium, Bandwidth: 500 * units.Mbps}
-		r.AttrPut(pc, agent.Keyval(), attr)
+		putErr = r.AttrPut(pc, agent.Keyval(), attr)
 	})
 	if err := tb.K.RunUntil(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if attr.Granted || attr.Err == nil {
+	if attr.Granted || putErr == nil {
 		t.Fatalf("oversized request should fail: %+v", attr)
 	}
 }

@@ -105,7 +105,6 @@ type queuedReq struct {
 // array with served slots at its head is compacted in place rather
 // than grown.
 type tenantQ struct {
-	name  string
 	items []queuedReq
 	head  int
 }
@@ -239,7 +238,7 @@ func (q *admitQueue) enqueue(m *msg) {
 	}
 	t := q.byTenant[req.from]
 	if t == nil {
-		t = &tenantQ{name: req.from}
+		t = &tenantQ{}
 		q.byTenant[req.from] = t
 		q.tenants = append(q.tenants, t)
 	}

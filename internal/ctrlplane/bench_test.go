@@ -28,7 +28,7 @@ func BenchmarkAdmissionEnqueueServe(b *testing.B) {
 		BrownoutHold: time.Second,
 	}})
 	defer r.k.Close()
-	srv := r.plane.Server("dom1")
+	srv := r.plane.Conn("dom1").Server()
 	conn := r.plane.Conn("dom1")
 	tenants := []string{"t0", "t1", "t2"}
 	b.ReportAllocs()
@@ -44,7 +44,7 @@ func BenchmarkAdmissionEnqueueServe(b *testing.B) {
 		srv.adm.enqueue(m)
 		m.unref()
 		if i%burst == burst-1 || i == b.N-1 {
-			if err := r.k.RunFor(burst * time.Millisecond); err != nil {
+			if err := r.k.RunUntil(r.k.Now() + burst*time.Millisecond); err != nil {
 				b.Fatal(err)
 			}
 			// Keep the reply cache from growing with b.N.
@@ -57,42 +57,61 @@ func BenchmarkAdmissionEnqueueServe(b *testing.B) {
 	}
 }
 
-// BenchmarkConnReserve measures one warmed Reserve round trip through
-// the admission queue: the call, the request channel, a queue slot,
-// the broker's service slot and GARA's booking, the reply channel and
-// the callback. Each reservation lasts 5 ms of virtual time, so it has
-// ended before the next call and the slot tables stay small. What it
-// allocates is GARA's booking; the control plane's own part allocates
-// nothing (TestControlRoundTripZeroAlloc).
-func BenchmarkConnReserve(b *testing.B) {
+// warmConnReserve returns one Reserve round trip through the admission
+// queue, warmed up: the call, the request channel, a queue slot, the
+// broker's service slot and GARA's booking, the reply channel and the
+// callback. Each reservation lasts 5 ms of virtual time, so it has
+// ended before the next call and the slot tables stay small.
+func warmConnReserve(tb testing.TB) (reserve func(), close func()) {
 	r := newRig(1, Options{Admission: Admission{
 		ServiceTime: time.Millisecond,
 		QueueLimit:  16,
 		CoDelTarget: 50 * time.Millisecond,
 		DropExpired: true,
 	}})
-	defer r.k.Close()
 	conn := r.plane.Conn("dom1")
 	spec := r.spec(units.Mbps)
 	spec.Duration = 5 * time.Millisecond
 	var err error
 	done := func(_ uint64, e error) { err = e }
-	reserve := func() {
+	reserve = func() {
 		err = errPending
 		conn.Reserve(spec, done)
-		if e := r.k.RunFor(20 * time.Millisecond); e != nil {
-			b.Fatal(e)
+		if e := r.k.RunUntil(r.k.Now() + 20*time.Millisecond); e != nil {
+			tb.Fatal(e)
 		}
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	for i := 0; i < 64; i++ {
 		reserve()
 	}
+	return reserve, r.k.Close
+}
+
+// BenchmarkConnReserve measures one warmed Reserve round trip. What it
+// allocates is GARA's booking; the control plane's own part allocates
+// nothing (TestControlRoundTripZeroAlloc).
+func BenchmarkConnReserve(b *testing.B) {
+	reserve, close := warmConnReserve(b)
+	defer close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reserve()
+	}
+}
+
+// TestConnReserveAllocs pins what a warmed Reserve round trip
+// allocates, all of it GARA's booking: admission walks the route into
+// the manager's scratch slice, only activation keeps a hop slice (sized
+// once per walk), and a failed booking rolls back over the hops it
+// walked rather than over a second slice.
+func TestConnReserveAllocs(t *testing.T) {
+	reserve, close := warmConnReserve(t)
+	defer close()
+	if allocs := testing.AllocsPerRun(100, reserve); allocs > 10 {
+		t.Fatalf("a warmed Reserve round trip allocates %v objects, want at most 10", allocs)
 	}
 }

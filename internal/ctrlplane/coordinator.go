@@ -57,15 +57,6 @@ type MultiRes struct {
 	trace spans.TraceID
 }
 
-// IDs returns the per-domain reservation ids, in domain order.
-func (m *MultiRes) IDs() map[string]uint64 {
-	out := make(map[string]uint64, len(m.segs))
-	for _, sg := range m.segs {
-		out[sg.conn.Name()] = sg.resID
-	}
-	return out
-}
-
 // Reserve books spec across every domain that owns part of the path,
 // all or nothing, from inside a sim process. On failure it aborts or
 // cancels what it can reach; unreachable segments are reclaimed by

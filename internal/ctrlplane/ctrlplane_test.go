@@ -94,8 +94,8 @@ func TestReserveOverHealthyControlPlane(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	if len(mr.IDs()) != 2 {
-		t.Fatalf("segments = %v, want both domains", mr.IDs())
+	if len(mr.segs) != 2 || mr.segs[0].conn == mr.segs[1].conn {
+		t.Fatalf("segments = %+v, want one per domain", mr.segs)
 	}
 	if r.rm1.Utilization(r.border, r.k.Now()) == 0 {
 		t.Fatal("dom1 did not book the border link")

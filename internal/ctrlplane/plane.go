@@ -131,14 +131,6 @@ func (p *Plane) Names() []string {
 // Conn returns the named domain's client stub, or nil.
 func (p *Plane) Conn(name string) *Conn { return p.conns[name] }
 
-// Server returns the named domain's server, or nil.
-func (p *Plane) Server(name string) *Server {
-	if c := p.conns[name]; c != nil {
-		return c.srv
-	}
-	return nil
-}
-
 // Breaker returns the named domain's circuit breaker, or nil.
 func (p *Plane) Breaker(name string) *Breaker {
 	if c := p.conns[name]; c != nil {

@@ -61,7 +61,7 @@ func TestControlRoundTripZeroAlloc(t *testing.T) {
 			done := func(_ uint64, e error) { err = e; calls++ }
 			roundTrip := func() {
 				conn.callback(methodCancel, request{resID: 1 << 40}, done)
-				if e := r.k.RunFor(20 * time.Millisecond); e != nil {
+				if e := r.k.RunUntil(r.k.Now() + 20*time.Millisecond); e != nil {
 					t.Fatal(e)
 				}
 				clear(srv.seen) // keep the reply cache from growing with the runs
@@ -118,7 +118,7 @@ func TestControlRecordPoolSoak(t *testing.T) {
 			ch.SetDup(0.1)
 		}
 	}
-	srv1 := r.plane.Server("dom1")
+	srv1 := r.plane.Conn("dom1").Server()
 	r.k.At(2*time.Second, sim.PrioNormal, func() { srv1.Crash() })
 	r.k.At(2500*time.Millisecond, sim.PrioNormal, func() {
 		if _, err := srv1.Restart(); err != nil {
@@ -192,7 +192,7 @@ func TestControlRecordPoolSoak(t *testing.T) {
 		checkRecordPools(t, c)
 	}
 	for _, name := range r.plane.Names() {
-		if d := r.plane.Server(name).QueueDepth(); d != 0 {
+		if d := r.plane.Conn(name).Server().QueueDepth(); d != 0 {
 			t.Errorf("%s queue depth %d after the drain", name, d)
 		}
 	}

@@ -38,7 +38,6 @@ type Server struct {
 	committed map[uint64]*gara.Reservation
 
 	mHandled, mDuped *metrics.Counter
-	rec              *metrics.Recorder
 	tr               *spans.Tracer
 }
 
@@ -57,8 +56,7 @@ func NewServer(k *sim.Kernel, name string, g *gara.Gara, rm *gara.NetworkRM) *Se
 			"control requests executed", "rm", name),
 		mDuped: reg.Counter("ctrl_server_dup_requests_total",
 			"duplicate control requests answered from the reply cache", "rm", name),
-		rec: reg.Events(),
-		tr:  k.Tracer(),
+		tr: k.Tracer(),
 	}
 }
 

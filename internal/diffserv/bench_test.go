@@ -15,12 +15,10 @@ import (
 // effort.
 func BenchmarkClassifierPoliceMark(b *testing.B) {
 	k := sim.New(1)
-	c := NewClassifier(k)
 	const rate = 10 * units.Mbps
 	other := netsim.FlowKey{Src: 3, Dst: 4, SrcPort: 5, DstPort: 6, Proto: netsim.ProtoTCP}
-	c.AddRule(&Rule{Match: MatchFlow(other), Mark: netsim.DSCPEF})
 	p := mkPkt(1, 2, 1, 2, netsim.ProtoTCP, 1000)
-	c.AddRule(&Rule{
+	c := newClassifier(k, &Rule{Match: MatchFlow(other), Mark: netsim.DSCPEF}, &Rule{
 		Match:  MatchFlow(p.Key()),
 		Mark:   netsim.DSCPEF,
 		Police: NewTokenBucket(k, rate, DepthForRate(rate, NormalBucketDivisor)),
@@ -34,7 +32,7 @@ func BenchmarkClassifierPoliceMark(b *testing.B) {
 		if c.Filter(p) == nil {
 			b.Fatal("remarking rule dropped a packet")
 		}
-		if err := k.RunFor(gap); err != nil {
+		if err := k.RunUntil(k.Now() + gap); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,12 +45,13 @@ func BenchmarkClassifierPoliceMark(b *testing.B) {
 // classifier's per-mark cache.
 func BenchmarkClassifierInsertRule(b *testing.B) {
 	k := sim.New(1)
-	c := NewClassifier(k)
+	c := newClassifier(k)
 	for i := 0; i < 300; i++ {
 		key := netsim.FlowKey{Src: 1, Dst: 2, SrcPort: netsim.Port(i), DstPort: 9, Proto: netsim.ProtoUDP}
-		c.AddRule(&Rule{Match: MatchFlow(key), Mark: netsim.DSCPEF})
+		c.InsertRule(&Rule{Match: MatchFlow(key), Mark: netsim.DSCPEF})
 	}
-	r := &Rule{Match: MatchDSCP(netsim.DSCPEF), Mark: netsim.DSCPEF}
+	ef := netsim.DSCPEF
+	r := &Rule{Match: Match{DSCP: &ef}, Mark: netsim.DSCPEF}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

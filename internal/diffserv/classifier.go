@@ -32,13 +32,6 @@ func MatchHostPair(src, dst netsim.Addr, proto netsim.Proto) Match {
 	return Match{Src: &src, Dst: &dst, Proto: &proto}
 }
 
-// MatchDSCP returns a Match selecting packets already carrying code
-// point d (used on domain-ingress routers to police the premium
-// aggregate).
-func MatchDSCP(d netsim.DSCP) Match {
-	return Match{DSCP: &d}
-}
-
 // Matches reports whether packet p satisfies every non-nil field.
 func (m Match) Matches(p *netsim.Packet) bool {
 	if m.Src != nil && *m.Src != p.Src {
@@ -107,10 +100,6 @@ type Rule struct {
 	Police *TokenBucket
 	Exceed ExceedAction
 
-	matchedPkts uint64
-	droppedPkts uint64
-	remarked    uint64
-
 	// Fluid policing state: the conform budget in bytes/s left for
 	// fluid aggregates in the current solver refresh (reset when the
 	// generation changes, so concurrent fluid flows share one bucket
@@ -119,7 +108,7 @@ type Rule struct {
 	fluidBudget float64
 
 	// m holds the metric handles of the rule's mark, shared by every
-	// rule marking the same class; Classifier.AddRule/InsertRule copy
+	// rule marking the same class; Classifier.InsertRule copies
 	// them in.
 	m markMetrics
 }
@@ -132,18 +121,6 @@ type markMetrics struct {
 	rec                                *metrics.Recorder
 }
 
-// RuleStats holds cumulative per-rule counters.
-type RuleStats struct {
-	MatchedPkts  uint64
-	DroppedPkts  uint64
-	RemarkedPkts uint64
-}
-
-// Stats returns the rule's cumulative counters.
-func (r *Rule) Stats() RuleStats {
-	return RuleStats{MatchedPkts: r.matchedPkts, DroppedPkts: r.droppedPkts, RemarkedPkts: r.remarked}
-}
-
 // Classifier is an ordered rule list applied at an interface ingress
 // (a netsim.IngressFilter). The first matching rule wins; packets
 // matching no rule pass through unchanged.
@@ -154,17 +131,6 @@ type Classifier struct {
 	// registry by the first rule with that mark. The classifiers of a
 	// Domain share one cache.
 	marks map[netsim.DSCP]*markMetrics
-}
-
-// NewClassifier returns an empty classifier.
-func NewClassifier(k *sim.Kernel) *Classifier { return &Classifier{k: k} }
-
-// AddRule appends a rule (lowest precedence so far) and returns it so
-// the caller can inspect stats or remove it later.
-func (c *Classifier) AddRule(r *Rule) *Rule {
-	c.attachMetrics(r)
-	c.rules = append(c.rules, r)
-	return r
 }
 
 // InsertRule places a rule at the front (highest precedence). The
@@ -229,7 +195,6 @@ func (c *Classifier) Filter(p *netsim.Packet) *netsim.Packet {
 		if !r.Match.Matches(p) {
 			continue
 		}
-		r.matchedPkts++
 		if r.Police != nil {
 			if !r.Police.Conform(p.Size) {
 				r.m.exceed.Inc()
@@ -237,11 +202,9 @@ func (c *Classifier) Filter(p *netsim.Packet) *netsim.Packet {
 					int64(p.Size), int64(r.Exceed), 0)
 				switch r.Exceed {
 				case ExceedDrop:
-					r.droppedPkts++
 					r.m.dropped.Inc()
 					return nil
 				case ExceedRemark:
-					r.remarked++
 					r.m.remarked.Inc()
 					p.DSCP = netsim.DSCPBestEffort
 					return p

@@ -11,11 +11,27 @@ import (
 	"mpichgq/internal/units"
 )
 
+// tokens settles the bucket and returns the tokens it holds.
+func tokens(tb *TokenBucket) units.ByteSize {
+	tb.refill()
+	return units.ByteSize(tb.tokens)
+}
+
+// newClassifier returns a classifier holding rules in precedence
+// order, first rule first.
+func newClassifier(k *sim.Kernel, rules ...*Rule) *Classifier {
+	c := &Classifier{k: k}
+	for i := len(rules) - 1; i >= 0; i-- {
+		c.InsertRule(rules[i])
+	}
+	return c
+}
+
 func TestTokenBucketStartsFull(t *testing.T) {
 	k := sim.New(1)
 	tb := NewTokenBucket(k, units.Mbps, 10000)
-	if tb.Tokens() != 10000 {
-		t.Fatalf("tokens = %d, want 10000", tb.Tokens())
+	if tokens(tb) != 10000 {
+		t.Fatalf("tokens = %d, want 10000", tokens(tb))
 	}
 	if !tb.Conform(10000) {
 		t.Fatal("full bucket should admit depth-sized packet")
@@ -31,12 +47,12 @@ func TestTokenBucketRefill(t *testing.T) {
 	tb := NewTokenBucket(k, 8*units.Mbps, 5000)
 	tb.Conform(5000) // drain
 	k.After(2*time.Millisecond, func() {
-		if got := tb.Tokens(); got != 2000 {
+		if got := tokens(tb); got != 2000 {
 			t.Errorf("tokens after 2ms = %d, want 2000", got)
 		}
 	})
 	k.After(time.Hour, func() {
-		if got := tb.Tokens(); got != 5000 {
+		if got := tokens(tb); got != 5000 {
 			t.Errorf("tokens capped at %d, want 5000 (depth)", got)
 		}
 	})
@@ -52,42 +68,47 @@ func TestTokenBucketLongRunRate(t *testing.T) {
 	rate := 4 * units.Mbps // 500 bytes/ms
 	tb := NewTokenBucket(k, rate, 4000)
 	pkt := units.ByteSize(1000)
+	var got int64
+	exceeded := 0
 	k.Spawn("src", func(ctx *sim.Ctx) {
 		for ctx.Now() < 10*time.Second {
-			tb.Conform(pkt)
+			if tb.Conform(pkt) {
+				got += int64(pkt)
+			} else {
+				exceeded++
+			}
 			ctx.Sleep(time.Millisecond) // offered: 1000 bytes/ms
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := tb.Stats()
 	want := int64(rate.BytesIn(10 * time.Second))
-	got := st.ConformBytes
 	if got < want*95/100 || got > want*105/100+4000 {
 		t.Fatalf("conforming bytes = %d, want ~%d", got, want)
 	}
-	if st.ExceedPkts == 0 {
+	if exceeded == 0 {
 		t.Fatal("expected out-of-profile packets at 2x offered load")
 	}
 }
 
-// Conservation: conform+exceed counters account for every offered
-// packet, and tokens never exceed depth or go negative.
+// Conservation: the bytes that conform never exceed the depth plus
+// what the rate accrued, and tokens never exceed depth or go negative.
 func TestTokenBucketConservationProperty(t *testing.T) {
 	f := func(seed int64, depthKB uint8, steps uint8) bool {
 		k := sim.New(seed)
 		depth := units.ByteSize(depthKB%32+1) * units.KB
 		tb := NewTokenBucket(k, units.Mbps, depth)
 		rng := sim.NewRNG(seed)
-		offered := uint64(0)
+		var conformed units.ByteSize
 		ok := true
 		k.Spawn("p", func(ctx *sim.Ctx) {
 			for i := 0; i < int(steps); i++ {
 				ctx.Sleep(time.Duration(rng.Intn(5000)) * time.Microsecond)
-				tb.Conform(units.ByteSize(rng.Intn(3000) + 1))
-				offered++
-				tok := tb.Tokens()
+				if n := units.ByteSize(rng.Intn(3000) + 1); tb.Conform(n) {
+					conformed += n
+				}
+				tok := tokens(tb)
 				if tok < 0 || tok > depth {
 					ok = false
 				}
@@ -96,8 +117,7 @@ func TestTokenBucketConservationProperty(t *testing.T) {
 		if err := k.Run(); err != nil {
 			return false
 		}
-		st := tb.Stats()
-		return ok && st.ConformPkts+st.ExceedPkts == offered
+		return ok && conformed <= depth+units.Mbps.BytesIn(k.Now())
 	}
 	if err := quick.Check(f, quicktest.Config(t, 50)); err != nil {
 		t.Fatal(err)
@@ -111,12 +131,12 @@ func TestTokenBucketSetRateSettlesFirst(t *testing.T) {
 	k.After(time.Millisecond, func() {
 		// 1 ms at 8 Mb/s = 1000 bytes accrued, then rate drops to 0.
 		tb.SetRate(0)
-		if got := tb.Tokens(); got != 1000 {
+		if got := tokens(tb); got != 1000 {
 			t.Errorf("tokens = %d, want 1000", got)
 		}
 	})
 	k.After(time.Second, func() {
-		if got := tb.Tokens(); got != 1000 {
+		if got := tokens(tb); got != 1000 {
 			t.Errorf("tokens grew at zero rate: %d", got)
 		}
 	})
@@ -138,13 +158,6 @@ func TestDepthForRate(t *testing.T) {
 	// stream's 50 KB frames (Table 1).
 	if got := DepthForRate(400*units.Kbps, LargeBucketDivisor); got != 100000 {
 		t.Fatalf("large bucket = %d, want 100000", got)
-	}
-}
-
-func TestDepthForDelay(t *testing.T) {
-	// 40 Mb/s × 2 ms = 80 Kb = 10000 bytes.
-	if got := DepthForDelay(40*units.Mbps, 2*time.Millisecond); got != 10000 {
-		t.Fatalf("DepthForDelay = %d, want 10000", got)
 	}
 }
 
@@ -171,17 +184,18 @@ func TestMatchWildcards(t *testing.T) {
 		t.Fatal("wrong proto should not match")
 	}
 	p.DSCP = netsim.DSCPEF
-	if !MatchDSCP(netsim.DSCPEF).Matches(p) {
+	ef := netsim.DSCPEF
+	if !(Match{DSCP: &ef}).Matches(p) {
 		t.Fatal("DSCP match failed")
 	}
 }
 
 func TestClassifierFirstMatchWins(t *testing.T) {
 	k := sim.New(1)
-	c := NewClassifier(k)
 	tcp := netsim.ProtoTCP
-	c.AddRule(&Rule{Match: Match{Proto: &tcp}, Mark: netsim.DSCPEF})
-	c.AddRule(&Rule{Match: Match{}, Mark: netsim.DSCPBestEffort})
+	c := newClassifier(k,
+		&Rule{Match: Match{Proto: &tcp}, Mark: netsim.DSCPEF},
+		&Rule{Match: Match{}, Mark: netsim.DSCPBestEffort})
 	p := c.Filter(mkPkt(1, 2, 1, 2, netsim.ProtoTCP, 100))
 	if p.DSCP != netsim.DSCPEF {
 		t.Fatal("first rule should win")
@@ -194,8 +208,7 @@ func TestClassifierFirstMatchWins(t *testing.T) {
 
 func TestClassifierInsertRulePrecedence(t *testing.T) {
 	k := sim.New(1)
-	c := NewClassifier(k)
-	c.AddRule(&Rule{Match: Match{}, Mark: netsim.DSCPBestEffort})
+	c := newClassifier(k, &Rule{Match: Match{}, Mark: netsim.DSCPBestEffort})
 	c.InsertRule(&Rule{Match: Match{}, Mark: netsim.DSCPEF})
 	p := c.Filter(mkPkt(1, 2, 1, 2, netsim.ProtoTCP, 100))
 	if p.DSCP != netsim.DSCPEF {
@@ -205,9 +218,8 @@ func TestClassifierInsertRulePrecedence(t *testing.T) {
 
 func TestClassifierNoMatchPassthrough(t *testing.T) {
 	k := sim.New(1)
-	c := NewClassifier(k)
 	udp := netsim.ProtoUDP
-	c.AddRule(&Rule{Match: Match{Proto: &udp}, Mark: netsim.DSCPEF})
+	c := newClassifier(k, &Rule{Match: Match{Proto: &udp}, Mark: netsim.DSCPEF})
 	p := mkPkt(1, 2, 1, 2, netsim.ProtoTCP, 100)
 	got := c.Filter(p)
 	if got != p || got.DSCP != netsim.DSCPBestEffort {
@@ -217,9 +229,8 @@ func TestClassifierNoMatchPassthrough(t *testing.T) {
 
 func TestPolicingDropsExceedingPackets(t *testing.T) {
 	k := sim.New(1)
-	c := NewClassifier(k)
 	tb := NewTokenBucket(k, 0, 2500) // no refill: only the initial burst passes
-	rule := c.AddRule(&Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: ExceedDrop})
+	c := newClassifier(k, &Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: ExceedDrop})
 	passed := 0
 	for i := 0; i < 5; i++ {
 		if c.Filter(mkPkt(1, 2, 1, 2, netsim.ProtoUDP, 1000)) != nil {
@@ -229,17 +240,19 @@ func TestPolicingDropsExceedingPackets(t *testing.T) {
 	if passed != 2 {
 		t.Fatalf("passed = %d, want 2", passed)
 	}
-	st := rule.Stats()
-	if st.MatchedPkts != 5 || st.DroppedPkts != 3 {
-		t.Fatalf("rule stats = %+v", st)
+	reg := k.Metrics()
+	conform, _ := reg.CounterValue("diffserv_conform_packets_total", "dscp", "EF")
+	exceed, _ := reg.CounterValue("diffserv_exceed_packets_total", "dscp", "EF")
+	dropped, _ := reg.CounterValue("diffserv_police_drops_total", "dscp", "EF")
+	if conform != 2 || exceed != 3 || dropped != 3 {
+		t.Fatalf("conform/exceed/dropped = %d/%d/%d, want 2/3/3", conform, exceed, dropped)
 	}
 }
 
 func TestPolicingRemark(t *testing.T) {
 	k := sim.New(1)
-	c := NewClassifier(k)
 	tb := NewTokenBucket(k, 0, 1000)
-	c.AddRule(&Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: ExceedRemark})
+	c := newClassifier(k, &Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: ExceedRemark})
 	p1 := c.Filter(mkPkt(1, 2, 1, 2, netsim.ProtoUDP, 1000))
 	p2 := c.Filter(mkPkt(1, 2, 1, 2, netsim.ProtoUDP, 1000))
 	if p1.DSCP != netsim.DSCPEF {
@@ -276,10 +289,6 @@ func TestPrioSchedulerPerBandCapacity(t *testing.T) {
 	}
 	if !s.Enqueue(be()) || s.Enqueue(be()) {
 		t.Fatal("BE band should hold exactly one 100B packet")
-	}
-	efD, beD := s.Drops()
-	if efD != 1 || beD != 1 {
-		t.Fatalf("drops = %d/%d, want 1/1", efD, beD)
 	}
 	if s.Len() != 2 || s.Bytes() != 200 || s.EFLen() != 1 || s.BELen() != 1 {
 		t.Fatal("length accounting wrong")
@@ -326,12 +335,12 @@ func TestDomainEndToEndPremiumProtection(t *testing.T) {
 	n.ComputeRoutes()
 
 	d := NewDomain(k)
-	d.EnableEF(bott.IfaceOn(edge), netsim.DefaultQueueCap, netsim.DefaultQueueCap)
+	d.EnableEF(bott.A(), netsim.DefaultQueueCap, netsim.DefaultQueueCap)
 	// Premium: UDP from a port 1000 -> b port 2000, 5 Mb/s.
 	sport, dport := netsim.Port(1000), netsim.Port(2000)
 	udp := netsim.ProtoUDP
 	m := Match{Src: addrPtr(a.Addr()), Dst: addrPtr(b.Addr()), SrcPort: &sport, DstPort: &dport, Proto: &udp}
-	d.ReserveFlow(n.Links()[0].IfaceOn(edge), m, 5*units.Mbps, DepthForRate(5*units.Mbps, NormalBucketDivisor), ExceedDrop)
+	d.ReserveFlow(n.Links()[0].B(), m, 5*units.Mbps, DepthForRate(5*units.Mbps, NormalBucketDivisor), ExceedDrop)
 
 	sa := netsim.NewUDPStack(a)
 	sb := netsim.NewUDPStack(b)
@@ -344,7 +353,7 @@ func TestDomainEndToEndPremiumProtection(t *testing.T) {
 	k.Spawn("premium", func(ctx *sim.Ctx) {
 		gap := units.BitRate(4.5 * float64(units.Mbps)).TimeToSend(1000)
 		for ctx.Now() < 10*time.Second {
-			prem.SendTo(b.Addr(), dport, 1000, nil)
+			prem.SendTo(b.Addr(), dport, 1000)
 			ctx.Sleep(gap)
 		}
 	})
@@ -352,29 +361,13 @@ func TestDomainEndToEndPremiumProtection(t *testing.T) {
 	k.Spawn("blast", func(ctx *sim.Ctx) {
 		gap := (50 * units.Mbps).TimeToSend(1000)
 		for ctx.Now() < 10*time.Second {
-			blast.SendTo(b.Addr(), 2001, 1000, nil)
+			blast.SendTo(b.Addr(), 2001, 1000)
 			ctx.Sleep(gap)
 		}
 	})
 	premBytes, blastBytes := int64(0), int64(0)
-	k.Spawn("sink", func(ctx *sim.Ctx) {
-		for {
-			dg, err := sink.Recv(ctx)
-			if err != nil {
-				return
-			}
-			premBytes += int64(dg.Len)
-		}
-	})
-	k.Spawn("sinkBlast", func(ctx *sim.Ctx) {
-		for {
-			dg, err := sinkBlast.Recv(ctx)
-			if err != nil {
-				return
-			}
-			blastBytes += int64(dg.Len)
-		}
-	})
+	sink.Serve(func(dg netsim.Datagram) { premBytes += int64(dg.Len) })
+	sinkBlast.Serve(func(dg netsim.Datagram) { blastBytes += int64(dg.Len) })
 	if err := k.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -397,14 +390,14 @@ func TestFlowReservationModifyRemove(t *testing.T) {
 	l := n.Connect(a, b, 10*units.Mbps, 0)
 	n.ComputeRoutes()
 	d := NewDomain(k)
-	ifc := l.IfaceOn(b)
+	ifc := l.B()
 	fr := d.ReserveFlow(ifc, Match{}, units.Mbps, 1500, ExceedDrop)
-	if !fr.Active() || fr.Rate() != units.Mbps {
+	if !fr.active || fr.tb.Rate() != units.Mbps {
 		t.Fatal("reservation should be active at 1 Mb/s")
 	}
 	fr.SetRate(2 * units.Mbps)
 	fr.SetDepth(3000)
-	if fr.Rate() != 2*units.Mbps || fr.Depth() != 3000 {
+	if fr.tb.Rate() != 2*units.Mbps || fr.tb.Depth() != 3000 {
 		t.Fatal("modify did not stick")
 	}
 	if len(d.Classifier(ifc).Rules()) != 1 {
@@ -412,7 +405,7 @@ func TestFlowReservationModifyRemove(t *testing.T) {
 	}
 	fr.Remove()
 	fr.Remove() // idempotent
-	if fr.Active() || len(d.Classifier(ifc).Rules()) != 0 {
+	if fr.active || len(d.Classifier(ifc).Rules()) != 0 {
 		t.Fatal("rule not removed")
 	}
 }
@@ -422,68 +415,21 @@ func TestEnableEFIdempotent(t *testing.T) {
 	n := netsim.New(k)
 	a, b := n.AddNode("a"), n.AddNode("b")
 	l := n.Connect(a, b, units.Mbps, 0)
+	n.ComputeRoutes()
 	d := NewDomain(k)
-	d.EnableEF(l.IfaceOn(a), units.MB, units.MB)
-	q := l.IfaceOn(a).Queue()
-	d.EnableEF(l.IfaceOn(a), units.MB, units.MB)
-	if l.IfaceOn(a).Queue() != q {
-		t.Fatal("second EnableEF replaced the queue")
+	// An EF band that holds one 1000-byte packet, then a second call
+	// that would install a roomier scheduler if it were not ignored.
+	d.EnableEF(l.A(), 1500, units.MB)
+	d.EnableEF(l.A(), units.MB, units.MB)
+	var errs []error
+	for i := 0; i < 3; i++ {
+		// The first packet goes straight to the wire, the second
+		// fills the band, the third overflows it.
+		errs = append(errs, a.Send(&netsim.Packet{Src: a.Addr(), Dst: b.Addr(), Proto: netsim.ProtoUDP, DSCP: netsim.DSCPEF, Size: 1000}))
+	}
+	if errs[0] != nil || errs[1] != nil || errs[2] != netsim.ErrEgressDrop {
+		t.Fatalf("sends = %v, want the third dropped by the first EnableEF's band", errs)
 	}
 }
 
 func addrPtr(a netsim.Addr) *netsim.Addr { return &a }
-
-func TestPoliceAggregateAtDomainIngress(t *testing.T) {
-	// upstream --- border === inner --- dst: the upstream domain
-	// pre-marks EF beyond its agreed aggregate; the border router's
-	// domain-ingress policer must clamp the aggregate to the agreed
-	// rate while passing conforming traffic.
-	k := sim.New(1)
-	n := netsim.New(k)
-	up, border, inner, dst := n.AddNode("up"), n.AddNode("border"), n.AddNode("inner"), n.AddNode("dst")
-	n.Connect(up, border, 100*units.Mbps, time.Millisecond)
-	n.Connect(border, inner, 100*units.Mbps, time.Millisecond)
-	n.Connect(inner, dst, 100*units.Mbps, time.Millisecond)
-	n.ComputeRoutes()
-	d := NewDomain(k)
-	d.EnableEFAll(border, inner)
-	// Agreed premium aggregate from upstream: 5 Mb/s.
-	agg := d.PoliceAggregate(n.Links()[0].IfaceOn(border), 5*units.Mbps, DepthForRate(5*units.Mbps, NormalBucketDivisor))
-
-	src := up.UDPStack()
-	sink := dst.UDPStack()
-	sock, _ := src.Bind(0)
-	sock.SetDSCP(netsim.DSCPEF) // upstream pre-marks everything EF
-	recvSock, _ := sink.Bind(700)
-	var rx int64
-	k.Spawn("sink", func(ctx *sim.Ctx) {
-		for {
-			dg, err := recvSock.Recv(ctx)
-			if err != nil {
-				return
-			}
-			rx += int64(dg.Len)
-		}
-	})
-	// Offer 20 Mb/s of "premium" from upstream for 10 s.
-	k.Spawn("src", func(ctx *sim.Ctx) {
-		gap := (20 * units.Mbps).TimeToSend(1028)
-		for ctx.Now() < 10*time.Second {
-			sock.SendTo(dst.Addr(), 700, 1000, nil)
-			ctx.Sleep(gap)
-		}
-	})
-	if err := k.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	rate := units.RateOf(units.ByteSize(rx), 10*time.Second)
-	if rate > 6*units.Mbps {
-		t.Fatalf("aggregate not policed: %v passed, agreed 5 Mb/s", rate)
-	}
-	if rate < 4*units.Mbps {
-		t.Fatalf("conforming aggregate over-policed: %v", rate)
-	}
-	if agg.Bucket().Stats().ExceedPkts == 0 {
-		t.Fatal("expected out-of-profile aggregate drops")
-	}
-}

@@ -74,20 +74,6 @@ func (d *Domain) EnableEFAll(nodes ...*netsim.Node) {
 	}
 }
 
-// PoliceAggregate installs the paper's domain-ingress protection: "a
-// token bucket mechanism ... is also used on the ingress router of a
-// domain to police the premium aggregate". Packets already marked EF
-// arriving at ifc are policed collectively; out-of-profile aggregate
-// traffic is dropped (a neighbouring domain sending more premium
-// traffic than agreed must not starve local reservations). The rule
-// is appended at lowest precedence so per-flow rules classify first.
-func (d *Domain) PoliceAggregate(ifc *netsim.Iface, rate units.BitRate, depth units.ByteSize) *FlowReservation {
-	tb := NewTokenBucket(d.k, rate, depth)
-	rule := &Rule{Match: MatchDSCP(netsim.DSCPEF), Mark: netsim.DSCPEF, Police: tb, Exceed: ExceedDrop}
-	d.Classifier(ifc).AddRule(rule)
-	return &FlowReservation{domain: d, ifc: ifc, rule: rule, tb: tb, active: true}
-}
-
 // FlowReservation is an installed premium reservation: a
 // classify+mark+police rule on one ingress interface.
 type FlowReservation struct {
@@ -114,18 +100,6 @@ func (fr *FlowReservation) SetRate(r units.BitRate) { fr.tb.SetRate(r) }
 
 // SetDepth changes the reservation's token bucket depth in place.
 func (fr *FlowReservation) SetDepth(depth units.ByteSize) { fr.tb.SetDepth(depth) }
-
-// Rate returns the reservation's current policed rate.
-func (fr *FlowReservation) Rate() units.BitRate { return fr.tb.Rate() }
-
-// Depth returns the reservation's current bucket depth.
-func (fr *FlowReservation) Depth() units.ByteSize { return fr.tb.Depth() }
-
-// Bucket returns the underlying token bucket (for stats).
-func (fr *FlowReservation) Bucket() *TokenBucket { return fr.tb }
-
-// Active reports whether the reservation is still installed.
-func (fr *FlowReservation) Active() bool { return fr.active }
 
 // Remove uninstalls the reservation. Idempotent.
 func (fr *FlowReservation) Remove() {

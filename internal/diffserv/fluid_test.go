@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mpichgq/internal/metrics"
 	"mpichgq/internal/netsim"
 	"mpichgq/internal/sim"
 	"mpichgq/internal/units"
@@ -15,8 +16,7 @@ func fluidKey(srcPort netsim.Port) netsim.FlowKey {
 
 func TestFilterFluidMarksWithoutPolicer(t *testing.T) {
 	k := sim.New(1)
-	c := NewClassifier(k)
-	c.AddRule(&Rule{Match: Match{}, Mark: netsim.DSCPEF})
+	c := newClassifier(k, &Rule{Match: Match{}, Mark: netsim.DSCPEF})
 	out := c.FilterFluid(1, fluidKey(40001),
 		[]netsim.FluidComponent{{Rate: 1000, DSCP: netsim.DSCPBestEffort}})
 	if len(out) != 1 || out[0].DSCP != netsim.DSCPEF || out[0].Rate != 1000 {
@@ -35,9 +35,8 @@ func TestFilterFluidPolicesSteadyRate(t *testing.T) {
 		{ExceedDrop, 1},
 		{ExceedRemark, 2},
 	} {
-		c := NewClassifier(k)
 		tb := NewTokenBucket(k, 1*units.Mbps, 1500)
-		c.AddRule(&Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: tc.action})
+		c := newClassifier(k, &Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: tc.action})
 		out := c.FilterFluid(1, fluidKey(40001),
 			[]netsim.FluidComponent{{Rate: 4_000_000 / 8, DSCP: netsim.DSCPBestEffort}})
 		if len(out) != tc.want {
@@ -58,9 +57,8 @@ func TestFilterFluidAggregateBudgetShared(t *testing.T) {
 	// Two flows through one aggregate policer in the same refresh
 	// generation share its rate budget; a new generation resets it.
 	k := sim.New(1)
-	c := NewClassifier(k)
 	tb := NewTokenBucket(k, 1*units.Mbps, 1500)
-	c.AddRule(&Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: ExceedDrop})
+	c := newClassifier(k, &Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: ExceedDrop})
 	in := []netsim.FluidComponent{{Rate: 100_000, DSCP: netsim.DSCPBestEffort}}
 
 	first := c.FilterFluid(7, fluidKey(40001), in)
@@ -110,30 +108,36 @@ func TestFluidThroughEFReservation(t *testing.T) {
 	n.ComputeRoutes()
 
 	// Edge ingress: police the flow to 2 Mb/s EF, drop the excess.
-	cl := NewClassifier(k)
 	tb := NewTokenBucket(k, 2*units.Mbps, 1500)
-	cl.AddRule(&Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: ExceedDrop})
+	cl := newClassifier(k, &Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: ExceedDrop})
 	for _, ifc := range edge.Ifaces() {
 		if ifc.Link() != le {
 			ifc.AddIngress(cl) // classify where the flow enters edge
 		}
 	}
 	// Strict-priority scheduler on the edge→dst egress.
-	le.IfaceOn(edge).SetQueue(NewPrioScheduler(48*units.KB, 48*units.KB))
+	le.A().SetQueue(NewPrioScheduler(48*units.KB, 48*units.KB))
 
 	f := n.NewFluidFlow("bg", src, dst, 9000, 8*units.Mbps, 1000)
 	f.Start()
 	if err := k.RunUntil(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := f.DeliveredRate(), 2*units.Mbps; got != want {
-		t.Fatalf("delivered rate %v, want policed %v", got, want)
+	f.Stop()
+	// The flow's stop event carries its offered and delivered bytes.
+	var offered, delivered int64
+	for _, e := range k.Metrics().Events().Snapshot() {
+		if e.Type == metrics.EvFluidStop {
+			offered, delivered = e.V1, e.V2
+		}
 	}
-	st := le.IfaceOn(edge).FluidStats()
-	if st.Rate != 2*units.Mbps {
-		t.Fatalf("egress fluid rate %v, want 2 Mb/s EF", st.Rate)
+	if want := int64((8 * units.Mbps).BytesIn(5 * time.Second)); offered < want-1 || offered > want+1 {
+		t.Fatalf("offered %d bytes, want ~%d", offered, want)
 	}
-	if st.LossBytes != 0 {
-		t.Fatalf("EF lane lost %v bytes, want 0 (policed upstream)", st.LossBytes)
+	if want := int64((2 * units.Mbps).BytesIn(5 * time.Second)); delivered < want-1 || delivered > want+1 {
+		t.Fatalf("delivered %d bytes, want the policed ~%d", delivered, want)
+	}
+	if loss, _ := k.Metrics().CounterValue("netsim_fluid_loss_bytes_total", "iface", le.A().String()); loss != 0 {
+		t.Fatalf("EF lane lost %v bytes, want 0 (policed upstream)", loss)
 	}
 }

@@ -18,8 +18,6 @@ import (
 type PrioScheduler struct {
 	ef netsim.DropTail
 	be netsim.DropTail
-
-	efDrops, beDrops uint64
 }
 
 // NewPrioScheduler returns a scheduler with the given per-band byte
@@ -31,17 +29,9 @@ func NewPrioScheduler(efCap, beCap units.ByteSize) *PrioScheduler {
 // Enqueue implements netsim.Queue.
 func (s *PrioScheduler) Enqueue(p *netsim.Packet) bool {
 	if p.DSCP == netsim.DSCPEF {
-		if !s.ef.Enqueue(p) {
-			s.efDrops++
-			return false
-		}
-		return true
+		return s.ef.Enqueue(p)
 	}
-	if !s.be.Enqueue(p) {
-		s.beDrops++
-		return false
-	}
-	return true
+	return s.be.Enqueue(p)
 }
 
 // Dequeue implements netsim.Queue: strict priority, EF first.
@@ -78,6 +68,3 @@ func (s *PrioScheduler) EFLen() int { return s.ef.Len() }
 
 // BELen returns the number of packets queued in the best-effort band.
 func (s *PrioScheduler) BELen() int { return s.be.Len() }
-
-// Drops returns cumulative per-band drop counts.
-func (s *PrioScheduler) Drops() (ef, be uint64) { return s.efDrops, s.beDrops }

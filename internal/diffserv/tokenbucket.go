@@ -37,9 +37,6 @@ type TokenBucket struct {
 	depth  units.ByteSize
 	tokens float64 // bytes
 	last   time.Duration
-
-	conformPkts, exceedPkts   uint64
-	conformBytes, exceedBytes int64
 }
 
 // NewTokenBucket returns a bucket that starts full.
@@ -68,19 +65,9 @@ func (tb *TokenBucket) Conform(n units.ByteSize) bool {
 	tb.refill()
 	if float64(n) <= tb.tokens {
 		tb.tokens -= float64(n)
-		tb.conformPkts++
-		tb.conformBytes += int64(n)
 		return true
 	}
-	tb.exceedPkts++
-	tb.exceedBytes += int64(n)
 	return false
-}
-
-// Tokens returns the bytes of tokens currently available.
-func (tb *TokenBucket) Tokens() units.ByteSize {
-	tb.refill()
-	return units.ByteSize(tb.tokens)
 }
 
 // Rate returns the token fill rate.
@@ -109,24 +96,6 @@ func (tb *TokenBucket) SetDepth(d units.ByteSize) {
 	if tb.tokens > float64(d) {
 		tb.tokens = float64(d)
 	}
-}
-
-// Stats returns cumulative conform/exceed counters.
-func (tb *TokenBucket) Stats() BucketStats {
-	return BucketStats{
-		ConformPkts:  tb.conformPkts,
-		ExceedPkts:   tb.exceedPkts,
-		ConformBytes: tb.conformBytes,
-		ExceedBytes:  tb.exceedBytes,
-	}
-}
-
-// BucketStats holds cumulative token-bucket counters.
-type BucketStats struct {
-	ConformPkts  uint64
-	ExceedPkts   uint64
-	ConformBytes int64
-	ExceedBytes  int64
 }
 
 // Bucket depth policies from the paper.
@@ -163,18 +132,6 @@ func DepthForRate(rate units.BitRate, divisor int) units.ByteSize {
 		panic("diffserv: non-positive bucket divisor")
 	}
 	d := units.ByteSize(float64(rate) / float64(divisor))
-	if d < 1500 {
-		d = 1500
-	}
-	return d
-}
-
-// DepthForDelay computes the physically-dimensioned bandwidth × delay
-// product in bytes (what §4.3's formula literally says), with the same
-// one-MTU floor. It is 8× smaller than DepthForRate's operational rule
-// at the equivalent divisor; see DepthForRate for the discrepancy.
-func DepthForDelay(rate units.BitRate, delay time.Duration) units.ByteSize {
-	d := rate.BytesIn(delay)
 	if d < 1500 {
 		d = 1500
 	}

@@ -72,9 +72,6 @@ func NewSMP(k *sim.Kernel, name string, n int) *CPU {
 // Name returns the CPU's name.
 func (c *CPU) Name() string { return c.name }
 
-// Capacity returns the number of processors.
-func (c *CPU) Capacity() float64 { return c.capacity }
-
 // Task is a schedulable entity (one process's CPU principal).
 type Task struct {
 	cpu      *CPU
@@ -94,7 +91,6 @@ type Task struct {
 	computeStart time.Duration
 	computeWork  float64 // work-seconds requested
 
-	usedSeconds float64 // cumulative CPU-seconds consumed
 }
 
 // NewTask registers a best-effort task on the CPU.
@@ -176,20 +172,6 @@ func (t *Task) start(work time.Duration) bool {
 	return true
 }
 
-// Used returns the task's cumulative CPU-seconds.
-func (t *Task) Used() time.Duration {
-	t.settle(t.cpu.k.Now())
-	return time.Duration(t.usedSeconds * float64(time.Second))
-}
-
-// Share returns the task's current scheduled CPU share (0 when idle).
-func (t *Task) Share() float64 {
-	if !t.computing {
-		return 0
-	}
-	return t.rate
-}
-
 // Close deregisters the task. Any in-flight Compute is abandoned (the
 // blocked process is released).
 func (t *Task) Close() {
@@ -222,7 +204,6 @@ func (t *Task) settle(now time.Duration) {
 		used = t.remaining
 	}
 	t.remaining -= used
-	t.usedSeconds += used
 	t.lastUpdate = now
 }
 
@@ -318,16 +299,4 @@ func (t *Task) finish() {
 		}
 	}
 	t.done.Signal()
-}
-
-// Load returns the number of currently runnable tasks and the sum of
-// active reservations among them.
-func (c *CPU) Load() (runnable int, reserved float64) {
-	for _, t := range c.tasks {
-		if t.computing {
-			runnable++
-			reserved += t.reserved
-		}
-	}
-	return
 }

@@ -190,16 +190,19 @@ func TestUsedAccounting(t *testing.T) {
 	cpu := NewCPU(k, "host")
 	a := cpu.NewTask("a")
 	b := cpu.NewTask("b")
-	k.Spawn("a", func(ctx *sim.Ctx) { a.Compute(ctx, 500*time.Millisecond) })
-	k.Spawn("b", func(ctx *sim.Ctx) { b.Compute(ctx, 500*time.Millisecond) })
+	// Each task is charged exactly its 500 ms of work at half the
+	// CPU, so both finish at 1 s with nothing left.
+	var doneA, doneB time.Duration
+	k.Spawn("a", func(ctx *sim.Ctx) { a.Compute(ctx, 500*time.Millisecond); doneA = ctx.Now() })
+	k.Spawn("b", func(ctx *sim.Ctx) { b.Compute(ctx, 500*time.Millisecond); doneB = ctx.Now() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !almost(a.Used(), 500*time.Millisecond, time.Millisecond) {
-		t.Fatalf("a used %v, want 500ms", a.Used())
+	if !almost(doneA, time.Second, time.Millisecond) || !almost(doneB, time.Second, time.Millisecond) {
+		t.Fatalf("done at %v/%v, want 1s each", doneA, doneB)
 	}
-	if !almost(b.Used(), 500*time.Millisecond, time.Millisecond) {
-		t.Fatalf("b used %v, want 500ms", b.Used())
+	if a.remaining > 1e-9 || b.remaining > 1e-9 {
+		t.Fatalf("remaining work %v/%v, want none", a.remaining, b.remaining)
 	}
 }
 
@@ -268,15 +271,14 @@ func TestShareAndLoad(t *testing.T) {
 	k.Spawn("a", func(ctx *sim.Ctx) { a.Compute(ctx, 10*time.Second) })
 	k.Spawn("b", func(ctx *sim.Ctx) { b.Compute(ctx, 10*time.Second) })
 	k.After(time.Second, func() {
-		if math.Abs(a.Share()-0.7) > 1e-9 {
-			t.Errorf("a share = %v, want 0.7", a.Share())
+		if !a.computing || math.Abs(a.rate-0.7) > 1e-9 {
+			t.Errorf("a share = %v, want 0.7", a.rate)
 		}
-		if math.Abs(b.Share()-0.3) > 1e-9 {
-			t.Errorf("b share = %v, want 0.3", b.Share())
+		if !b.computing || math.Abs(b.rate-0.3) > 1e-9 {
+			t.Errorf("b share = %v, want 0.3", b.rate)
 		}
-		n, res := cpu.Load()
-		if n != 2 || math.Abs(res-0.7) > 1e-9 {
-			t.Errorf("load = %d/%v, want 2/0.7", n, res)
+		if res := a.reserved + b.reserved; math.Abs(res-0.7) > 1e-9 {
+			t.Errorf("reserved = %v, want 0.7", res)
 		}
 	})
 	if err := k.RunUntil(2 * time.Second); err != nil {
@@ -311,8 +313,8 @@ func TestSMPParallelTasks(t *testing.T) {
 	// 4 tasks on a 4-way SMP: all run at full speed simultaneously.
 	k := sim.New(1)
 	cpu := NewSMP(k, "smp", 4)
-	if cpu.Capacity() != 4 {
-		t.Fatalf("capacity = %v", cpu.Capacity())
+	if cpu.capacity != 4 {
+		t.Fatalf("capacity = %v", cpu.capacity)
 	}
 	var done [4]time.Duration
 	for i := 0; i < 4; i++ {

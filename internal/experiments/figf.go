@@ -48,7 +48,6 @@ type FigureFCurve struct {
 type FigureFResult struct {
 	Target   units.BitRate
 	Down, Up time.Duration
-	Dur      time.Duration
 
 	NoQoS  FigureFCurve // best effort throughout
 	Static FigureFCurve // premium reservation, no self-healing
@@ -81,7 +80,6 @@ func RunFigureF(cfg Config) FigureFResult {
 		Target: figFTarget,
 		Down:   cfg.scale(20 * time.Second),
 		Up:     cfg.scale(32 * time.Second),
-		Dur:    cfg.scale(60 * time.Second),
 	}
 	type out struct {
 		curve FigureFCurve

@@ -94,7 +94,6 @@ type FigureHResult struct {
 // figHTrialOut is one trial's raw outcome.
 type figHTrialOut struct {
 	survived bool
-	steps    int
 	crashes  int
 	ttrSum   time.Duration
 	ttrN     int
@@ -329,7 +328,6 @@ func runFigHTrial(cfg Config, pid int, seed int64, mtbf time.Duration, ckpt bool
 				}
 			}
 		}
-		out.steps = highWater
 	})
 
 	if err := tb.K.RunUntil(dur); err != nil {

@@ -87,7 +87,7 @@ func RunISvsDS(cfg Config, nFlows int) ISvsDSResult {
 				const payload = units.KB
 				gap := units.BitRate(float64(perFlow) * 0.9).TimeToSend(payload + netsim.UDPHeader + netsim.IPHeader)
 				for ctx.Now() < dur {
-					sock.SendTo(tb.PremDst.Addr(), port, payload, nil)
+					sock.SendTo(tb.PremDst.Addr(), port, payload)
 					ctx.Sleep(gap)
 				}
 			})

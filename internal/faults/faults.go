@@ -1,8 +1,8 @@
 // Package faults is a deterministic fault-injection subsystem for
-// netsim networks: scheduled link flaps, router (node) failures, and
-// windows of random per-link packet loss or corruption, all driven by
-// the sim kernel so every run with the same seed replays the same
-// fault sequence.
+// netsim networks: scheduled link flaps, windows of random per-link
+// packet loss or corruption, and control-plane and MPI rank crashes,
+// all driven by the sim kernel so every run with the same seed replays
+// the same fault sequence.
 //
 // A Scenario is built with a fluent API —
 //
@@ -11,9 +11,9 @@
 //		LinkUp(32*time.Second, "edge1-core")
 //	sc.Apply(net)
 //
-// — or drawn at random (RandomScenario, RankMTBF) for chaos tests.
-// Faults reference links and nodes by name and resolve them at Apply
-// time, so one scenario can run against any topology that has them.
+// — or drawn at random (RankMTBF) for chaos tests. Faults reference
+// links and ranks by name and resolve them when applied, so one
+// scenario can run against any topology that has them.
 package faults
 
 import (
@@ -32,8 +32,6 @@ import (
 const (
 	actLinkDown    = "link-down"
 	actLinkUp      = "link-up"
-	actNodeDown    = "node-down"
-	actNodeUp      = "node-up"
 	actLossStart   = "loss-start"
 	actLossEnd     = "loss-end"
 	actCorruptDrop = "corrupt"
@@ -135,20 +133,6 @@ func (s *Scenario) Flap(link string, down, up time.Duration) *Scenario {
 	return s.LinkDown(down, link).LinkUp(up, link)
 }
 
-// NodeDown schedules a router failure at t: every link touching the
-// named node leaves service.
-func (s *Scenario) NodeDown(t time.Duration, node string) *Scenario {
-	s.actions = append(s.actions, action{at: t, kind: actNodeDown, target: node})
-	return s
-}
-
-// NodeUp schedules the named node's recovery at t: every link
-// touching it returns to service.
-func (s *Scenario) NodeUp(t time.Duration, node string) *Scenario {
-	s.actions = append(s.actions, action{at: t, kind: actNodeUp, target: node})
-	return s
-}
-
 // Loss schedules a window [from, to) of random packet loss on the
 // named link: each packet arriving at either end is dropped with
 // probability prob, drawn from the injection's deterministic RNG.
@@ -210,11 +194,9 @@ func (s *Scenario) RankRestart(t time.Duration, rank string) *Scenario {
 	return s
 }
 
-// Injection is a scenario applied to one network: it tracks the
-// scheduled timers and impairment filters so tests can inspect drop
-// counts.
+// Injection is a scenario applied to one network: the state its
+// scheduled actions and impairment filters share.
 type Injection struct {
-	net *netsim.Network
 	k   *sim.Kernel
 	rng *sim.RNG
 	rec *metrics.Recorder
@@ -222,9 +204,6 @@ type Injection struct {
 	// trace groups every span of this scenario's actions, keyed by the
 	// scenario name.
 	trace spans.TraceID
-
-	lossDrops    uint64
-	corruptDrops uint64
 }
 
 // instant records a zero-duration fault span at the current sim time.
@@ -232,15 +211,9 @@ func (in *Injection) instant(name, target string) {
 	in.tr.Begin(in.trace, 0, name, target).End()
 }
 
-// LossDrops returns packets dropped by random-loss windows so far.
-func (in *Injection) LossDrops() uint64 { return in.lossDrops }
-
-// CorruptDrops returns packets dropped by corruption windows so far.
-func (in *Injection) CorruptDrops() uint64 { return in.corruptDrops }
-
 // Apply schedules every action of the scenario on net's kernel and
 // returns the injection handle. It validates that every referenced
-// link and node exists, so a typo fails fast instead of silently
+// link exists, so a typo fails fast instead of silently
 // injecting nothing. Randomness is drawn from a dedicated RNG seeded
 // from the kernel's, keeping fault draws independent of (and the run
 // reproducible alongside) other stochastic components. Scenarios with
@@ -264,7 +237,6 @@ func (s *Scenario) ApplyTargets(net *netsim.Network, tg Targets) (*Injection, er
 	ctrl := tg.Ctrl
 	k := net.Kernel()
 	in := &Injection{
-		net:   net,
 		k:     k,
 		rng:   sim.NewRNG(k.RNG().Int63()),
 		rec:   k.Metrics().Events(),
@@ -290,20 +262,6 @@ func (s *Scenario) ApplyTargets(net *netsim.Network, tg Targets) (*Injection, er
 				in.rec.Emit(metrics.EvFaultInject, a.kind, 0, 0, 0)
 				in.instant(span, a.target)
 				l.SetUp(up)
-			})
-		case actNodeDown, actNodeUp:
-			nd := net.Node(a.target)
-			if nd == nil {
-				return nil, fmt.Errorf("faults: scenario %q: no node %q", s.name, a.target)
-			}
-			up := a.kind == actNodeUp
-			span := "fault." + a.kind
-			k.At(a.at, sim.PrioNormal, func() {
-				in.rec.Emit(metrics.EvFaultInject, a.kind, 0, 0, 0)
-				in.instant(span, a.target)
-				for _, iface := range nd.Ifaces() {
-					iface.Link().SetUp(up)
-				}
 			})
 		case actLossStart:
 			l := net.Link(a.target)
@@ -465,10 +423,8 @@ func (im *impairment) Filter(p *netsim.Packet) *netsim.Packet {
 	}
 	im.drops++
 	if im.corrupt {
-		im.in.corruptDrops++
 		im.in.rec.Emit(metrics.EvFaultInject, actCorruptDrop, int64(p.Size), int64(p.DSCP), 0)
 	} else {
-		im.in.lossDrops++
 		im.in.rec.Emit(metrics.EvFaultInject, actLossDrop, int64(p.Size), int64(p.DSCP), 0)
 	}
 	return nil

@@ -11,6 +11,11 @@ import (
 )
 
 // line builds a — b — c with 10 Mb/s links.
+// handlerFunc adapts a function to the netsim.Handler interface.
+type handlerFunc func(p *netsim.Packet)
+
+func (f handlerFunc) HandlePacket(p *netsim.Packet) { f(p) }
+
 func line(seed int64) (*sim.Kernel, *netsim.Network) {
 	k := sim.New(seed)
 	n := netsim.New(k)
@@ -52,34 +57,10 @@ func TestFlapSchedulesTransitions(t *testing.T) {
 	}
 }
 
-func TestNodeDownTakesAllLinks(t *testing.T) {
-	k, n := line(1)
-	sc := NewScenario("t").
-		NodeDown(time.Second, "b").
-		NodeUp(2*time.Second, "b")
-	if _, err := sc.Apply(n); err != nil {
-		t.Fatal(err)
-	}
-	k.After(1500*time.Millisecond, func() {
-		if n.Link("a-b").Up() || n.Link("b-c").Up() {
-			t.Error("both of b's links should be down")
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !n.Link("a-b").Up() || !n.Link("b-c").Up() {
-		t.Fatal("links should be restored after NodeUp")
-	}
-}
-
 func TestUnknownTargetsFailFast(t *testing.T) {
 	_, n := line(1)
 	if _, err := NewScenario("t").LinkDown(0, "nope").Apply(n); err == nil {
 		t.Fatal("unknown link should fail Apply")
-	}
-	if _, err := NewScenario("t").NodeDown(0, "nope").Apply(n); err == nil {
-		t.Fatal("unknown node should fail Apply")
 	}
 	if _, err := NewScenario("t").Loss("nope", 0, time.Second, 0.5).Apply(n); err == nil {
 		t.Fatal("unknown loss link should fail Apply")
@@ -87,20 +68,19 @@ func TestUnknownTargetsFailFast(t *testing.T) {
 }
 
 // lossDrops runs a fixed UDP stream through a loss window and returns
-// the injection's drop count.
+// the loss and corruption drops the flight recorder saw.
 func lossDrops(t *testing.T, seed int64, corrupt bool) (uint64, uint64) {
 	t.Helper()
 	k, n := line(seed)
-	a, c := n.Node("a"), n.Node("c")
-	c.Handle(netsim.ProtoUDP, netsim.HandlerFunc(func(p *netsim.Packet) {}))
+	a, c := n.Nodes()[0], n.Nodes()[2]
+	c.Handle(netsim.ProtoUDP, handlerFunc(func(p *netsim.Packet) {}))
 	sc := NewScenario("t")
 	if corrupt {
 		sc.Corrupt("b-c", 0, 10*time.Second, 0.3)
 	} else {
 		sc.Loss("b-c", 0, 10*time.Second, 0.3)
 	}
-	in, err := sc.Apply(n)
-	if err != nil {
+	if _, err := sc.Apply(n); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
@@ -112,7 +92,17 @@ func lossDrops(t *testing.T, seed int64, corrupt bool) (uint64, uint64) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return in.LossDrops(), in.CorruptDrops()
+	var lost, corrupted uint64
+	for _, e := range k.Metrics().Events().Snapshot() {
+		switch {
+		case e.Type != metrics.EvFaultInject:
+		case e.Subject == actLossDrop:
+			lost++
+		case e.Subject == actCorruptDrop:
+			corrupted++
+		}
+	}
+	return lost, corrupted
 }
 
 func TestLossWindowIsDeterministic(t *testing.T) {

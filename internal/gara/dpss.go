@@ -2,31 +2,26 @@ package gara
 
 import (
 	"fmt"
-	"time"
 
-	"mpichgq/internal/sim"
 	"mpichgq/internal/units"
 )
 
 // DPSS simulates the Distributed Parallel Storage System, the
 // network-storage resource GARA managed alongside networks and CPUs.
-// It is a rate-limited block server: total read capacity is shared by
-// sessions, with reserved sessions guaranteed their rate and
-// best-effort sessions splitting the remainder equally.
+// It is a rate-limited block server: storage reservations book
+// sessions' read rates up to its aggregate read capacity.
 type DPSS struct {
-	k        *sim.Kernel
 	capacity units.BitRate
 	reserved units.BitRate
-	sessions []*DPSSSession
 }
 
 // NewDPSS returns a storage server with the given aggregate read
 // capacity.
-func NewDPSS(k *sim.Kernel, capacity units.BitRate) *DPSS {
+func NewDPSS(capacity units.BitRate) *DPSS {
 	if capacity <= 0 {
 		panic("gara: non-positive DPSS capacity")
 	}
-	return &DPSS{k: k, capacity: capacity}
+	return &DPSS{capacity: capacity}
 }
 
 // Capacity returns the server's aggregate read capacity.
@@ -37,69 +32,16 @@ func (d *DPSS) ReservedRate() units.BitRate { return d.reserved }
 
 // Open starts a best-effort session.
 func (d *DPSS) Open(name string) *DPSSSession {
-	s := &DPSSSession{d: d, name: name}
-	d.sessions = append(d.sessions, s)
-	return s
+	return &DPSSSession{d: d, name: name}
 }
 
 // DPSSSession is one client's connection to the storage server.
 type DPSSSession struct {
-	d         *DPSS
-	name      string
-	rate      units.BitRate // reserved rate; 0 = best effort
-	closed    bool
-	bytesRead int64
+	d      *DPSS
+	name   string
+	rate   units.BitRate // reserved rate; 0 = best effort
+	closed bool
 }
-
-// Rate returns the session's current effective read rate.
-func (s *DPSSSession) Rate() units.BitRate {
-	if s.closed {
-		return 0
-	}
-	if s.rate > 0 {
-		return s.rate
-	}
-	// Best effort: split the unreserved capacity equally.
-	free := s.d.capacity - s.d.reserved
-	if free <= 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range s.d.sessions {
-		if !x.closed && x.rate == 0 {
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return free / units.BitRate(n)
-}
-
-// Read blocks the calling process while n bytes stream from the server
-// at the session's current rate.
-func (s *DPSSSession) Read(ctx *sim.Ctx, n units.ByteSize) error {
-	if s.closed {
-		return fmt.Errorf("gara: DPSS session %q closed", s.name)
-	}
-	rate := s.Rate()
-	if rate <= 0 {
-		// Starved best-effort session: poll until capacity appears.
-		for rate <= 0 {
-			ctx.Sleep(10 * time.Millisecond)
-			if s.closed {
-				return fmt.Errorf("gara: DPSS session %q closed", s.name)
-			}
-			rate = s.Rate()
-		}
-	}
-	ctx.Sleep(rate.TimeToSend(n))
-	s.bytesRead += int64(n)
-	return nil
-}
-
-// BytesRead returns the session's cumulative bytes.
-func (s *DPSSSession) BytesRead() units.ByteSize { return units.ByteSize(s.bytesRead) }
 
 // Close ends the session, releasing any reservation.
 func (s *DPSSSession) Close() {
@@ -230,10 +172,4 @@ func (rm *StorageRM) Modify(r *Reservation, spec Spec) error {
 		r.armEnd()
 	}
 	return nil
-}
-
-// Session returns the live session backing an active reservation.
-func Session(r *Reservation) (*DPSSSession, bool) {
-	s, ok := r.rmData.(*DPSSSession)
-	return s, ok && s != nil
 }

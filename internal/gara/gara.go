@@ -153,7 +153,8 @@ type ResourceManager interface {
 	// Admit books capacity for r.Spec and returns an error if the
 	// request cannot be satisfied.
 	Admit(r *Reservation) error
-	// Release frees the booked capacity.
+	// Release frees the booked capacity. Neither Admit nor Release
+	// may keep r: Probe passes the same trial reservation every time.
 	Release(r *Reservation)
 	// Activate begins enforcement (install router rules, set CPU
 	// shares, ...).
@@ -171,6 +172,8 @@ type Gara struct {
 	k        *sim.Kernel
 	managers map[ResourceType]ResourceManager
 	nextID   uint64
+	// probe is the trial reservation Probe books and releases.
+	probe Reservation
 
 	mTransitions  [5]*metrics.Counter // indexed by State
 	mRejects      *metrics.Counter
@@ -461,13 +464,15 @@ func (g *Gara) Probe(spec Spec) error {
 		return fmt.Errorf("%w %q", ErrNoManager, spec.Type)
 	}
 	g.nextID++
-	r := &Reservation{g: g, id: g.nextID, spec: spec, rm: rm}
+	r := &g.probe
+	*r = Reservation{g: g, id: g.nextID, spec: spec, rm: rm}
 	r.start, r.end = spec.window(g.k.Now())
-	if err := rm.Admit(r); err != nil {
-		return err
+	err := rm.Admit(r)
+	if err == nil {
+		rm.Release(r)
 	}
-	rm.Release(r)
-	return nil
+	*r = Reservation{}
+	return err
 }
 
 // CoReserve atomically requests several reservations: either all are

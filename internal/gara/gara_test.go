@@ -44,8 +44,19 @@ func newRig() *rig {
 		k: k, net: n, a: a, b: b, bott: bott, domain: domain,
 		g: g, netRM: netRM,
 		cpu:  dsrt.NewCPU(k, "host-a"),
-		dpss: NewDPSS(k, 100*units.Mbps),
+		dpss: NewDPSS(100 * units.Mbps),
 	}
+}
+
+// edgeBucket returns the token bucket that polices the rig's one
+// installed reservation at the edge router's ingress.
+func (r *rig) edgeBucket(t *testing.T) *diffserv.TokenBucket {
+	t.Helper()
+	rules := r.domain.Classifier(r.net.Links()[0].B()).Rules()
+	if len(rules) != 1 {
+		t.Fatalf("%d rules at the edge ingress, want 1", len(rules))
+	}
+	return rules[0].Police
 }
 
 func (r *rig) netSpec(bw units.BitRate) Spec {
@@ -67,7 +78,7 @@ func TestImmediateNetworkReservation(t *testing.T) {
 	}
 	// The rule must be installed on the edge router's ingress (the
 	// iface on "edge" facing "a").
-	edgeIngress := r.net.Links()[0].IfaceOn(r.net.Node("edge"))
+	edgeIngress := r.net.Links()[0].B()
 	if len(r.domain.Classifier(edgeIngress).Rules()) != 1 {
 		t.Fatal("classifier rule not installed at edge ingress")
 	}
@@ -162,7 +173,7 @@ func TestModifyBandwidth(t *testing.T) {
 	if err := res.Modify(spec); err != nil {
 		t.Fatal(err)
 	}
-	fr := r.netRM.Enforcement(res)
+	fr := r.edgeBucket(t)
 	if fr.Rate() != 4*units.Mbps {
 		t.Fatalf("bucket rate = %v, want 4Mb/s", fr.Rate())
 	}
@@ -230,41 +241,9 @@ func TestStorageReservation(t *testing.T) {
 	if _, err := r.g.Reserve(Spec{Type: ResourceStorage, Store: r.dpss, ReadRate: 50 * units.Mbps}); err == nil {
 		t.Fatal("60+50 over 100 Mb/s should fail")
 	}
-	s, ok := Session(res)
-	if !ok {
-		t.Fatal("active storage reservation should expose a session")
-	}
-	var readDone time.Duration
-	r.k.Spawn("reader", func(ctx *sim.Ctx) {
-		// 7.5 MB at 60 Mb/s = 1 s.
-		if err := s.Read(ctx, 7500*units.KB); err != nil {
-			t.Error(err)
-			return
-		}
-		readDone = ctx.Now()
-	})
-	if err := r.k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if readDone != time.Second {
-		t.Fatalf("read finished at %v, want 1s", readDone)
-	}
 	res.Cancel()
 	if r.dpss.ReservedRate() != 0 {
 		t.Fatal("reservation not released")
-	}
-}
-
-func TestDPSSBestEffortSharing(t *testing.T) {
-	r := newRig()
-	s1 := r.dpss.Open("be1")
-	s2 := r.dpss.Open("be2")
-	if s1.Rate() != 50*units.Mbps || s2.Rate() != 50*units.Mbps {
-		t.Fatalf("best-effort rates = %v/%v, want 50Mb/s each", s1.Rate(), s2.Rate())
-	}
-	s2.Close()
-	if s1.Rate() != 100*units.Mbps {
-		t.Fatalf("rate after peer close = %v, want 100Mb/s", s1.Rate())
 	}
 }
 
@@ -323,7 +302,7 @@ func TestBucketDepthPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := r.netRM.Enforcement(res)
+	fr := r.edgeBucket(t)
 	want := diffserv.DepthForRate(4*units.Mbps, diffserv.NormalBucketDivisor)
 	if fr.Depth() != want {
 		t.Fatalf("default depth = %v, want %v (bandwidth/40)", fr.Depth(), want)
@@ -332,11 +311,42 @@ func TestBucketDepthPolicy(t *testing.T) {
 	// Explicit override.
 	spec := r.netSpec(4 * units.Mbps)
 	spec.BucketDepth = 99999
-	res2, err := r.g.Reserve(spec)
+	_, err = r.g.Reserve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.netRM.Enforcement(res2).Depth() != 99999 {
+	if r.edgeBucket(t).Depth() != 99999 {
 		t.Fatal("explicit depth not honoured")
+	}
+}
+
+// TestProbeAllocatesNothing pins that an admitted probe books and
+// releases through the one trial reservation and the manager's scratch
+// route, allocating nothing and leaving no slot behind.
+func TestProbeAllocatesNothing(t *testing.T) {
+	r := newRig()
+	if _, err := r.g.Reserve(r.netSpec(4 * units.Mbps)); err != nil {
+		t.Fatal(err)
+	}
+	out := r.net.Links()[1].A()
+	slots := r.netRM.Table(out).Len()
+	spec := r.netSpec(1 * units.Mbps)
+	probe := func() {
+		if err := r.g.Probe(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe() // size the scratch route
+	if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+		t.Fatalf("an admitted probe allocates %v objects, want 0", allocs)
+	}
+	if err := r.g.Probe(r.netSpec(2 * units.Mbps)); err == nil {
+		t.Fatal("4+2 Mb/s should exceed the 5 Mb/s EF share")
+	}
+	if got := r.netRM.Table(out).Len(); got != slots {
+		t.Fatalf("bottleneck holds %d slots after probing, want %d", got, slots)
+	}
+	if r.g.probe.g != nil {
+		t.Fatal("the trial reservation outlived its probe")
 	}
 }

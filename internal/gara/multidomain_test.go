@@ -126,7 +126,7 @@ func TestMultiDomainRollsBackOnDownstreamRefusal(t *testing.T) {
 	// 0.5 × 100 Mb/s = 50 Mb/s share; 45 + 10 does not fit.
 	if _, err := r.g2.Reserve(Spec{
 		Type:      ResourceNetwork,
-		Flow:      diffserv.MatchHostPair(r.net.Node("e2").Addr(), r.hostB.Addr(), netsim.ProtoTCP),
+		Flow:      diffserv.MatchHostPair(r.net.Nodes()[4].Addr(), r.hostB.Addr(), netsim.ProtoTCP),
 		Bandwidth: 45 * units.Mbps,
 	}); err != nil {
 		t.Fatal(err)
@@ -157,12 +157,12 @@ func TestMultiDomainEndToEndProtection(t *testing.T) {
 		r.k.Spawn("blast", func(ctx *sim.Ctx) {
 			gap := (60 * units.Mbps).TimeToSend(1028)
 			for ctx.Now() < 10*time.Second {
-				sock.SendTo(to.Addr(), port, 1000, nil)
+				sock.SendTo(to.Addr(), port, 1000)
 				ctx.Sleep(gap)
 			}
 		})
 	}
-	blastTo(r.net.Node("e1"), r.net.Node("e2"), 9000) // crosses the 50 Mb/s border
+	blastTo(r.net.Nodes()[1], r.net.Nodes()[4], 9000) // crosses the 50 Mb/s border
 	var rx int64
 	sink, err := r.hostB.UDPStack().Bind(700)
 	if err != nil {
@@ -176,7 +176,7 @@ func TestMultiDomainEndToEndProtection(t *testing.T) {
 	r.k.Spawn("prem", func(ctx *sim.Ctx) {
 		gap := (9 * units.Mbps).TimeToSend(1028)
 		for ctx.Now() < 10*time.Second {
-			src.SendTo(r.hostB.Addr(), 700, 1000, nil)
+			src.SendTo(r.hostB.Addr(), 700, 1000)
 			ctx.Sleep(gap)
 		}
 	})
@@ -195,7 +195,7 @@ func TestMultiDomainNoOwningDomain(t *testing.T) {
 	// its scoped RM owns no hop and refuses with ErrNotInDomain.
 	spec := Spec{
 		Type:      ResourceNetwork,
-		Flow:      diffserv.MatchHostPair(r.net.Node("e2").Addr(), r.hostB.Addr(), netsim.ProtoTCP),
+		Flow:      diffserv.MatchHostPair(r.net.Nodes()[4].Addr(), r.hostB.Addr(), netsim.ProtoTCP),
 		Bandwidth: units.Mbps,
 	}
 	if _, err := r.g1.Prepare(spec, 0); !errors.Is(err, ErrNotInDomain) {

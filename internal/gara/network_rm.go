@@ -2,6 +2,7 @@ package gara
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -50,6 +51,9 @@ type NetworkRM struct {
 	// leases tracks prepared (uncommitted) bookings by absolute lease
 	// expiry, so recovery can reconcile half-prepared bookings.
 	leases map[uint64]time.Duration
+	// hops is scratch for the paths that Admit, Modify and pathHealthy
+	// walk and drop before they return.
+	hops []*netsim.Iface
 }
 
 // netAttachment is the NetworkRM's per-reservation enforcement state,
@@ -105,8 +109,10 @@ func (rm *NetworkRM) Table(out *netsim.Iface) *SlotTable { return rm.table(out) 
 // path walks the routing tables from src to dst, returning the egress
 // interfaces traversed (the capacity consumed, per direction) and the
 // ingress interface of the first router (where edge classification
-// and policing happen).
-func (rm *NetworkRM) path(src, dst netsim.Addr) ([]*netsim.Iface, *netsim.Iface, error) {
+// and policing happen). The hops are written over buf when it has room
+// for them, and into a new slice of exactly their number otherwise:
+// callers that keep the path pass nil.
+func (rm *NetworkRM) path(buf []*netsim.Iface, src, dst netsim.Addr) ([]*netsim.Iface, *netsim.Iface, error) {
 	var srcNode *netsim.Node
 	for _, nd := range rm.net.Nodes() {
 		if nd.Addr() == src {
@@ -117,10 +123,10 @@ func (rm *NetworkRM) path(src, dst netsim.Addr) ([]*netsim.Iface, *netsim.Iface,
 	if srcNode == nil {
 		return nil, nil, fmt.Errorf("gara: unknown source address %d", src)
 	}
-	var hops []*netsim.Iface
-	var edgeIngress *netsim.Iface
-	node := srcNode
-	for node.Addr() != dst {
+	// Walk the route once to check it and count its hops, then again
+	// to fill a slice of that size.
+	n := 0
+	for node := srcNode; node.Addr() != dst; n++ {
 		out := node.RouteTo(dst)
 		if out == nil {
 			return nil, nil, fmt.Errorf("gara: no route from %q toward %d", node.Name(), dst)
@@ -131,19 +137,21 @@ func (rm *NetworkRM) path(src, dst netsim.Addr) ([]*netsim.Iface, *netsim.Iface,
 			// until the link returns or routes are recomputed.
 			return nil, nil, fmt.Errorf("gara: link %s on the path is down", out.Link().Name())
 		}
-		hops = append(hops, out)
-		if edgeIngress == nil {
-			edgeIngress = out.Peer()
-		}
 		node = out.Peer().Node()
-		if len(hops) > len(rm.net.Nodes()) {
+		if n+1 > len(rm.net.Nodes()) {
 			return nil, nil, fmt.Errorf("gara: routing loop toward %d", dst)
 		}
 	}
-	if len(hops) == 0 {
+	if n == 0 {
 		return nil, nil, fmt.Errorf("gara: source and destination are the same node")
 	}
-	return hops, edgeIngress, nil
+	hops := slices.Grow(buf[:0], n)[:n]
+	node := srcNode
+	for i := range hops {
+		hops[i] = node.RouteTo(dst)
+		node = hops[i].Peer().Node()
+	}
+	return hops, hops[0].Peer(), nil
 }
 
 func specPath(spec Spec) (netsim.Addr, netsim.Addr, error) {
@@ -164,23 +172,22 @@ func (rm *NetworkRM) Admit(r *Reservation) error {
 	if err != nil {
 		return err
 	}
-	hops, _, err := rm.path(src, dst)
+	hops, _, err := rm.path(rm.hops, src, dst)
 	if err != nil {
 		return err
 	}
+	rm.hops = hops
 	hops = rm.owned(hops)
 	if len(hops) == 0 {
 		return ErrNotInDomain
 	}
-	var booked []*netsim.Iface
-	for _, out := range hops {
+	for i, out := range hops {
 		if err := rm.table(out).Insert(r.id, r.start, r.end, float64(spec.Bandwidth)); err != nil {
-			for _, b := range booked {
+			for _, b := range hops[:i] {
 				rm.table(b).Remove(r.id)
 			}
 			return fmt.Errorf("gara: admission failed on link %s: %w", out.Link().Name(), err)
 		}
-		booked = append(booked, out)
 	}
 	rm.journal(JournalRecord{Op: OpBook, ID: r.id, Spec: spec, Start: r.start, End: r.end})
 	return nil
@@ -218,7 +225,7 @@ func (rm *NetworkRM) Activate(r *Reservation) error {
 	if err != nil {
 		return err
 	}
-	hops, edgeIngress, err := rm.path(src, dst)
+	hops, edgeIngress, err := rm.path(nil, src, dst)
 	if err != nil {
 		return err
 	}
@@ -284,25 +291,24 @@ func (rm *NetworkRM) Modify(r *Reservation, spec Spec) error {
 	if oldSrc != newSrc || oldDst != newDst {
 		return fmt.Errorf("gara: cannot modify a reservation's endpoints")
 	}
-	hops, _, err := rm.path(newSrc, newDst)
+	hops, _, err := rm.path(rm.hops, newSrc, newDst)
 	if err != nil {
 		return err
 	}
+	rm.hops = hops
 	hops = rm.owned(hops)
 	now := rm.k.Now()
 	start, end := spec.window(now)
 	if r.state == StateActive {
 		start = r.start // enforcement already began
 	}
-	var done []*netsim.Iface
-	for _, out := range hops {
+	for i, out := range hops {
 		if err := rm.table(out).Update(r.id, start, end, float64(spec.Bandwidth)); err != nil {
-			for _, d := range done {
+			for _, d := range hops[:i] {
 				rm.table(d).Update(r.id, r.start, r.end, float64(r.spec.Bandwidth))
 			}
 			return err
 		}
-		done = append(done, out)
 	}
 	r.spec = spec
 	r.start, r.end = start, end
@@ -356,10 +362,11 @@ func (rm *NetworkRM) pathHealthy(r *Reservation) bool {
 	if err != nil {
 		return true
 	}
-	hops, _, err := rm.path(src, dst)
+	hops, _, err := rm.path(rm.hops, src, dst)
 	if err != nil {
 		return false // destination became unreachable
 	}
+	rm.hops = hops
 	if len(hops) != len(att.hops) {
 		return false
 	}
@@ -380,7 +387,7 @@ func (rm *NetworkRM) Reattach(r *Reservation) error {
 	if err != nil {
 		return err
 	}
-	hops, edgeIngress, err := rm.path(src, dst)
+	hops, edgeIngress, err := rm.path(nil, src, dst)
 	if err != nil {
 		return err
 	}
@@ -392,15 +399,13 @@ func (rm *NetworkRM) Reattach(r *Reservation) error {
 	if now := rm.k.Now(); start < now {
 		start = now // book only the remaining window
 	}
-	var booked []*netsim.Iface
-	for _, out := range owned {
+	for i, out := range owned {
 		if err := rm.table(out).Insert(r.id, start, r.end, float64(r.spec.Bandwidth)); err != nil {
-			for _, b := range booked {
+			for _, b := range owned[:i] {
 				rm.table(b).Remove(r.id)
 			}
 			return fmt.Errorf("gara: reattach failed on link %s: %w", out.Link().Name(), err)
 		}
-		booked = append(booked, out)
 	}
 	att := &netAttachment{hops: hops}
 	if rm.Scope == nil || rm.Scope(hops[0]) {

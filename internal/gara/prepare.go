@@ -132,18 +132,6 @@ func (g *Gara) Prepare(spec Spec, ttl time.Duration) (*Prepared, error) {
 // booking is held under).
 func (p *Prepared) ID() uint64 { return p.r.id }
 
-// State returns the prepare-phase state.
-func (p *Prepared) State() PrepareState { return p.state }
-
-// Reservation returns the committed reservation handle, or nil before
-// a successful Commit.
-func (p *Prepared) Reservation() *Reservation {
-	if p.state != PrepareCommitted {
-		return nil
-	}
-	return p.r
-}
-
 // expire is the lease timer callback: reclaim the booking so an
 // orphaned prepare (coordinator crash, lost abort) cannot leak booked
 // capacity.

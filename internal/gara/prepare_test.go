@@ -18,15 +18,15 @@ func TestPrepareCommitLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.State() != PrepareHeld {
-		t.Fatalf("state = %v, want held", p.State())
+	if p.state != PrepareHeld {
+		t.Fatalf("state = %v, want held", p.state)
 	}
 	// Capacity is booked during the hold, but nothing is enforced yet.
 	if r.borderEF() == 0 {
 		t.Fatal("prepare should book capacity")
 	}
-	if p.Reservation() != nil {
-		t.Fatal("no reservation handle before commit")
+	if p.state == PrepareCommitted {
+		t.Fatal("committed before Commit")
 	}
 	res, err := p.Commit()
 	if err != nil {
@@ -38,8 +38,8 @@ func TestPrepareCommitLifecycle(t *testing.T) {
 	if r.rm1.Enforcement(res) == nil {
 		t.Fatal("commit should install edge enforcement")
 	}
-	if p.Reservation() != res {
-		t.Fatal("Reservation() should return the committed handle")
+	if p.state != PrepareCommitted || p.r != res {
+		t.Fatal("Commit should return the prepared handle, committed")
 	}
 	// A second commit is refused.
 	if _, err := p.Commit(); !errors.Is(err, ErrNotPrepared) {
@@ -64,8 +64,8 @@ func TestPrepareLeaseExpiryReclaims(t *testing.T) {
 	if err := r.k.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if p.State() != PrepareExpired {
-		t.Fatalf("state = %v, want expired", p.State())
+	if p.state != PrepareExpired {
+		t.Fatalf("state = %v, want expired", p.state)
 	}
 	if r.borderEF() != 0 {
 		t.Fatal("expired lease left capacity booked")
@@ -85,8 +85,8 @@ func TestPrepareAbortIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Abort()
-	if p.State() != PrepareAborted {
-		t.Fatalf("state = %v, want aborted", p.State())
+	if p.state != PrepareAborted {
+		t.Fatalf("state = %v, want aborted", p.state)
 	}
 	if r.borderEF() != 0 {
 		t.Fatal("abort did not release capacity")

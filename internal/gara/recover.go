@@ -99,8 +99,8 @@ type RecoverStats struct {
 // reservations, and uncommitted prepare leases are reconciled — an
 // already-expired lease is reclaimed on the spot, a still-live one is
 // rebooked with a fresh reclaim timer. Reservation handles held by
-// callers are not re-linked automatically (the coordinator re-adopts
-// them via Adopt); ids are processed in order so recovery is
+// callers are not re-linked: cancelling one still releases its
+// booking by id. Ids are processed in order so recovery is
 // deterministic.
 func (rm *NetworkRM) Recover() (RecoverStats, error) {
 	if rm.Journal == nil {
@@ -142,7 +142,7 @@ func (rm *NetworkRM) Recover() (RecoverStats, error) {
 			rm.journal(JournalRecord{Op: OpRelease, ID: id})
 			continue
 		}
-		hops, edgeIngress, err := rm.path(src, dst)
+		hops, edgeIngress, err := rm.path(nil, src, dst)
 		if err != nil {
 			// No viable path anymore; the booking cannot be honored.
 			stats.Dropped++
@@ -216,15 +216,6 @@ func (rm *NetworkRM) reclaimLease(id uint64) {
 	reg.Counter("netrm_leases_reclaimed_total",
 		"prepare leases reclaimed by the RM's own timer", "rm", rm.Name).Inc()
 	reg.Events().Emit(metrics.EvCtrlLease, "reclaimed", int64(id), 0, 0)
-}
-
-// Adopt re-links a caller-held reservation handle into the recovered
-// RM's active set (so topology changes re-validate its path again).
-// A no-op for handles the journal did not restore.
-func (rm *NetworkRM) Adopt(r *Reservation) {
-	if _, ok := rm.attach[r.id]; ok {
-		rm.active[r.id] = r
-	}
 }
 
 // ReleaseID releases a reservation by id alone — booking, lease, and

@@ -91,9 +91,6 @@ func TestNetworkRMCrashRecoverRestoresSlotTables(t *testing.T) {
 		t.Fatalf("netrm_recover_reinstalled_total = %d, want 2", v)
 	}
 
-	// Adopt re-links the handles so topology checks see them again.
-	r.rm1.Adopt(res1)
-	r.rm1.Adopt(res2)
 	res1.Cancel()
 	res2.Cancel()
 	if r.rm1.Utilization(r.border, r.k.Now()) != 0 {

@@ -44,8 +44,8 @@ type step struct {
 // function: steps sorted by time, zero before the first, with no step
 // repeating the level before it, so there are at most two per slot.
 // CommittedAt is a binary search; Available is a binary search plus a
-// scan of the k steps inside the window, O(log n + k). Insert, Remove,
-// Update and TrimBefore split the steps at the slot's start and end
+// scan of the k steps inside the window, O(log n + k). Insert, Remove
+// and Update split the steps at the slot's start and end
 // and add or subtract its amount in between, O(n) at worst for the
 // slice shifts. The levels are kept by adding and subtracting amounts,
 // so they equal the sums of the slots exactly when those sums are
@@ -212,15 +212,6 @@ func (st *SlotTable) Update(id uint64, start, end time.Duration, amount float64)
 		return err
 	}
 	return nil
-}
-
-// TrimBefore discards slots that ended at or before t (bookkeeping for
-// long-running simulations).
-func (st *SlotTable) TrimBefore(t time.Duration) {
-	ended := func(s slot) bool { return s.end <= t }
-	if i := slices.IndexFunc(st.slots, ended); i >= 0 {
-		st.cut(i, ended)
-	}
 }
 
 // Len returns the number of live slots.

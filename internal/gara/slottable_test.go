@@ -88,16 +88,6 @@ func TestSlotTableUpdateRollsBack(t *testing.T) {
 	}
 }
 
-func TestSlotTableTrim(t *testing.T) {
-	st := NewSlotTable(10)
-	st.Insert(1, 0, time.Second, 5)
-	st.Insert(2, 0, Forever, 5)
-	st.TrimBefore(2 * time.Second)
-	if st.Len() != 1 {
-		t.Fatalf("len after trim = %d, want 1", st.Len())
-	}
-}
-
 // Amounts like 0.1 and 0.2 do not sum exactly, so adding and taking
 // them off the step function can leave a residue; an emptied table
 // must still read zero everywhere.
@@ -183,10 +173,6 @@ func (nt *naiveTable) update(id uint64, start, end time.Duration, amount float64
 	return true
 }
 
-func (nt *naiveTable) trimBefore(t time.Duration) {
-	nt.keep(func(s slot) bool { return s.end > t })
-}
-
 // agree reports the first way st and the oracle differ, or "".
 func agree(st *SlotTable, nt *naiveTable) string {
 	if !slices.Equal(st.slots, nt.slots) {
@@ -246,11 +232,8 @@ func TestSlotTableNeverOversubscribedProperty(t *testing.T) {
 				ok, want = st.Update(pick, start, end, amt) == nil, nt.update(pick, start, end, amt)
 			case d < 17:
 				ok, want = st.Remove(pick), nt.remove(pick)
-			case d < 19:
-				ok, want = st.Available(start, end, amt), nt.available(start, end, amt)
 			default:
-				st.TrimBefore(start)
-				nt.trimBefore(start)
+				ok, want = st.Available(start, end, amt), nt.available(start, end, amt)
 			}
 			if ok != want {
 				t.Logf("seed %d op %d: decision %v, oracle %v", seed, op, ok, want)

@@ -155,10 +155,6 @@ func (tb *Testbed) Options() Options { return tb.opts }
 // once every result has been read off the testbed.
 func (tb *Testbed) Close() { tb.K.Close() }
 
-// RTT returns the round-trip propagation delay between the premium
-// hosts (4 hops each way).
-func (tb *Testbed) RTT() time.Duration { return 8 * hopDelay }
-
 // AddSite attaches a remote site (an extra edge router plus host) to
 // the core over a constrained wide-area link, like GARNET's ESnet and
 // MREN attachments.

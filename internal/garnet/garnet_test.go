@@ -29,9 +29,6 @@ func TestTopologyConnectivity(t *testing.T) {
 			}
 		}
 	}
-	if tb.RTT() != 2*time.Millisecond {
-		t.Fatalf("RTT = %v, want 2ms", tb.RTT())
-	}
 	if !strings.Contains(tb.Topology(), "edge1-core") {
 		t.Fatal("topology rendering missing bottleneck")
 	}
@@ -44,11 +41,11 @@ func TestPremiumPathCrossesBottleneck(t *testing.T) {
 	src := tb.PremSrc.UDPStack()
 	tb.PremDst.UDPStack()
 	sock, _ := src.Bind(0)
-	sock.SendTo(tb.PremDst.Addr(), 9, 100, nil)
+	sock.SendTo(tb.PremDst.Addr(), 9, 100)
 	if err := tb.K.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if tb.Bottleneck.IfaceOn(tb.Edge1).Stats().TxPackets != 1 {
+	if n, _ := tb.K.Metrics().CounterValue("netsim_tx_packets_total", "iface", tb.Bottleneck.A().String()); n != 1 {
 		t.Fatal("premium traffic did not cross the bottleneck")
 	}
 }
@@ -108,7 +105,7 @@ func TestAddSite(t *testing.T) {
 	src := tb.PremSrc.UDPStack()
 	remote.UDPStack()
 	sock, _ := src.Bind(0)
-	ok, err := sock.SendTo(remote.Addr(), 9, 100, nil)
+	ok, err := sock.SendTo(remote.Addr(), 9, 100)
 	if err != nil || !ok {
 		t.Fatalf("send to remote site: ok=%v err=%v", ok, err)
 	}
@@ -117,7 +114,7 @@ func TestAddSite(t *testing.T) {
 	rsock, _ := remote.UDPStack().Bind(9)
 	rsock.Serve(func(netsim.Datagram) { delivered = true })
 	// First packet was sent before the sink bound; send another.
-	k.After(time.Millisecond*50, func() { sock.SendTo(remote.Addr(), 9, 100, nil) })
+	k.After(time.Millisecond*50, func() { sock.SendTo(remote.Addr(), 9, 100) })
 	if err := k.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -61,10 +61,6 @@ type IO struct {
 	// Shaper state (token bucket in bytes).
 	tokens     float64
 	lastRefill time.Duration
-
-	bytesWritten int64
-	bytesRead    int64
-	shapeDelay   time.Duration // cumulative time spent pacing
 }
 
 // Wrap adorns an established connection.
@@ -119,17 +115,11 @@ func (io *IO) pace(ctx *sim.Ctx, n units.ByteSize) {
 	io.lastRefill = now
 	if deficit := float64(n) - io.tokens; deficit > 0 {
 		wait := time.Duration(deficit * 8 / float64(sh.Rate) * float64(time.Second))
-		io.shapeDelay += wait
 		ctx.Sleep(wait)
 		io.tokens += float64(sh.Rate) * (io.k.Now() - io.lastRefill).Seconds() / 8
 		io.lastRefill = io.k.Now()
 	}
 	io.tokens -= float64(n)
-}
-
-// Write sends n bytes, charging CPU and pacing per chunk.
-func (io *IO) Write(ctx *sim.Ctx, n units.ByteSize) error {
-	return io.write(ctx, n, nil, false)
 }
 
 // WriteMsg sends n bytes with obj attached at the end (see
@@ -159,28 +149,7 @@ func (io *IO) write(ctx *sim.Ctx, n units.ByteSize, obj any, mark bool) error {
 		if err != nil {
 			return err
 		}
-		io.bytesWritten += int64(chunk)
 		remaining -= chunk
-	}
-	return nil
-}
-
-// Read receives up to max bytes, charging CPU for the copy.
-func (io *IO) Read(ctx *sim.Ctx, max units.ByteSize) (units.ByteSize, error) {
-	n, err := io.conn.Read(ctx, max)
-	io.chargeCPU(ctx, n)
-	io.bytesRead += int64(n)
-	return n, err
-}
-
-// ReadFull receives exactly n bytes.
-func (io *IO) ReadFull(ctx *sim.Ctx, n units.ByteSize) error {
-	for n > 0 {
-		got, err := io.Read(ctx, n)
-		if err != nil {
-			return err
-		}
-		n -= got
 	}
 	return nil
 }
@@ -189,7 +158,6 @@ func (io *IO) ReadFull(ctx *sim.Ctx, n units.ByteSize) error {
 func (io *IO) ReadMsg(ctx *sim.Ctx) (units.ByteSize, any, error) {
 	n, obj, err := io.conn.ReadMsg(ctx)
 	io.chargeCPU(ctx, n)
-	io.bytesRead += int64(n)
 	return n, obj, err
 }
 
@@ -244,7 +212,6 @@ func (s *server) step() {
 			return
 		}
 		s.obj, s.err = obj, err
-		s.io.bytesRead += int64(s.n)
 		if cost := s.io.copyCost(s.n); cost > 0 && s.io.cfg.Task.ComputeThen(cost, s.w) {
 			s.charging = true
 			return
@@ -269,19 +236,3 @@ func (io *IO) Drain(ctx *sim.Ctx) error { return io.conn.Drain(ctx) }
 
 // Close initiates a graceful shutdown.
 func (io *IO) Close() { io.conn.Close() }
-
-// Stats returns cumulative wrapper counters.
-func (io *IO) Stats() Stats {
-	return Stats{
-		BytesWritten: units.ByteSize(io.bytesWritten),
-		BytesRead:    units.ByteSize(io.bytesRead),
-		ShapeDelay:   io.shapeDelay,
-	}
-}
-
-// Stats holds wrapper-level counters.
-type Stats struct {
-	BytesWritten units.ByteSize
-	BytesRead    units.ByteSize
-	ShapeDelay   time.Duration
-}

@@ -20,7 +20,7 @@ func TestWFQFairShares(t *testing.T) {
 	l := n.Connect(a, b, 4*units.Mbps, time.Millisecond)
 	n.ComputeRoutes()
 	w := NewWFQ(4*units.Mbps, units.MB)
-	l.IfaceOn(a).SetQueue(w)
+	l.A().SetQueue(w)
 
 	f1 := netsim.FlowKey{Src: a.Addr(), Dst: b.Addr(), SrcPort: 1, DstPort: 1, Proto: netsim.ProtoUDP}
 	f2 := netsim.FlowKey{Src: a.Addr(), Dst: b.Addr(), SrcPort: 2, DstPort: 2, Proto: netsim.ProtoUDP}
@@ -31,7 +31,7 @@ func TestWFQFairShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [3]int64 // bytes per flow (f1, f2, best effort)
-	b.Handle(netsim.ProtoUDP, netsim.HandlerFunc(func(p *netsim.Packet) {
+	b.Handle(netsim.ProtoUDP, handlerFunc(func(p *netsim.Packet) {
 		switch p.SrcPort {
 		case 1:
 			got[0] += int64(p.Size)
@@ -97,11 +97,11 @@ func TestWFQWorkConserving(t *testing.T) {
 	l := n.Connect(a, b, 10*units.Mbps, time.Millisecond)
 	n.ComputeRoutes()
 	w := NewWFQ(10*units.Mbps, units.MB)
-	l.IfaceOn(a).SetQueue(w)
+	l.A().SetQueue(w)
 	f1 := netsim.FlowKey{Src: a.Addr(), Dst: b.Addr(), SrcPort: 1, DstPort: 1, Proto: netsim.ProtoUDP}
 	w.AddFlow(f1, units.Mbps) // only 1 Mb/s reserved
 	var rx int64
-	b.Handle(netsim.ProtoUDP, netsim.HandlerFunc(func(p *netsim.Packet) { rx += int64(p.Size) }))
+	b.Handle(netsim.ProtoUDP, handlerFunc(func(p *netsim.Packet) { rx += int64(p.Size) }))
 	k.Spawn("src", func(ctx *sim.Ctx) {
 		for ctx.Now() < 5*time.Second {
 			a.Send(&netsim.Packet{Src: a.Addr(), Dst: b.Addr(), SrcPort: 1, DstPort: 1, Proto: netsim.ProtoUDP, Size: 1000})
@@ -156,6 +156,21 @@ func TestWFQConservationProperty(t *testing.T) {
 }
 
 // linear builds src -- r1 -- r2 -- dst.
+// totalState is the number of per-flow reservations held across every
+// router.
+func totalState(r *RSVP) int {
+	n := 0
+	for _, q := range r.queues {
+		n += q.FlowCount()
+	}
+	return n
+}
+
+// handlerFunc adapts a function to the netsim.Handler interface.
+type handlerFunc func(p *netsim.Packet)
+
+func (f handlerFunc) HandlePacket(p *netsim.Packet) { f(p) }
+
 func linear(k *sim.Kernel) (*netsim.Network, *netsim.Node, *netsim.Node, *netsim.Node, *netsim.Node) {
 	n := netsim.New(k)
 	src, r1, r2, dst := n.AddNode("src"), n.AddNode("r1"), n.AddNode("r2"), n.AddNode("dst")
@@ -175,17 +190,17 @@ func TestRSVPInstallsStatePerHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Hops() != 3 {
-		t.Fatalf("hops = %d, want 3 (src, r1, r2 egresses)", s.Hops())
+	if len(s.hops) != 3 {
+		t.Fatalf("hops = %d, want 3 (src, r1, r2 egresses)", len(s.hops))
 	}
 	if r.StateAt(r1) != 1 || r.StateAt(r2) != 1 {
 		t.Fatal("core routers should each hold one flow entry")
 	}
 	s.Teardown()
-	if r.TotalState() != 0 {
+	if totalState(r) != 0 {
 		t.Fatal("teardown left state behind")
 	}
-	if s.Active() {
+	if !s.done {
 		t.Fatal("session should be inactive after teardown")
 	}
 }
@@ -206,8 +221,8 @@ func TestRSVPAdmissionRollsBack(t *testing.T) {
 	}
 	// The failed attempt must not leave partial state on the first
 	// hop (access link admits, bottleneck refuses, rollback).
-	if r.TotalState() != 3 {
-		t.Fatalf("state = %d, want only the first session's 3 hops", r.TotalState())
+	if totalState(r) != 3 {
+		t.Fatalf("state = %d, want only the first session's 3 hops", totalState(r))
 	}
 }
 
@@ -222,8 +237,8 @@ func TestRSVPSoftStateExpires(t *testing.T) {
 	}
 	s.AutoRefresh = false // sender dies; refreshes stop
 	k.RunUntil(4 * refreshPeriod)
-	if s.Active() || r.TotalState() != 0 {
-		t.Fatalf("soft state should expire without refreshes (state=%d)", r.TotalState())
+	if !s.done || totalState(r) != 0 {
+		t.Fatalf("soft state should expire without refreshes (state=%d)", totalState(r))
 	}
 }
 
@@ -237,7 +252,7 @@ func TestRSVPRefreshKeepsStateAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.RunUntil(20 * refreshPeriod)
-	if !s.Active() || r.TotalState() != 3 {
+	if s.done || totalState(r) != 3 {
 		t.Fatal("auto-refreshed state should persist")
 	}
 }
@@ -253,7 +268,7 @@ func TestRSVPProtectsFlowUnderContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	var premBytes int64
-	dst.Handle(netsim.ProtoUDP, netsim.HandlerFunc(func(p *netsim.Packet) {
+	dst.Handle(netsim.ProtoUDP, handlerFunc(func(p *netsim.Packet) {
 		if p.SrcPort == 5 {
 			premBytes += int64(p.Size)
 		}

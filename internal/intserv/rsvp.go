@@ -55,7 +55,6 @@ func (r *RSVP) queueAt(out *netsim.Iface) *WFQ {
 type Session struct {
 	rsvp *RSVP
 	flow netsim.FlowKey
-	rate units.BitRate
 	hops []*hopState
 	done bool
 
@@ -87,7 +86,7 @@ func (r *RSVP) Reserve(flow netsim.FlowKey, rate units.BitRate) (*Session, error
 	if srcNode == nil {
 		return nil, fmt.Errorf("intserv: unknown source %d", flow.Src)
 	}
-	s := &Session{rsvp: r, flow: flow, rate: rate, AutoRefresh: true}
+	s := &Session{rsvp: r, flow: flow, AutoRefresh: true}
 	node := srcNode
 	for node.Addr() != flow.Dst {
 		out := node.RouteTo(flow.Dst)
@@ -143,12 +142,6 @@ func (s *Session) scheduleRefresh() {
 	})
 }
 
-// Active reports whether the session still holds state.
-func (s *Session) Active() bool { return !s.done }
-
-// Hops returns the number of routers holding this flow's state.
-func (s *Session) Hops() int { return len(s.hops) }
-
 // Teardown releases the reservation at every hop (PathTear).
 func (s *Session) Teardown() {
 	if s.done {
@@ -174,15 +167,6 @@ func (r *RSVP) StateAt(nd *netsim.Node) int {
 		if q, ok := r.queues[ifc]; ok {
 			n += q.FlowCount()
 		}
-	}
-	return n
-}
-
-// TotalState sums per-flow entries across all routers.
-func (r *RSVP) TotalState() int {
-	n := 0
-	for _, q := range r.queues {
-		n += q.FlowCount()
 	}
 	return n
 }

@@ -35,12 +35,9 @@ type WFQ struct {
 }
 
 type wfqFlow struct {
-	key        netsim.FlowKey
 	rate       units.BitRate // weight
-	pkts       []*taggedPkt
 	bytes      units.ByteSize
 	lastFinish float64
-	reserved   bool
 }
 
 type taggedPkt struct {
@@ -49,7 +46,6 @@ type taggedPkt struct {
 	start  float64
 	finish float64
 	seq    uint64
-	index  int
 }
 
 type wfqHeap []*taggedPkt
@@ -63,14 +59,8 @@ func (h wfqHeap) Less(i, j int) bool {
 }
 func (h wfqHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
 }
-func (h *wfqHeap) Push(x any) {
-	t := x.(*taggedPkt)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
+func (h *wfqHeap) Push(x any) { *h = append(*h, x.(*taggedPkt)) }
 func (h *wfqHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -108,7 +98,7 @@ func (w *WFQ) AddFlow(key netsim.FlowKey, rate units.BitRate) error {
 	if total > w.linkRate {
 		return fmt.Errorf("intserv: reservations %v exceed link rate %v", total, w.linkRate)
 	}
-	w.flows[key] = &wfqFlow{key: key, rate: rate, reserved: true}
+	w.flows[key] = &wfqFlow{rate: rate}
 	w.rebalance()
 	return nil
 }
@@ -116,12 +106,10 @@ func (w *WFQ) AddFlow(key netsim.FlowKey, rate units.BitRate) error {
 // RemoveFlow releases a reservation; queued packets of the flow are
 // re-classified as best effort at their next service.
 func (w *WFQ) RemoveFlow(key netsim.FlowKey) bool {
-	f, ok := w.flows[key]
-	if !ok {
+	if _, ok := w.flows[key]; !ok {
 		return false
 	}
 	delete(w.flows, key)
-	f.reserved = false
 	w.rebalance()
 	return true
 }
@@ -164,7 +152,6 @@ func (w *WFQ) Enqueue(p *netsim.Packet) bool {
 	f.lastFinish = finish
 	w.seq++
 	t := &taggedPkt{p: p, flow: f, start: start, finish: finish, seq: w.seq}
-	f.pkts = append(f.pkts, t)
 	f.bytes += p.Size
 	heap.Push(&w.heapq, t)
 	return true
@@ -179,12 +166,6 @@ func (w *WFQ) Dequeue() *netsim.Packet {
 	w.vtime = t.start
 	f := t.flow
 	f.bytes -= t.p.Size
-	for i, x := range f.pkts {
-		if x == t {
-			f.pkts = append(f.pkts[:i], f.pkts[i+1:]...)
-			break
-		}
-	}
 	return t.p
 }
 

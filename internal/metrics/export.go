@@ -183,27 +183,6 @@ func LoadSnapshot(rd io.Reader) (*Snapshot, error) {
 	return &s, nil
 }
 
-// Metric finds a series in a loaded snapshot by name and labels
-// (labels as alternating key/value pairs, any order).
-func (s *Snapshot) Metric(name string, labels ...string) (MetricSnapshot, bool) {
-	if len(labels)%2 != 0 {
-		return MetricSnapshot{}, false
-	}
-outer:
-	for _, m := range s.Metrics {
-		if m.Name != name || len(m.Labels)*2 != len(labels) {
-			continue
-		}
-		for i := 0; i < len(labels); i += 2 {
-			if m.Labels[labels[i]] != labels[i+1] {
-				continue outer
-			}
-		}
-		return m, true
-	}
-	return MetricSnapshot{}, false
-}
-
 // EventsOfType returns the snapshot's events matching the given wire
 // name (e.g. "mpi-recv"), preserving order.
 func (s *Snapshot) EventsOfType(typ string) []EventSnapshot {

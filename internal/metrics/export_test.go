@@ -30,7 +30,7 @@ func TestWritePrometheusEmptyRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadSnapshot of empty registry: %v", err)
 	}
-	if _, ok := s.Metric("anything"); ok {
+	if _, ok := snapshotMetric(s, "anything"); ok {
 		t.Fatal("empty snapshot resolved a metric")
 	}
 }
@@ -59,7 +59,7 @@ func TestHistogramZeroObservations(t *testing.T) {
 		}
 	}
 	s := r.TakeSnapshot()
-	m, ok := s.Metric("rtt")
+	m, ok := snapshotMetric(&s, "rtt")
 	if !ok || m.Count != 0 || m.Sum != 0 {
 		t.Fatalf("zero-observation snapshot = %+v, %v", m, ok)
 	}
@@ -102,7 +102,7 @@ func TestSnapshotUnderConcurrentWrites(t *testing.T) {
 			default:
 			}
 			s := r.TakeSnapshot()
-			if m, ok := s.Metric("h"); ok {
+			if m, ok := snapshotMetric(&s, "h"); ok {
 				var inBuckets uint64
 				for _, n := range m.Counts {
 					inBuckets += n
@@ -130,8 +130,8 @@ func TestSnapshotUnderConcurrentWrites(t *testing.T) {
 	if c.Value() != writers*rounds {
 		t.Fatalf("final counter = %d", c.Value())
 	}
-	if h.Count() != writers*rounds {
-		t.Fatalf("final histogram count = %d", h.Count())
+	if h.total != writers*rounds {
+		t.Fatalf("final histogram count = %d", h.total)
 	}
 	if rec.Seq() != writers*rounds {
 		t.Fatalf("final event seq = %d", rec.Seq())
@@ -188,7 +188,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 			return
 		}
 		s.Span()
-		s.Metric("tcp_rtt_seconds", "node", "prem-src")
+		snapshotMetric(s, "tcp_rtt_seconds", "node", "prem-src")
 		s.EventsOfType("mpi-recv")
 		enc, err := json.Marshal(s)
 		if err != nil {

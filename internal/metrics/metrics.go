@@ -80,16 +80,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(bitsFloat(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
 
@@ -137,20 +127,6 @@ func (h *Histogram) Snapshot() (counts []uint64, sum float64, count uint64) {
 	sum, count = h.sum, h.total
 	h.mu.Unlock()
 	return counts, sum, count
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // DefLatencyBuckets covers simulated network/MPI latencies from
@@ -304,24 +280,6 @@ func (r *Registry) CounterValue(name string, labels ...string) (int64, bool) {
 		return 0, false
 	}
 	return e.ctr.Value(), true
-}
-
-// GaugeValue reads a gauge (plain or func) by name/labels.
-func (r *Registry) GaugeValue(name string, labels ...string) (float64, bool) {
-	key, _ := metricKey(name, labels)
-	r.mu.Lock()
-	e := r.byKey[key]
-	r.mu.Unlock()
-	if e == nil {
-		return 0, false
-	}
-	switch e.kind {
-	case KindGauge:
-		return e.gauge.Value(), true
-	case KindGaugeFunc:
-		return e.fn(), true
-	}
-	return 0, false
 }
 
 // entries snapshots the registration list for exporters.

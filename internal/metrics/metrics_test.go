@@ -42,15 +42,53 @@ func TestCounterLabelOrderInsensitive(t *testing.T) {
 	}
 }
 
+// snapshotMetric finds a series in a snapshot by name and labels
+// (alternating key/value pairs, any order).
+func snapshotMetric(s *Snapshot, name string, labels ...string) (MetricSnapshot, bool) {
+	if len(labels)%2 != 0 {
+		return MetricSnapshot{}, false
+	}
+outer:
+	for _, m := range s.Metrics {
+		if m.Name != name || len(m.Labels)*2 != len(labels) {
+			continue
+		}
+		for i := 0; i < len(labels); i += 2 {
+			if m.Labels[labels[i]] != labels[i+1] {
+				continue outer
+			}
+		}
+		return m, true
+	}
+	return MetricSnapshot{}, false
+}
+
+// gaugeValue reads a gauge (plain or func) by name and labels.
+func gaugeValue(r *Registry, name string, labels ...string) (float64, bool) {
+	key, _ := metricKey(name, labels)
+	r.mu.Lock()
+	e := r.byKey[key]
+	r.mu.Unlock()
+	if e == nil {
+		return 0, false
+	}
+	switch e.kind {
+	case KindGauge:
+		return e.gauge.Value(), true
+	case KindGaugeFunc:
+		return e.fn(), true
+	}
+	return 0, false
+}
+
 func TestGauge(t *testing.T) {
 	r := New(nil)
 	g := r.Gauge("g", "")
-	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %v, want 1.5", got)
 	}
-	if v, ok := r.GaugeValue("g"); !ok || v != 1.5 {
+	if v, ok := gaugeValue(r, "g"); !ok || v != 1.5 {
 		t.Fatalf("GaugeValue = %v, %v", v, ok)
 	}
 }
@@ -59,16 +97,16 @@ func TestGaugeFunc(t *testing.T) {
 	r := New(nil)
 	n := 7.0
 	r.GaugeFunc("qdepth", "", func() float64 { return n })
-	if v, ok := r.GaugeValue("qdepth"); !ok || v != 7 {
+	if v, ok := gaugeValue(r, "qdepth"); !ok || v != 7 {
 		t.Fatalf("GaugeValue = %v, %v", v, ok)
 	}
 	n = 9
-	if v, _ := r.GaugeValue("qdepth"); v != 9 {
+	if v, _ := gaugeValue(r, "qdepth"); v != 9 {
 		t.Fatalf("GaugeFunc not live: %v", v)
 	}
 	// Re-registration replaces fn.
 	r.GaugeFunc("qdepth", "", func() float64 { return -1 })
-	if v, _ := r.GaugeValue("qdepth"); v != -1 {
+	if v, _ := gaugeValue(r, "qdepth"); v != -1 {
 		t.Fatalf("fn not replaced: %v", v)
 	}
 }
@@ -89,7 +127,7 @@ func TestHistogram(t *testing.T) {
 	if count != 5 || sum != 560.5 {
 		t.Fatalf("count=%d sum=%v", count, sum)
 	}
-	if h.Count() != 5 || h.Sum() != 560.5 {
+	if h.total != 5 || h.sum != 560.5 {
 		t.Fatalf("Count/Sum accessors disagree")
 	}
 	if b := h.Bounds(); len(b) != 3 || b[2] != 100 {
@@ -133,7 +171,7 @@ func TestLookupMisses(t *testing.T) {
 	if _, ok := r.CounterValue("absent"); ok {
 		t.Fatal("CounterValue on absent series")
 	}
-	if _, ok := r.GaugeValue("absent"); ok {
+	if _, ok := gaugeValue(r, "absent"); ok {
 		t.Fatal("GaugeValue on absent series")
 	}
 	r.Gauge("g", "")
@@ -141,7 +179,7 @@ func TestLookupMisses(t *testing.T) {
 		t.Fatal("CounterValue must reject non-counter")
 	}
 	r.Counter("c", "")
-	if _, ok := r.GaugeValue("c"); ok {
+	if _, ok := gaugeValue(r, "c"); ok {
 		t.Fatal("GaugeValue must reject counter")
 	}
 }
@@ -319,20 +357,20 @@ func TestJSONSnapshotRoundTrip(t *testing.T) {
 	if s.TakenAtNs != int64(2*time.Second) {
 		t.Fatalf("TakenAtNs = %d", s.TakenAtNs)
 	}
-	m, ok := s.Metric("c_total", "node", "x")
+	m, ok := snapshotMetric(s, "c_total", "node", "x")
 	if !ok || m.Value != 11 || m.Kind != "counter" {
 		t.Fatalf("metric = %+v, %v", m, ok)
 	}
-	if _, ok := s.Metric("c_total"); ok {
+	if _, ok := snapshotMetric(s, "c_total"); ok {
 		t.Fatal("label-less lookup must not match labelled series")
 	}
-	if _, ok := s.Metric("c_total", "node"); ok {
+	if _, ok := snapshotMetric(s, "c_total", "node"); ok {
 		t.Fatal("odd label list must not match")
 	}
-	if m, ok := s.Metric("h"); !ok || m.Count != 1 || len(m.Counts) != 2 {
+	if m, ok := snapshotMetric(s, "h"); !ok || m.Count != 1 || len(m.Counts) != 2 {
 		t.Fatalf("histogram snapshot = %+v, %v", m, ok)
 	}
-	if m, ok := s.Metric("gf"); !ok || m.Value != 4 {
+	if m, ok := snapshotMetric(s, "gf"); !ok || m.Value != 4 {
 		t.Fatalf("gaugefunc snapshot = %+v", m)
 	}
 	recvs := s.EventsOfType("mpi-recv")
@@ -368,18 +406,18 @@ func TestConcurrency(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(j))
 				h.Observe(float64(j % 5))
 				rec.Emit(EvTCPSegment, "s", int64(j), 0, 0)
 			}
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 || g.Value() != 8000 {
+	if c.Value() != 8000 || g.Value() != 999 {
 		t.Fatalf("counter=%d gauge=%v", c.Value(), g.Value())
 	}
-	if h.Count() != 8000 || rec.Seq() != 8000 {
-		t.Fatalf("hist=%d seq=%d", h.Count(), rec.Seq())
+	if h.total != 8000 || rec.Seq() != 8000 {
+		t.Fatalf("hist=%d seq=%d", h.total, rec.Seq())
 	}
 }
 
@@ -395,7 +433,6 @@ func TestFastPathAllocs(t *testing.T) {
 		"Counter.Inc":       func() { c.Inc() },
 		"Counter.Add":       func() { c.Add(3) },
 		"Gauge.Set":         func() { g.Set(1.25) },
-		"Gauge.Add":         func() { g.Add(0.5) },
 		"Histogram.Observe": func() { h.Observe(0.003) },
 		"Recorder.Emit":     func() { rec.Emit(EvTCPSegment, "node", 1, 2, 0) },
 	}

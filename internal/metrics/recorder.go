@@ -111,7 +111,7 @@ const (
 	evSentinel // keep last
 )
 
-var eventTypeNames = [...]string{
+var eventTypeNames = [evSentinel]string{
 	EvNone:              "none",
 	EvPacketDropEgress:  "packet-drop-egress",
 	EvPacketDropIngress: "packet-drop-ingress",

@@ -21,6 +21,16 @@ type ringModel struct {
 	cap   int
 }
 
+// spanAttr returns the named attribute of s.
+func spanAttr(s spans.Span, key string) (spans.Attr, bool) {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a, true
+		}
+	}
+	return spans.Attr{}, false
+}
+
 func (m *ringModel) put(v int64) {
 	m.all = append(m.all, v)
 	m.trim()
@@ -118,24 +128,27 @@ func tracerFront(t *testing.T, capacity int) ringFront {
 	values := func(ss []spans.Span) []int64 {
 		out := make([]int64, 0, len(ss))
 		for _, s := range ss {
-			a, _ := s.Attr("seq")
+			a, _ := spanAttr(s, "seq")
 			if uint64(s.ID) != uint64(a.Val)+1 {
 				t.Errorf("span %d carries the record put as seq %d", s.ID, a.Val)
 			}
-			v, _ := s.Attr("v")
+			v, _ := spanAttr(s, "v")
 			out = append(out, v.Val)
 		}
 		return out
 	}
 	var seq int64
+	// The tracer does not report its capacity; len and dropped pin the
+	// ring's size against the model.
+	size := max(capacity, 1)
 	return ringFront{
 		put: func(v int64) {
 			tr.Begin(1, 0, "op", parity(v)).Int("v", v).Int("seq", seq).End()
 			seq++
 		},
-		setCapacity: tr.SetCapacity,
+		setCapacity: func(n int) { tr.SetCapacity(n); size = max(n, 1) },
 		len:         tr.Len,
-		capacity:    tr.Capacity,
+		capacity:    func() int { return size },
 		dropped:     tr.Dropped,
 		snapshot:    func() []int64 { return values(tr.Snapshot()) },
 		bySubject: func(subject string, last int) []int64 {

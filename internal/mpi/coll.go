@@ -22,7 +22,6 @@ const (
 	tagBcast   = 1<<20 + 1
 	tagReduce  = 1<<20 + 2
 	tagGather  = 1<<20 + 3
-	tagScatter = 1<<20 + 4
 )
 
 // Barrier blocks until every member of comm has entered it
@@ -100,18 +99,6 @@ func OpSum(a, b []float64) []float64 {
 	out := make([]float64, len(a))
 	for i := range a {
 		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// OpMax takes the elementwise maximum.
-func OpMax(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i]
-		if b[i] > out[i] {
-			out[i] = b[i]
-		}
 	}
 	return out
 }
@@ -214,37 +201,4 @@ func (r *Rank) Allgather(ctx *sim.Ctx, comm *Comm, vec []float64) ([]float64, er
 		return nil, err
 	}
 	return out.([]float64), nil
-}
-
-// Scatter splits parts (root only; one slice per member, rank order)
-// and delivers each member its piece.
-func (r *Rank) Scatter(ctx *sim.Ctx, comm *Comm, root int, parts [][]float64) ([]float64, error) {
-	size := comm.Size()
-	me := comm.localRank(r.id)
-	if me < 0 {
-		return nil, fmt.Errorf("mpi: rank %d not in communicator", r.id)
-	}
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("mpi: invalid scatter root %d", root)
-	}
-	cc := collComm(comm)
-	if me == root {
-		if len(parts) != size {
-			return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", size, len(parts))
-		}
-		for i := 0; i < size; i++ {
-			if i == me {
-				continue
-			}
-			if err := r.Send(ctx, cc, i, tagScatter, vecSize(parts[i]), parts[i]); err != nil {
-				return nil, err
-			}
-		}
-		return parts[me], nil
-	}
-	msg, err := r.Recv(ctx, cc, root, tagScatter)
-	if err != nil {
-		return nil, err
-	}
-	return msg.Data.([]float64), nil
 }

@@ -35,9 +35,6 @@ func (c *Comm) Group() []int {
 	return out
 }
 
-// IsInter reports whether this is a two-party intercommunicator.
-func (c *Comm) IsInter() bool { return c.inter }
-
 // Context returns the communicator's context id (diagnostics).
 func (c *Comm) Context() int { return c.ctxID }
 
@@ -106,18 +103,6 @@ func (r *Rank) CommSplit(ctx *sim.Ctx, comm *Comm, color, key int) (*Comm, error
 	}
 	ctxKey := fmt.Sprintf("split:%d:%d:%d", comm.ctxID, epoch, color)
 	return &Comm{job: r.job, ctxID: r.job.allocCtx(ctxKey), group: group}, nil
-}
-
-// CommDup duplicates comm with a fresh context (collective).
-func (r *Rank) CommDup(ctx *sim.Ctx, comm *Comm) (*Comm, error) {
-	// Synchronize members so the epoch counters stay aligned.
-	if err := r.Barrier(ctx, comm); err != nil {
-		return nil, err
-	}
-	epoch := r.splitEpoch[comm.ctxID]
-	r.splitEpoch[comm.ctxID]++
-	ctxKey := fmt.Sprintf("dup:%d:%d", comm.ctxID, epoch)
-	return &Comm{job: r.job, ctxID: r.job.allocCtx(ctxKey), group: comm.Group()}, nil
 }
 
 // PairComm builds the two-party intercommunicator MPICH-GQ attaches
@@ -190,7 +175,6 @@ func (r *Rank) Endpoints(comm *Comm) []FlowEndpoint {
 type Keyval int
 
 type keyvalInfo struct {
-	name  string
 	onPut func(r *Rank, c *Comm, val any) error
 }
 
@@ -198,10 +182,10 @@ type keyvalInfo struct {
 // every time AttrPut stores a value under this key — the hook through
 // which "the action of putting the attribute actually triggers the
 // request for QoS".
-func (j *Job) KeyvalCreate(name string, onPut func(r *Rank, c *Comm, val any) error) Keyval {
+func (j *Job) KeyvalCreate(onPut func(r *Rank, c *Comm, val any) error) Keyval {
 	j.nextKV++
 	kv := j.nextKV
-	j.keyvals[kv] = &keyvalInfo{name: name, onPut: onPut}
+	j.keyvals[kv] = &keyvalInfo{onPut: onPut}
 	return kv
 }
 
@@ -230,6 +214,3 @@ func (c *Comm) AttrGet(kv Keyval) (val any, flag bool) {
 	val, flag = c.attrs[kv]
 	return
 }
-
-// AttrDelete removes the attribute.
-func (c *Comm) AttrDelete(kv Keyval) { delete(c.attrs, kv) }

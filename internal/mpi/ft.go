@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"mpichgq/internal/faults"
 	"mpichgq/internal/globusio"
@@ -307,17 +306,11 @@ func (r *Rank) rejoin(ctx *sim.Ctx) {
 
 // Checkpoint is one saved rank state snapshot.
 type Checkpoint struct {
-	// Rank is the world rank the snapshot belongs to.
-	Rank int
-	// Epoch is the incarnation that saved it.
-	Epoch int
 	// Step is the application-defined progress marker (0 for the
 	// init-state snapshot).
 	Step int
 	// State is the application payload.
 	State any
-	// At is the sim time the snapshot was taken.
-	At time.Duration
 }
 
 // SaveInitState stores the rank's MPI_Init-time system snapshot:
@@ -330,16 +323,14 @@ func (r *Rank) SaveInitState(state any) {
 	if _, ok := r.job.inits[r.id]; ok {
 		return // restarted incarnations keep the original snapshot
 	}
-	r.job.inits[r.id] = Checkpoint{Rank: r.id, Epoch: r.epoch, State: state, At: r.job.k.Now()}
+	r.job.inits[r.id] = Checkpoint{State: state}
 }
 
 // SaveCheckpoint stores a periodic application checkpoint at the
 // given progress step, replacing the previous one (only the latest is
 // kept — restart recovers from the last checkpoint).
 func (r *Rank) SaveCheckpoint(ctx *sim.Ctx, step int, state any) {
-	r.job.ckpts[r.id] = Checkpoint{
-		Rank: r.id, Epoch: r.epoch, Step: step, State: state, At: r.job.k.Now(),
-	}
+	r.job.ckpts[r.id] = Checkpoint{Step: step, State: state}
 	r.job.k.Metrics().Events().Emit(metrics.EvRankCkpt, r.task.Name(), int64(r.id), int64(step), 0)
 }
 

@@ -46,7 +46,7 @@ func TestJitteredHaloRingCompletes(t *testing.T) {
 			left, right := (r.ID()+ranks-1)%ranks, (r.ID()+1)%ranks
 			reqs := make([]*mpi.Request, tags)
 			for it := 0; it < iters; it++ {
-				r.Compute(ctx, time.Duration(float64(time.Millisecond)*ctx.RNG().Jitter(0.2)))
+				r.Compute(ctx, time.Duration(float64(time.Millisecond)*ctx.Kernel().RNG().Jitter(0.2)))
 				for tag := range reqs {
 					q, err := r.Irecv(ctx, world, left, tag)
 					if err != nil {

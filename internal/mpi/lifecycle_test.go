@@ -11,6 +11,10 @@ import (
 	"mpichgq/internal/units"
 )
 
+// prioLate samples after everything else at the same instant, so the
+// samples see a settled state.
+const prioLate = 10
+
 // lifecycleDigest runs one 3-rank job lifecycle: a ring exchange, then
 // (if crash) a crash and restart of rank 2, then Finalize on every
 // rank. It fails t if the job does not finish or any host keeps a TCP
@@ -54,10 +58,10 @@ func lifecycleDigest(t *testing.T, crash bool) string {
 			open += n
 		}
 		if !j.Done() || open > 0 {
-			k.AfterPrio(25*time.Microsecond, sim.PrioLate, sample)
+			k.At(k.Now()+25*time.Microsecond, prioLate, sample)
 		}
 	}
-	k.At(0, sim.PrioLate, sample)
+	k.At(0, prioLate, sample)
 	if crash {
 		k.At(time.Second, sim.PrioNormal, func() { j.CrashRank(2) })
 		k.At(2*time.Second, sim.PrioNormal, func() { j.RestartRank(2, nil) })

@@ -241,9 +241,6 @@ type Rank struct {
 	rdvPending map[uint64]*rdvSend
 	nextRdvSeq uint64
 
-	// Per-destination send sequence counters (diagnostics).
-	sent, received uint64
-
 	splitEpoch map[int]int // per-source-comm CommSplit call counter
 	pairEpoch  map[[3]int]int
 	worldComm  *Comm
@@ -497,9 +494,6 @@ func (r *Rank) registerConn(peer int, io *globusio.IO) {
 // self). Exposed so the QoS layer can bind flows to reservations.
 func (r *Rank) Conn(peer int) *globusio.IO { return r.conns[peer] }
 
-// Wtime returns elapsed virtual time in seconds (MPI_Wtime).
-func (r *Rank) Wtime(ctx *sim.Ctx) float64 { return ctx.Now().Seconds() }
-
 // Finalize performs a clean shutdown (MPI_Finalize): a world barrier,
 // then every connection is drained and closed and the listener shut
 // down. Communication after Finalize fails.
@@ -532,6 +526,3 @@ func (r *Rank) Finalize(ctx *sim.Ctx) error {
 	r.task.Close()
 	return nil
 }
-
-// Finalized reports whether Finalize completed.
-func (r *Rank) Finalized() bool { return r.finalized }

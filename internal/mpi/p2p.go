@@ -212,7 +212,6 @@ func (r *Rank) handleWire(obj any) {
 	r.job.wireFree = append(r.job.wireFree, w)
 	switch m.kind {
 	case kindEager:
-		r.received++
 		r.deliver(r.newEnvelope(envelope{
 			src: m.src, ctx: m.ctx, tag: m.tag,
 			size: m.size, data: m.data, arrived: true, sentAt: m.sentAt,
@@ -229,7 +228,6 @@ func (r *Rank) handleWire(obj any) {
 			s.cond.Broadcast()
 		}
 	case kindRdvData:
-		r.received++
 		r.completeRdv(m)
 	}
 }
@@ -379,8 +377,6 @@ func (r *Rank) Send(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, d
 	cm := r.commMetrics(comm.ctxID)
 	if gdest == r.id {
 		// Self-send: deliver directly.
-		r.sent++
-		r.received++
 		cm.sentMsgs.Inc()
 		cm.sentBytes.Add(int64(n))
 		r.deliver(r.newEnvelope(envelope{src: r.id, ctx: comm.ctxID, tag: tag, size: n, data: data, arrived: true, sentAt: now}))
@@ -408,7 +404,6 @@ func (r *Rank) Send(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, d
 		}
 		return fmt.Errorf("mpi: rank %d has no connection to %d", r.id, gdest)
 	}
-	r.sent++
 	cm.sentMsgs.Inc()
 	cm.sentBytes.Add(int64(n))
 	if n <= r.job.opts.EagerThreshold {

@@ -17,7 +17,7 @@ func benchLink(tb testing.TB) (*sim.Kernel, *Network, *Node, *Node) {
 	b := n.AddNode("b")
 	n.Connect(a, b, 100*1000*1000, time.Millisecond)
 	n.ComputeRoutes()
-	b.Handle(ProtoUDP, HandlerFunc(func(p *Packet) { n.FreePacket(p) }))
+	b.Handle(ProtoUDP, handlerFunc(func(p *Packet) { n.FreePacket(p) }))
 	return k, n, a, b
 }
 
@@ -91,7 +91,7 @@ func TestBlasterTickZeroAlloc(t *testing.T) {
 	received := 0
 	sink.Serve(func(Datagram) { received++ })
 	tick := func() {
-		if ok, err := src.SendTo(b.Addr(), 9000, 1000, nil); !ok || err != nil {
+		if ok, err := src.SendTo(b.Addr(), 9000, 1000); !ok || err != nil {
 			t.Fatalf("SendTo: ok=%v err=%v", ok, err)
 		}
 		if err := k.Run(); err != nil {
@@ -138,7 +138,7 @@ func BenchmarkRefreshFluid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := k.RunFor(time.Millisecond); err != nil {
+		if err := k.RunUntil(k.Now() + time.Millisecond); err != nil {
 			b.Fatal(err)
 		}
 		n.refreshFluid()
@@ -151,7 +151,7 @@ func BenchmarkRefreshFluid(b *testing.B) {
 func TestRefreshFluidZeroAlloc(t *testing.T) {
 	k, n := fluidDumbbell()
 	resolve := func() {
-		if err := k.RunFor(time.Millisecond); err != nil {
+		if err := k.RunUntil(k.Now() + time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 		n.refreshFluid()

@@ -28,7 +28,7 @@ func TestLinkDownLosesInFlightPacket(t *testing.T) {
 	k, n, a, b := twoNodes(10*units.Mbps, time.Millisecond)
 	l := n.Links()[0]
 	received := 0
-	b.Handle(ProtoUDP, HandlerFunc(func(p *Packet) { received++ }))
+	b.Handle(ProtoUDP, handlerFunc(func(p *Packet) { received++ }))
 	a.Send(&Packet{Src: a.Addr(), Dst: b.Addr(), Proto: ProtoUDP, Size: 500})
 	k.After(200*time.Microsecond, func() { l.SetUp(false) })
 	if err := k.Run(); err != nil {
@@ -37,14 +37,11 @@ func TestLinkDownLosesInFlightPacket(t *testing.T) {
 	if received != 0 {
 		t.Fatalf("received %d packets, want 0", received)
 	}
-	if got := l.A().Stats().DownDrops; got != 1 {
-		t.Fatalf("A-side DownDrops = %d, want 1", got)
+	if got := ifaceCount(l.A(), "netsim_down_drops_total"); got != 1 {
+		t.Fatalf("A-side down drops = %d, want 1", got)
 	}
-	if got := l.B().Stats().DownDrops; got != 0 {
-		t.Fatalf("B-side DownDrops = %d, want 0", got)
-	}
-	if l.DownDrops() != 1 {
-		t.Fatalf("Link.DownDrops = %d, want 1", l.DownDrops())
+	if got := ifaceCount(l.B(), "netsim_down_drops_total"); got != 0 {
+		t.Fatalf("B-side down drops = %d, want 0", got)
 	}
 	// The loss must show up in the per-interface drop metric.
 	reg := k.Metrics()
@@ -79,7 +76,7 @@ func TestSetUpEmitsEventsOncePerTransition(t *testing.T) {
 func TestLinkDownEventRecordsQueueDepth(t *testing.T) {
 	k, n, a, b := twoNodes(units.Mbps, time.Millisecond)
 	l := n.Links()[0]
-	b.Handle(ProtoUDP, HandlerFunc(func(p *Packet) {}))
+	b.Handle(ProtoUDP, handlerFunc(func(p *Packet) {}))
 	// 1000 bytes at 1 Mb/s = 8 ms per packet; queue three and cut the
 	// link at 1 ms so one is in flight and two are still queued.
 	for i := 0; i < 3; i++ {
@@ -140,7 +137,7 @@ func TestAutoRerouteFailsOver(t *testing.T) {
 	k, n, src, dst, _, r2 := diamond()
 	n.SetAutoReroute(true)
 	received := 0
-	dst.Handle(ProtoUDP, HandlerFunc(func(p *Packet) { received++ }))
+	dst.Handle(ProtoUDP, handlerFunc(func(p *Packet) { received++ }))
 	send := func() {
 		src.Send(&Packet{Src: src.Addr(), Dst: dst.Addr(), Proto: ProtoUDP, Size: 500})
 	}

@@ -73,7 +73,6 @@ type ExpeditedQueue interface {
 // is a rate-change event that re-solves the fluid rates network-wide.
 type FluidFlow struct {
 	net      *Network
-	id       uint64
 	name     string
 	src, dst *Node
 	key      FlowKey
@@ -110,7 +109,6 @@ func (n *Network) NewFluidFlow(name string, src, dst *Node, port Port, rate unit
 	n.nextFluid++
 	f := &FluidFlow{
 		net:  n,
-		id:   n.nextFluid,
 		name: name,
 		src:  src,
 		dst:  dst,
@@ -130,12 +128,6 @@ func (n *Network) NewFluidFlow(name string, src, dst *Node, port Port, rate unit
 	return f
 }
 
-// DeliveredRate returns the end-to-end delivered rate the last fluid
-// solve computed for the flow.
-func (f *FluidFlow) DeliveredRate() units.BitRate {
-	return units.BitRate(8 * f.deliveredBps)
-}
-
 // account integrates offered/delivered byte counts up to now at the
 // current rates.
 func (f *FluidFlow) account(now time.Duration) {
@@ -150,12 +142,6 @@ func (f *FluidFlow) account(now time.Duration) {
 func (f *FluidFlow) OfferedBytes() units.ByteSize {
 	f.account(f.net.k.Now())
 	return units.ByteSize(f.offeredBytes)
-}
-
-// DeliveredBytes returns the bytes delivered end to end so far.
-func (f *FluidFlow) DeliveredBytes() units.ByteSize {
-	f.account(f.net.k.Now())
-	return units.ByteSize(f.deliveredBytes)
 }
 
 // Start activates the flow and re-solves fluid rates. Idempotent.
@@ -222,8 +208,7 @@ type ifaceFluid struct {
 	// last is the integration frontier.
 	last time.Duration
 
-	servedBytes float64
-	lossBytes   float64
+	lossBytes float64
 
 	// Solver pass accumulators.
 	passEF, passBE float64
@@ -508,20 +493,14 @@ func (fl *ifaceFluid) sync(now time.Duration) {
 			tEF = dt
 		}
 	}
-	served, lost := laneStep(&fl.efQ, fl.efIn, c, fl.efCap, dt)
-	fl.servedBytes += served
-	fl.lossBytes += lost
+	fl.lossBytes += laneStep(&fl.efQ, fl.efIn, c, fl.efCap, dt)
 	// Best-effort lane: no service while the EF backlog drains, then
 	// whatever the EF inflow leaves.
 	if tEF > 0 {
-		served, lost = laneStep(&fl.beQ, fl.beIn, 0, fl.beCap, tEF)
-		fl.servedBytes += served
-		fl.lossBytes += lost
+		fl.lossBytes += laneStep(&fl.beQ, fl.beIn, 0, fl.beCap, tEF)
 	}
 	if rest := dt - tEF; rest > 0 {
-		served, lost = laneStep(&fl.beQ, fl.beIn, c-math.Min(fl.efIn, c), fl.beCap, rest)
-		fl.servedBytes += served
-		fl.lossBytes += lost
+		fl.lossBytes += laneStep(&fl.beQ, fl.beIn, c-math.Min(fl.efIn, c), fl.beCap, rest)
 	}
 	if d := int64(fl.lossBytes) - fl.lossCredited; d > 0 {
 		fl.mLoss.Add(d)
@@ -531,9 +510,8 @@ func (fl *ifaceFluid) sync(now time.Duration) {
 
 // laneStep advances one lane by dt seconds given a constant inflow,
 // service rate, and backlog cap (all bytes/s resp. bytes). It returns
-// the bytes the lane actually transmitted and the bytes lost to the
-// cap.
-func laneStep(q *float64, in, srv, capacity, dt float64) (served, lost float64) {
+// the bytes lost to the cap.
+func laneStep(q *float64, in, srv, capacity, dt float64) (lost float64) {
 	net := in - srv
 	if net <= 0 {
 		if *q > 0 {
@@ -546,24 +524,23 @@ func laneStep(q *float64, in, srv, capacity, dt float64) (served, lost float64) 
 				if *q < 0 {
 					*q = 0
 				}
-				return srv * dt, 0
+				return 0
 			}
 			*q = 0
-			return srv*tEmpty + in*(dt-tEmpty), 0
 		}
-		return in * dt, 0
+		return 0
 	}
 	if *q >= capacity {
 		*q = capacity
-		return srv * dt, net * dt
+		return net * dt
 	}
 	tHit := (capacity - *q) / net
 	if tHit >= dt {
 		*q += net * dt
-		return srv * dt, 0
+		return 0
 	}
 	*q = capacity
-	return srv * dt, net * (dt - tHit)
+	return net * (dt - tHit)
 }
 
 // headWait returns the extra delay the head-of-line packet must spend
@@ -654,31 +631,4 @@ func ifaceFluidWaitDone(a0, _ any) {
 	fl.waiting = false
 	fl.granted = true
 	i.tryTransmit()
-}
-
-// FluidStats reports the interface's cumulative fluid counters.
-func (i *Iface) FluidStats() FluidIfaceStats {
-	fl := i.fluid
-	if fl == nil {
-		return FluidIfaceStats{}
-	}
-	fl.sync(i.node.net.k.Now())
-	return FluidIfaceStats{
-		Rate:        units.BitRate(8 * (fl.efIn + fl.beIn)),
-		Backlog:     units.ByteSize(fl.efQ + fl.beQ),
-		ServedBytes: units.ByteSize(fl.servedBytes),
-		LossBytes:   units.ByteSize(fl.lossBytes),
-	}
-}
-
-// FluidIfaceStats holds an interface's fluid counters.
-type FluidIfaceStats struct {
-	// Rate is the installed fluid arrival rate.
-	Rate units.BitRate
-	// Backlog is the current analytic fluid backlog.
-	Backlog units.ByteSize
-	// ServedBytes is the cumulative fluid bytes the link carried.
-	ServedBytes units.ByteSize
-	// LossBytes is the cumulative fluid bytes dropped at the queue.
-	LossBytes units.ByteSize
 }

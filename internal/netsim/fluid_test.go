@@ -8,6 +8,23 @@ import (
 	"mpichgq/internal/units"
 )
 
+// deliveredRate is the flow's end-to-end rate after attenuation.
+func deliveredRate(f *FluidFlow) units.BitRate { return units.BitRate(8 * f.deliveredBps) }
+
+// deliveredBytes is what the flow has delivered end to end so far.
+func deliveredBytes(f *FluidFlow) units.ByteSize {
+	f.account(f.net.k.Now())
+	return units.ByteSize(f.deliveredBytes)
+}
+
+// fluidAt settles the interface's fluid state and returns its
+// installed arrival rate, analytic backlog and cumulative loss.
+func fluidAt(i *Iface) (rate units.BitRate, backlog, loss units.ByteSize) {
+	fl := i.fluid
+	fl.sync(i.node.net.k.Now())
+	return units.BitRate(8 * (fl.efIn + fl.beIn)), units.ByteSize(fl.efQ + fl.beQ), units.ByteSize(fl.lossBytes)
+}
+
 // threeNodes builds A --- B --- C at the given per-link rates.
 func threeNodes(r1, r2 units.BitRate) (*sim.Kernel, *Network, *Node, *Node, *Node) {
 	k := sim.New(1)
@@ -28,17 +45,16 @@ func TestFluidFlowDeliversOfferedRateBelowCapacity(t *testing.T) {
 	if err := k.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := f.DeliveredRate(), 4*units.Mbps; got != want {
+	if got, want := deliveredRate(f), 4*units.Mbps; got != want {
 		t.Fatalf("delivered rate %v, want %v", got, want)
 	}
 	// 4 Mb/s for 10 s = 5 MB offered and delivered (no loss anywhere).
 	wantBytes := units.ByteSize(4_000_000 * 10 / 8)
-	if got := f.DeliveredBytes(); got < wantBytes-1 || got > wantBytes+1 {
+	if got := deliveredBytes(f); got < wantBytes-1 || got > wantBytes+1 {
 		t.Fatalf("delivered %v bytes, want ~%v", got, wantBytes)
 	}
-	st := a.Ifaces()[0].FluidStats()
-	if st.LossBytes != 0 {
-		t.Fatalf("unexpected fluid loss %v at first hop", st.LossBytes)
+	if _, _, loss := fluidAt(a.Ifaces()[0]); loss != 0 {
+		t.Fatalf("unexpected fluid loss %v at first hop", loss)
 	}
 }
 
@@ -52,7 +68,7 @@ func TestFluidFlowAttenuatedAtSlowLink(t *testing.T) {
 	if err := k.RunUntil(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := f.DeliveredRate(), 2*units.Mbps; got != want {
+	if got, want := deliveredRate(f), 2*units.Mbps; got != want {
 		t.Fatalf("delivered rate %v, want %v", got, want)
 	}
 	var bIface *Iface
@@ -61,13 +77,13 @@ func TestFluidFlowAttenuatedAtSlowLink(t *testing.T) {
 			bIface = ifc
 		}
 	}
-	st := bIface.FluidStats()
-	if st.Backlog != DefaultQueueCap {
-		t.Fatalf("bottleneck fluid backlog %v, want full buffer %v", st.Backlog, DefaultQueueCap)
+	_, backlog, loss := fluidAt(bIface)
+	if backlog != DefaultQueueCap {
+		t.Fatalf("bottleneck fluid backlog %v, want full buffer %v", backlog, DefaultQueueCap)
 	}
 	// After the buffer fills (~0.1 s), losses accrue at 8 Mb/s = 1 MB/s.
-	if st.LossBytes < 15*units.MB {
-		t.Fatalf("bottleneck fluid loss %v, want >= 15 MB over ~19.9 s", st.LossBytes)
+	if loss < 15*units.MB {
+		t.Fatalf("bottleneck fluid loss %v, want >= 15 MB over ~19.9 s", loss)
 	}
 }
 
@@ -77,7 +93,7 @@ func TestFluidBackgroundDelaysForegroundPacket(t *testing.T) {
 	deliver := func(fluid bool) time.Duration {
 		k, n, a, b := twoNodes(10*units.Mbps, 0)
 		var at time.Duration
-		b.Handle(ProtoUDP, HandlerFunc(func(p *Packet) { at = k.Now() }))
+		b.Handle(ProtoUDP, handlerFunc(func(p *Packet) { at = k.Now() }))
 		if fluid {
 			f := n.NewFluidFlow("bg", a, b, 9000, 8*units.Mbps, 1000)
 			f.Start()
@@ -124,8 +140,8 @@ func TestFluidBacklogRejectsForegroundPacket(t *testing.T) {
 	if err != ErrEgressDrop {
 		t.Fatalf("send with saturated fluid: err=%v, want ErrEgressDrop", err)
 	}
-	if st := a.Ifaces()[0].Stats(); st.EgressDrops != 1 {
-		t.Fatalf("egress drops = %d, want 1", st.EgressDrops)
+	if got := ifaceCount(a.Ifaces()[0], "netsim_egress_drops_total"); got != 1 {
+		t.Fatalf("egress drops = %d, want 1", got)
 	}
 }
 
@@ -151,18 +167,18 @@ func TestFluidStopsAtDownLinkAndReroutes(t *testing.T) {
 	if err := k.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.DeliveredRate(); got != 4*units.Mbps {
+	if got := deliveredRate(f); got != 4*units.Mbps {
 		t.Fatalf("pre-fault delivered %v, want 4 Mb/s", got)
 	}
 	lbc.SetUp(false)
-	if got := f.DeliveredRate(); got != 4*units.Mbps {
+	if got := deliveredRate(f); got != 4*units.Mbps {
 		t.Fatalf("post-fault delivered %v, want 4 Mb/s via backup", got)
 	}
-	before := f.DeliveredBytes()
+	before := deliveredBytes(f)
 	if err := k.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.DeliveredBytes() - before; got < units.ByteSize(4_000_000/8)-1 {
+	if got := deliveredBytes(f) - before; got < units.ByteSize(4_000_000/8)-1 {
 		t.Fatalf("delivered only %v bytes over the backup second", got)
 	}
 	// The backup path's interfaces carry the rate now.
@@ -172,8 +188,8 @@ func TestFluidStopsAtDownLinkAndReroutes(t *testing.T) {
 			ad = ifc
 		}
 	}
-	if st := ad.FluidStats(); st.Rate != 4*units.Mbps {
-		t.Fatalf("backup egress fluid rate %v, want 4 Mb/s", st.Rate)
+	if rate, _, _ := fluidAt(ad); rate != 4*units.Mbps {
+		t.Fatalf("backup egress fluid rate %v, want 4 Mb/s", rate)
 	}
 }
 

@@ -17,12 +17,6 @@ type IngressFilter interface {
 	Filter(p *Packet) *Packet
 }
 
-// IngressFilterFunc adapts a function to the IngressFilter interface.
-type IngressFilterFunc func(p *Packet) *Packet
-
-// Filter calls f(p).
-func (f IngressFilterFunc) Filter(p *Packet) *Packet { return f(p) }
-
 // Iface is one end of a link. Each interface owns an egress queue and
 // a transmitter that serializes one packet at a time at the link rate.
 type Iface struct {
@@ -43,12 +37,6 @@ type Iface struct {
 	// traffic sharing this egress; see fluid.go.
 	fluid *ifaceFluid
 
-	txPackets    uint64
-	txBytes      int64
-	egressDrops  uint64
-	ingressDrops uint64
-	downDrops    uint64
-
 	// busy accumulates serialization time for the utilization gauge.
 	busy time.Duration
 
@@ -68,9 +56,6 @@ func (i *Iface) Node() *Node { return i.node }
 
 // Link returns the link the interface is attached to.
 func (i *Iface) Link() *Link { return i.link }
-
-// Queue returns the egress queue.
-func (i *Iface) Queue() Queue { return i.queue }
 
 // SetQueue replaces the egress queue. The existing queue must be empty
 // (swap queues at configuration time, not mid-flight).
@@ -117,7 +102,6 @@ func (i *Iface) String() string {
 // is rejected like any other egress drop.
 func (i *Iface) enqueue(p *Packet) bool {
 	if !i.fluidAdmits(p) || !i.queue.Enqueue(p) {
-		i.egressDrops++
 		i.mEgressDrops.Inc()
 		i.rec.Emit(metrics.EvPacketDropEgress, i.label, int64(p.Size), int64(p.DSCP), 0)
 		i.node.net.FreePacket(p)
@@ -184,13 +168,10 @@ func ifaceTxDone(a0, a1 any) {
 	if i.link.down {
 		// The carrier dropped mid-frame: the packet in flight is
 		// lost, attributed to the transmitting direction.
-		i.downDrops++
 		i.mDownDrops.Inc()
 		i.node.net.FreePacket(p)
 		return
 	}
-	i.txPackets++
-	i.txBytes += int64(p.Size)
 	i.mTxPackets.Inc()
 	i.mTxBytes.Add(int64(p.Size))
 	i.arrivals.AfterFunc(i.link.delay, ifaceArrive, i.peer(), p)
@@ -205,7 +186,6 @@ func (i *Iface) arrive(p *Packet) {
 	for _, f := range i.ingress {
 		next := f.Filter(p)
 		if next == nil {
-			i.ingressDrops++
 			i.mIngressDrops.Inc()
 			i.rec.Emit(metrics.EvPacketDropIngress, i.label, int64(p.Size), int64(p.DSCP), 0)
 			i.node.net.FreePacket(p)
@@ -214,30 +194,6 @@ func (i *Iface) arrive(p *Packet) {
 		p = next
 	}
 	i.node.receive(i, p)
-}
-
-// Stats returns cumulative interface counters.
-func (i *Iface) Stats() IfaceStats {
-	return IfaceStats{
-		TxPackets:    i.txPackets,
-		TxBytes:      i.txBytes,
-		EgressDrops:  i.egressDrops,
-		IngressDrops: i.ingressDrops,
-		DownDrops:    i.downDrops,
-		QueueLen:     i.queue.Len(),
-	}
-}
-
-// IfaceStats holds cumulative per-interface counters.
-type IfaceStats struct {
-	TxPackets    uint64
-	TxBytes      int64
-	EgressDrops  uint64
-	IngressDrops uint64
-	// DownDrops counts packets lost in flight because the link left
-	// service while they were being serialized in this direction.
-	DownDrops uint64
-	QueueLen  int
 }
 
 // Link is a full-duplex point-to-point link with symmetric rate and
@@ -282,10 +238,6 @@ func (l *Link) SetUp(up bool) {
 // Up reports whether the link is in service.
 func (l *Link) Up() bool { return !l.down }
 
-// DownDrops returns packets lost in flight at down transitions,
-// summed over both directions.
-func (l *Link) DownDrops() uint64 { return l.a.downDrops + l.b.downDrops }
-
 // Name returns the link name ("n1-n2").
 func (l *Link) Name() string { return l.name }
 
@@ -300,19 +252,6 @@ func (l *Link) A() *Iface { return l.a }
 
 // B returns the interface on the second-named node.
 func (l *Link) B() *Iface { return l.b }
-
-// IfaceOn returns the link's interface on node nd, or nil if the link
-// does not touch nd.
-func (l *Link) IfaceOn(nd *Node) *Iface {
-	switch nd {
-	case l.a.node:
-		return l.a
-	case l.b.node:
-		return l.b
-	default:
-		return nil
-	}
-}
 
 // DefaultQueueCap is the egress buffer size given to new interfaces:
 // roughly 64 full-size (1500 B) packets, typical of the era's router

@@ -13,7 +13,6 @@ package netsim
 
 import (
 	"fmt"
-	"time"
 
 	"mpichgq/internal/sim"
 	"mpichgq/internal/units"
@@ -83,7 +82,6 @@ const (
 
 // Packet is a simulated IP packet.
 type Packet struct {
-	ID      uint64
 	Src     Addr
 	Dst     Addr
 	SrcPort Port
@@ -96,9 +94,6 @@ type Packet struct {
 	PayloadLen units.ByteSize
 	// Payload carries transport-specific data (e.g. a TCP segment).
 	Payload any
-	// SentAt is the time the packet entered the network, for delay
-	// accounting.
-	SentAt time.Duration
 }
 
 // FlowKey identifies a unidirectional transport flow (the classic
@@ -116,11 +111,6 @@ func (p *Packet) Key() FlowKey {
 	return FlowKey{Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Proto}
 }
 
-// Reverse returns the key of the opposite direction of the flow.
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{Src: k.Dst, Dst: k.Src, SrcPort: k.DstPort, DstPort: k.SrcPort, Proto: k.Proto}
-}
-
 func (k FlowKey) String() string {
 	return fmt.Sprintf("%v %d:%d->%d:%d", k.Proto, k.Src, k.SrcPort, k.Dst, k.DstPort)
 }
@@ -133,7 +123,6 @@ type Network struct {
 	byName   map[string]*Node
 	links    []*Link
 	nextAddr Addr
-	nextPkt  uint64
 
 	autoReroute   bool
 	topoObservers []func()
@@ -179,9 +168,6 @@ func (n *Network) AddNode(name string) *Node {
 	n.byName[name] = node
 	return node
 }
-
-// Node returns the node with the given name, or nil.
-func (n *Network) Node(name string) *Node { return n.byName[name] }
 
 // Nodes returns all nodes in creation order.
 func (n *Network) Nodes() []*Node { return n.nodes }
@@ -240,11 +226,6 @@ func (n *Network) notifyTopology() {
 	for _, f := range n.topoObservers {
 		f()
 	}
-}
-
-func (n *Network) nextPacketID() uint64 {
-	n.nextPkt++
-	return n.nextPkt
 }
 
 // AllocPacket returns a zeroed Packet from the network's freelist, or

@@ -10,6 +10,32 @@ import (
 	"mpichgq/internal/units"
 )
 
+// handlerFunc adapts a function to the Handler interface.
+type handlerFunc func(p *Packet)
+
+func (f handlerFunc) HandlePacket(p *Packet) { f(p) }
+
+// filterFunc adapts a function to the IngressFilter interface.
+type filterFunc func(p *Packet) *Packet
+
+func (f filterFunc) Filter(p *Packet) *Packet { return f(p) }
+
+// ifaceCount reads one of the interface's registry counters
+// (netsim_tx_packets_total, netsim_egress_drops_total, ...).
+func ifaceCount(i *Iface, name string) int64 {
+	v, _ := i.node.net.k.Metrics().CounterValue(name, "iface", i.label)
+	return v
+}
+
+// nodeTx sums the packets a node's interfaces transmitted.
+func nodeTx(nd *Node) int64 {
+	var n int64
+	for _, i := range nd.Ifaces() {
+		n += ifaceCount(i, "netsim_tx_packets_total")
+	}
+	return n
+}
+
 // twoNodes builds A --- B at the given rate and delay.
 func twoNodes(rate units.BitRate, delay time.Duration) (*sim.Kernel, *Network, *Node, *Node) {
 	k := sim.New(1)
@@ -25,7 +51,7 @@ func TestPacketDelivery(t *testing.T) {
 	k, _, a, b := twoNodes(8*units.Mbps, 1*time.Millisecond)
 	var got *Packet
 	var at time.Duration
-	b.Handle(ProtoUDP, HandlerFunc(func(p *Packet) {
+	b.Handle(ProtoUDP, handlerFunc(func(p *Packet) {
 		got = p
 		at = k.Now()
 	}))
@@ -52,7 +78,7 @@ func TestSerializationSequencing(t *testing.T) {
 	// time, not delivered together.
 	k, _, a, b := twoNodes(8*units.Mbps, 0)
 	var arrivals []time.Duration
-	b.Handle(ProtoUDP, HandlerFunc(func(p *Packet) {
+	b.Handle(ProtoUDP, handlerFunc(func(p *Packet) {
 		arrivals = append(arrivals, k.Now())
 	}))
 	for i := 0; i < 2; i++ {
@@ -79,7 +105,7 @@ func TestMultiHopForwarding(t *testing.T) {
 	n.Connect(r, b, 10*units.Mbps, time.Millisecond)
 	n.ComputeRoutes()
 	delivered := false
-	b.Handle(ProtoUDP, HandlerFunc(func(p *Packet) { delivered = true }))
+	b.Handle(ProtoUDP, handlerFunc(func(p *Packet) { delivered = true }))
 	a.Send(&Packet{Src: a.Addr(), Dst: b.Addr(), Proto: ProtoUDP, Size: 500})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -87,8 +113,8 @@ func TestMultiHopForwarding(t *testing.T) {
 	if !delivered {
 		t.Fatal("packet not forwarded across router")
 	}
-	if r.Stats().TxPackets != 1 {
-		t.Fatalf("router forwarded %d packets, want 1", r.Stats().TxPackets)
+	if got := nodeTx(r); got != 1 {
+		t.Fatalf("router forwarded %d packets, want 1", got)
 	}
 }
 
@@ -103,15 +129,15 @@ func TestShortestPathRouting(t *testing.T) {
 	n.Connect(r2, r3, 10*units.Mbps, time.Millisecond)
 	n.Connect(r3, b, 10*units.Mbps, time.Millisecond)
 	n.ComputeRoutes()
-	b.Handle(ProtoUDP, HandlerFunc(func(p *Packet) {}))
+	b.Handle(ProtoUDP, handlerFunc(func(p *Packet) {}))
 	a.Send(&Packet{Src: a.Addr(), Dst: b.Addr(), Proto: ProtoUDP, Size: 500})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r1.Stats().TxPackets != 1 {
-		t.Fatalf("short path carried %d packets, want 1", r1.Stats().TxPackets)
+	if got := nodeTx(r1); got != 1 {
+		t.Fatalf("short path carried %d packets, want 1", got)
 	}
-	if r2.Stats().TxPackets != 0 || r3.Stats().TxPackets != 0 {
+	if nodeTx(r2) != 0 || nodeTx(r3) != 0 {
 		t.Fatal("long path carried traffic")
 	}
 }
@@ -120,11 +146,10 @@ func TestNoRouteDrop(t *testing.T) {
 	k := sim.New(1)
 	n := New(k)
 	a := n.AddNode("a")
-	n.AddNode("island") // unconnected
+	island := n.AddNode("island") // unconnected
 	b := n.AddNode("b")
 	n.Connect(a, b, 10*units.Mbps, 0)
 	n.ComputeRoutes()
-	island := n.Node("island")
 	err := a.Send(&Packet{Src: a.Addr(), Dst: island.Addr(), Proto: ProtoUDP, Size: 100})
 	var noRoute *NoRouteError
 	if !errors.As(err, &noRoute) {
@@ -132,9 +157,6 @@ func TestNoRouteDrop(t *testing.T) {
 	}
 	if noRoute.Node != "a" || noRoute.Dst != island.Addr() {
 		t.Fatalf("NoRouteError = %+v", noRoute)
-	}
-	if a.Stats().NoRouteDrops != 1 {
-		t.Fatalf("NoRouteDrops = %d, want 1", a.Stats().NoRouteDrops)
 	}
 	if v, ok := k.Metrics().CounterValue("netsim_no_route_drops_total", "node", "a"); !ok || v != 1 {
 		t.Fatalf("no-route counter = %d, %v", v, ok)
@@ -183,14 +205,14 @@ func TestEgressQueueDropUnderOverload(t *testing.T) {
 	// queue, and the interface's egress-drop counter must count them.
 	k, _, a, b := twoNodes(1*units.Mbps, 0)
 	received := 0
-	b.Handle(ProtoUDP, HandlerFunc(func(p *Packet) { received++ }))
+	b.Handle(ProtoUDP, handlerFunc(func(p *Packet) { received++ }))
 	for i := 0; i < 200; i++ {
 		a.Send(&Packet{Src: a.Addr(), Dst: b.Addr(), Proto: ProtoUDP, Size: 1500})
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	drops := int(a.Ifaces()[0].Stats().EgressDrops)
+	drops := int(ifaceCount(a.Ifaces()[0], "netsim_egress_drops_total"))
 	if drops == 0 {
 		t.Fatal("expected egress drops under overload")
 	}
@@ -204,7 +226,7 @@ func TestIngressFilterDropAndRemark(t *testing.T) {
 	// Filter on b's interface: drop odd-size packets, remark the rest
 	// to EF.
 	bIface := b.Ifaces()[0]
-	bIface.AddIngress(IngressFilterFunc(func(p *Packet) *Packet {
+	bIface.AddIngress(filterFunc(func(p *Packet) *Packet {
 		if p.Size%2 == 1 {
 			return nil
 		}
@@ -212,7 +234,7 @@ func TestIngressFilterDropAndRemark(t *testing.T) {
 		return p
 	}))
 	var got []*Packet
-	b.Handle(ProtoUDP, HandlerFunc(func(p *Packet) { got = append(got, p) }))
+	b.Handle(ProtoUDP, handlerFunc(func(p *Packet) { got = append(got, p) }))
 	a.Send(&Packet{Src: a.Addr(), Dst: b.Addr(), Proto: ProtoUDP, Size: 100})
 	a.Send(&Packet{Src: a.Addr(), Dst: b.Addr(), Proto: ProtoUDP, Size: 101})
 	if err := k.Run(); err != nil {
@@ -224,8 +246,8 @@ func TestIngressFilterDropAndRemark(t *testing.T) {
 	if got[0].DSCP != DSCPEF {
 		t.Fatal("filter did not remark packet")
 	}
-	if bIface.Stats().IngressDrops != 1 {
-		t.Fatalf("IngressDrops = %d, want 1", bIface.Stats().IngressDrops)
+	if got := ifaceCount(bIface, "netsim_ingress_drops_total"); got != 1 {
+		t.Fatalf("ingress drops = %d, want 1", got)
 	}
 }
 
@@ -241,33 +263,10 @@ func TestDuplicateNodeNamePanics(t *testing.T) {
 	n.AddNode("x")
 }
 
-func TestLinkIfaceOn(t *testing.T) {
-	_, n, a, b := twoNodes(units.Mbps, 0)
-	l := n.Links()[0]
-	if l.IfaceOn(a) != a.Ifaces()[0] || l.IfaceOn(b) != b.Ifaces()[0] {
-		t.Fatal("IfaceOn returned wrong interface")
-	}
-	c := n.AddNode("c")
-	if l.IfaceOn(c) != nil {
-		t.Fatal("IfaceOn for foreign node should be nil")
-	}
-}
-
-func TestFlowKeyReverse(t *testing.T) {
-	k := FlowKey{Src: 1, Dst: 2, SrcPort: 10, DstPort: 20, Proto: ProtoTCP}
-	r := k.Reverse()
-	if r.Src != 2 || r.Dst != 1 || r.SrcPort != 20 || r.DstPort != 10 {
-		t.Fatalf("Reverse = %+v", r)
-	}
-	if r.Reverse() != k {
-		t.Fatal("double reverse should round-trip")
-	}
-}
-
 func TestLoopbackDelivery(t *testing.T) {
 	k, _, a, _ := twoNodes(units.Mbps, time.Millisecond)
 	got := false
-	a.Handle(ProtoUDP, HandlerFunc(func(p *Packet) { got = true }))
+	a.Handle(ProtoUDP, handlerFunc(func(p *Packet) { got = true }))
 	if err := a.Send(&Packet{Src: a.Addr(), Dst: a.Addr(), Proto: ProtoUDP, Size: 100}); err != nil {
 		t.Fatalf("loopback send failed: %v", err)
 	}
@@ -278,7 +277,7 @@ func TestLoopbackDelivery(t *testing.T) {
 		t.Fatal("loopback packet not delivered")
 	}
 	// Loopback must not touch the link.
-	if a.Ifaces()[0].Stats().TxPackets != 0 {
+	if ifaceCount(a.Ifaces()[0], "netsim_tx_packets_total") != 0 {
 		t.Fatal("loopback used the link")
 	}
 }
@@ -287,7 +286,7 @@ func TestLinkDownPausesTransmit(t *testing.T) {
 	k, n, a, b := twoNodes(10*units.Mbps, time.Millisecond)
 	l := n.Links()[0]
 	received := 0
-	b.Handle(ProtoUDP, HandlerFunc(func(p *Packet) { received++ }))
+	b.Handle(ProtoUDP, handlerFunc(func(p *Packet) { received++ }))
 	send := func() {
 		a.Send(&Packet{Src: a.Addr(), Dst: b.Addr(), Proto: ProtoUDP, Size: 500})
 	}
@@ -299,7 +298,7 @@ func TestLinkDownPausesTransmit(t *testing.T) {
 			t.Error("link should be down")
 		}
 		send() // queued, not lost: transmitter is paused
-		queuedAtOutage = a.Ifaces()[0].Stats().QueueLen
+		queuedAtOutage = a.Ifaces()[0].queue.Len()
 	})
 	k.After(2*time.Second, func() { l.SetUp(true); send() })
 	if err := k.Run(); err != nil {
@@ -311,7 +310,7 @@ func TestLinkDownPausesTransmit(t *testing.T) {
 	if received != 3 {
 		t.Fatalf("received %d packets, want 3 (queued packet resumes on SetUp)", received)
 	}
-	if l.DownDrops() != 0 {
-		t.Fatalf("DownDrops = %d, want 0 (no packet was mid-frame at the transition)", l.DownDrops())
+	if got := ifaceCount(l.A(), "netsim_down_drops_total") + ifaceCount(l.B(), "netsim_down_drops_total"); got != 0 {
+		t.Fatalf("down drops = %d, want 0 (no packet was mid-frame at the transition)", got)
 	}
 }

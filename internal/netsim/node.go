@@ -31,12 +31,6 @@ type Handler interface {
 	HandlePacket(p *Packet)
 }
 
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(p *Packet)
-
-// HandlePacket calls f(p).
-func (f HandlerFunc) HandlePacket(p *Packet) { f(p) }
-
 // Node is a host or router. Hosts originate and sink packets through
 // registered protocol handlers; routers forward packets between
 // interfaces according to the routing table.
@@ -50,9 +44,6 @@ type Node struct {
 	udp      *UDPStack
 
 	// Stats.
-	rxPackets, txPackets uint64
-	rxBytes, txBytes     int64
-	noRouteDrops         uint64
 
 	mNoRoute *metrics.Counter
 	rec      *metrics.Recorder
@@ -81,7 +72,7 @@ func (nd *Node) Handle(proto Proto, h Handler) {
 }
 
 // Send originates a packet from this node. The packet's Src must be
-// the node's own address; ID and SentAt are stamped here. Send looks
+// the node's own address. Send looks
 // up the route and enqueues on the egress interface. It returns a
 // *NoRouteError if there is no route, ErrEgressDrop if the egress
 // queue rejected the packet, and nil on success.
@@ -89,8 +80,6 @@ func (nd *Node) Send(p *Packet) error {
 	if p.Src != nd.addr {
 		panic(fmt.Sprintf("netsim: node %q sending packet with src %d", nd.name, p.Src))
 	}
-	p.ID = nd.net.nextPacketID()
-	p.SentAt = nd.net.k.Now()
 	return nd.forward(p)
 }
 
@@ -104,15 +93,12 @@ func (nd *Node) forward(p *Packet) error {
 	}
 	out := nd.RouteTo(p.Dst)
 	if out == nil {
-		nd.noRouteDrops++
 		nd.mNoRoute.Inc()
 		nd.rec.Emit(metrics.EvNoRoute, nd.name, int64(p.Dst), int64(p.Size), 0)
 		err := &NoRouteError{Node: nd.name, Dst: p.Dst}
 		nd.net.FreePacket(p)
 		return err
 	}
-	nd.txPackets++
-	nd.txBytes += int64(p.Size)
 	if !out.enqueue(p) {
 		return ErrEgressDrop
 	}
@@ -128,8 +114,6 @@ func nodeDeliverLocal(a0, a1 any) { a0.(*Node).receive(nil, a1.(*Packet)) }
 // once consumed; with no handler registered the node frees it here.
 func (nd *Node) receive(in *Iface, p *Packet) {
 	if p.Dst == nd.addr {
-		nd.rxPackets++
-		nd.rxBytes += int64(p.Size)
 		if h := nd.handlers[p.Proto]; h != nil {
 			h.HandlePacket(p)
 		} else {
@@ -147,26 +131,6 @@ func (nd *Node) RouteTo(dst Addr) *Iface {
 		return nd.routes[dst]
 	}
 	return nil
-}
-
-// Stats returns cumulative node-level counters.
-func (nd *Node) Stats() NodeStats {
-	return NodeStats{
-		RxPackets:    nd.rxPackets,
-		TxPackets:    nd.txPackets,
-		RxBytes:      nd.rxBytes,
-		TxBytes:      nd.txBytes,
-		NoRouteDrops: nd.noRouteDrops,
-	}
-}
-
-// NodeStats holds cumulative per-node counters.
-type NodeStats struct {
-	RxPackets    uint64
-	TxPackets    uint64
-	RxBytes      int64
-	TxBytes      int64
-	NoRouteDrops uint64
 }
 
 // ComputeRoutes fills every node's routing table with shortest-path

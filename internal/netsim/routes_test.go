@@ -49,7 +49,7 @@ func TestComputeRoutesConnectivityProperty(t *testing.T) {
 			return true
 		}
 		got := false
-		dst.Handle(ProtoUDP, HandlerFunc(func(p *Packet) { got = true }))
+		dst.Handle(ProtoUDP, handlerFunc(func(p *Packet) { got = true }))
 		src.Send(&Packet{Src: src.Addr(), Dst: dst.Addr(), Proto: ProtoUDP, Size: 100})
 		if err := k.Run(); err != nil {
 			return false
@@ -94,14 +94,14 @@ func TestConservationUnderLossProperty(t *testing.T) {
 		net.ComputeRoutes()
 		loss := float64(lossPct%60) / 100
 		rng := sim.NewRNG(seed)
-		b.Ifaces()[0].AddIngress(IngressFilterFunc(func(p *Packet) *Packet {
+		b.Ifaces()[0].AddIngress(filterFunc(func(p *Packet) *Packet {
 			if rng.Float64() < loss {
 				return nil
 			}
 			return p
 		}))
 		var rx int64
-		b.Handle(ProtoUDP, HandlerFunc(func(p *Packet) { rx += int64(p.Size) }))
+		b.Handle(ProtoUDP, handlerFunc(func(p *Packet) { rx += int64(p.Size) }))
 		var tx int64
 		for i := 0; i < 50; i++ {
 			size := units.ByteSize(rng.Intn(1400) + 28)

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"errors"
 	"fmt"
 
 	"mpichgq/internal/sim"
@@ -10,11 +9,7 @@ import (
 
 // Datagram is a received UDP message.
 type Datagram struct {
-	From     Addr
-	FromPort Port
-	Len      units.ByteSize
-	DSCP     DSCP
-	Payload  any
+	Len units.ByteSize
 }
 
 // UDPStack demultiplexes UDP packets to sockets on one node.
@@ -22,8 +17,6 @@ type UDPStack struct {
 	node     *Node
 	sockets  map[Port]*UDPSocket
 	nextPort Port
-
-	rxDrops uint64 // datagrams for ports with no socket
 }
 
 // NewUDPStack creates the UDP stack for node nd and registers it as
@@ -47,18 +40,11 @@ func (nd *Node) UDPStack() *UDPStack {
 // HandlePacket implements Handler.
 func (s *UDPStack) HandlePacket(p *Packet) {
 	sock := s.sockets[p.DstPort]
-	if sock == nil || sock.closed {
-		s.rxDrops++
+	if sock == nil {
 		s.node.net.FreePacket(p)
 		return
 	}
-	sock.deliver(Datagram{
-		From:     p.Src,
-		FromPort: p.SrcPort,
-		Len:      p.PayloadLen,
-		DSCP:     p.DSCP,
-		Payload:  p.Payload,
-	})
+	sock.deliver(Datagram{Len: p.PayloadLen})
 	s.node.net.FreePacket(p)
 }
 
@@ -74,25 +60,13 @@ func (s *UDPStack) Bind(port Port) (*UDPSocket, error) {
 	} else if s.sockets[port] != nil {
 		return nil, fmt.Errorf("netsim: udp port %d on %q in use", port, s.node.name)
 	}
-	sock := &UDPSocket{
-		stack: s,
-		port:  port,
-		recv:  sim.NewCond(s.node.net.k),
-	}
+	sock := &UDPSocket{stack: s, port: port}
 	s.sockets[port] = sock
 	return sock, nil
 }
 
-// RxDrops returns the number of datagrams dropped for lack of a bound
-// socket.
-func (s *UDPStack) RxDrops() uint64 { return s.rxDrops }
-
-// ErrClosed is returned by operations on a closed socket.
-var ErrClosed = errors.New("netsim: socket closed")
-
 // UDPSocket is a bound UDP endpoint. Received datagrams wait in the
-// socket until a process takes them with Recv or TryRecv, or a
-// callback installed with Serve is handed them.
+// socket until the callback installed with Serve is handed them.
 type UDPSocket struct {
 	stack *UDPStack
 	port  Port
@@ -102,39 +76,20 @@ type UDPSocket struct {
 	// grown, as in sim.Cond's queue.
 	inbox []Datagram
 	head  int
-	// recv holds the processes blocked in Recv.
-	recv *sim.Cond
 	// serve is the receiver installed by Serve, nil when there is
 	// none; serveIdle is set while it waits for a datagram with no
 	// wakeup pending.
 	serve     func(Datagram)
 	serveIdle bool
-	dscp      DSCP
-	closed    bool
-
-	txDatagrams uint64
-	txBytes     int64
 }
 
-// Port returns the bound local port.
-func (u *UDPSocket) Port() Port { return u.port }
-
-// SetDSCP sets the DS code point stamped on outgoing datagrams.
-// (Applications normally leave this at best-effort and let the edge
-// router classify and mark; setting it directly models a
-// "pre-marking" host.)
-func (u *UDPSocket) SetDSCP(d DSCP) { u.dscp = d }
-
-// SendTo transmits a datagram of payloadLen bytes to (dst, dstPort).
-// It reports false if the datagram was dropped before leaving the
-// node — like real UDP, later drops are silent. A local egress-queue
-// drop is ordinary loss (false, nil); an unroutable destination also
-// surfaces the *NoRouteError, like a host ENETUNREACH. payload rides
-// along for the receiver and may be nil.
-func (u *UDPSocket) SendTo(dst Addr, dstPort Port, payloadLen units.ByteSize, payload any) (bool, error) {
-	if u.closed {
-		return false, ErrClosed
-	}
+// SendTo transmits a best-effort datagram of payloadLen bytes to
+// (dst, dstPort). It reports false if the datagram was dropped before
+// leaving the node — like real UDP, later drops are silent. A local
+// egress-queue drop is ordinary loss (false, nil); an unroutable
+// destination also surfaces the *NoRouteError, like a host
+// ENETUNREACH.
+func (u *UDPSocket) SendTo(dst Addr, dstPort Port, payloadLen units.ByteSize) (bool, error) {
 	if payloadLen < 0 {
 		return false, fmt.Errorf("netsim: negative datagram length %d", payloadLen)
 	}
@@ -144,10 +99,8 @@ func (u *UDPSocket) SendTo(dst Addr, dstPort Port, payloadLen units.ByteSize, pa
 	p.SrcPort = u.port
 	p.DstPort = dstPort
 	p.Proto = ProtoUDP
-	p.DSCP = u.dscp
 	p.Size = payloadLen + UDPHeader + IPHeader
 	p.PayloadLen = payloadLen
-	p.Payload = payload
 	err := u.stack.node.Send(p)
 	if noRoute, ok := err.(*NoRouteError); ok {
 		// Node.Send returns the error unwrapped; a type assertion,
@@ -158,13 +111,11 @@ func (u *UDPSocket) SendTo(dst Addr, dstPort Port, payloadLen units.ByteSize, pa
 	if err != nil {
 		return false, nil // egress drop: silent loss, as on the wire
 	}
-	u.txDatagrams++
-	u.txBytes += int64(payloadLen)
 	return true, nil
 }
 
-// deliver queues a received datagram and wakes the receiver: the
-// longest-blocked Recv, or the Serve callback if it is idle.
+// deliver queues a received datagram and wakes the Serve callback if
+// it is idle.
 func (u *UDPSocket) deliver(dg Datagram) {
 	if u.head > 0 && len(u.inbox) == cap(u.inbox) {
 		n := copy(u.inbox, u.inbox[u.head:])
@@ -173,7 +124,6 @@ func (u *UDPSocket) deliver(dg Datagram) {
 		u.head = 0
 	}
 	u.inbox = append(u.inbox, dg)
-	u.recv.Signal()
 	u.wakeServer()
 }
 
@@ -188,39 +138,14 @@ func (u *UDPSocket) take() Datagram {
 	return dg
 }
 
-// Recv blocks until a datagram arrives or the socket is closed and
-// drained.
-func (u *UDPSocket) Recv(ctx *sim.Ctx) (Datagram, error) {
-	for u.Pending() == 0 {
-		if u.closed {
-			return Datagram{}, ErrClosed
-		}
-		u.recv.Wait(ctx)
-	}
-	return u.take(), nil
-}
-
-// TryRecv returns a queued datagram without blocking.
-func (u *UDPSocket) TryRecv() (Datagram, bool) {
-	if u.Pending() == 0 {
-		return Datagram{}, false
-	}
-	return u.take(), true
-}
-
 // Pending returns the number of queued datagrams.
 func (u *UDPSocket) Pending() int { return len(u.inbox) - u.head }
 
 // Serve hands every datagram the socket receives to fn, in arrival
-// order, until the socket is closed; no other receiver may use the
-// socket. It stands in for a process that loops on Recv and wakes
-// exactly as that process would: one event at the current instant
-// now; one at the current instant and PrioNormal when a datagram
-// arrives while fn is idle, which hands fn every datagram queued by
-// the time it runs; none for arrivals while a wakeup is pending; and a
-// last one if the socket is closed while fn is idle. So replacing such
-// a process with Serve changes no event's time, priority or order, nor
-// the kernel's event count.
+// order. It schedules one event at the current instant now, and one at
+// the current instant and PrioNormal when a datagram arrives while fn
+// is idle, which hands fn every datagram queued by the time it runs;
+// arrivals while a wakeup is pending schedule nothing.
 func (u *UDPSocket) Serve(fn func(Datagram)) {
 	if u.serve != nil {
 		panic("netsim: Serve on a socket that is already served")
@@ -241,33 +166,11 @@ func (u *UDPSocket) wakeServer() {
 }
 
 // udpServe is the prebound wakeup of a served socket: it drains the
-// queue into the callback, then idles, or ends once the socket is
-// closed.
+// queue into the callback, then idles.
 func udpServe(a0, _ any) {
 	u := a0.(*UDPSocket)
 	for u.Pending() > 0 {
 		u.serve(u.take())
 	}
-	if u.closed {
-		u.serve = nil
-		return
-	}
 	u.serveIdle = true
-}
-
-// Close releases the port and wakes blocked receivers.
-func (u *UDPSocket) Close() {
-	if u.closed {
-		return
-	}
-	u.closed = true
-	delete(u.stack.sockets, u.port)
-	u.recv.Broadcast()
-	u.wakeServer()
-}
-
-// TxStats returns the count and total payload bytes of datagrams
-// accepted by the local node.
-func (u *UDPSocket) TxStats() (datagrams uint64, bytes int64) {
-	return u.txDatagrams, u.txBytes
 }

@@ -1,14 +1,9 @@
 package nws
 
 import (
-	"math"
 	"testing"
-	"time"
 
-	"mpichgq/internal/netsim"
 	"mpichgq/internal/sim"
-	"mpichgq/internal/tcpsim"
-	"mpichgq/internal/units"
 )
 
 func TestForecasterConstantSeries(t *testing.T) {
@@ -48,7 +43,7 @@ func TestForecasterMedianBeatsMeanOnSpikes(t *testing.T) {
 		f.Add(v)
 	}
 	if got := f.Forecast(); got > 50 {
-		t.Fatalf("forecast on spiky series = %v (best=%s), want near 10", got, f.Best())
+		t.Fatalf("forecast on spiky series = %v (best=%d), want near 10", got, f.best())
 	}
 }
 
@@ -66,86 +61,5 @@ func TestForecasterHistoryBounded(t *testing.T) {
 	}
 	if f.Len() > 128 {
 		t.Fatalf("history length %d exceeds bound", f.Len())
-	}
-}
-
-func TestMonitorSamplesThroughput(t *testing.T) {
-	k := sim.New(1)
-	net := netsim.New(k)
-	a, b := net.AddNode("a"), net.AddNode("b")
-	net.Connect(a, b, 10*units.Mbps, time.Millisecond)
-	net.ComputeRoutes()
-	sa := tcpsim.NewStack(a, tcpsim.DefaultOptions())
-	sb := tcpsim.NewStack(b, tcpsim.DefaultOptions())
-	var mon *Monitor
-	k.Spawn("server", func(ctx *sim.Ctx) {
-		l, _ := sb.Listen(80)
-		c, err := l.Accept(ctx)
-		if err != nil {
-			return
-		}
-		for {
-			if _, err := c.Read(ctx, units.MB); err != nil {
-				return
-			}
-		}
-	})
-	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, b.Addr(), 80)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		mon = Attach(k, c, 100*time.Millisecond)
-		// Steady 4 Mb/s paced stream.
-		gap := (4 * units.Mbps).TimeToSend(10 * units.KB)
-		for ctx.Now() < 10*time.Second {
-			c.Write(ctx, 10*units.KB)
-			ctx.Sleep(gap)
-		}
-	})
-	if err := k.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	got := mon.ThroughputForecast()
-	if math.Abs(float64(got)-float64(4*units.Mbps)) > float64(units.Mbps) {
-		t.Fatalf("throughput forecast = %v, want ~4 Mb/s", got)
-	}
-	rtt := mon.RTTForecast()
-	if rtt < time.Millisecond || rtt > 10*time.Millisecond {
-		t.Fatalf("RTT forecast = %v, want ~2-3 ms", rtt)
-	}
-	if mon.LossForecast() != 0 {
-		t.Fatalf("loss forecast = %v on a clean path", mon.LossForecast())
-	}
-	mon.Stop()
-}
-
-func TestMonitorStopCeasesSampling(t *testing.T) {
-	k := sim.New(1)
-	net := netsim.New(k)
-	a, b := net.AddNode("a"), net.AddNode("b")
-	net.Connect(a, b, 10*units.Mbps, time.Millisecond)
-	net.ComputeRoutes()
-	sa := tcpsim.NewStack(a, tcpsim.DefaultOptions())
-	sb := tcpsim.NewStack(b, tcpsim.DefaultOptions())
-	var mon *Monitor
-	k.Spawn("server", func(ctx *sim.Ctx) {
-		l, _ := sb.Listen(80)
-		l.Accept(ctx)
-	})
-	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, b.Addr(), 80)
-		if err != nil {
-			return
-		}
-		mon = Attach(k, c, 100*time.Millisecond)
-	})
-	k.RunUntil(time.Second)
-	mon.Stop()
-	n := mon.Throughput.Len()
-	k.RunUntil(5 * time.Second)
-	if mon.Throughput.Len() != n {
-		t.Fatal("monitor kept sampling after Stop")
 	}
 }

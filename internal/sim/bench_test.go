@@ -324,11 +324,11 @@ func TestProcSleepZeroAlloc(t *testing.T) {
 		}
 	})
 	// Warm the event freelist and the heap slice.
-	if err := k.RunFor(64 * time.Microsecond); err != nil {
+	if err := k.RunUntil(k.Now() + 64*time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if err := k.RunFor(time.Microsecond); err != nil {
+		if err := k.RunUntil(k.Now() + time.Microsecond); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -339,7 +339,7 @@ func TestProcSleepZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Sleep wakeup allocates %.1f objects, want 0", allocs)
 	}
-	if !p.Done() {
+	if !p.done {
 		t.Fatal("sleeper did not finish")
 	}
 }
@@ -377,7 +377,7 @@ func BenchmarkLineHop(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				push(inFlight * gap)
-				if err := k.RunFor(gap); err != nil {
+				if err := k.RunUntil(k.Now() + gap); err != nil {
 					b.Fatal(err)
 				}
 			}

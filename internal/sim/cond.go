@@ -99,10 +99,6 @@ func (w *Waiter) WakeAfter(d time.Duration) {
 	k.AtFunc(k.now+d, PrioNormal, stepProc, k, &w.p)
 }
 
-// TimedOut reports whether w's last AwaitTimeout expired rather than
-// being ended by Signal or Broadcast.
-func (w *Waiter) TimedOut() bool { return w.p.timedOut }
-
 // hold marks w as queued or woken, panicking if it already is: a
 // waiter queued twice would run twice.
 func (w *Waiter) hold() {
@@ -241,15 +237,11 @@ func (m *Mutex) Unlock() {
 	m.cond.Signal()
 }
 
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.held }
-
 // Mailbox is an unbounded FIFO queue with blocking receive, the
 // simulation analogue of a channel. Any number of processes may block
 // in Recv; items are handed out in arrival order to waiters in FIFO
 // order. Send never blocks and may be called from event callbacks.
 type Mailbox struct {
-	k     *Kernel
 	items []any
 	cond  *Cond
 	// closed marks the mailbox as delivering no further items; Recv
@@ -259,7 +251,7 @@ type Mailbox struct {
 
 // NewMailbox returns an empty mailbox bound to kernel k.
 func NewMailbox(k *Kernel) *Mailbox {
-	return &Mailbox{k: k, cond: NewCond(k)}
+	return &Mailbox{cond: NewCond(k)}
 }
 
 // Send enqueues v and wakes one waiting receiver.
@@ -296,27 +288,6 @@ func (m *Mailbox) Recv(ctx *Ctx) (any, bool) {
 	return v, true
 }
 
-// RecvTimeout is Recv with a deadline; ok is false if the timeout
-// expired or the mailbox closed before an item arrived.
-func (m *Mailbox) RecvTimeout(ctx *Ctx, d time.Duration) (v any, ok bool) {
-	deadline := m.k.now + d
-	for len(m.items) == 0 {
-		if m.closed {
-			return nil, false
-		}
-		remain := deadline - m.k.now
-		if remain <= 0 || !m.cond.WaitTimeout(ctx, remain) {
-			if len(m.items) > 0 {
-				break
-			}
-			return nil, false
-		}
-	}
-	v = m.items[0]
-	m.items = m.items[1:]
-	return v, true
-}
-
 // TryRecv returns an item if one is queued, without blocking.
 func (m *Mailbox) TryRecv() (any, bool) {
 	if len(m.items) == 0 {
@@ -326,6 +297,3 @@ func (m *Mailbox) TryRecv() (any, bool) {
 	m.items = m.items[1:]
 	return v, true
 }
-
-// Len returns the number of queued items.
-func (m *Mailbox) Len() int { return len(m.items) }

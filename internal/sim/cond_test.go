@@ -213,26 +213,6 @@ func TestMailboxCloseWakesBlockedReceiver(t *testing.T) {
 	}
 }
 
-func TestMailboxRecvTimeout(t *testing.T) {
-	k := New(1)
-	m := NewMailbox(k)
-	var ok1, ok2 bool
-	k.Spawn("p", func(ctx *Ctx) {
-		_, ok1 = m.RecvTimeout(ctx, time.Second)
-		_, ok2 = m.RecvTimeout(ctx, 5*time.Second)
-	})
-	k.After(3*time.Second, func() { m.Send("x") })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok1 {
-		t.Fatal("first recv should time out")
-	}
-	if !ok2 {
-		t.Fatal("second recv should succeed")
-	}
-}
-
 func TestMailboxTryRecv(t *testing.T) {
 	k := New(1)
 	m := NewMailbox(k)
@@ -240,8 +220,8 @@ func TestMailboxTryRecv(t *testing.T) {
 		t.Fatal("TryRecv on empty should fail")
 	}
 	m.Send(7)
-	if m.Len() != 1 {
-		t.Fatalf("len = %d, want 1", m.Len())
+	if len(m.items) != 1 {
+		t.Fatalf("len = %d, want 1", len(m.items))
 	}
 	v, ok := m.TryRecv()
 	if !ok || v.(int) != 7 {

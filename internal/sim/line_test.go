@@ -23,7 +23,7 @@ type lineWorld struct {
 	trace  strings.Builder
 }
 
-var linePrios = [...]int{PrioNet, PrioNormal, PrioLate}
+var linePrios = [...]int{PrioNet, PrioNormal, prioLate}
 
 func newLineWorld(seed int64, lined bool) *lineWorld {
 	w := &lineWorld{k: New(seed), lined: lined, budget: 400}
@@ -212,7 +212,7 @@ func TestLineZeroAlloc(t *testing.T) {
 	// on the line after every step, in a ring of eight.
 	step := func() {
 		l.AfterFunc(5*time.Microsecond, nop, nil, nil)
-		if err := k.RunFor(time.Microsecond); err != nil {
+		if err := k.RunUntil(k.Now() + time.Microsecond); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,7 +30,7 @@ func TestMutexExcludes(t *testing.T) {
 	if maxInside != 1 {
 		t.Fatalf("max holders = %d, want 1", maxInside)
 	}
-	if m.Locked() {
+	if m.held {
 		t.Fatal("mutex left locked")
 	}
 }

@@ -259,24 +259,11 @@ func (k *Kernel) Close() {
 	k.lined = 0
 }
 
-// Done reports whether the process function has returned, or the
-// process was discarded by Kernel.Close.
-func (p *Proc) Done() bool { return p.done }
-
-// Name returns the process name.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (c *Ctx) Now() time.Duration { return c.k.now }
 
 // Kernel returns the kernel this process runs on.
 func (c *Ctx) Kernel() *Kernel { return c.k }
-
-// Name returns the process name.
-func (c *Ctx) Name() string { return c.p.name }
-
-// RNG returns the kernel's deterministic RNG.
-func (c *Ctx) RNG() *RNG { return c.k.rng }
 
 // Sleep suspends the process for d of virtual time. Negative or zero
 // durations yield to other events scheduled at the current instant and
@@ -289,10 +276,6 @@ func (c *Ctx) Sleep(d time.Duration) {
 	c.k.AtFunc(c.k.now+d, PrioNormal, stepProc, c.k, c.p)
 	c.p.park()
 }
-
-// Yield reschedules the process behind all events already queued for
-// the current instant.
-func (c *Ctx) Yield() { c.Sleep(0) }
 
 // SpawnChild spawns another process starting now. It is a convenience
 // for process code that launches helpers.

@@ -107,7 +107,7 @@ type timerRef struct {
 
 // queuePrios holds the priorities a program draws from besides a
 // uniform one: the ends of the range and the kernel's named ones.
-var queuePrios = [...]int{-128, 127, PrioNet, PrioNormal, PrioLate}
+var queuePrios = [...]int{-128, 127, PrioNet, PrioNormal, prioLate}
 
 func newQueueDriver(t testing.TB, src choiceSource, budget int) *queueDriver {
 	d := &queueDriver{t: t, k: New(1), src: src, budget: budget}

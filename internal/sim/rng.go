@@ -52,32 +52,8 @@ func (r *RNG) ExpFloat64() float64 {
 	}
 }
 
-// NormFloat64 returns a normally distributed float64 (mean 0, stddev 1)
-// using the Box-Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u1 := r.Float64()
-		u2 := r.Float64()
-		if u1 <= 0 {
-			continue
-		}
-		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	}
-}
-
 // Jitter returns a uniform float64 in [1-f, 1+f], useful for
 // perturbing periodic behaviour.
 func (r *RNG) Jitter(f float64) float64 {
 	return 1 - f + 2*f*r.Float64()
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

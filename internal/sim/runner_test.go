@@ -68,10 +68,10 @@ func TestRunnerPoolBounded(t *testing.T) {
 		d := time.Duration(k.RNG().Intn(100)) * time.Microsecond
 		k.Spawn("live", func(ctx *Ctx) { ctx.Sleep(d) })
 	}
-	if err := k.RunFor(time.Nanosecond); err != nil {
+	if err := k.RunUntil(k.Now() + time.Nanosecond); err != nil {
 		t.Fatal(err)
 	}
-	if live := k.LiveProcs(); live < n/2 {
+	if live := len(k.procs); live < n/2 {
 		t.Fatalf("only %d processes alive at once, want a crowd", live)
 	}
 	if err := k.Run(); err != nil {
@@ -124,26 +124,26 @@ func TestCloseUnwindsParked(t *testing.T) {
 	}
 	notStarted := k.SpawnAt(time.Hour, "later", func(ctx *Ctx) { t.Error("never-started process ran") })
 	tm := k.After(time.Minute, func() { t.Error("event ran after Close") })
-	if err := k.RunFor(time.Millisecond); err != nil {
+	if err := k.RunUntil(k.Now() + time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(k.BlockedProcs()); got != len(names)+1 {
 		t.Fatalf("%d processes blocked, want %d", got, len(names)+1)
 	}
 	k.Close()
-	if err := k.Err(); err != nil {
+	if err := k.err; err != nil {
 		t.Fatalf("Close set Err: %v", err)
 	}
 	if len(unwound) != len(names) {
 		t.Fatalf("deferred calls ran for %v, want all of %v", unwound, names)
 	}
 	for _, p := range append(procs, notStarted) {
-		if !p.Done() {
-			t.Errorf("process %q not done after Close", p.Name())
+		if !p.done {
+			t.Errorf("process %q not done after Close", p.name)
 		}
 	}
-	if k.LiveProcs() != 0 || k.PendingEvents() != 0 {
-		t.Fatalf("after Close: live %d, pending %d, want none", k.LiveProcs(), k.PendingEvents())
+	if len(k.procs) != 0 || k.PendingEvents() != 0 {
+		t.Fatalf("after Close: live %d, pending %d, want none", len(k.procs), k.PendingEvents())
 	}
 	if tm.Pending() || tm.Cancel() {
 		t.Fatal("timer still pending after Close")
@@ -167,8 +167,8 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	k.Close()
 	k.Close()
-	if k.LiveProcs() != 0 || k.PendingEvents() != 0 {
-		t.Fatalf("after Close: live %d, pending %d", k.LiveProcs(), k.PendingEvents())
+	if len(k.procs) != 0 || k.PendingEvents() != 0 {
+		t.Fatalf("after Close: live %d, pending %d", len(k.procs), k.PendingEvents())
 	}
 }
 
@@ -196,7 +196,7 @@ func TestPanickingBodyRunnerReused(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Done() || r1 != r0 {
-		t.Fatalf("next process done=%v, ran on the panicked body's runner=%v", p.Done(), r1 == r0)
+	if !p.done || r1 != r0 {
+		t.Fatalf("next process done=%v, ran on the panicked body's runner=%v", p.done, r1 == r0)
 	}
 }

@@ -103,7 +103,7 @@ func genPrograms(seed int64) []program {
 }
 
 func (w *world) run(ctx *Ctx, steps []step) {
-	name := ctx.Name()
+	name := ctx.p.name
 	for i, s := range steps {
 		c := w.conds[s.c]
 		switch s.op {
@@ -112,7 +112,7 @@ func (w *world) run(ctx *Ctx, steps []step) {
 			ctx.Sleep(s.d)
 		case opYield:
 			w.rec(name, "yield")
-			ctx.Yield()
+			ctx.Sleep(0)
 		case opWait:
 			w.rec(name, "wait c%d", s.c)
 			c.Wait(ctx)
@@ -140,15 +140,36 @@ func (w *world) run(ctx *Ctx, steps []step) {
 			w.rec(name, "got %v %v", v, ok)
 		case opRecvTimeout:
 			w.rec(name, "recvtimeout %v", s.d)
-			v, ok := w.box.RecvTimeout(ctx, s.d)
+			v, ok := recvTimeout(ctx, w.box, s.d)
 			w.rec(name, "got %v %v", v, ok)
 		case opSpawnChild:
 			child := s.child
 			p := ctx.SpawnChild(fmt.Sprintf("%s.c%d", name, i), func(ctx *Ctx) { w.run(ctx, child) })
-			w.rec(name, "spawn %s", p.Name())
+			w.rec(name, "spawn %s", p.name)
 		}
 	}
 	w.rec(name, "exit")
+}
+
+// recvTimeout is Mailbox.Recv with a deadline: ok is false if the
+// timeout expired or the mailbox closed before an item arrived.
+func recvTimeout(ctx *Ctx, m *Mailbox, d time.Duration) (v any, ok bool) {
+	deadline := ctx.k.now + d
+	for len(m.items) == 0 {
+		if m.closed {
+			return nil, false
+		}
+		remain := deadline - ctx.k.now
+		if remain <= 0 || !m.cond.WaitTimeout(ctx, remain) {
+			if len(m.items) > 0 {
+				break
+			}
+			return nil, false
+		}
+	}
+	v = m.items[0]
+	m.items = m.items[1:]
+	return v, true
 }
 
 // scheduleDigest runs the generated programs for seed and returns the
@@ -182,7 +203,7 @@ func scheduleDigest(seed int64) string {
 		})
 	}
 	err := k.Run()
-	w.rec("kernel", "end err=%v events=%d pending=%d live=%d blocked=%v", err, k.EventsRun(), k.PendingEvents(), k.LiveProcs(), k.BlockedProcs())
+	w.rec("kernel", "end err=%v events=%d pending=%d live=%d blocked=%v", err, k.EventsRun(), k.PendingEvents(), len(k.procs), k.BlockedProcs())
 	return hex.EncodeToString(w.h.Sum(nil))
 }
 

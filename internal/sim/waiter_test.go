@@ -157,7 +157,7 @@ func (a *awaitActor) step() {
 	if a.timed {
 		a.timed = false
 		a.timer.Cancel()
-		a.w.rec(a.id, a.pc, fmt.Sprint("woken=", !a.wt.TimedOut()))
+		a.w.rec(a.id, a.pc, fmt.Sprint("woken=", !a.wt.p.timedOut))
 	}
 	for a.pc < len(a.ops) {
 		op := a.ops[a.pc]
@@ -254,8 +254,8 @@ func TestAwaitClose(t *testing.T) {
 			queued += c.Waiting()
 		}
 		w.k.Close()
-		if w.k.LiveProcs() != 0 || w.k.PendingEvents() != 0 {
-			t.Fatalf("seed %d: after Close: live %d, pending %d", seed, w.k.LiveProcs(), w.k.PendingEvents())
+		if len(w.k.procs) != 0 || w.k.PendingEvents() != 0 {
+			t.Fatalf("seed %d: after Close: live %d, pending %d", seed, len(w.k.procs), w.k.PendingEvents())
 		}
 		// Waking what the Conds still hold runs no step of any actor.
 		trace := w.trace.Len()
@@ -296,18 +296,18 @@ func TestAwaitTimeoutClose(t *testing.T) {
 		}
 		c.AwaitTimeout(w, time.Duration(i+1)*time.Millisecond)
 	}
-	if err := k.RunFor(1500 * time.Microsecond); err != nil {
+	if err := k.RunUntil(k.Now() + 1500*time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	if ran[0] != 1 || !ws[0].TimedOut() || c.Waiting() != 3 {
-		t.Fatalf("before Close: ran %v, timed out %v, waiting %d", ran, ws[0].TimedOut(), c.Waiting())
+	if ran[0] != 1 || !ws[0].p.timedOut || c.Waiting() != 3 {
+		t.Fatalf("before Close: ran %v, timed out %v, waiting %d", ran, ws[0].p.timedOut, c.Waiting())
 	}
 	k.Close()
-	if k.LiveProcs() != 0 || k.PendingEvents() != 0 {
-		t.Fatalf("after Close: live %d, pending %d", k.LiveProcs(), k.PendingEvents())
+	if len(k.procs) != 0 || k.PendingEvents() != 0 {
+		t.Fatalf("after Close: live %d, pending %d", len(k.procs), k.PendingEvents())
 	}
 	c.Broadcast()
-	if err := k.RunFor(2 * time.Hour); err != nil {
+	if err := k.RunUntil(k.Now() + 2*time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{1, 0, 0, 0, 0}; !reflect.DeepEqual(ran, want) {
@@ -324,8 +324,8 @@ func TestWaiterNotAProcess(t *testing.T) {
 	woken := 0
 	w := k.NewWaiter(func() { woken++ })
 	c.Await(w)
-	if k.LiveProcs() != 0 || len(k.BlockedProcs()) != 0 || c.Waiting() != 1 {
-		t.Fatalf("live %d, blocked %v, waiting %d", k.LiveProcs(), k.BlockedProcs(), c.Waiting())
+	if len(k.procs) != 0 || len(k.BlockedProcs()) != 0 || c.Waiting() != 1 {
+		t.Fatalf("live %d, blocked %v, waiting %d", len(k.procs), k.BlockedProcs(), c.Waiting())
 	}
 	func() {
 		defer func() {
@@ -357,11 +357,11 @@ func TestWaiterCallbackHasNoCtx(t *testing.T) {
 		defer func() { got = recover() }()
 		pctx.Sleep(time.Second)
 	})
-	if err := k.RunFor(time.Millisecond); err != nil {
+	if err := k.RunUntil(k.Now() + time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	w.Wake()
-	if err := k.RunFor(time.Millisecond); err != nil {
+	if err := k.RunUntil(k.Now() + time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if s, _ := got.(string); !strings.Contains(s, "outside its goroutine") {

@@ -239,15 +239,6 @@ func (s *Span) Ctx() Context {
 	return Context{Trace: s.Trace, Parent: s.ID}
 }
 
-// SetStatus records the span's terminal disposition. Nil-safe;
-// returns the span for chaining.
-func (s *Span) SetStatus(st Status) *Span {
-	if s != nil {
-		s.Status = st
-	}
-	return s
-}
-
 // Int attaches a numeric attribute. Nil-safe; returns the span.
 func (s *Span) Int(key string, v int64) *Span {
 	if s != nil {
@@ -263,19 +254,6 @@ func (s *Span) Str(key, val string) *Span {
 		s.Attrs = append(s.Attrs, Attr{Key: key, Str: val})
 	}
 	return s
-}
-
-// Attr returns the named attribute and whether it exists.
-func (s *Span) Attr(key string) (Attr, bool) {
-	if s == nil {
-		return Attr{}, false
-	}
-	for _, a := range s.Attrs {
-		if a.Key == key {
-			return a, true
-		}
-	}
-	return Attr{}, false
 }
 
 // End completes the span at the current sim time and commits it to
@@ -399,13 +377,6 @@ func (t *Tracer) Active() int {
 
 // Dropped returns how many completed spans wraparound has evicted.
 func (t *Tracer) Dropped() uint64 { return t.spans().Dropped() }
-
-// Capacity returns the ring size.
-func (t *Tracer) Capacity() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.size
-}
 
 // SetCapacity resizes the ring, retaining the most recent spans.
 func (t *Tracer) SetCapacity(n int) {

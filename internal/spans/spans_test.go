@@ -21,6 +21,16 @@ func newTestTracer() (*Tracer, *fakeClock) {
 	return t, c
 }
 
+// attr returns the named attribute of s and whether it exists.
+func attr(s Span, key string) (Attr, bool) {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a, true
+		}
+	}
+	return Attr{}, false
+}
+
 func TestDisabledTracerIsInert(t *testing.T) {
 	tr := New(nil)
 	sp := tr.Begin(1, 0, "op", "subj")
@@ -28,7 +38,7 @@ func TestDisabledTracerIsInert(t *testing.T) {
 		t.Fatalf("Begin on disabled tracer = %v, want nil", sp)
 	}
 	// Every method must tolerate the nil handle.
-	sp.SetStatus(StatusFailed).Int("k", 1).Str("s", "v")
+	sp.Int("k", 1).Str("s", "v")
 	sp.End()
 	sp.EndStatus(StatusLeaked)
 	if id := sp.SpanID(); id != 0 {
@@ -57,7 +67,7 @@ func TestNeverEnabledTracerHasNoRing(t *testing.T) {
 	if tr.ring != nil {
 		t.Fatalf("fresh tracer allocated a %d-span ring", tr.ring.Capacity())
 	}
-	if c := tr.Capacity(); c != DefaultCapacity {
+	if c := tr.size; c != DefaultCapacity {
 		t.Fatalf("Capacity = %d, want %d", c, DefaultCapacity)
 	}
 	if tr.Len() != 0 || tr.Dropped() != 0 || len(tr.Snapshot()) != 0 {
@@ -75,15 +85,15 @@ func TestNeverEnabledTracerHasNoRing(t *testing.T) {
 
 	tr = New(nil)
 	tr.SetCapacity(3)
-	if tr.Capacity() != 3 || tr.Len() != 0 {
-		t.Fatalf("after SetCapacity(3): capacity=%d len=%d", tr.Capacity(), tr.Len())
+	if tr.size != 3 || tr.Len() != 0 {
+		t.Fatalf("after SetCapacity(3): capacity=%d len=%d", tr.size, tr.Len())
 	}
 	tr.SetEnabled(true)
 	for i := 0; i < 5; i++ {
 		tr.Begin(1, 0, "op", "s").End()
 	}
-	if tr.Capacity() != 3 || tr.Len() != 3 || tr.Dropped() != 2 {
-		t.Fatalf("capacity=%d len=%d dropped=%d, want 3/3/2", tr.Capacity(), tr.Len(), tr.Dropped())
+	if tr.size != 3 || tr.Len() != 3 || tr.Dropped() != 2 {
+		t.Fatalf("capacity=%d len=%d dropped=%d, want 3/3/2", tr.size, tr.Len(), tr.Dropped())
 	}
 }
 
@@ -124,7 +134,7 @@ func TestBeginEndLifecycle(t *testing.T) {
 	if r.Start != 10*time.Millisecond || r.Dur != 20*time.Millisecond {
 		t.Fatalf("root timing = %v+%v", r.Start, r.Dur)
 	}
-	if a, ok := r.Attr("res"); !ok || a.Val != 7 {
+	if a, ok := attr(r, "res"); !ok || a.Val != 7 {
 		t.Fatalf("root res attr = %+v ok=%v", a, ok)
 	}
 }
@@ -171,7 +181,7 @@ func TestRingEviction(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 6", tr.Dropped())
 	}
 	got := tr.Snapshot()
-	if a, _ := got[0].Attr("i"); a.Val != 6 {
+	if a, _ := attr(got[0], "i"); a.Val != 6 {
 		t.Fatalf("oldest retained = %d, want 6", a.Val)
 	}
 	// Growing the ring keeps the retained spans.
@@ -179,7 +189,7 @@ func TestRingEviction(t *testing.T) {
 	if tr.Len() != 4 {
 		t.Fatalf("Len after grow = %d, want 4", tr.Len())
 	}
-	if a, _ := tr.Snapshot()[3].Attr("i"); a.Val != 9 {
+	if a, _ := attr(tr.Snapshot()[3], "i"); a.Val != 9 {
 		t.Fatalf("newest after grow = %d, want 9", a.Val)
 	}
 }

@@ -52,7 +52,7 @@ func BenchmarkTCPTransfer(b *testing.B) {
 			}
 		})
 		k.Spawn("client", func(ctx *sim.Ctx) {
-			c, err := sa.Dial(ctx, sb.Node().Addr(), p)
+			c, err := sa.Dial(ctx, sb.node.Addr(), p)
 			if err != nil {
 				b.Error(err)
 				return
@@ -86,7 +86,7 @@ func BenchmarkConnMessageExchange(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := k.RunFor(time.Millisecond); err != nil {
+				if err := k.RunUntil(k.Now() + time.Millisecond); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -61,7 +61,7 @@ type Conn struct {
 	err      error
 
 	// Handshake.
-	iss, irs    int64
+	iss         int64
 	established *sim.Cond
 
 	// Sender.
@@ -124,21 +124,11 @@ type interval struct {
 	start, end int64
 }
 
-// ConnStats holds cumulative counters and instantaneous congestion
-// state.
+// ConnStats holds the connection's cumulative segment counters.
 type ConnStats struct {
-	BytesSent      int64 // payload bytes transmitted, incl. retransmits
-	BytesAcked     int64
-	BytesReceived  int64 // in-order payload bytes delivered toward the app
-	SegmentsSent   uint64
-	Retransmits    uint64
-	Timeouts       uint64
-	FastRetransmit uint64
-	DupAcksSeen    uint64
-	Cwnd           units.ByteSize
-	Ssthresh       units.ByteSize
-	SRTT           time.Duration
-	RTO            time.Duration
+	SegmentsSent uint64
+	Retransmits  uint64
+	Timeouts     uint64
 }
 
 func newConn(s *Stack, lport netsim.Port, raddr netsim.Addr, rport netsim.Port) *Conn {
@@ -218,18 +208,8 @@ func (c *Conn) SetRcvBuf(n units.ByteSize) {
 	c.rcvBufCap = n
 }
 
-// SndBuf returns the send buffer capacity.
-func (c *Conn) SndBuf() units.ByteSize { return c.sndBufCap }
-
 // Stats returns a snapshot of the connection's counters.
-func (c *Conn) Stats() ConnStats {
-	st := c.stats
-	st.Cwnd = units.ByteSize(c.cwnd)
-	st.Ssthresh = units.ByteSize(c.ssthresh)
-	st.SRTT = c.srtt
-	st.RTO = c.rto
-	return st
-}
+func (c *Conn) Stats() ConnStats { return c.stats }
 
 func maxI64(a, b int64) int64 {
 	if a > b {
@@ -324,18 +304,6 @@ func (c *Conn) Read(ctx *sim.Ctx, max units.ByteSize) (units.ByteSize, error) {
 		}
 		c.rcvCond.Wait(ctx)
 	}
-}
-
-// ReadFull blocks until exactly n bytes have been consumed.
-func (c *Conn) ReadFull(ctx *sim.Ctx, n units.ByteSize) error {
-	for n > 0 {
-		got, err := c.Read(ctx, n)
-		if err != nil {
-			return err
-		}
-		n -= got
-	}
-	return nil
 }
 
 // ReadMsg blocks until the next marker is reached, consuming the

@@ -32,7 +32,7 @@ func appLimitedCwnd(t *testing.T, disableCWV bool) units.ByteSize {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -47,7 +47,7 @@ func appLimitedCwnd(t *testing.T, disableCWV bool) units.ByteSize {
 	if err := k.RunUntil(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	return conn.Stats().Cwnd
+	return units.ByteSize(conn.cwnd)
 }
 
 func TestCWVLimitsAppLimitedGrowth(t *testing.T) {
@@ -83,7 +83,7 @@ func TestSlowStartRestartAfterIdle(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -92,12 +92,12 @@ func TestSlowStartRestartAfterIdle(t *testing.T) {
 		// Bulk phase grows cwnd.
 		c.Write(ctx, 2*units.MB)
 		c.Drain(ctx)
-		cwndBeforeIdle = c.Stats().Cwnd
+		cwndBeforeIdle = units.ByteSize(c.cwnd)
 		// Idle for 2 s (>> RTO), then send again.
 		ctx.Sleep(2 * time.Second)
 		c.Write(ctx, 10*units.KB)
-		ctx.Yield()
-		cwndAfterIdle = c.Stats().Cwnd
+		ctx.Sleep(0)
+		cwndAfterIdle = units.ByteSize(c.cwnd)
 	})
 	if err := k.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestSSRDisabled(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -141,8 +141,8 @@ func TestSSRDisabled(t *testing.T) {
 		c.Drain(ctx)
 		ctx.Sleep(2 * time.Second)
 		c.Write(ctx, 10*units.KB)
-		ctx.Yield()
-		cwndAfterIdle = c.Stats().Cwnd
+		ctx.Sleep(0)
+		cwndAfterIdle = units.ByteSize(c.cwnd)
 	})
 	if err := k.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestDelayedAckReducesAckTraffic(t *testing.T) {
 			}
 		})
 		k.Spawn("client", func(ctx *sim.Ctx) {
-			c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+			c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 			if err != nil {
 				t.Error(err)
 				return
@@ -196,7 +196,7 @@ func TestDelayedAckReducesAckTraffic(t *testing.T) {
 func TestTCPSurvivesLinkFlap(t *testing.T) {
 	opts := DefaultOptions()
 	k, sa, sb := testNet(10*units.Mbps, 2*time.Millisecond, opts)
-	link := sa.Node().Network().Links()[0]
+	link := sa.node.Network().Links()[0]
 	var received units.ByteSize
 	k.Spawn("server", func(ctx *sim.Ctx) {
 		l, _ := sb.Listen(80)
@@ -213,7 +213,7 @@ func TestTCPSurvivesLinkFlap(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return

@@ -55,7 +55,7 @@ func runMarkerProperty(t *testing.T, seed int) int {
 
 	// Lost ACKs include window updates, so the sender also probes a
 	// closed window; a probe past a full buffer is truncated too.
-	sa.Node().Ifaces()[0].AddIngress(netsim.IngressFilterFunc(func(p *netsim.Packet) *netsim.Packet {
+	sa.node.Ifaces()[0].AddIngress(filterFunc(func(p *netsim.Packet) *netsim.Packet {
 		if rng.Float64() < loss {
 			return nil
 		}
@@ -63,7 +63,7 @@ func runMarkerProperty(t *testing.T, seed int) int {
 	}))
 	var server *Conn
 	truncated := 0
-	sb.Node().Ifaces()[0].AddIngress(netsim.IngressFilterFunc(func(p *netsim.Packet) *netsim.Packet {
+	sb.node.Ifaces()[0].AddIngress(filterFunc(func(p *netsim.Packet) *netsim.Packet {
 		if p.PayloadLen == 0 {
 			return p
 		}
@@ -116,7 +116,7 @@ func runMarkerProperty(t *testing.T, seed int) int {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -160,7 +160,7 @@ func exchangeConns(tb testing.TB) (*sim.Kernel, *Conn, *Conn) {
 		server = c
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			tb.Error(err)
 			return
@@ -257,7 +257,7 @@ func exchangeLoop(tb testing.TB, size units.ByteSize) *sim.Kernel {
 func TestSteadyStateMessageExchangeAllocsNothing(t *testing.T) {
 	k := exchangeLoop(t, 512)
 	step := func() {
-		if err := k.RunFor(time.Millisecond); err != nil {
+		if err := k.RunUntil(k.Now() + time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}

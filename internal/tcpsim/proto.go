@@ -156,7 +156,6 @@ func (c *Conn) transmitRange(seq int64, n units.ByteSize, retx bool) {
 			seg.markers = append(seg.markers, m)
 		}
 	}
-	c.stats.BytesSent += int64(n)
 	m := &c.stack.m
 	retxFlag := int64(0)
 	if retx {
@@ -308,7 +307,6 @@ func (c *Conn) handleSegment(seg *segment, p *netsim.Packet) {
 			return
 		}
 		if seg.flags&(flagSYN|flagACK) == flagSYN|flagACK && seg.ack == c.iss+1 {
-			c.irs = seg.seq
 			c.rcvNxt = seg.seq + 1
 			c.sndUna = seg.ack
 			c.sndNxt = seg.ack
@@ -386,7 +384,6 @@ func (c *Conn) processAck(seg *segment) {
 			// ahead rather than re-sending what the peer has.
 			c.sndNxt = ack
 		}
-		c.stats.BytesAcked += acked
 		c.trimMarkers()
 		if c.rttTiming && ack >= c.rttSeq {
 			c.sampleRTT(c.stack.k.Now() - c.rttStart)
@@ -443,7 +440,6 @@ func (c *Conn) processAck(seg *segment) {
 	// Duplicate ACK detection: same ack, no payload, unchanged
 	// window, data outstanding.
 	if ack == c.sndUna && seg.length == 0 && !wndChanged && c.sndNxt > c.sndUna {
-		c.stats.DupAcksSeen++
 		c.dupAcks++
 		mss := float64(mss)
 		if c.inRecovery {
@@ -453,7 +449,6 @@ func (c *Conn) processAck(seg *segment) {
 		}
 		if c.dupAcks == 3 {
 			// Fast retransmit + fast recovery.
-			c.stats.FastRetransmit++
 			c.stack.m.fastRetx.Inc()
 			flight := float64(c.sndNxt - c.sndUna)
 			c.ssthresh = flight / 2
@@ -527,9 +522,7 @@ func (c *Conn) processData(seg *segment) {
 			}
 			end = limit
 		}
-		advanced := end - c.rcvNxt
 		c.rcvNxt = end
-		c.stats.BytesReceived += advanced
 		c.mergeOOO()
 		c.checkPeerFin()
 		c.scheduleAck()
@@ -573,9 +566,7 @@ func (c *Conn) mergeOOO() {
 			case iv.end <= c.rcvNxt:
 				// Fully consumed.
 			case iv.start <= c.rcvNxt:
-				adv := iv.end - c.rcvNxt
 				c.rcvNxt = iv.end
-				c.stats.BytesReceived += adv
 				changed = true
 			default:
 				keep = append(keep, iv)

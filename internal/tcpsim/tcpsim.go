@@ -121,8 +121,7 @@ type Stack struct {
 	listeners map[netsim.Port]*Listener
 	nextPort  netsim.Port
 
-	rstSent uint64
-	m       stackMetrics
+	m stackMetrics
 
 	// segFree is the segment freelist; see allocSeg.
 	segFree []*segment
@@ -202,9 +201,6 @@ func NewStack(nd *netsim.Node, opts Options) *Stack {
 	return s
 }
 
-// Node returns the node the stack runs on.
-func (s *Stack) Node() *netsim.Node { return s.node }
-
 func (s *Stack) allocPort() netsim.Port {
 	for {
 		p := s.nextPort
@@ -252,7 +248,6 @@ func (s *Stack) HandlePacket(p *netsim.Packet) {
 }
 
 func (s *Stack) sendRST(orig *netsim.Packet) {
-	s.rstSent++
 	seg := s.allocSeg()
 	seg.flags = flagRST
 	seg.ack = orig.Payload.(*segment).seq + 1
@@ -376,7 +371,6 @@ func (l *Listener) handleSyn(seg *segment, p *netsim.Packet) {
 	c.connect = c.tr.Begin(c.trace, 0, "tcp.accept", s.m.nodeName)
 	c.connect.Int("lport", int64(p.DstPort)).Int("rport", int64(p.SrcPort))
 	c.rcvNxt = seg.seq + 1
-	c.irs = seg.seq
 	c.sendFlags(flagSYN|flagACK, c.iss, c.rcvNxt)
 	// If the handshake ACK is lost the client's data segment will
 	// also complete it; no SYN|ACK retransmit timer for simplicity.

@@ -12,6 +12,23 @@ import (
 
 // testNet builds a two-host network with TCP stacks:
 // a --- b at the given rate/delay.
+// filterFunc adapts a function to the netsim.IngressFilter interface.
+type filterFunc func(p *netsim.Packet) *netsim.Packet
+
+func (f filterFunc) Filter(p *netsim.Packet) *netsim.Packet { return f(p) }
+
+// readFull reads exactly n bytes from c.
+func readFull(ctx *sim.Ctx, c *Conn, n units.ByteSize) error {
+	for n > 0 {
+		got, err := c.Read(ctx, n)
+		if err != nil {
+			return err
+		}
+		n -= got
+	}
+	return nil
+}
+
 func testNet(rate units.BitRate, delay time.Duration, opts Options) (*sim.Kernel, *Stack, *Stack) {
 	k := sim.New(1)
 	n := netsim.New(k)
@@ -63,7 +80,7 @@ func TestHandshakeAndTransfer(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -90,7 +107,7 @@ func TestDialRefused(t *testing.T) {
 	k, sa, sb := testNet(10*units.Mbps, time.Millisecond, DefaultOptions())
 	var dialErr error
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		_, dialErr = sa.Dial(ctx, sb.Node().Addr(), 81)
+		_, dialErr = sa.Dial(ctx, sb.node.Addr(), 81)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -150,7 +167,7 @@ func TestThroughputApproachesLinkRate(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -177,8 +194,8 @@ func TestReliableDeliveryUnderLoss(t *testing.T) {
 	opts := DefaultOptions()
 	k, sa, sb := testNet(10*units.Mbps, 2*time.Millisecond, opts)
 	rng := sim.NewRNG(42)
-	bIface := sb.Node().Ifaces()[0]
-	bIface.AddIngress(netsim.IngressFilterFunc(func(p *netsim.Packet) *netsim.Packet {
+	bIface := sb.node.Ifaces()[0]
+	bIface.AddIngress(filterFunc(func(p *netsim.Packet) *netsim.Packet {
 		if p.PayloadLen > 0 && rng.Float64() < 0.05 {
 			return nil
 		}
@@ -203,7 +220,7 @@ func TestReliableDeliveryUnderLoss(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -229,7 +246,7 @@ func TestInOrderDeliveryProperty(t *testing.T) {
 	opts := DefaultOptions()
 	k, sa, sb := testNet(10*units.Mbps, 2*time.Millisecond, opts)
 	rng := sim.NewRNG(7)
-	sb.Node().Ifaces()[0].AddIngress(netsim.IngressFilterFunc(func(p *netsim.Packet) *netsim.Packet {
+	sb.node.Ifaces()[0].AddIngress(filterFunc(func(p *netsim.Packet) *netsim.Packet {
 		if p.PayloadLen > 0 && rng.Float64() < 0.1 {
 			return nil
 		}
@@ -253,7 +270,7 @@ func TestInOrderDeliveryProperty(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -302,7 +319,7 @@ func TestSlowStartGrowth(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -310,8 +327,8 @@ func TestSlowStartGrowth(t *testing.T) {
 		conn = c
 		c.Write(ctx, 5*units.MB)
 	})
-	k.After(70*time.Millisecond, func() { cwndAt50ms = conn.Stats().Cwnd })
-	k.After(130*time.Millisecond, func() { cwndAt100ms = conn.Stats().Cwnd })
+	k.After(70*time.Millisecond, func() { cwndAt50ms = units.ByteSize(conn.cwnd) })
+	k.After(130*time.Millisecond, func() { cwndAt100ms = units.ByteSize(conn.cwnd) })
 	if err := k.RunUntil(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +346,7 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 	k, sa, sb := testNet(10*units.Mbps, 2*time.Millisecond, opts)
 	dropped := false
 	count := 0
-	sb.Node().Ifaces()[0].AddIngress(netsim.IngressFilterFunc(func(p *netsim.Packet) *netsim.Packet {
+	sb.node.Ifaces()[0].AddIngress(filterFunc(func(p *netsim.Packet) *netsim.Packet {
 		if p.PayloadLen > 0 {
 			count++
 			if count == 20 && !dropped {
@@ -356,7 +373,7 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -373,7 +390,8 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 	if received != 500*units.KB {
 		t.Fatalf("received %d, want %d", received, 500*units.KB)
 	}
-	if st.FastRetransmit == 0 {
+	// With no RTO, every retransmission is a fast retransmit.
+	if st.Retransmits == 0 {
 		t.Fatal("expected a fast retransmit")
 	}
 	if st.Timeouts != 0 {
@@ -387,7 +405,7 @@ func TestRTOAfterTotalBlackout(t *testing.T) {
 	opts := DefaultOptions()
 	k, sa, sb := testNet(10*units.Mbps, time.Millisecond, opts)
 	blackout := false
-	sb.Node().Ifaces()[0].AddIngress(netsim.IngressFilterFunc(func(p *netsim.Packet) *netsim.Packet {
+	sb.node.Ifaces()[0].AddIngress(filterFunc(func(p *netsim.Packet) *netsim.Packet {
 		if blackout {
 			return nil
 		}
@@ -410,7 +428,7 @@ func TestRTOAfterTotalBlackout(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -453,7 +471,7 @@ func TestSendBufferBlocksWriter(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -497,7 +515,7 @@ func TestReceiverWindowBackpressure(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -528,7 +546,7 @@ func TestBidirectionalTransfer(t *testing.T) {
 			return
 		}
 		for i := 0; i < rounds; i++ {
-			if err := c.ReadFull(ctx, msg); err != nil {
+			if err := readFull(ctx, c, msg); err != nil {
 				t.Error(err)
 				return
 			}
@@ -540,7 +558,7 @@ func TestBidirectionalTransfer(t *testing.T) {
 		done++
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -550,7 +568,7 @@ func TestBidirectionalTransfer(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := c.ReadFull(ctx, msg); err != nil {
+			if err := readFull(ctx, c, msg); err != nil {
 				t.Error(err)
 				return
 			}
@@ -584,7 +602,7 @@ func TestGracefulCloseBothSides(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -621,7 +639,7 @@ func TestRTTEstimate(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -637,7 +655,7 @@ func TestRTTEstimate(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	srtt := conn.Stats().SRTT
+	srtt := conn.srtt
 	// One-way 10 ms => RTT ~10 ms (5 ms each way) plus serialization.
 	if srtt < 9*time.Millisecond || srtt > 15*time.Millisecond {
 		t.Fatalf("SRTT = %v, want ~10ms", srtt)
@@ -661,7 +679,7 @@ func TestEphemeralPortsAndConcurrentConns(t *testing.T) {
 	})
 	for i := 0; i < nConns; i++ {
 		k.Spawn("client", func(ctx *sim.Ctx) {
-			if _, err := sa.Dial(ctx, sb.Node().Addr(), 80); err != nil {
+			if _, err := sa.Dial(ctx, sb.node.Addr(), 80); err != nil {
 				t.Error(err)
 			}
 		})
@@ -701,7 +719,7 @@ func TestWriteAfterCloseFails(t *testing.T) {
 		l.Accept(ctx)
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return
@@ -742,7 +760,7 @@ func TestMsgMarkerAcrossSegments(t *testing.T) {
 		n, obj, _ = c.ReadMsg(ctx)
 	})
 	k.Spawn("client", func(ctx *sim.Ctx) {
-		c, err := sa.Dial(ctx, sb.Node().Addr(), 80)
+		c, err := sa.Dial(ctx, sb.node.Addr(), 80)
 		if err != nil {
 			t.Error(err)
 			return

@@ -34,34 +34,6 @@ func (s Series) String() string {
 	return b.String()
 }
 
-// Max returns the largest value in the series (0 if empty).
-func (s Series) Max() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].V
-	for _, p := range s.Points[1:] {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Min returns the smallest value in the series (0 if empty).
-func (s Series) Min() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].V
-	for _, p := range s.Points[1:] {
-		if p.V < m {
-			m = p.V
-		}
-	}
-	return m
-}
-
 // Mean returns the arithmetic mean of the values (0 if empty).
 func (s Series) Mean() float64 {
 	if len(s.Points) == 0 {
@@ -177,16 +149,6 @@ func (t *SeqTrace) Record(now time.Duration, seq int64, length units.ByteSize, r
 	t.Points = append(t.Points, SeqPoint{T: now, Seq: seq, Len: length, Retx: retx})
 }
 
-// Series converts the trace to (time, sequence number in Kb) points,
-// the units of Figure 7's y-axis.
-func (t *SeqTrace) Series(name string) Series {
-	s := Series{Name: name}
-	for _, p := range t.Points {
-		s.Points = append(s.Points, Point{T: p.T, V: float64(p.Seq) * 8 / 1000})
-	}
-	return s
-}
-
 // Between returns the points with from <= T < to.
 func (t *SeqTrace) Between(from, to time.Duration) []SeqPoint {
 	var out []SeqPoint
@@ -196,17 +158,6 @@ func (t *SeqTrace) Between(from, to time.Duration) []SeqPoint {
 		}
 	}
 	return out
-}
-
-// Retransmits counts retransmitted segments in the trace.
-func (t *SeqTrace) Retransmits() int {
-	n := 0
-	for _, p := range t.Points {
-		if p.Retx {
-			n++
-		}
-	}
-	return n
 }
 
 // BurstStats summarizes the burstiness of a sequence trace: the

@@ -244,7 +244,7 @@ func (s *refStorm) run(k *sim.Kernel) {
 		k.Spawn("storm-arrivals", func(ctx *sim.Ctx) {
 			mean := float64(time.Second) / s.Rate
 			for i := 0; ; i++ {
-				gap := time.Duration(ctx.RNG().ExpFloat64() * mean)
+				gap := time.Duration(ctx.Kernel().RNG().ExpFloat64() * mean)
 				if gap < time.Microsecond {
 					gap = time.Microsecond
 				}

@@ -111,7 +111,7 @@ func blasterSend(a0, _ any) {
 	if b.Stop != 0 && k.Now() >= b.Stop {
 		return
 	}
-	b.sock.SendTo(b.dst, b.port, b.PacketSize, nil)
+	b.sock.SendTo(b.dst, b.port, b.PacketSize)
 	b.sent++
 	d := b.gap
 	if b.Jitter > 0 {
