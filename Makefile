@@ -55,13 +55,13 @@ test-short:
 # the traced-figure
 # determinism regressions (-parallel 1 vs 8 byte-identical, crash
 # schedules included), MPI teardown (Finalize, repeated job
-# lifecycles) and kernel Close, then five rounds of the differential
+# lifecycles), recycled MPI requests and kernel Close, then five rounds of the differential
 # tests that pin delay lines, globus-io Serve receivers, Cond
 # waiters, MPI nonblocking receives and the callback admission storm
 # to the event sequences of ordinary events and of the processes they
 # replace. Seeds are fixed in the tests, so runs are reproducible.
 test-chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Soak|Crash|Breaker|Gate|TraceDeterministic|Finalize|Lifecycle|Close' \
+	$(GO) test -race -count=1 -run 'Chaos|Soak|Crash|Breaker|Gate|TraceDeterministic|Finalize|Lifecycle|Close|Recycle' \
 		./internal/ctrlplane/... ./internal/faults/... ./internal/gara/... ./internal/core/... \
 		./internal/mpi/... ./internal/experiments/... ./internal/sim/... ./internal/trafficgen/... ./cmd/gqd/ \
 		-timeout 900s

@@ -315,16 +315,6 @@ var deadAllowlist = map[string]string{
 	"internal/mpi.Rank.Epoch":           "(b) Invariants (c): a restarted rank's incarnation",
 	"internal/mpi.Rank.Finalize":        "(b) Invariants (c): the teardown the lifecycle and soak tests end with",
 	"internal/tcpsim.Stack.ConnCount":   "(b) Invariants (c): the teardown tests count each host's open connections",
-	// MPI requests that end at Wait, and persistent requests that are
-	// reused:
-	"internal/mpi.Rank.SendInit":             "(b) MPI requests item: persistent send, to own one re-armed Request",
-	"internal/mpi.Rank.RecvInit":             "(b) MPI requests item: persistent receive, to own one re-armed Request",
-	"internal/mpi.PersistentRequest.SetData": "(b) MPI requests item: the payload of the next Start",
-	"internal/mpi.PersistentRequest.Start":   "(b) MPI requests item: re-arms the persistent request",
-	"internal/mpi.PersistentRequest.Wait":    "(b) MPI requests item: to return the Message by value",
-	"internal/mpi.PersistentRequest.Message": "(b) MPI requests item: replaced by a Wait that returns the Message",
-	"internal/mpi.Request.Message":           "(b) MPI requests item: replaced by a Wait that returns the Message",
-	"internal/mpi.Message.Src":               "(b) MPI requests item: TestIrecvDifferential, its bar, digests each message's source",
 	// The results-changing control-plane item configures the storm
 	// workload's loss and duplication (iii):
 	"internal/ctrlplane.Conn.Chans":  "(b) control-plane item (iii): the channels the storm's duplication goes on",
@@ -339,6 +329,7 @@ var deadAllowlist = map[string]string{
 	"internal/ctrlplane.Conn.madeReplies": "(c) exactly-once pool ownership: the pool soak checks every record ever made is back on its freelist",
 	"internal/faults.Scenario.Loss":       "(c) zero leaked capacity under faults: the chaos soak's random scenarios open loss windows",
 	"internal/faults.Scenario.Corrupt":    "(c) zero leaked capacity under faults: the chaos soak's random scenarios open corruption windows",
+	"internal/mpi.Message.Src":            "(c) a nonblocking receive matches the sender a blocked one would: the Irecv differential and the wildcard races read each message's source, which no metric records",
 }
 
 // TestProductionReachesEveryFunc fails on every non-test func or

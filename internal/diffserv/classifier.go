@@ -225,9 +225,9 @@ func (c *Classifier) Filter(p *netsim.Packet) *netsim.Packet {
 // exceed action drops or remarks the excess rate exactly as it would
 // excess packets. Rules police fluid collectively within one solver
 // refresh: the first flows through a shared aggregate policer consume
-// its rate budget in deterministic flow order.
-func (c *Classifier) FilterFluid(gen uint64, key netsim.FlowKey, comps []netsim.FluidComponent) []netsim.FluidComponent {
-	out := make([]netsim.FluidComponent, 0, len(comps)+1)
+// its rate budget in deterministic flow order. The components are
+// appended to out, which must not share comps' array.
+func (c *Classifier) FilterFluid(gen uint64, key netsim.FlowKey, comps, out []netsim.FluidComponent) []netsim.FluidComponent {
 	for _, comp := range comps {
 		probe := netsim.Packet{
 			Src:     key.Src,

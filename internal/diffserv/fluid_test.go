@@ -18,7 +18,7 @@ func TestFilterFluidMarksWithoutPolicer(t *testing.T) {
 	k := sim.New(1)
 	c := newClassifier(k, &Rule{Match: Match{}, Mark: netsim.DSCPEF})
 	out := c.FilterFluid(1, fluidKey(40001),
-		[]netsim.FluidComponent{{Rate: 1000, DSCP: netsim.DSCPBestEffort}})
+		[]netsim.FluidComponent{{Rate: 1000, DSCP: netsim.DSCPBestEffort}}, nil)
 	if len(out) != 1 || out[0].DSCP != netsim.DSCPEF || out[0].Rate != 1000 {
 		t.Fatalf("marked components = %+v, want one EF at 1000", out)
 	}
@@ -38,7 +38,7 @@ func TestFilterFluidPolicesSteadyRate(t *testing.T) {
 		tb := NewTokenBucket(k, 1*units.Mbps, 1500)
 		c := newClassifier(k, &Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: tc.action})
 		out := c.FilterFluid(1, fluidKey(40001),
-			[]netsim.FluidComponent{{Rate: 4_000_000 / 8, DSCP: netsim.DSCPBestEffort}})
+			[]netsim.FluidComponent{{Rate: 4_000_000 / 8, DSCP: netsim.DSCPBestEffort}}, nil)
 		if len(out) != tc.want {
 			t.Fatalf("action %v: %d components, want %d (%+v)", tc.action, len(out), tc.want, out)
 		}
@@ -61,21 +61,44 @@ func TestFilterFluidAggregateBudgetShared(t *testing.T) {
 	c := newClassifier(k, &Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: ExceedDrop})
 	in := []netsim.FluidComponent{{Rate: 100_000, DSCP: netsim.DSCPBestEffort}}
 
-	first := c.FilterFluid(7, fluidKey(40001), in)
+	first := c.FilterFluid(7, fluidKey(40001), in, nil)
 	if len(first) != 1 || first[0].Rate != 100_000 {
 		t.Fatalf("first flow got %+v, want full 100000 B/s (budget 125000)", first)
 	}
-	second := c.FilterFluid(7, fluidKey(40002), in)
+	second := c.FilterFluid(7, fluidKey(40002), in, nil)
 	if len(second) != 1 || second[0].Rate != 25_000 {
 		t.Fatalf("second flow got %+v, want remaining 25000 B/s", second)
 	}
-	third := c.FilterFluid(7, fluidKey(40003), in)
+	third := c.FilterFluid(7, fluidKey(40003), in, nil)
 	if len(third) != 0 {
 		t.Fatalf("third flow got %+v, want empty (budget exhausted)", third)
 	}
-	reset := c.FilterFluid(8, fluidKey(40004), in)
+	reset := c.FilterFluid(8, fluidKey(40004), in, nil)
 	if len(reset) != 1 || reset[0].Rate != 100_000 {
 		t.Fatalf("new generation got %+v, want budget reset", reset)
+	}
+}
+
+// TestFilterFluidAppendsWithoutAllocating: an EF policer that remarks
+// the excess writes its two components into the caller's buffer, so a
+// re-solve that hands it a warm one allocates nothing at this hop.
+func TestFilterFluidAppendsWithoutAllocating(t *testing.T) {
+	k := sim.New(1)
+	tb := NewTokenBucket(k, 1*units.Mbps, 1500)
+	c := newClassifier(k, &Rule{Match: Match{}, Mark: netsim.DSCPEF, Police: tb, Exceed: ExceedRemark})
+	in := []netsim.FluidComponent{{Rate: 4_000_000 / 8, DSCP: netsim.DSCPBestEffort}}
+	buf := make([]netsim.FluidComponent, 0, 2)
+	gen := uint64(0)
+	var out []netsim.FluidComponent
+	allocs := testing.AllocsPerRun(100, func() {
+		gen++
+		out = c.FilterFluid(gen, fluidKey(40001), in, buf[:0])
+	})
+	if allocs != 0 {
+		t.Fatalf("FilterFluid allocates %v times per call, want 0", allocs)
+	}
+	if len(out) != 2 || &out[0] != &buf[:1][0] {
+		t.Fatalf("FilterFluid returned %+v, want two components in the caller's buffer", out)
 	}
 }
 

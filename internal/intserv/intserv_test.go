@@ -1,6 +1,7 @@
 package intserv
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -114,6 +115,52 @@ func TestWFQWorkConserving(t *testing.T) {
 	rate := units.RateOf(units.ByteSize(rx), 5*time.Second)
 	if rate < 9*units.Mbps {
 		t.Fatalf("lone flow got %v of a 10 Mb/s link, want ~all of it", rate)
+	}
+}
+
+// TestWFQRemoveFlowWithQueuedPackets: a flow removed while it has
+// packets queued leaves them in the queue's Len and Bytes, and they are
+// served by the finish tags its reservation gave them; the flow's next
+// packet queues as best effort.
+func TestWFQRemoveFlowWithQueuedPackets(t *testing.T) {
+	w := NewWFQ(10*units.Mbps, units.MB)
+	f1 := netsim.FlowKey{Src: 1, Dst: 2, SrcPort: 1, DstPort: 1, Proto: netsim.ProtoUDP}
+	if err := w.AddFlow(f1, 8*units.Mbps); err != nil {
+		t.Fatal(err)
+	}
+	mk := func(port netsim.Port, size units.ByteSize) *netsim.Packet {
+		return &netsim.Packet{Src: 1, Dst: 2, SrcPort: port, DstPort: port, Proto: netsim.ProtoUDP, Size: size}
+	}
+	// Finish tags: the flow's at 8 Mb/s are 1, 2 and 3 ms; best effort
+	// at the leftover 2 Mb/s, 2 and 4 ms.
+	for _, p := range []*netsim.Packet{mk(1, 1000), mk(1, 1000), mk(1, 1000), mk(9, 500), mk(9, 500)} {
+		if !w.Enqueue(p) {
+			t.Fatal("enqueue refused")
+		}
+	}
+	if !w.RemoveFlow(f1) {
+		t.Fatal("RemoveFlow found no flow")
+	}
+	if w.FlowCount() != 0 || w.Len() != 5 || w.Bytes() != 4000 {
+		t.Fatalf("after RemoveFlow: %d flows, Len %d, Bytes %v; want 0, 5, 4000", w.FlowCount(), w.Len(), w.Bytes())
+	}
+	// Best effort now has the whole 10 Mb/s: this packet's tag is
+	// 4 ms + 0.8 ms.
+	if !w.Enqueue(mk(1, 1000)) {
+		t.Fatal("enqueue refused")
+	}
+	var order []netsim.Port
+	left := w.Bytes()
+	for p := w.Dequeue(); p != nil; p = w.Dequeue() {
+		order = append(order, p.SrcPort)
+		left -= p.Size
+		if w.Bytes() != left {
+			t.Fatalf("Bytes %v after dequeuing %v, want %v", w.Bytes(), order, left)
+		}
+	}
+	want := []netsim.Port{1, 1, 9, 1, 9, 1}
+	if fmt.Sprint(order) != fmt.Sprint(want) || w.Len() != 0 || w.Bytes() != 0 {
+		t.Fatalf("served %v, ending with Len %d Bytes %v; want %v, 0, 0", order, w.Len(), w.Bytes(), want)
 	}
 }
 

@@ -30,6 +30,8 @@ type WFQ struct {
 	vtime    float64
 	heapq    wfqHeap
 	seq      uint64
+	// bytes is the size of every queued packet, Len's packets in bytes.
+	bytes units.ByteSize
 
 	perFlowCap units.ByteSize
 }
@@ -103,8 +105,9 @@ func (w *WFQ) AddFlow(key netsim.FlowKey, rate units.BitRate) error {
 	return nil
 }
 
-// RemoveFlow releases a reservation; queued packets of the flow are
-// re-classified as best effort at their next service.
+// RemoveFlow releases a reservation. Packets of the flow that are
+// already queued keep the finish tags its reserved rate gave them and
+// are served in that order; the flow's later packets are best effort.
 func (w *WFQ) RemoveFlow(key netsim.FlowKey) bool {
 	if _, ok := w.flows[key]; !ok {
 		return false
@@ -153,6 +156,7 @@ func (w *WFQ) Enqueue(p *netsim.Packet) bool {
 	w.seq++
 	t := &taggedPkt{p: p, flow: f, start: start, finish: finish, seq: w.seq}
 	f.bytes += p.Size
+	w.bytes += p.Size
 	heap.Push(&w.heapq, t)
 	return true
 }
@@ -166,6 +170,7 @@ func (w *WFQ) Dequeue() *netsim.Packet {
 	w.vtime = t.start
 	f := t.flow
 	f.bytes -= t.p.Size
+	w.bytes -= t.p.Size
 	return t.p
 }
 
@@ -173,10 +178,4 @@ func (w *WFQ) Dequeue() *netsim.Packet {
 func (w *WFQ) Len() int { return len(w.heapq) }
 
 // Bytes implements netsim.Queue.
-func (w *WFQ) Bytes() units.ByteSize {
-	total := w.be.bytes
-	for _, f := range w.flows {
-		total += f.bytes
-	}
-	return total
-}
+func (w *WFQ) Bytes() units.ByteSize { return w.bytes }

@@ -109,7 +109,7 @@ func BenchmarkIrecvWait(b *testing.B) {
 				failed = err
 				return
 			}
-			failed = q.Wait(ctx)
+			_, failed = q.Wait(ctx)
 		}
 	})
 	// Wire the job up; rank 1 stops the kernel before round 1.

@@ -229,12 +229,13 @@ type Rank struct {
 
 	// Matching engine. envFree recycles envelopes, postFree the posted
 	// records of blocking receives, sendFree the rendezvous sends
-	// awaiting CTS, and conds the Conds of all three and of
-	// Request.Wait.
+	// awaiting CTS, reqFree the requests Wait has freed, and conds the
+	// Conds of the first three and of Request.Wait.
 	unexpected []*envelope
 	envFree    []*envelope
 	postFree   []*postedRecv
 	sendFree   []*rdvSend
+	reqFree    []*Request
 	conds      []*sim.Cond
 	posted     []*postedRecv
 	matchedRdv []*envelope // matched rendezvous envelopes awaiting data

@@ -223,7 +223,7 @@ func TestRendezvousRecvPostedFirst(t *testing.T) {
 
 func TestIsendIrecvWaitAll(t *testing.T) {
 	k, j := testJob(2, JobOptions{})
-	var got []*Message
+	var got []Message
 	j.Start(func(ctx *sim.Ctx, r *Rank) {
 		w := r.World()
 		switch r.ID() {
@@ -240,6 +240,11 @@ func TestIsendIrecvWaitAll(t *testing.T) {
 			if err := WaitAll(ctx, reqs...); err != nil {
 				t.Error(err)
 			}
+			for i, q := range reqs {
+				if q != nil {
+					t.Errorf("WaitAll left request %d set, want MPI_REQUEST_NULL", i)
+				}
+			}
 		case 1:
 			var reqs []*Request
 			for i := 0; i < 5; i++ {
@@ -250,12 +255,13 @@ func TestIsendIrecvWaitAll(t *testing.T) {
 				}
 				reqs = append(reqs, q)
 			}
-			if err := WaitAll(ctx, reqs...); err != nil {
-				t.Error(err)
-				return
-			}
 			for _, q := range reqs {
-				got = append(got, q.Message())
+				m, err := q.Wait(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got = append(got, m)
 			}
 		}
 	})

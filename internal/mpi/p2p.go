@@ -611,7 +611,7 @@ func (r *Rank) SendRecv(ctx *sim.Ctx, comm *Comm, dest, sendTag int, n units.Byt
 	if err != nil {
 		return Message{}, err
 	}
-	if err := req.Wait(ctx); err != nil {
+	if _, err := req.Wait(ctx); err != nil {
 		return Message{}, err
 	}
 	return msg, nil

@@ -158,8 +158,8 @@ func runExchanges(t *testing.T, prog exchangeProgram, helpers bool) string {
 			var err error
 			if p.h != nil {
 				msg, err = p.h.wait(ctx)
-			} else if err = p.q.Wait(ctx); err == nil {
-				msg = *p.q.Message()
+			} else {
+				msg, err = p.q.Wait(ctx)
 			}
 			fmt.Fprintf(&out, "%d rank %d tag %d: ", ctx.Now(), r.ID(), p.m.tag)
 			if err != nil {
@@ -169,7 +169,7 @@ func runExchanges(t *testing.T, prog exchangeProgram, helpers bool) string {
 			fmt.Fprintf(&out, "src %d len %d data %v\n", msg.Src, msg.Len, msg.Data)
 		}
 		for _, q := range sends {
-			if err := q.Wait(ctx); err != nil {
+			if _, err := q.Wait(ctx); err != nil {
 				fmt.Fprintf(&out, "%d rank %d send error %v\n", ctx.Now(), r.ID(), err)
 			}
 		}
@@ -248,12 +248,12 @@ func TestIrecvErrorsAtWait(t *testing.T) {
 					return
 				}
 				ctx.Sleep(2 * time.Second) // rank 2 crashes meanwhile
-				if !q.Done() {
+				if !q.done {
 					t.Error("receive from the crashed rank still pending")
 				}
 				if tc.wait {
 					waitedAt = ctx.Now()
-					waitErr = q.Wait(ctx)
+					_, waitErr = q.Wait(ctx)
 				}
 			})
 			k.At(time.Second, sim.PrioNormal, func() { j.CrashRank(2) })

@@ -15,59 +15,78 @@ import (
 // helper's, and each later step runs where that helper would resume,
 // so Irecv runs the same events, at the same times and in the same
 // order, as a helper process per request would.
+//
+// Wait ends a request's life (MPI-1.1 §3.7.3): it returns the outcome
+// and puts the request back on its rank's freelist, so the handle is
+// dead afterwards. Irecv and Isend take their requests from there.
 type Request struct {
+	// r is the owning rank, nil once Wait has freed the request.
 	r *Rank
 	// comm is a receive's communicator, nil for a send.
 	comm *Comm
 	done bool
-	err  error
-	msg  Message
-	// cond holds the processes blocked in Wait; the first Wait that
-	// has to block takes it from the rank's pool, and completion
-	// gives it back.
+	// waiting marks the one process that may block in Wait.
+	waiting bool
+	err     error
+	msg     Message
+	// cond wakes the process blocked in Wait; Wait takes it from the
+	// rank's pool when it has to block, and completion gives it back.
 	cond *sim.Cond
 	// post is a receive's entry in the rank's posted list, and
 	// post.env its envelope once matched.
 	post postedRecv
-	// rdv waits for the data of a matched rendezvous envelope; only a
-	// receive that takes the rendezvous path allocates it.
+	// rdv waits for the data of a matched rendezvous envelope. It is
+	// bound to this request's rdvStep, so it outlives a recycling: the
+	// first receive to take the rendezvous path allocates it.
 	rdv *sim.Waiter
 }
 
-// Done reports completion without blocking (MPI_Test).
-func (q *Request) Done() bool { return q.done }
+// takeRequest returns a zeroed request of r from the rank's freelist,
+// or a new one; a recycled request keeps its rdv waiter.
+func (r *Rank) takeRequest(comm *Comm) *Request {
+	q := takeFree(&r.reqFree)
+	*q = Request{r: r, comm: comm, rdv: q.rdv}
+	return q
+}
 
-// Wait blocks until the operation completes and returns its error
-// (MPI_Wait). The job's error handler applies here: a nonblocking
-// operation's error is raised when it is waited on, so under
-// ErrorsAreFatal Wait panics the calling process.
-func (q *Request) Wait(ctx *sim.Ctx) error {
+// Wait blocks until the operation completes and returns its outcome
+// (MPI_Wait): the received message, zero for a send, and the error.
+// The request is freed before the job's error handler applies: a
+// nonblocking operation's error is raised when it is waited on, so
+// under ErrorsAreFatal Wait panics the calling process. A nil request
+// (MPI_REQUEST_NULL) returns at once. Only one process may wait on a
+// request, and only once; Wait panics on a second waiter and on a
+// request that an earlier Wait freed and no Irecv or Isend has taken
+// again.
+func (q *Request) Wait(ctx *sim.Ctx) (Message, error) {
+	if q == nil {
+		return Message{}, nil
+	}
+	r := q.r
+	if r == nil {
+		panic("mpi: Wait on a request that an earlier Wait freed")
+	}
+	if q.waiting {
+		panic(fmt.Sprintf("mpi: rank %d: a second process waits on one request", r.id))
+	}
 	if !q.done {
-		if q.cond == nil {
-			q.cond = q.r.takeCond()
-		}
+		q.waiting = true
+		q.cond = r.takeCond()
 		for !q.done {
 			q.cond.Wait(ctx)
 		}
 	}
-	return q.r.handleErr(q.err)
-}
-
-// Message returns the received message after Wait on an Irecv
-// request; it is nil for a send, an unfinished receive, or a receive
-// that failed.
-func (q *Request) Message() *Message {
-	if q.comm == nil || !q.done || q.err != nil {
-		return nil
-	}
-	return &q.msg
+	msg, err := q.msg, q.err
+	*q = Request{rdv: q.rdv}
+	r.reqFree = append(r.reqFree, q)
+	return msg, r.handleErr(err)
 }
 
 func (q *Request) complete(err error) {
 	q.err = err
 	q.done = true
 	if c := q.cond; c != nil {
-		// The woken processes see done and never touch c again.
+		// The woken process sees done and never touches c again.
 		c.Broadcast()
 		q.cond = nil
 		q.r.putCond(c)
@@ -81,7 +100,7 @@ func (r *Rank) Isend(ctx *sim.Ctx, comm *Comm, dest, tag int, n units.ByteSize, 
 	if _, err := comm.globalRank(dest); err != nil {
 		return nil, err
 	}
-	q := &Request{r: r}
+	q := r.takeRequest(nil)
 	r.job.k.Spawn(r.isendName, func(sctx *sim.Ctx) {
 		q.complete(r.Send(sctx, comm, dest, tag, n, data))
 	})
@@ -97,7 +116,7 @@ func (r *Rank) Irecv(ctx *sim.Ctx, comm *Comm, src, tag int) (*Request, error) {
 			return nil, err
 		}
 	}
-	q := &Request{r: r, comm: comm}
+	q := r.takeRequest(comm)
 	q.post = postedRecv{src: gsrc, ctx: comm.ctxID, tag: tag, q: q}
 	k := r.job.k
 	k.AtFunc(k.Now(), sim.PrioNormal, irecvStart, q, nil)
@@ -169,88 +188,16 @@ func (q *Request) receive(env *envelope) {
 	q.complete(nil)
 }
 
-// WaitAll waits for every request and returns the first error; the
+// WaitAll waits for every request in order, frees each and sets its
+// handle to nil (MPI_REQUEST_NULL), and returns the first error; the
 // error handler applies as in Wait.
 func WaitAll(ctx *sim.Ctx, reqs ...*Request) error {
 	var first error
-	for _, q := range reqs {
-		if err := q.Wait(ctx); err != nil && first == nil {
+	for i, q := range reqs {
+		if _, err := q.Wait(ctx); err != nil && first == nil {
 			first = err
 		}
+		reqs[i] = nil
 	}
 	return first
-}
-
-// PersistentRequest is a reusable communication request
-// (MPI_Send_init / MPI_Recv_init): the envelope is fixed once, then
-// Start/Wait cycles repeat it — the classic idiom for fixed
-// communication patterns like halo exchanges.
-type PersistentRequest struct {
-	rank *Rank
-	send bool
-	comm *Comm
-	peer int // dest or src
-	tag  int
-	size units.ByteSize
-	data any
-
-	cur *Request
-}
-
-// SendInit creates a persistent send request. Data set here is sent
-// on every Start; SetData replaces it between iterations.
-func (r *Rank) SendInit(comm *Comm, dest, tag int, n units.ByteSize, data any) (*PersistentRequest, error) {
-	if _, err := comm.globalRank(dest); err != nil {
-		return nil, err
-	}
-	return &PersistentRequest{rank: r, send: true, comm: comm, peer: dest, tag: tag, size: n, data: data}, nil
-}
-
-// RecvInit creates a persistent receive request.
-func (r *Rank) RecvInit(comm *Comm, src, tag int) (*PersistentRequest, error) {
-	if src != AnySource {
-		if _, err := comm.globalRank(src); err != nil {
-			return nil, err
-		}
-	}
-	return &PersistentRequest{rank: r, comm: comm, peer: src, tag: tag}, nil
-}
-
-// SetData replaces the payload sent by the next Start (send requests
-// only).
-func (p *PersistentRequest) SetData(n units.ByteSize, data any) {
-	p.size = n
-	p.data = data
-}
-
-// Start begins one iteration of the persistent operation. Starting an
-// already-active request is an error (MPI semantics).
-func (p *PersistentRequest) Start(ctx *sim.Ctx) error {
-	if p.cur != nil && !p.cur.Done() {
-		return fmt.Errorf("mpi: persistent request started while active")
-	}
-	var err error
-	if p.send {
-		p.cur, err = p.rank.Isend(ctx, p.comm, p.peer, p.tag, p.size, p.data)
-	} else {
-		p.cur, err = p.rank.Irecv(ctx, p.comm, p.peer, p.tag)
-	}
-	return err
-}
-
-// Wait blocks until the current iteration completes. For receives the
-// message is available afterwards via Message.
-func (p *PersistentRequest) Wait(ctx *sim.Ctx) error {
-	if p.cur == nil {
-		return fmt.Errorf("mpi: persistent request waited before Start")
-	}
-	return p.cur.Wait(ctx)
-}
-
-// Message returns the last completed receive's message.
-func (p *PersistentRequest) Message() *Message {
-	if p.cur == nil {
-		return nil
-	}
-	return p.cur.Message()
 }

@@ -104,11 +104,12 @@ func TestWildcardIrecvRacesMixedProtocols(t *testing.T) {
 				reqs = append(reqs, rq)
 			}
 			for _, rq := range reqs {
-				if err := rq.Wait(ctx); err != nil {
+				m, err := rq.Wait(ctx)
+				if err != nil {
 					t.Errorf("wait: %v", err)
 					return
 				}
-				counts[rq.Message().Src]++
+				counts[m.Src]++
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -145,19 +146,56 @@ func BenchmarkRefreshFluid(b *testing.B) {
 	}
 }
 
-// TestRefreshFluidZeroAlloc: a re-solve allocates nothing; the
-// components a flow carries along its path live in a scratch slice the
-// network keeps.
-func TestRefreshFluidZeroAlloc(t *testing.T) {
-	k, n := fluidDumbbell()
-	resolve := func() {
-		if err := k.RunUntil(k.Now() + time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		n.refreshFluid()
+// fluidPolicer is a FluidFilter that polices like a DiffServ EF rule
+// with a remark action: per solver pass, its flows share rate bytes/s
+// of EF, and the excess goes on as best effort, so one component in
+// becomes two out.
+type fluidPolicer struct {
+	rate, budget float64
+	gen          uint64
+}
+
+func (f *fluidPolicer) Filter(p *Packet) *Packet { return p }
+
+func (f *fluidPolicer) FilterFluid(gen uint64, _ FlowKey, comps, out []FluidComponent) []FluidComponent {
+	if f.gen != gen {
+		f.gen, f.budget = gen, f.rate
 	}
-	resolve()
-	if allocs := testing.AllocsPerRun(200, resolve); allocs != 0 {
-		t.Fatalf("a fluid re-solve allocates %v times, want 0", allocs)
+	for _, c := range comps {
+		conform := math.Min(c.Rate, f.budget)
+		f.budget -= conform
+		out = append(out, FluidComponent{Rate: conform, DSCP: DSCPEF})
+		if c.Rate > conform {
+			out = append(out, FluidComponent{Rate: c.Rate - conform, DSCP: DSCPBestEffort})
+		}
+	}
+	return out
+}
+
+// TestRefreshFluidZeroAlloc: a re-solve allocates nothing, also when a
+// hop polices a flow and splits it into an EF and a best-effort
+// component. The components a flow carries along its path, and those a
+// fluid filter writes, live in two scratch slices the network keeps.
+func TestRefreshFluidZeroAlloc(t *testing.T) {
+	for _, policed := range []bool{false, true} {
+		k, n := fluidDumbbell()
+		pol := &fluidPolicer{rate: 2e6 / 8}
+		if policed {
+			r1 := n.Nodes()[2]
+			r1.Ifaces()[0].AddIngress(pol)
+		}
+		resolve := func() {
+			if err := k.RunUntil(k.Now() + time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			n.refreshFluid()
+		}
+		resolve()
+		if allocs := testing.AllocsPerRun(200, resolve); allocs != 0 {
+			t.Fatalf("policed %v: a fluid re-solve allocates %v times, want 0", policed, allocs)
+		}
+		if policed && pol.gen != n.fluidGen {
+			t.Fatalf("the policer last saw pass %d, the re-solve ran pass %d", pol.gen, n.fluidGen)
+		}
 	}
 }

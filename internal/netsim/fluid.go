@@ -44,12 +44,13 @@ type FluidComponent struct {
 // no defined steady-state rate transform.
 type FluidFilter interface {
 	// FilterFluid transforms the components of one flow crossing the
-	// filter. gen increments once per solver pass, so filters that
-	// police a shared aggregate can reset their rate budget when it
-	// changes and split it across the flows of one pass in
-	// deterministic order. Returning an empty slice drops the flow at
-	// this hop.
-	FilterFluid(gen uint64, key FlowKey, comps []FluidComponent) []FluidComponent
+	// filter, appending the result to out, whose array comps does not
+	// share, and returning it. gen increments once per solver pass, so
+	// filters that police a shared aggregate can reset their rate
+	// budget when it changes and split it across the flows of one pass
+	// in deterministic order. Appending nothing drops the flow at this
+	// hop.
+	FilterFluid(gen uint64, key FlowKey, comps, out []FluidComponent) []FluidComponent
 }
 
 // ExpeditedQueue is implemented by egress queues that serve an
@@ -409,7 +410,7 @@ func (n *Network) walkFluid(f *FluidFlow) {
 	chunk := float64(f.chunk)
 	for hop := 0; hop < len(n.nodes)+1; hop++ {
 		if in != nil {
-			comps = applyFluidFilters(n.fluidGen, in, f.key, comps)
+			comps = n.applyFluidFilters(in, f.key, comps)
 			if len(comps) == 0 {
 				return
 			}
@@ -451,14 +452,18 @@ func (n *Network) walkFluid(f *FluidFlow) {
 }
 
 // applyFluidFilters runs the interface's fluid-aware ingress filters
-// over the flow's components.
-func applyFluidFilters(gen uint64, in *Iface, key FlowKey, comps []FluidComponent) []FluidComponent {
+// over the flow's components, which live in n.fluidComps' array. Each
+// filter writes into the other scratch slice, fluidSpare, and the two
+// swap, so that comps stays in fluidComps' array.
+func (n *Network) applyFluidFilters(in *Iface, key FlowKey, comps []FluidComponent) []FluidComponent {
 	for _, flt := range in.ingress {
 		ff, ok := flt.(FluidFilter)
 		if !ok {
 			continue
 		}
-		comps = ff.FilterFluid(gen, key, comps)
+		out := ff.FilterFluid(n.fluidGen, key, comps, n.fluidSpare[:0])
+		n.fluidComps, n.fluidSpare = out, comps
+		comps = out
 		if len(comps) == 0 {
 			return comps
 		}

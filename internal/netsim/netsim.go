@@ -132,8 +132,9 @@ type Network struct {
 	fluidIfaces []*Iface
 	fluidGen    uint64
 	nextFluid   uint64
-	// fluidComps is walkFluid's scratch for a flow's components.
-	fluidComps []FluidComponent
+	// fluidComps is walkFluid's scratch for a flow's components, and
+	// fluidSpare the one a fluid filter writes its output into.
+	fluidComps, fluidSpare []FluidComponent
 
 	// pktFree is the packet freelist; see AllocPacket.
 	pktFree []*Packet
