@@ -92,8 +92,9 @@ bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # End-to-end smoke of the gqd observability daemon: short live fig5
-# run, every endpoint must answer 200 with a body, SIGTERM must shut
-# down cleanly.
+# and ctrl runs, every endpoint must answer 200 with a body (ctrl's
+# /healthz must carry its admission state), SIGTERM must shut down
+# cleanly.
 smoke-gqd:
 	bash scripts/gqd_smoke.sh
 

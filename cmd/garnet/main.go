@@ -98,12 +98,9 @@ func main() {
 			fmt.Print(tbl.String())
 			var series []trace.Series
 			for _, size := range r.MessageSizes {
-				var xs, ys []float64
-				for _, pt := range r.Curves[size] {
-					xs = append(xs, pt.Reservation.Kbps())
-					ys = append(ys, pt.Throughput.Kbps())
-				}
-				series = append(series, trace.XYSeries(fmt.Sprintf("%dKb msgs", size.Bits()/1000), xs, ys))
+				series = append(series, xy(fmt.Sprintf("%dKb msgs", size.Bits()/1000), r.Curves[size],
+					func(p experiments.PingPongPoint) float64 { return p.Reservation.Kbps() },
+					func(p experiments.PingPongPoint) float64 { return p.Throughput.Kbps() }))
 			}
 			writeSVG("fig5", trace.Plot{
 				Title:  "Figure 5: ping-pong throughput vs reservation",
@@ -116,12 +113,9 @@ func main() {
 			fmt.Print(tbl.String())
 			var series []trace.Series
 			for _, offered := range r.Offered {
-				var xs, ys []float64
-				for _, pt := range r.Curves[offered] {
-					xs = append(xs, pt.Reservation.Kbps())
-					ys = append(ys, pt.Achieved.Kbps())
-				}
-				series = append(series, trace.XYSeries(fmt.Sprintf("attempting %.0fKb/s", offered.Kbps()), xs, ys))
+				series = append(series, xy(fmt.Sprintf("attempting %.0fKb/s", offered.Kbps()), r.Curves[offered],
+					func(p experiments.Figure6Point) float64 { return p.Reservation.Kbps() },
+					func(p experiments.Figure6Point) float64 { return p.Achieved.Kbps() }))
 			}
 			writeSVG("fig6", trace.Plot{
 				Title:  "Figure 6: visualization app vs reservation",
@@ -213,6 +207,17 @@ func writeSVG(name string, p trace.Plot) {
 	fmt.Printf("(wrote %s)\n", path)
 }
 
+// xy is the plot series called name with one point (x(p), y(p)) per
+// element p of pts.
+func xy[P any](name string, pts []P, x, y func(P) float64) trace.Series {
+	var xs, ys []float64
+	for _, p := range pts {
+		xs = append(xs, x(p))
+		ys = append(ys, y(p))
+	}
+	return trace.XYSeries(name, xs, ys)
+}
+
 func runFig1(cfg experiments.Config) {
 	r := experiments.RunFigure1(cfg)
 	fmt.Printf("Figure 1: TCP flow offered %v with a %v reservation under contention\n",
@@ -282,31 +287,18 @@ func runFigG(cfg experiments.Config) {
 	r := experiments.RunFigureG(cfg)
 	fmt.Println("Figure G: two-domain co-reservation over a lossy control plane (with one RM crash/restart)")
 	fmt.Print(experiments.FigureGTable(r).String())
-	rate := func(pts []experiments.FigureGPoint, name string) trace.Series {
-		var xs, ys []float64
-		for _, p := range pts {
-			xs = append(xs, 100*p.Loss)
-			ys = append(ys, 100*p.SuccessRate)
-		}
-		return trace.XYSeries(name, xs, ys)
-	}
-	leak := func(pts []experiments.FigureGPoint, name string) trace.Series {
-		var xs, ys []float64
-		for _, p := range pts {
-			xs = append(xs, 100*p.Loss)
-			ys = append(ys, p.LeakMB)
-		}
-		return trace.XYSeries(name, xs, ys)
-	}
+	loss := func(p experiments.FigureGPoint) float64 { return 100 * p.Loss }
+	rate := func(p experiments.FigureGPoint) float64 { return 100 * p.SuccessRate }
+	leak := func(p experiments.FigureGPoint) float64 { return p.LeakMB }
 	writeSVG("figG-success", trace.Plot{
 		Title:  "Figure G: co-reservation success vs control-channel loss",
 		XLabel: "control-channel loss (%)", YLabel: "success rate (%)",
-		Series: []trace.Series{rate(r.TwoPhase, "two-phase + leases"), rate(r.Naive, "naive")},
+		Series: []trace.Series{xy("two-phase + leases", r.TwoPhase, loss, rate), xy("naive", r.Naive, loss, rate)},
 	})
 	writeSVG("figG-leak", trace.Plot{
 		Title:  "Figure G: orphaned EF capacity vs control-channel loss",
 		XLabel: "control-channel loss (%)", YLabel: "capacity leak (MB)",
-		Series: []trace.Series{leak(r.TwoPhase, "two-phase + leases"), leak(r.Naive, "naive")},
+		Series: []trace.Series{xy("two-phase + leases", r.TwoPhase, loss, leak), xy("naive", r.Naive, loss, leak)},
 	})
 }
 
@@ -314,31 +306,18 @@ func runFigH(cfg experiments.Config) {
 	r := experiments.RunFigureH(cfg)
 	fmt.Println("Figure H: job survival and time-to-recover vs rank MTBF (worker crash/restart, with and without checkpointing)")
 	fmt.Print(experiments.FigureHTable(r).String())
-	survival := func(pts []experiments.FigureHPoint, name string) trace.Series {
-		var xs, ys []float64
-		for _, p := range pts {
-			xs = append(xs, p.MTBF.Seconds())
-			ys = append(ys, 100*p.SurvivalRate)
-		}
-		return trace.XYSeries(name, xs, ys)
-	}
-	ttr := func(pts []experiments.FigureHPoint, name string) trace.Series {
-		var xs, ys []float64
-		for _, p := range pts {
-			xs = append(xs, p.MTBF.Seconds())
-			ys = append(ys, p.MeanTTR.Seconds())
-		}
-		return trace.XYSeries(name, xs, ys)
-	}
+	mtbf := func(p experiments.FigureHPoint) float64 { return p.MTBF.Seconds() }
+	survival := func(p experiments.FigureHPoint) float64 { return 100 * p.SurvivalRate }
+	ttr := func(p experiments.FigureHPoint) float64 { return p.MeanTTR.Seconds() }
 	writeSVG("figH-survival", trace.Plot{
 		Title:  "Figure H: job survival rate vs rank MTBF",
 		XLabel: "rank MTBF (s)", YLabel: "survival rate (%)",
-		Series: []trace.Series{survival(r.Ckpt, "checkpointed"), survival(r.NoCkpt, "no checkpoints")},
+		Series: []trace.Series{xy("checkpointed", r.Ckpt, mtbf, survival), xy("no checkpoints", r.NoCkpt, mtbf, survival)},
 	})
 	writeSVG("figH-ttr", trace.Plot{
 		Title:  "Figure H: mean time-to-recover vs rank MTBF",
 		XLabel: "rank MTBF (s)", YLabel: "time to recover (s)",
-		Series: []trace.Series{ttr(r.Ckpt, "checkpointed"), ttr(r.NoCkpt, "no checkpoints")},
+		Series: []trace.Series{xy("checkpointed", r.Ckpt, mtbf, ttr), xy("no checkpoints", r.NoCkpt, mtbf, ttr)},
 	})
 }
 
@@ -346,31 +325,18 @@ func runFigI(cfg experiments.Config) {
 	r := experiments.RunFigureI(cfg)
 	fmt.Println("Figure I: admission-storm goodput and p99 latency vs offered load, overload controls on vs off")
 	fmt.Print(experiments.FigureITable(r).String())
-	goodput := func(pts []experiments.FigureIPoint, name string) trace.Series {
-		var xs, ys []float64
-		for _, p := range pts {
-			xs = append(xs, p.Mult)
-			ys = append(ys, p.GoodputRPS)
-		}
-		return trace.XYSeries(name, xs, ys)
-	}
-	p99 := func(pts []experiments.FigureIPoint, name string) trace.Series {
-		var xs, ys []float64
-		for _, p := range pts {
-			xs = append(xs, p.Mult)
-			ys = append(ys, float64(p.P99.Milliseconds()))
-		}
-		return trace.XYSeries(name, xs, ys)
-	}
+	mult := func(p experiments.FigureIPoint) float64 { return p.Mult }
+	goodput := func(p experiments.FigureIPoint) float64 { return p.GoodputRPS }
+	p99 := func(p experiments.FigureIPoint) float64 { return float64(p.P99.Milliseconds()) }
 	writeSVG("figI-goodput", trace.Plot{
 		Title:  "Figure I: admitted goodput vs offered load",
 		XLabel: "offered load (x broker capacity)", YLabel: "admitted goodput (req/s)",
-		Series: []trace.Series{goodput(r.Controls, "overload controls"), goodput(r.NoCtrl, "no controls")},
+		Series: []trace.Series{xy("overload controls", r.Controls, mult, goodput), xy("no controls", r.NoCtrl, mult, goodput)},
 	})
 	writeSVG("figI-p99", trace.Plot{
 		Title:  "Figure I: p99 admission latency vs offered load",
 		XLabel: "offered load (x broker capacity)", YLabel: "p99 admission latency (ms)",
-		Series: []trace.Series{p99(r.Controls, "overload controls"), p99(r.NoCtrl, "no controls")},
+		Series: []trace.Series{xy("overload controls", r.Controls, mult, p99), xy("no controls", r.NoCtrl, mult, p99)},
 	})
 }
 

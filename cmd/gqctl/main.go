@@ -9,16 +9,16 @@
 //	gqctl metrics [-format prom|json] [-until 25s]
 //	gqctl events [-type tcp-segment] [-subject prem-src] [-since 10s] [-n 50]
 //	gqctl trace [-until 25s] <resv-id>
-//	gqctl ctrl [-seed 1] [-until 20s] [-loss 0.25]
+//	gqctl ctrl [-seed 1] [-until 20s]
 //
 // The metrics, events, and trace subcommands run the same scenario and
 // then dump the observability layer: metrics renders the registry in
 // Prometheus text or JSON snapshot format; events lists the flight
 // recorder; trace prints the causal span tree of one reservation's
-// lifecycle (see docs/observability.md). The ctrl subcommand runs a
-// two-domain co-reservation workload over a lossy control plane and
+// lifecycle (see docs/observability.md). The ctrl subcommand runs the
+// two-domain co-reservation scenario gqd serves as -scenario ctrl and
 // dumps its health: breaker states, retry/timeout counters,
-// outstanding leases, and journal positions (see
+// outstanding leases, journal positions, and admission state (see
 // docs/control-plane.md).
 package main
 
@@ -63,39 +63,15 @@ func main() {
 	flag.Parse()
 
 	tb := garnet.New(*seed)
-	cpu := dsrt.NewCPU(tb.K, "prem-src-cpu")
-	task := cpu.NewTask("app")
-	dpss := gara.NewDPSS(100 * units.Mbps)
-	tb.Gara.Manager(gara.ResourceStorage) // registered by the testbed
-
-	flow := diffserv.MatchHostPair(tb.PremSrc.Addr(), tb.PremDst.Addr(), netsim.ProtoTCP)
-
-	// An immediate network reservation...
-	r1, err := tb.Gara.Reserve(gara.Spec{
-		Type: gara.ResourceNetwork, Flow: flow, Bandwidth: 40 * units.Mbps,
-	})
-	must(err)
+	task, dpss, rs := scenario(tb)
+	r1, r2 := rs[0], rs[1]
 	fmt.Printf("immediate network reservation %d: %v, window %v\n", r1.ID(), r1.State(), fmtWindow(r1))
-
-	// ...an advance reservation for t=10s..20s...
-	r2, err := tb.Gara.Reserve(gara.Spec{
-		Type: gara.ResourceNetwork, Flow: flow, Bandwidth: 30 * units.Mbps,
-		Start: 10 * time.Second, Duration: 10 * time.Second,
-	})
-	must(err)
 	r2.OnChange(func(r *gara.Reservation, s gara.State) {
 		fmt.Printf("  [t=%v] reservation %d -> %v\n", tb.K.Now(), r.ID(), s)
 	})
 	fmt.Printf("advance network reservation %d: %v, window %v\n", r2.ID(), r2.State(), fmtWindow(r2))
-
-	// ...and a co-reservation of CPU + storage.
-	rs, err := tb.Gara.CoReserve(
-		gara.Spec{Type: gara.ResourceCPU, Task: task, Fraction: 0.8},
-		gara.Spec{Type: gara.ResourceStorage, Store: dpss, ReadRate: 60 * units.Mbps},
-	)
-	must(err)
 	fmt.Printf("co-reservation: cpu %d (%v) + storage %d (%v)\n\n",
-		rs[0].ID(), rs[0].State(), rs[1].ID(), rs[1].State())
+		rs[2].ID(), rs[2].State(), rs[3].ID(), rs[3].State())
 
 	var times []time.Duration
 	for _, s := range strings.Split(*atFlag, ",") {
@@ -153,27 +129,31 @@ func must(err error) {
 	}
 }
 
-// scenario issues the demo reservations quietly; the metrics and
-// events subcommands run it to have observable state to dump.
-func scenario(tb *garnet.Testbed) {
+// scenario issues the demo reservations: an immediate network
+// reservation, an advance one for t=10s..20s, and a co-reservation of
+// CPU + storage. rs holds them in that order, the co-reservation as
+// its CPU and storage halves. main prints them; the metrics, events,
+// and trace subcommands run it to have observable state to dump.
+func scenario(tb *garnet.Testbed) (task *dsrt.Task, dpss *gara.DPSS, rs []*gara.Reservation) {
 	cpu := dsrt.NewCPU(tb.K, "prem-src-cpu")
-	task := cpu.NewTask("app")
-	dpss := gara.NewDPSS(100 * units.Mbps)
+	task = cpu.NewTask("app")
+	dpss = gara.NewDPSS(100 * units.Mbps)
 	flow := diffserv.MatchHostPair(tb.PremSrc.Addr(), tb.PremDst.Addr(), netsim.ProtoTCP)
-	_, err := tb.Gara.Reserve(gara.Spec{
+	r1, err := tb.Gara.Reserve(gara.Spec{
 		Type: gara.ResourceNetwork, Flow: flow, Bandwidth: 40 * units.Mbps,
 	})
 	must(err)
-	_, err = tb.Gara.Reserve(gara.Spec{
+	r2, err := tb.Gara.Reserve(gara.Spec{
 		Type: gara.ResourceNetwork, Flow: flow, Bandwidth: 30 * units.Mbps,
 		Start: 10 * time.Second, Duration: 10 * time.Second,
 	})
 	must(err)
-	_, err = tb.Gara.CoReserve(
+	co, err := tb.Gara.CoReserve(
 		gara.Spec{Type: gara.ResourceCPU, Task: task, Fraction: 0.8},
 		gara.Spec{Type: gara.ResourceStorage, Store: dpss, ReadRate: 60 * units.Mbps},
 	)
 	must(err)
+	return task, dpss, append([]*gara.Reservation{r1, r2}, co...)
 }
 
 // metricsCmd implements "gqctl metrics": run the scenario and dump

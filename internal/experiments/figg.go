@@ -70,22 +70,22 @@ func RunFigureG(cfg Config) FigureGResult {
 	return res
 }
 
-// runFigGPoint runs one protocol variant at one loss rate.
-func runFigGPoint(cfg Config, pid int, seed int64, loss float64, twoPhase bool) FigureGPoint {
-	hold := cfg.scale(time.Second)
-	gap := cfg.scale(1500 * time.Millisecond)
-	// Long windows against a short lease TTL: an orphaned two-phase
-	// lease expires within the TTL, while a naive orphan stays booked
-	// for the rest of its window.
-	window := cfg.scale(40 * time.Second)
-	dur := cfg.scale(160 * time.Second)
+// twoDomain is the two-domain rig of figure G and the ctrl scenario,
+// the same topology as the ctrlplane tests:
+//
+//	hostA - e1 - c1 ===border=== c2 - e2 - hostB
+//
+// dom1's RM owns hostA-e1-c1 and the border link, dom2's RM owns
+// c2-e2-hostB, and each RM sits behind its own GARA.
+type twoDomain struct {
+	net              *netsim.Network
+	hostA, c1, hostB *netsim.Node
+	rm1, rm2         *gara.NetworkRM
+	g1, g2           *gara.Gara
+}
 
-	// Same two-domain topology as the ctrlplane tests:
-	//
-	//	hostA - e1 - c1 ===border=== c2 - e2 - hostB
-	k := sim.New(seed)
-	defer k.Close()
-	cfg.enableTrace(k)
+// newTwoDomain builds the rig on k.
+func newTwoDomain(k *sim.Kernel) *twoDomain {
 	n := netsim.New(k)
 	hostA, e1, c1 := n.AddNode("hostA"), n.AddNode("e1"), n.AddNode("c1")
 	c2, e2, hostB := n.AddNode("c2"), n.AddNode("e2"), n.AddNode("hostB")
@@ -106,18 +106,39 @@ func runFigGPoint(cfg Config, pid int, seed int64, loss float64, twoPhase bool) 
 	g1, g2 := gara.New(k), gara.New(k)
 	g1.Register(rm1)
 	g2.Register(rm2)
+	return &twoDomain{net: n, hostA: hostA, c1: c1, hostB: hostB, rm1: rm1, rm2: rm2, g1: g1, g2: g2}
+}
 
-	// Protocol timescales are fixed constants — channel delay, RPC
-	// timeout, and lease TTL are properties of the control plane, not
-	// of the experiment length, so the figure keeps its character under
-	// -scale.
-	plane := ctrlplane.NewPlane(k, ctrlplane.Options{
+// figGProtocol is figure G's control-plane timescales: RPC timeout,
+// end-to-end deadline and lease TTL. They are fixed constants, not
+// scaled — they are properties of the control plane, not of the
+// experiment length, so the figure keeps its character under -scale.
+func figGProtocol() ctrlplane.Options {
+	return ctrlplane.Options{
 		Timeout:  50 * time.Millisecond,
 		Deadline: 500 * time.Millisecond,
 		LeaseTTL: 3 * time.Second,
-	})
-	plane.AddDomain("dom1", g1, rm1)
-	plane.AddDomain("dom2", g2, rm2)
+	}
+}
+
+// runFigGPoint runs one protocol variant at one loss rate.
+func runFigGPoint(cfg Config, pid int, seed int64, loss float64, twoPhase bool) FigureGPoint {
+	hold := cfg.scale(time.Second)
+	gap := cfg.scale(1500 * time.Millisecond)
+	// Long windows against a short lease TTL: an orphaned two-phase
+	// lease expires within the TTL, while a naive orphan stays booked
+	// for the rest of its window.
+	window := cfg.scale(40 * time.Second)
+	dur := cfg.scale(160 * time.Second)
+
+	k := sim.New(seed)
+	defer k.Close()
+	cfg.enableTrace(k)
+	r := newTwoDomain(k)
+
+	plane := ctrlplane.NewPlane(k, figGProtocol())
+	plane.AddDomain("dom1", r.g1, r.rm1)
+	plane.AddDomain("dom2", r.g2, r.rm2)
 	co := plane.Coordinator()
 
 	sc := faults.NewScenario("figG-chaos").
@@ -125,7 +146,7 @@ func runFigGPoint(cfg Config, pid int, seed int64, loss float64, twoPhase bool) 
 		CtrlLoss("dom2", 0, dur, loss).
 		CtrlCrash(cfg.scale(25*time.Second), "dom2").
 		CtrlRestart(cfg.scale(28*time.Second), "dom2")
-	sc.MustApplyWith(n, plane)
+	sc.MustApplyWith(r.net, plane)
 
 	pt := FigureGPoint{Loss: loss}
 	// holding is true while the driver legitimately owns capacity — from
@@ -136,7 +157,7 @@ func runFigGPoint(cfg Config, pid int, seed int64, loss float64, twoPhase bool) 
 		for i := 0; i < figGAttempts; i++ {
 			spec := gara.Spec{
 				Type:      gara.ResourceNetwork,
-				Flow:      diffserv.MatchHostPair(hostA.Addr(), hostB.Addr(), netsim.ProtoUDP),
+				Flow:      diffserv.MatchHostPair(r.hostA.Addr(), r.hostB.Addr(), netsim.ProtoUDP),
 				Bandwidth: figGBandwidth,
 				Start:     ctx.Now(),
 				Duration:  window,
@@ -179,10 +200,10 @@ func runFigGPoint(cfg Config, pid int, seed int64, loss float64, twoPhase bool) 
 				continue
 			}
 			committed := 0.0
-			for _, l := range n.Links() {
+			for _, l := range r.net.Links() {
 				for _, out := range []*netsim.Iface{l.A(), l.B()} {
-					committed += rm1.Table(out).CommittedAt(ctx.Now())
-					committed += rm2.Table(out).CommittedAt(ctx.Now())
+					committed += r.rm1.Table(out).CommittedAt(ctx.Now())
+					committed += r.rm2.Table(out).CommittedAt(ctx.Now())
 				}
 			}
 			leakBits += committed * sample.Seconds()

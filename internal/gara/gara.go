@@ -245,9 +245,6 @@ func (g *Gara) Register(rm ResourceManager) {
 	g.managers[rm.Type()] = rm
 }
 
-// Manager returns the registered manager for a type, or nil.
-func (g *Gara) Manager(t ResourceType) ResourceManager { return g.managers[t] }
-
 // Kernel returns the simulation kernel.
 func (g *Gara) Kernel() *sim.Kernel { return g.k }
 

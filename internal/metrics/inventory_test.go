@@ -116,3 +116,63 @@ func TestMetricInventoryDocumented(t *testing.T) {
 		t.Fatal("found no registrations; is the walk rooted at the repository?")
 	}
 }
+
+// documentedEvents reads the type column of the flight-recorder payload
+// table in the observability doc: its rows are the ones under the
+// "| Type | Subject |" header of the "Flight recorder" section.
+func documentedEvents(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	row := regexp.MustCompile("^\\| `([a-z.-]+)` \\|")
+	out := make(map[string]bool)
+	in, table := false, false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "## ") {
+			in = line == "## Flight recorder"
+		}
+		if strings.HasPrefix(line, "| Type | Subject |") {
+			table = in
+		} else if !strings.HasPrefix(line, "|") {
+			table = false
+		}
+		if m := row.FindStringSubmatch(line); table && m != nil {
+			out[m[1]] = true
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestEventInventoryDocumented fails when docs/observability.md's
+// flight-recorder payload table and eventTypeNames differ: a type with
+// no row, or a row that names no type. EvNone is never emitted, so it
+// has no row.
+func TestEventInventoryDocumented(t *testing.T) {
+	doc := documentedEvents(t, "../../docs/observability.md")
+	var diffs []string
+	for typ, name := range eventTypeNames {
+		if EventType(typ) != EvNone && !doc[name] {
+			diffs = append(diffs, "event type "+name+" has no row")
+		}
+	}
+	for name := range doc {
+		if typ, ok := ParseEventType(name); !ok || typ == EvNone {
+			diffs = append(diffs, "documented event "+name+" is no emitted type")
+		}
+	}
+	sort.Strings(diffs)
+	for _, d := range diffs {
+		t.Error(d)
+	}
+	if len(doc) == 0 {
+		t.Fatal("found no payload table rows; is the doc path right?")
+	}
+}

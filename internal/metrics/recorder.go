@@ -58,8 +58,8 @@ const (
 	// Subject=action name, V1/V2 are action-specific.
 	EvFaultInject
 	// EvQosRepair: the self-healing QoS agent acted. Subject=phase
-	// ("breach", "repair", "fallback", "upgrade", "gated"), V1=rank,
-	// V2=communicator context ID, V3=phase-specific detail.
+	// ("breach", "repair", "fallback", "upgrade", "gated", "rebind"),
+	// V1=rank, V2=communicator context ID, V3=phase-specific detail.
 	EvQosRepair
 	// EvCtrlMsg: a control-plane message crossed (or died on) a
 	// channel. Subject=channel name, V1=request ID, V2=fate (0
@@ -67,7 +67,7 @@ const (
 	EvCtrlMsg
 	// EvCtrlRPC: a control-plane RPC attempt resolved. Subject=method,
 	// V1=request ID, V2=attempt number, V3=outcome (0 ok, 1 timeout,
-	// 2 breaker-rejected).
+	// 2 breaker-rejected, 3 shed).
 	EvCtrlRPC
 	// EvCtrlBreaker: a per-RM circuit breaker changed state.
 	// Subject=new state name, V1=consecutive failures.
@@ -83,7 +83,7 @@ const (
 	// "expired" or "reclaimed", V1=reservation ID.
 	EvCtrlLease
 	// EvRankCrash: an MPI rank's process failed. Subject=task name,
-	// V1=world rank.
+	// V1=world rank, V2=incarnation epoch.
 	EvRankCrash
 	// EvRankRestart: a failed MPI rank rejoined the job. Subject=task
 	// name, V1=world rank, V2=incarnation epoch.
