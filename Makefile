@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-json test-analysis test test-short test-chaos fuzz-smoke bench bench-micro smoke-gqd results figures examples loc clean
+.PHONY: all build vet fmt-check lint lint-json test-analysis test test-short test-chaos fuzz-smoke bench bench-micro smoke-gqd outputs results figures examples loc clean
 
 all: build vet lint test
 
@@ -97,6 +97,15 @@ bench-micro:
 # cleanly.
 smoke-gqd:
 	bash scripts/gqd_smoke.sh
+
+# Every CLI's and example's output, one file per run, into OUT (garnet
+# -exp all and its SVGs, the gqctl subcommands, pingpong, dvis and the
+# six examples). Two trees' dumps compare with one `diff -r`; SCALE is
+# garnet's -scale and scales the pingpong and dvis durations.
+OUT ?= outputs
+SCALE ?= 1
+outputs:
+	bash scripts/outputs.sh $(OUT) $(SCALE)
 
 # Paper-length regeneration of every table and figure's text output
 # (takes a while). It writes no SVGs: those are the figures target's,

@@ -105,8 +105,8 @@ func main() {
 func replay(snap *metrics.Snapshot) {
 	bw := trace.NewBandwidthTrace(time.Second)
 	delivered := 0
-	for _, e := range snap.EventsOfType("mpi-recv") {
-		bw.Add(time.Duration(e.AtNs), units.ByteSize(e.V1))
+	for _, e := range snap.EventsOfType(metrics.EvMPIRecv) {
+		bw.Add(e.At, units.ByteSize(e.V1))
 		delivered++
 	}
 	first, last := snap.Span()

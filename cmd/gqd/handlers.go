@@ -257,11 +257,6 @@ func (d *daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		f.Last = n
 	}
-	evs := d.k.Metrics().Events().Query(f)
-	out := make([]metrics.EventSnapshot, 0, len(evs))
-	for _, e := range evs {
-		out = append(out, e.Snapshot())
-	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	_ = json.NewEncoder(w).Encode(d.k.Metrics().Events().Query(f))
 }

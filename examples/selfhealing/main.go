@@ -46,7 +46,7 @@ func main() {
 	// Chaos: flap the shared bottleneck link mid-run.
 	faults.NewScenario("demo").
 		Flap("edge1-core", downAt, upAt).
-		MustApply(tb.Net)
+		MustApply(tb.Net, faults.Targets{})
 
 	// Contention crossing the same bottleneck throughout.
 	blaster := &trafficgen.UDPBlaster{Rate: 160 * units.Mbps, Jitter: 0.1}

@@ -115,18 +115,55 @@ func checkWithTests(l *Loader, dir string) ([]checkedFiles, error) {
 		// every other package they import; only names an export_test.go
 		// file declares need the package with its tests.
 		if _, err := check(path+"_test", ext, l); err != nil {
-			_, err = check(path+"_test", ext, importerFunc(func(p string) (*types.Package, error) {
-				if p == path {
-					return withTests, nil
-				}
-				return l.Import(p)
-			}))
-			if err != nil {
+			if _, err := check(path+"_test", ext, withTestsImporter(l, path, withTests)); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return out, nil
+}
+
+// withTestsImporter imports path as withTests, the package checked
+// with its in-package tests, and re-checks against it every package
+// that imports path directly or not, as go test builds them, so that
+// an external test package sees one copy of path. Re-checks are
+// memoised; every other package is the loader's.
+func withTestsImporter(l *Loader, path string, withTests *types.Package) types.Importer {
+	rechecked := map[string]*types.Package{path: withTests}
+	var imp importerFunc
+	imp = func(p string) (*types.Package, error) {
+		if pkg := rechecked[p]; pkg != nil {
+			return pkg, nil
+		}
+		dep, err := l.Import(p)
+		if err != nil || !importsPath(l, dep, path, make(map[*types.Package]bool)) {
+			return dep, err
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(p, l.Fset, l.byPath[p].Files, nil)
+		if err != nil {
+			return nil, err
+		}
+		rechecked[p] = pkg
+		return pkg, nil
+	}
+	return imp
+}
+
+// importsPath reports whether pkg, a package the loader loaded,
+// imports path directly or not. Packages the loader did not load (the
+// standard library) cannot import the module's.
+func importsPath(l *Loader, pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	if seen[pkg] {
+		return false
+	}
+	seen[pkg] = true
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == path || l.byPath[imp.Path()] != nil && importsPath(l, imp, path, seen) {
+			return true
+		}
+	}
+	return false
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -396,6 +433,24 @@ func TestDeadGuardFixture(t *testing.T) {
 	sort.Strings(want)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestCheckWithTestsOneCopy pins that an external test package sees
+// one copy of its package when it uses a name from the package's
+// in-package tests and also imports a package that imports the package
+// under test (testdata/deadcode/src/twocopy).
+func TestCheckWithTestsOneCopy(t *testing.T) {
+	l, err := NewLoader(filepath.Join("testdata", "deadcode"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := checkWithTests(l, filepath.Join(l.srcDir, "twocopy", "p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 2 {
+		t.Fatalf("%d checked units, want p with its tests and p_test", len(units))
 	}
 }
 

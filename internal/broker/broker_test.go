@@ -139,7 +139,7 @@ func TestDecisionLog(t *testing.T) {
 // cancelled behind the broker's back (crash recovery) is pruned.
 func TestReconcileReleasesDegradedAndRecoveredQuota(t *testing.T) {
 	tb := garnet.New(1)
-	faults.NewScenario("flap").Flap("edge1-core", time.Second, 5*time.Second).MustApply(tb.Net)
+	faults.NewScenario("flap").Flap("edge1-core", time.Second, 5*time.Second).MustApply(tb.Net, faults.Targets{})
 	b := New(tb.Gara, Policy{MaxBandwidth: 10 * units.Mbps, MaxDuration: time.Hour})
 	r, err := b.Request("alice", netSpec(tb, 10*units.Mbps))
 	if err != nil {

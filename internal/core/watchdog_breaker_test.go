@@ -89,7 +89,7 @@ func TestWatchdogRespectsCircuitBreaker(t *testing.T) {
 
 	tb := garnet.New(1)
 	tb.K.Metrics().Events().SetCapacity(1 << 20) // keep every event of the run
-	faults.NewScenario("flap").Flap("edge1-core", downAt, upAt).MustApply(tb.Net)
+	faults.NewScenario("flap").Flap("edge1-core", downAt, upAt).MustApply(tb.Net, faults.Targets{})
 	bl := &trafficgen.UDPBlaster{Rate: 160 * units.Mbps, Jitter: 0.1}
 	if err := bl.Run(tb.CompSrc, tb.CompDst, 9000); err != nil {
 		t.Fatal(err)

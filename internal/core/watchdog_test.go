@@ -27,7 +27,7 @@ func healingRun(t *testing.T, heal bool, downAt, upAt, measureFrom, dur time.Dur
 	const target = 10 * units.Mbps
 	const msg = 25 * units.KB
 	tb := garnet.New(1)
-	faults.NewScenario("flap").Flap("edge1-core", downAt, upAt).MustApply(tb.Net)
+	faults.NewScenario("flap").Flap("edge1-core", downAt, upAt).MustApply(tb.Net, faults.Targets{})
 	bl := &trafficgen.UDPBlaster{Rate: 160 * units.Mbps, Jitter: 0.1}
 	if err := bl.Run(tb.CompSrc, tb.CompDst, 9000); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestWatchdogRebindRacesRepairEpisode(t *testing.T) {
 	tb := garnet.New(1)
 	tb.K.Tracer().SetCapacity(1 << 16)
 	tb.K.Tracer().SetEnabled(true)
-	faults.NewScenario("flap").Flap("edge1-core", downAt, upAt).MustApply(tb.Net)
+	faults.NewScenario("flap").Flap("edge1-core", downAt, upAt).MustApply(tb.Net, faults.Targets{})
 	job := tb.NewMPIPair(tcpsim.DefaultOptions(), mpi.JobOptions{EagerThreshold: units.MB})
 	agent := gq.NewAgent(tb.Gara, job)
 

@@ -257,7 +257,7 @@ func TestChaosCrashMidCoReservationLeaksNothing(t *testing.T) {
 	sc := faults.NewScenario("ctrl-crash-mid-reserve").
 		CtrlCrash(22*time.Millisecond, "dom2").
 		CtrlRestart(1500*time.Millisecond, "dom2")
-	if _, err := sc.ApplyWith(r.net, r.plane); err != nil {
+	if _, err := sc.Apply(r.net, faults.Targets{Ctrl: r.plane}); err != nil {
 		t.Fatal(err)
 	}
 	var rerr error
@@ -314,7 +314,7 @@ func TestControlPlaneSoak(t *testing.T) {
 		CtrlRestart(26*time.Second, "dom1").
 		CtrlCrash(41*time.Second, "dom2").
 		CtrlRestart(44*time.Second, "dom2")
-	if _, err := sc.ApplyWith(r.net, r.plane); err != nil {
+	if _, err := sc.Apply(r.net, faults.Targets{Ctrl: r.plane}); err != nil {
 		t.Fatal(err)
 	}
 	successes, failures := 0, 0

@@ -64,7 +64,7 @@ func StartCtrl(k *sim.Kernel, dur time.Duration) *Ctrl {
 		CtrlLoss("dom2", 0, dur, 0.25).
 		CtrlCrash(dur*2/5, "dom2").
 		CtrlRestart(dur/2, "dom2")
-	sc.MustApplyWith(r.net, plane)
+	sc.MustApply(r.net, faults.Targets{Ctrl: plane})
 
 	k.Spawn("gqd-ctrl-driver", func(ctx *sim.Ctx) {
 		for ctx.Now() < dur {

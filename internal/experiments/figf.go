@@ -117,7 +117,7 @@ func runFigFCurve(cfg Config, name string, reserve, heal bool) (FigureFCurve, *g
 	far := tb.AddSite("far", figFWANRate, 5*time.Millisecond)
 	faults.NewScenario("figF-wan-flap").
 		Flap("core-far-edge", down, up).
-		MustApply(tb.Net)
+		MustApply(tb.Net, faults.Targets{})
 
 	// The generator shares the premium flow's whole path, including
 	// the flapping WAN link and its backup.

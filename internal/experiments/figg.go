@@ -146,7 +146,7 @@ func runFigGPoint(cfg Config, pid int, seed int64, loss float64, twoPhase bool) 
 		CtrlLoss("dom2", 0, dur, loss).
 		CtrlCrash(cfg.scale(25*time.Second), "dom2").
 		CtrlRestart(cfg.scale(28*time.Second), "dom2")
-	sc.MustApplyWith(r.net, plane)
+	sc.MustApply(r.net, faults.Targets{Ctrl: plane})
 
 	pt := FigureGPoint{Loss: loss}
 	// holding is true while the driver legitimately owns capacity — from

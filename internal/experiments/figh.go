@@ -174,7 +174,7 @@ func runFigHTrial(cfg Config, pid int, seed int64, mtbf time.Duration, ckpt bool
 	sc := faults.RankMTBF(sim.NewRNG(tb.K.RNG().Int63()),
 		[]string{"rank-1", "rank-2", "rank-3"},
 		cfg.scale(mtbf), repair, dur)
-	sc.MustApplyTargets(tb.Net, faults.Targets{Ranks: job})
+	sc.MustApply(tb.Net, faults.Targets{Ranks: job})
 
 	out := figHTrialOut{}
 	// TTR bookkeeping: every crash opens an outage stamped with the

@@ -40,7 +40,7 @@ func chaosRun(t *testing.T, seed int64, nFaults int, horizon, settle time.Durati
 	tb := garnet.New(seed)
 	links := []string{"edge1-core", "core-edge2", "prem-src-edge1"}
 	sc := faults.RandomScenario(sim.NewRNG(seed*1000+7), links, nFaults, horizon)
-	if _, err := sc.Apply(tb.Net); err != nil {
+	if _, err := sc.Apply(tb.Net, faults.Targets{}); err != nil {
 		t.Error(err)
 		return chaosResult{}
 	}

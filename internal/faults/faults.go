@@ -89,7 +89,7 @@ type RankResolver interface {
 
 // Targets bundles the non-network fault surfaces a scenario may act
 // on. Either field may be nil when the scenario has no actions of
-// that family.
+// that family; a scenario of link actions only takes Targets{}.
 type Targets struct {
 	Ctrl  CtrlResolver
 	Ranks RankResolver
@@ -157,7 +157,7 @@ func (s *Scenario) Corrupt(link string, from, to time.Duration, prob float64) *S
 // CtrlLoss schedules a window [from, to) of control-message loss on
 // the named domain's control channel: each request or reply is dropped
 // with probability prob. Scenarios using control-plane actions must be
-// applied with ApplyWith.
+// applied with a Targets.Ctrl resolver.
 func (s *Scenario) CtrlLoss(domain string, from, to time.Duration, prob float64) *Scenario {
 	s.actions = append(s.actions, action{
 		at: from, until: to, kind: actCtrlLoss, target: domain, prob: prob,
@@ -179,8 +179,8 @@ func (s *Scenario) CtrlRestart(t time.Duration, domain string) *Scenario {
 }
 
 // RankCrash schedules the named MPI rank (task name, e.g. "rank-3") to
-// fail at t. Scenarios using rank actions must be applied with
-// ApplyTargets.
+// fail at t. Scenarios using rank actions must be applied with a
+// Targets.Ranks resolver.
 func (s *Scenario) RankCrash(t time.Duration, rank string) *Scenario {
 	s.actions = append(s.actions, action{at: t, kind: actRankCrash, target: rank})
 	return s
@@ -211,30 +211,27 @@ func (in *Injection) instant(name, target string) {
 	in.tr.Begin(in.trace, 0, name, target).End()
 }
 
+// fire schedules act at a's time, after the action's flight event and
+// its instant span "fault.<kind>".
+func (in *Injection) fire(a action, act func()) {
+	span := "fault." + a.kind
+	in.k.At(a.at, sim.PrioNormal, func() {
+		in.rec.Emit(metrics.EvFaultInject, a.kind, 0, 0, 0)
+		in.instant(span, a.target)
+		act()
+	})
+}
+
 // Apply schedules every action of the scenario on net's kernel and
-// returns the injection handle. It validates that every referenced
-// link exists, so a typo fails fast instead of silently
-// injecting nothing. Randomness is drawn from a dedicated RNG seeded
-// from the kernel's, keeping fault draws independent of (and the run
-// reproducible alongside) other stochastic components. Scenarios with
-// control-plane actions must use ApplyWith.
-func (s *Scenario) Apply(net *netsim.Network) (*Injection, error) {
-	return s.ApplyWith(net, nil)
-}
-
-// ApplyWith is Apply plus a control-plane resolver for CtrlLoss /
-// CtrlCrash / CtrlRestart actions (nil is allowed when the scenario
-// has none).
-func (s *Scenario) ApplyWith(net *netsim.Network, ctrl CtrlResolver) (*Injection, error) {
-	return s.ApplyTargets(net, Targets{Ctrl: ctrl})
-}
-
-// ApplyTargets is Apply plus resolvers for every non-network fault
-// family: control-plane actions resolve through t.Ctrl, rank crash/
-// restart actions through t.Ranks. A nil resolver is allowed when the
-// scenario has no actions of that family.
-func (s *Scenario) ApplyTargets(net *netsim.Network, tg Targets) (*Injection, error) {
-	ctrl := tg.Ctrl
+// returns the injection handle. Link actions resolve against net,
+// control-plane actions through tg.Ctrl and rank crash/restart actions
+// through tg.Ranks. It validates that every referenced link, domain
+// and rank exists, and that the resolver for each family the scenario
+// uses is set, so a typo fails fast instead of silently injecting
+// nothing. Randomness is drawn from a dedicated RNG seeded from the
+// kernel's, keeping fault draws independent of (and the run
+// reproducible alongside) other stochastic components.
+func (s *Scenario) Apply(net *netsim.Network, tg Targets) (*Injection, error) {
 	k := net.Kernel()
 	in := &Injection{
 		k:     k,
@@ -257,12 +254,7 @@ func (s *Scenario) ApplyTargets(net *netsim.Network, tg Targets) (*Injection, er
 				return nil, fmt.Errorf("faults: scenario %q: no link %q", s.name, a.target)
 			}
 			up := a.kind == actLinkUp
-			span := "fault." + a.kind
-			k.At(a.at, sim.PrioNormal, func() {
-				in.rec.Emit(metrics.EvFaultInject, a.kind, 0, 0, 0)
-				in.instant(span, a.target)
-				l.SetUp(up)
-			})
+			in.fire(a, func() { l.SetUp(up) })
 		case actLossStart:
 			l := net.Link(a.target)
 			if l == nil {
@@ -271,28 +263,22 @@ func (s *Scenario) ApplyTargets(net *netsim.Network, tg Targets) (*Injection, er
 			in.installImpairment(l, a)
 		case actRankCrash, actRankRestart:
 			if tg.Ranks == nil {
-				return nil, fmt.Errorf("faults: scenario %q has rank actions; use ApplyTargets", s.name)
+				return nil, fmt.Errorf("faults: scenario %q has rank actions but no Targets.Ranks", s.name)
 			}
 			t := tg.Ranks.RankTarget(a.target)
 			if t == nil {
 				return nil, fmt.Errorf("faults: scenario %q: no rank %q", s.name, a.target)
 			}
-			crash := a.kind == actRankCrash
-			span := "fault." + a.kind
-			k.At(a.at, sim.PrioNormal, func() {
-				in.rec.Emit(metrics.EvFaultInject, a.kind, 0, 0, 0)
-				in.instant(span, a.target)
-				if crash {
-					t.RankCrash()
-				} else {
-					t.RankRestart()
-				}
-			})
-		case actCtrlLoss, actCtrlCrash, actCtrlRestart:
-			if ctrl == nil {
-				return nil, fmt.Errorf("faults: scenario %q has control-plane actions; use ApplyWith", s.name)
+			act := t.RankRestart
+			if a.kind == actRankCrash {
+				act = t.RankCrash
 			}
-			t := ctrl.CtrlTarget(a.target)
+			in.fire(a, act)
+		case actCtrlLoss, actCtrlCrash, actCtrlRestart:
+			if tg.Ctrl == nil {
+				return nil, fmt.Errorf("faults: scenario %q has control-plane actions but no Targets.Ctrl", s.name)
+			}
+			t := tg.Ctrl.CtrlTarget(a.target)
 			if t == nil {
 				return nil, fmt.Errorf("faults: scenario %q: no control-plane domain %q", s.name, a.target)
 			}
@@ -321,17 +307,9 @@ func (s *Scenario) ApplyTargets(net *netsim.Network, tg Targets) (*Injection, er
 					})
 				}
 			case actCtrlCrash:
-				k.At(a.at, sim.PrioNormal, func() {
-					in.rec.Emit(metrics.EvFaultInject, actCtrlCrash, 0, 0, 0)
-					in.instant("fault.ctrl-crash", a.target)
-					t.CtrlCrash()
-				})
+				in.fire(a, t.CtrlCrash)
 			case actCtrlRestart:
-				k.At(a.at, sim.PrioNormal, func() {
-					in.rec.Emit(metrics.EvFaultInject, actCtrlRestart, 0, 0, 0)
-					in.instant("fault.ctrl-restart", a.target)
-					t.CtrlRestart()
-				})
+				in.fire(a, t.CtrlRestart)
 			}
 		default:
 			panic("faults: unknown action kind " + a.kind)
@@ -342,26 +320,8 @@ func (s *Scenario) ApplyTargets(net *netsim.Network, tg Targets) (*Injection, er
 
 // MustApply is Apply panicking on error, for experiment code whose
 // scenarios are static.
-func (s *Scenario) MustApply(net *netsim.Network) *Injection {
-	in, err := s.Apply(net)
-	if err != nil {
-		panic(err)
-	}
-	return in
-}
-
-// MustApplyWith is ApplyWith panicking on error.
-func (s *Scenario) MustApplyWith(net *netsim.Network, ctrl CtrlResolver) *Injection {
-	in, err := s.ApplyWith(net, ctrl)
-	if err != nil {
-		panic(err)
-	}
-	return in
-}
-
-// MustApplyTargets is ApplyTargets panicking on error.
-func (s *Scenario) MustApplyTargets(net *netsim.Network, tg Targets) *Injection {
-	in, err := s.ApplyTargets(net, tg)
+func (s *Scenario) MustApply(net *netsim.Network, tg Targets) *Injection {
+	in, err := s.Apply(net, tg)
 	if err != nil {
 		panic(err)
 	}

@@ -29,7 +29,7 @@ func line(seed int64) (*sim.Kernel, *netsim.Network) {
 func TestFlapSchedulesTransitions(t *testing.T) {
 	k, n := line(1)
 	sc := NewScenario("t").Flap("a-b", 2*time.Second, 5*time.Second)
-	if _, err := sc.Apply(n); err != nil {
+	if _, err := sc.Apply(n, Targets{}); err != nil {
 		t.Fatal(err)
 	}
 	l := n.Link("a-b")
@@ -59,10 +59,10 @@ func TestFlapSchedulesTransitions(t *testing.T) {
 
 func TestUnknownTargetsFailFast(t *testing.T) {
 	_, n := line(1)
-	if _, err := NewScenario("t").LinkDown(0, "nope").Apply(n); err == nil {
+	if _, err := NewScenario("t").LinkDown(0, "nope").Apply(n, Targets{}); err == nil {
 		t.Fatal("unknown link should fail Apply")
 	}
-	if _, err := NewScenario("t").Loss("nope", 0, time.Second, 0.5).Apply(n); err == nil {
+	if _, err := NewScenario("t").Loss("nope", 0, time.Second, 0.5).Apply(n, Targets{}); err == nil {
 		t.Fatal("unknown loss link should fail Apply")
 	}
 }
@@ -80,7 +80,7 @@ func lossDrops(t *testing.T, seed int64, corrupt bool) (uint64, uint64) {
 	} else {
 		sc.Loss("b-c", 0, 10*time.Second, 0.3)
 	}
-	if _, err := sc.Apply(n); err != nil {
+	if _, err := sc.Apply(n, Targets{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {

@@ -13,7 +13,7 @@ import (
 // repair would land past horizon are not scheduled, so the job always
 // ends with every scheduled crash repaired. Draws come from rng only,
 // so a fixed seed replays the same failure schedule. Apply with
-// Scenario.ApplyTargets and a RankResolver (an mpi.Job).
+// Scenario.Apply and a Targets.Ranks resolver (an mpi.Job).
 func RankMTBF(rng *sim.RNG, ranks []string, mtbf, repair, horizon time.Duration) *Scenario {
 	s := NewScenario("rank-mtbf")
 	if mtbf <= 0 {

@@ -147,7 +147,9 @@ func (s Spec) window(now time.Duration) (time.Duration, time.Duration) {
 
 // ResourceManager is the uniform interface GARA drives. Admit performs
 // admission control and books slot-table capacity; Activate and
-// Deactivate enforce; Modify rebooks and re-enforces.
+// Deactivate enforce; Modify rebooks and re-enforces. The Reservation
+// owns its window and end timer: managers read r.spec and r.start,
+// r.end, and never write them.
 type ResourceManager interface {
 	Type() ResourceType
 	// Admit books capacity for r.Spec and returns an error if the
@@ -161,9 +163,10 @@ type ResourceManager interface {
 	Activate(r *Reservation) error
 	// Deactivate ends enforcement.
 	Deactivate(r *Reservation)
-	// Modify atomically rebooks and (if active) re-enforces r with
-	// the new spec.
-	Modify(r *Reservation, spec Spec) error
+	// Modify rebooks r for spec over [start, end) and, if r is active,
+	// retunes its enforcement. On error the booking and enforcement
+	// are as they were; r itself is left to Reservation.Modify.
+	Modify(r *Reservation, spec Spec, start, end time.Duration) error
 }
 
 // Gara is the reservation front end: one instance per administrative
@@ -261,10 +264,6 @@ type Reservation struct {
 	startTimer sim.Timer
 	endTimer   sim.Timer
 	callbacks  []func(*Reservation, State)
-
-	// rmData carries the manager's enforcement attachment (e.g. the
-	// installed diffserv.FlowReservation).
-	rmData any
 }
 
 // ID returns the reservation's unique id (also its slot-table key).
@@ -298,23 +297,42 @@ func (r *Reservation) transition(s State) {
 	}
 }
 
-// Reserve requests an immediate or advance reservation. On success the
-// returned handle is Pending (advance) or Active (immediate).
-func (g *Gara) Reserve(spec Spec) (*Reservation, error) {
-	rm := g.managers[spec.Type]
-	if rm == nil {
-		return nil, fmt.Errorf("%w %q", ErrNoManager, spec.Type)
+// manager returns the manager registered for t.
+func (g *Gara) manager(t ResourceType) (ResourceManager, error) {
+	if rm := g.managers[t]; rm != nil {
+		return rm, nil
+	}
+	return nil, fmt.Errorf("%w %q", ErrNoManager, t)
+}
+
+// admit is the front half of Reserve and Prepare: it numbers a new
+// reservation for spec, opens the op span over it and books it with
+// spec's manager. A refusal is counted and ends the span failed.
+func (g *Gara) admit(spec Spec, op string) (*Reservation, *spans.Span, error) {
+	rm, err := g.manager(spec.Type)
+	if err != nil {
+		return nil, nil, err
 	}
 	g.nextID++
 	r := &Reservation{g: g, id: g.nextID, spec: spec, rm: rm}
 	r.start, r.end = spec.window(g.k.Now())
 	trace, parent := g.spanFor(r.id)
-	sp := g.tr.Begin(trace, parent, "gara.reserve", string(spec.Type))
+	sp := g.tr.Begin(trace, parent, op, string(spec.Type))
 	sp.Int("res", int64(r.id))
 	if err := rm.Admit(r); err != nil {
 		g.mRejects.Inc()
 		g.rec.Emit(metrics.EvAdmissionReject, string(spec.Type), 0, 0, 0)
 		sp.EndStatus(spans.StatusFailed)
+		return nil, nil, err
+	}
+	return r, sp, nil
+}
+
+// Reserve requests an immediate or advance reservation. On success the
+// returned handle is Pending (advance) or Active (immediate).
+func (g *Gara) Reserve(spec Spec) (*Reservation, error) {
+	r, sp, err := g.admit(spec, "gara.reserve")
+	if err != nil {
 		return nil, err
 	}
 	g.mReserved.Inc()
@@ -334,30 +352,29 @@ func (g *Gara) Reserve(spec Spec) (*Reservation, error) {
 func (r *Reservation) begin() error {
 	g := r.g
 	if r.start <= g.k.Now() {
-		if err := r.rm.Activate(r); err != nil {
-			r.rm.Release(r)
-			return err
-		}
 		// A fresh handle has no callbacks yet, so transition only
 		// records the state and its metrics.
-		r.transition(StateActive)
-		r.armEnd()
-		return nil
+		return r.activate()
 	}
 	r.transition(StatePending)
 	r.startTimer = g.k.At(r.start, sim.PrioNormal, func() {
-		if r.state != StatePending {
-			return
-		}
-		if err := r.rm.Activate(r); err != nil {
-			// Enforcement failed at start time; release and report.
-			r.rm.Release(r)
+		if r.state == StatePending && r.activate() != nil {
+			// Enforcement failed at start time: report it.
 			r.transition(StateCancelled)
-			return
 		}
-		r.transition(StateActive)
-		r.armEnd()
 	})
+	return nil
+}
+
+// activate starts enforcement and arms the end timer; when enforcement
+// fails it releases the booked capacity and returns the error.
+func (r *Reservation) activate() error {
+	if err := r.rm.Activate(r); err != nil {
+		r.rm.Release(r)
+		return err
+	}
+	r.transition(StateActive)
+	r.armEnd()
 	return nil
 }
 
@@ -368,9 +385,7 @@ func (r *Reservation) armEnd() {
 	r.endTimer = r.g.k.At(r.end, sim.PrioNormal, func() {
 		switch r.state {
 		case StateActive:
-			r.rm.Deactivate(r)
-			r.rm.Release(r)
-			r.transition(StateExpired)
+			r.stop(StateExpired)
 		case StateDegraded:
 			// Enforcement and capacity were already torn down when the
 			// reservation degraded; the window just runs out.
@@ -386,12 +401,20 @@ func (r *Reservation) armEnd() {
 // must not keep riding EF ("the number of expedited packets must be
 // carefully limited"). Idempotent; a no-op unless Active.
 func (r *Reservation) Degrade() {
-	if r.state != StateActive {
-		return
+	if r.state == StateActive {
+		r.stop(StateDegraded)
 	}
-	r.rm.Deactivate(r)
+}
+
+// stop ends r's enforcement if it is active, releases its capacity and
+// moves it to state s. A degraded reservation holds no capacity, but
+// Release is idempotent.
+func (r *Reservation) stop(s State) {
+	if r.state == StateActive {
+		r.rm.Deactivate(r)
+	}
 	r.rm.Release(r)
-	r.transition(StateDegraded)
+	r.transition(s)
 }
 
 // Reattacher is implemented by resource managers that can repair a
@@ -424,7 +447,10 @@ func (r *Reservation) Reattach() error {
 }
 
 // Modify changes the reservation in place (e.g. a new bandwidth). The
-// resource type may not change. Allowed while Pending or Active.
+// resource type may not change. Allowed while Pending or Active. The
+// new window comes from spec, except that an active reservation keeps
+// its start: enforcement already began. On error the reservation, its
+// booking and its enforcement are unchanged.
 func (r *Reservation) Modify(spec Spec) error {
 	if r.state != StatePending && r.state != StateActive {
 		return ErrNotModifiable
@@ -432,7 +458,20 @@ func (r *Reservation) Modify(spec Spec) error {
 	if spec.Type != r.spec.Type {
 		return fmt.Errorf("gara: cannot change resource type %q -> %q", r.spec.Type, spec.Type)
 	}
-	return r.rm.Modify(r, spec)
+	start, end := spec.window(r.g.k.Now())
+	if r.state == StateActive {
+		start = r.start
+	}
+	if err := r.rm.Modify(r, spec, start, end); err != nil {
+		return err
+	}
+	r.spec = spec
+	r.start, r.end = start, end
+	if r.state == StateActive {
+		r.endTimer.Cancel()
+		r.armEnd()
+	}
+	return nil
 }
 
 // Cancel releases the reservation. Idempotent.
@@ -442,13 +481,7 @@ func (r *Reservation) Cancel() {
 	}
 	r.startTimer.Cancel()
 	r.endTimer.Cancel()
-	if r.state == StateActive {
-		r.rm.Deactivate(r)
-	}
-	// A degraded reservation holds no capacity, but Release is
-	// idempotent, so call it unconditionally.
-	r.rm.Release(r)
-	r.transition(StateCancelled)
+	r.stop(StateCancelled)
 }
 
 // Probe checks whether spec could be admitted right now, without
@@ -456,15 +489,15 @@ func (r *Reservation) Cancel() {
 // selection at program startup uses this to compare candidate
 // placements before committing.
 func (g *Gara) Probe(spec Spec) error {
-	rm := g.managers[spec.Type]
-	if rm == nil {
-		return fmt.Errorf("%w %q", ErrNoManager, spec.Type)
+	rm, err := g.manager(spec.Type)
+	if err != nil {
+		return err
 	}
 	g.nextID++
 	r := &g.probe
 	*r = Reservation{g: g, id: g.nextID, spec: spec, rm: rm}
 	r.start, r.end = spec.window(g.k.Now())
-	err := rm.Admit(r)
+	err = rm.Admit(r)
 	if err == nil {
 		rm.Release(r)
 	}

@@ -65,6 +65,78 @@ func TestCPUModify(t *testing.T) {
 	}
 }
 
+// TestCPUModifyRefusedByDSRTRollsBack pins that a Modify DSRT refuses
+// changes nothing: another task on the processor holds a share set
+// outside GARA, so the slot table admits the larger fraction but DSRT
+// does not.
+func TestCPUModifyRefusedByDSRTRollsBack(t *testing.T) {
+	r := newRig()
+	a, b := r.cpu.NewTask("a"), r.cpu.NewTask("b")
+	res, err := r.g.Reserve(Spec{Type: ResourceCPU, Task: a, Fraction: 0.4, Duration: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetReservation(0.5); err != nil {
+		t.Fatal(err)
+	}
+	start, end := res.Window()
+	spec := res.Spec()
+	spec.Fraction = 0.6
+	spec.Duration = 20 * time.Second
+	if err := res.Modify(spec); err == nil {
+		t.Fatal("DSRT should refuse 0.6 next to a 0.5 share")
+	}
+	if got := res.Spec().Fraction; got != 0.4 {
+		t.Fatalf("spec fraction = %v after a refused modify, want 0.4", got)
+	}
+	if s, e := res.Window(); s != start || e != end {
+		t.Fatalf("window = [%v, %v) after a refused modify, want [%v, %v)", s, e, start, end)
+	}
+	if got := a.Reservation(); got != 0.4 {
+		t.Fatalf("DSRT share = %v after a refused modify, want 0.4", got)
+	}
+	// The slot table still books 0.4: 0.55 more fits under the 0.95
+	// ceiling, 0.56 does not.
+	other := r.cpu.NewTask("probe")
+	if err := r.g.Probe(Spec{Type: ResourceCPU, Task: other, Fraction: 0.55}); err != nil {
+		t.Fatalf("booking is not back at 0.4: %v", err)
+	}
+	if err := r.g.Probe(Spec{Type: ResourceCPU, Task: other, Fraction: 0.56}); err == nil {
+		t.Fatal("booking fell below 0.4")
+	}
+}
+
+// TestStorageModifyRefusedByServerRollsBack is the storage form: a
+// rate reserved on the server outside GARA is unknown to the slot
+// table, so the server refuses the larger rate.
+func TestStorageModifyRefusedByServerRollsBack(t *testing.T) {
+	r := newRig()
+	res, err := r.g.Reserve(Spec{Type: ResourceStorage, Store: r.dpss, ReadRate: 40 * units.Mbps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.dpss.reserve(0, 50*units.Mbps); err != nil {
+		t.Fatal(err)
+	}
+	spec := res.Spec()
+	spec.ReadRate = 60 * units.Mbps
+	if err := res.Modify(spec); err == nil {
+		t.Fatal("the server should refuse 60 Mb/s next to 50 Mb/s")
+	}
+	if got := res.Spec().ReadRate; got != 40*units.Mbps {
+		t.Fatalf("spec rate = %v after a refused modify, want 40 Mb/s", got)
+	}
+	if got := r.dpss.ReservedRate(); got != 90*units.Mbps {
+		t.Fatalf("server reserves %v after a refused modify, want 90 Mb/s", got)
+	}
+	if err := r.g.Probe(Spec{Type: ResourceStorage, Store: r.dpss, ReadRate: 60 * units.Mbps}); err != nil {
+		t.Fatalf("booking is not back at 40 Mb/s: %v", err)
+	}
+	if err := r.g.Probe(Spec{Type: ResourceStorage, Store: r.dpss, ReadRate: 61 * units.Mbps}); err == nil {
+		t.Fatal("booking fell below 40 Mb/s")
+	}
+}
+
 func TestAdvanceCancelBeforeStart(t *testing.T) {
 	r := newRig()
 	spec := r.netSpec(4 * units.Mbps)

@@ -350,3 +350,43 @@ func TestProbeAllocatesNothing(t *testing.T) {
 		t.Fatal("the trial reservation outlived its probe")
 	}
 }
+
+// TestModifyAndCancelAllocations pins the allocations of a Modify on
+// an active, timed network reservation, one (the new end timer's
+// closure), and of a Cancel, none: booking and unbooking through the
+// manager add no closure and box nothing.
+func TestModifyAndCancelAllocations(t *testing.T) {
+	r := newRig()
+	var live []*Reservation
+	for i := 0; i < 102; i++ {
+		spec := r.netSpec(10 * units.Kbps)
+		spec.Duration = time.Hour
+		res, err := r.g.Reserve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, res)
+	}
+	res := live[0]
+	specs := [2]Spec{res.Spec(), res.Spec()}
+	specs[1].Bandwidth = 20 * units.Kbps
+	i := 0
+	modify := func() {
+		i++
+		if err := res.Modify(specs[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	modify() // size the scratch route
+	if allocs := testing.AllocsPerRun(100, modify); allocs != 1 {
+		t.Errorf("Modify allocates %v objects, want 1", allocs)
+	}
+	next := 1
+	cancel := func() {
+		live[next].Cancel()
+		next++
+	}
+	if allocs := testing.AllocsPerRun(100, cancel); allocs != 0 {
+		t.Errorf("Cancel allocates %v objects, want 0", allocs)
+	}
+}

@@ -42,27 +42,25 @@ type NetworkRM struct {
 	// journaling (the healthy-path default: zero overhead).
 	Journal *Journal
 
-	// active tracks reservations currently enforced, so topology
-	// changes can re-validate their booked paths.
-	active map[uint64]*Reservation
-	// attach holds per-reservation enforcement state keyed by id —
-	// the state a crash wipes and Recover rebuilds.
+	// attach holds the enforced reservations' state keyed by id — the
+	// state a crash wipes and Recover rebuilds.
 	attach map[uint64]*netAttachment
 	// leases tracks prepared (uncommitted) bookings by absolute lease
 	// expiry, so recovery can reconcile half-prepared bookings.
 	leases map[uint64]time.Duration
-	// hops is scratch for the paths that Admit, Modify and pathHealthy
-	// walk and drop before they return.
+	// hops is scratchPath's scratch.
 	hops []*netsim.Iface
 }
 
 // netAttachment is the NetworkRM's per-reservation enforcement state,
 // kept in NetworkRM.attach keyed by reservation id: the full path
-// booked at admission (for health checks after topology changes) and
-// the installed edge rule, nil for transit segments.
+// booked at admission (for health checks after topology changes), the
+// installed edge rule, nil for transit segments, and the reservation,
+// nil when Recover rebuilt the attachment from the journal.
 type netAttachment struct {
 	hops []*netsim.Iface
 	fr   *diffserv.FlowReservation
+	r    *Reservation
 }
 
 // NewNetworkRM returns a manager that admits EF reservations up to
@@ -79,7 +77,6 @@ func NewNetworkRM(net *netsim.Network, domain *diffserv.Domain, efFraction float
 		efFraction: efFraction,
 		tables:     make(map[*netsim.Iface]*SlotTable),
 		Name:       "netrm",
-		active:     make(map[uint64]*Reservation),
 		attach:     make(map[uint64]*netAttachment),
 		leases:     make(map[uint64]time.Duration),
 	}
@@ -106,13 +103,18 @@ func (rm *NetworkRM) table(out *netsim.Iface) *SlotTable {
 // tools): the table of the given egress interface.
 func (rm *NetworkRM) Table(out *netsim.Iface) *SlotTable { return rm.table(out) }
 
-// path walks the routing tables from src to dst, returning the egress
-// interfaces traversed (the capacity consumed, per direction) and the
-// ingress interface of the first router (where edge classification
-// and policing happen). The hops are written over buf when it has room
-// for them, and into a new slice of exactly their number otherwise:
-// callers that keep the path pass nil.
-func (rm *NetworkRM) path(buf []*netsim.Iface, src, dst netsim.Addr) ([]*netsim.Iface, *netsim.Iface, error) {
+// path walks the routing tables from spec's flow source to its
+// destination, returning the egress interfaces traversed (the capacity
+// consumed, per direction) and the ingress interface of the first
+// router (where edge classification and policing happen). The hops
+// are written over buf when it has room for them, and into a new
+// slice of exactly their number otherwise: callers that keep the path
+// pass nil.
+func (rm *NetworkRM) path(buf []*netsim.Iface, spec Spec) ([]*netsim.Iface, *netsim.Iface, error) {
+	src, dst, err := specPath(spec)
+	if err != nil {
+		return nil, nil, err
+	}
 	var srcNode *netsim.Node
 	for _, nd := range rm.net.Nodes() {
 		if nd.Addr() == src {
@@ -154,6 +156,16 @@ func (rm *NetworkRM) path(buf []*netsim.Iface, src, dst netsim.Addr) ([]*netsim.
 	return hops, hops[0].Peer(), nil
 }
 
+// scratchPath is path written over the manager's scratch hops, for
+// callers that drop the path before they return.
+func (rm *NetworkRM) scratchPath(spec Spec) ([]*netsim.Iface, error) {
+	hops, _, err := rm.path(rm.hops, spec)
+	if err == nil {
+		rm.hops = hops
+	}
+	return hops, err
+}
+
 func specPath(spec Spec) (netsim.Addr, netsim.Addr, error) {
 	if spec.Flow.Src == nil || spec.Flow.Dst == nil {
 		return 0, 0, fmt.Errorf("gara: network spec must pin flow source and destination")
@@ -168,43 +180,50 @@ func (rm *NetworkRM) Admit(r *Reservation) error {
 	if spec.Bandwidth <= 0 {
 		return fmt.Errorf("gara: non-positive bandwidth %v", spec.Bandwidth)
 	}
-	src, dst, err := specPath(spec)
+	hops, err := rm.scratchPath(spec)
 	if err != nil {
 		return err
 	}
-	hops, _, err := rm.path(rm.hops, src, dst)
-	if err != nil {
+	if err := rm.book(r.id, hops, r.start, r.end, spec.Bandwidth, "admission"); err != nil {
 		return err
-	}
-	rm.hops = hops
-	hops = rm.owned(hops)
-	if len(hops) == 0 {
-		return ErrNotInDomain
-	}
-	for i, out := range hops {
-		if err := rm.table(out).Insert(r.id, r.start, r.end, float64(spec.Bandwidth)); err != nil {
-			for _, b := range hops[:i] {
-				rm.table(b).Remove(r.id)
-			}
-			return fmt.Errorf("gara: admission failed on link %s: %w", out.Link().Name(), err)
-		}
 	}
 	rm.journal(JournalRecord{Op: OpBook, ID: r.id, Spec: spec, Start: r.start, End: r.end})
 	return nil
 }
 
-// Release implements ResourceManager.
-func (rm *NetworkRM) Release(r *Reservation) {
-	removed := false
-	for _, st := range rm.tables {
-		if st.Remove(r.id) {
-			removed = true
+// book books bw over [start, end) under id on the hops this manager
+// owns, all or none: ErrNotInDomain when it owns none of them, and
+// when a table is full the hops booked so far are released and the
+// error names op and the link.
+func (rm *NetworkRM) book(id uint64, hops []*netsim.Iface, start, end time.Duration, bw units.BitRate, op string) error {
+	hops = rm.owned(hops)
+	if len(hops) == 0 {
+		return ErrNotInDomain
+	}
+	for i, out := range hops {
+		if err := rm.table(out).Insert(id, start, end, float64(bw)); err != nil {
+			for _, b := range hops[:i] {
+				rm.table(b).Remove(id)
+			}
+			return fmt.Errorf("gara: %s failed on link %s: %w", op, out.Link().Name(), err)
 		}
 	}
-	delete(rm.leases, r.id)
+	return nil
+}
+
+// Release implements ResourceManager.
+func (rm *NetworkRM) Release(r *Reservation) { rm.unbook(r.id) }
+
+// unbook removes id from every slot table and drops its lease,
+// journaling the release when anything was booked. It reports whether
+// anything was.
+func (rm *NetworkRM) unbook(id uint64) bool {
+	removed := removeID(rm.tables, id)
+	delete(rm.leases, id)
 	if removed {
-		rm.journal(JournalRecord{Op: OpRelease, ID: r.id})
+		rm.journal(JournalRecord{Op: OpRelease, ID: id})
 	}
+	return removed
 }
 
 // depthFor computes the token bucket depth for a spec. A spec that
@@ -221,24 +240,26 @@ func (rm *NetworkRM) depthFor(spec Spec) units.ByteSize {
 // the flow originates in their domain; transit segments need no rule
 // (packets arrive already marked EF and ride the aggregate).
 func (rm *NetworkRM) Activate(r *Reservation) error {
-	src, dst, err := specPath(r.spec)
+	hops, edgeIngress, err := rm.path(nil, r.spec)
 	if err != nil {
 		return err
 	}
-	hops, edgeIngress, err := rm.path(nil, src, dst)
-	if err != nil {
-		return err
-	}
-	att := &netAttachment{hops: hops}
-	if rm.Scope == nil || rm.Scope(hops[0]) {
-		att.fr = rm.domain.ReserveFlow(edgeIngress, r.spec.Flow, r.spec.Bandwidth, rm.depthFor(r.spec), diffserv.ExceedDrop)
-	}
-	// Transit domains install no rule but still track the reservation:
-	// their booked hops can break too.
-	rm.attach[r.id] = att
-	rm.active[r.id] = r
+	att := rm.install(r.id, r, r.spec, hops, edgeIngress, rm.Scope == nil || rm.Scope(hops[0]))
 	rm.journal(JournalRecord{Op: OpActivate, ID: r.id, Edge: att.fr != nil})
 	return nil
+}
+
+// install records the attachment of id, booked on the path hops, and
+// with edge set installs spec's edge rule at edgeIngress. Transit
+// domains install no rule but still attach the reservation: their
+// booked hops can break too.
+func (rm *NetworkRM) install(id uint64, r *Reservation, spec Spec, hops []*netsim.Iface, edgeIngress *netsim.Iface, edge bool) *netAttachment {
+	att := &netAttachment{hops: hops, r: r}
+	if edge {
+		att.fr = rm.domain.ReserveFlow(edgeIngress, spec.Flow, spec.Bandwidth, rm.depthFor(spec), diffserv.ExceedDrop)
+	}
+	rm.attach[id] = att
+	return att
 }
 
 // Enforcement returns the edge rule installed for r, or nil (transit
@@ -267,12 +288,11 @@ func (rm *NetworkRM) owned(hops []*netsim.Iface) []*netsim.Iface {
 // Deactivate implements ResourceManager.
 func (rm *NetworkRM) Deactivate(r *Reservation) {
 	att := rm.attach[r.id]
-	if att == nil && rm.active[r.id] == nil {
+	if att == nil {
 		return
 	}
-	delete(rm.active, r.id)
 	delete(rm.attach, r.id)
-	if att != nil && att.fr != nil {
+	if att.fr != nil {
 		att.fr.Remove()
 		att.fr = nil
 	}
@@ -280,9 +300,9 @@ func (rm *NetworkRM) Deactivate(r *Reservation) {
 }
 
 // Modify implements ResourceManager: rebook the path slots at the new
-// bandwidth/window and retune the installed token bucket in place.
+// bandwidth and window and retune the installed token bucket in place.
 // The flow itself (endpoints) may not change.
-func (rm *NetworkRM) Modify(r *Reservation, spec Spec) error {
+func (rm *NetworkRM) Modify(r *Reservation, spec Spec, start, end time.Duration) error {
 	oldSrc, oldDst, _ := specPath(r.spec)
 	newSrc, newDst, err := specPath(spec)
 	if err != nil {
@@ -291,17 +311,11 @@ func (rm *NetworkRM) Modify(r *Reservation, spec Spec) error {
 	if oldSrc != newSrc || oldDst != newDst {
 		return fmt.Errorf("gara: cannot modify a reservation's endpoints")
 	}
-	hops, _, err := rm.path(rm.hops, newSrc, newDst)
+	hops, err := rm.scratchPath(spec)
 	if err != nil {
 		return err
 	}
-	rm.hops = hops
 	hops = rm.owned(hops)
-	now := rm.k.Now()
-	start, end := spec.window(now)
-	if r.state == StateActive {
-		start = r.start // enforcement already began
-	}
 	for i, out := range hops {
 		if err := rm.table(out).Update(r.id, start, end, float64(spec.Bandwidth)); err != nil {
 			for _, d := range hops[:i] {
@@ -310,16 +324,12 @@ func (rm *NetworkRM) Modify(r *Reservation, spec Spec) error {
 			return err
 		}
 	}
-	r.spec = spec
-	r.start, r.end = start, end
 	rm.journal(JournalRecord{Op: OpBook, ID: r.id, Spec: spec, Start: start, End: end})
 	if r.state == StateActive {
 		if fr := rm.Enforcement(r); fr != nil {
 			fr.SetRate(spec.Bandwidth)
 			fr.SetDepth(rm.depthFor(spec))
 		}
-		r.endTimer.Cancel()
-		r.armEnd()
 	}
 	return nil
 }
@@ -328,45 +338,40 @@ func (rm *NetworkRM) Modify(r *Reservation, spec Spec) error {
 // change: a reservation whose booked path contains a down link, or
 // whose current route no longer matches the booked hops, is degraded
 // (enforcement removed, capacity released). Reservations are visited
-// in id order so fault handling stays deterministic.
+// in id order so fault handling stays deterministic; attachments
+// Recover rebuilt have no reservation to degrade.
 func (rm *NetworkRM) checkPaths() {
-	ids := make([]uint64, 0, len(rm.active))
-	for id := range rm.active {
-		ids = append(ids, id)
+	ids := make([]uint64, 0, len(rm.attach))
+	for id, att := range rm.attach {
+		if att.r != nil {
+			ids = append(ids, id)
+		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		r := rm.active[id]
-		if r == nil || r.state != StateActive {
+		att := rm.attach[id]
+		if att == nil || att.r == nil || att.r.state != StateActive {
 			continue
 		}
-		if !rm.pathHealthy(r) {
-			r.Degrade() // Deactivate drops it from rm.active
+		if !rm.pathHealthy(att) {
+			att.r.Degrade() // Deactivate drops its attachment
 		}
 	}
 }
 
-// pathHealthy reports whether r's booked hops are all in service and
+// pathHealthy reports whether att's booked hops are all in service and
 // still what the routing tables would choose.
-func (rm *NetworkRM) pathHealthy(r *Reservation) bool {
-	att := rm.attach[r.id]
-	if att == nil {
-		return true // nothing booked to go stale
-	}
+func (rm *NetworkRM) pathHealthy(att *netAttachment) bool {
 	for _, out := range att.hops {
 		if !out.Link().Up() {
 			return false
 		}
 	}
-	src, dst, err := specPath(r.spec)
-	if err != nil {
-		return true
-	}
-	hops, _, err := rm.path(rm.hops, src, dst)
+	// The spec pins its endpoints: Admit checked them.
+	hops, err := rm.scratchPath(att.r.spec)
 	if err != nil {
 		return false // destination became unreachable
 	}
-	rm.hops = hops
 	if len(hops) != len(att.hops) {
 		return false
 	}
@@ -383,36 +388,18 @@ func (rm *NetworkRM) pathHealthy(r *Reservation) bool {
 // enforcement. Fails (leaving the reservation degraded and unbooked)
 // when the surviving path lacks EF capacity.
 func (rm *NetworkRM) Reattach(r *Reservation) error {
-	src, dst, err := specPath(r.spec)
+	hops, edgeIngress, err := rm.path(nil, r.spec)
 	if err != nil {
 		return err
-	}
-	hops, edgeIngress, err := rm.path(nil, src, dst)
-	if err != nil {
-		return err
-	}
-	owned := rm.owned(hops)
-	if len(owned) == 0 {
-		return ErrNotInDomain
 	}
 	start := r.start
 	if now := rm.k.Now(); start < now {
 		start = now // book only the remaining window
 	}
-	for i, out := range owned {
-		if err := rm.table(out).Insert(r.id, start, r.end, float64(r.spec.Bandwidth)); err != nil {
-			for _, b := range owned[:i] {
-				rm.table(b).Remove(r.id)
-			}
-			return fmt.Errorf("gara: reattach failed on link %s: %w", out.Link().Name(), err)
-		}
+	if err := rm.book(r.id, hops, start, r.end, r.spec.Bandwidth, "reattach"); err != nil {
+		return err
 	}
-	att := &netAttachment{hops: hops}
-	if rm.Scope == nil || rm.Scope(hops[0]) {
-		att.fr = rm.domain.ReserveFlow(edgeIngress, r.spec.Flow, r.spec.Bandwidth, rm.depthFor(r.spec), diffserv.ExceedDrop)
-	}
-	rm.attach[r.id] = att
-	rm.active[r.id] = r
+	att := rm.install(r.id, r, r.spec, hops, edgeIngress, rm.Scope == nil || rm.Scope(hops[0]))
 	rm.journal(JournalRecord{Op: OpBook, ID: r.id, Spec: r.spec, Start: start, End: r.end})
 	rm.journal(JournalRecord{Op: OpActivate, ID: r.id, Edge: att.fr != nil})
 	return nil

@@ -97,29 +97,17 @@ type Prepared struct {
 // booking is reclaimed automatically if neither Commit nor Abort
 // arrives before the lease ends.
 func (g *Gara) Prepare(spec Spec, ttl time.Duration) (*Prepared, error) {
-	rm := g.managers[spec.Type]
-	if rm == nil {
-		return nil, fmt.Errorf("%w %q", ErrNoManager, spec.Type)
-	}
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	g.nextID++
-	r := &Reservation{g: g, id: g.nextID, spec: spec, rm: rm}
-	r.start, r.end = spec.window(g.k.Now())
-	trace, parent := g.spanFor(r.id)
-	sp := g.tr.Begin(trace, parent, "gara.prepare", string(spec.Type))
-	sp.Int("res", int64(r.id))
-	if err := rm.Admit(r); err != nil {
-		g.mRejects.Inc()
-		g.rec.Emit(metrics.EvAdmissionReject, string(spec.Type), 0, 0, 0)
-		sp.EndStatus(spans.StatusFailed)
+	r, sp, err := g.admit(spec, "gara.prepare")
+	if err != nil {
 		return nil, err
 	}
 	p := &Prepared{g: g, r: r, leaseEnd: g.k.Now() + ttl}
-	p.span = g.tr.Begin(trace, sp.SpanID(), "gara.lease", string(spec.Type))
+	p.span = g.tr.Begin(sp.TraceID(), sp.SpanID(), "gara.lease", string(spec.Type))
 	p.span.Int("res", int64(r.id)).Int("ttl_ns", int64(ttl))
-	if ln, ok := rm.(LeaseNoter); ok {
+	if ln, ok := r.rm.(LeaseNoter); ok {
 		ln.NoteLease(r.id, p.leaseEnd)
 	}
 	p.timer = g.k.At(p.leaseEnd, sim.PrioNormal, p.expire)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"mpichgq/internal/diffserv"
 	"mpichgq/internal/metrics"
 	"mpichgq/internal/netsim"
 	"mpichgq/internal/sim"
@@ -71,7 +70,6 @@ func (rm *NetworkRM) Crash() {
 	}
 	rm.tables = make(map[*netsim.Iface]*SlotTable)
 	rm.attach = make(map[uint64]*netAttachment)
-	rm.active = make(map[uint64]*Reservation)
 	rm.leases = make(map[uint64]time.Duration)
 	reg := rm.k.Metrics()
 	reg.Counter("netrm_crashes_total",
@@ -136,32 +134,13 @@ func (rm *NetworkRM) Recover() (RecoverStats, error) {
 			rm.journal(JournalRecord{Op: OpRelease, ID: id})
 			continue
 		}
-		src, dst, err := specPath(st.spec)
+		hops, edgeIngress, err := rm.path(nil, st.spec)
+		if err == nil {
+			err = rm.book(id, hops, st.start, st.end, st.spec.Bandwidth, "recovery")
+		}
 		if err != nil {
-			stats.Dropped++
-			rm.journal(JournalRecord{Op: OpRelease, ID: id})
-			continue
-		}
-		hops, edgeIngress, err := rm.path(nil, src, dst)
-		if err != nil {
-			// No viable path anymore; the booking cannot be honored.
-			stats.Dropped++
-			rm.journal(JournalRecord{Op: OpRelease, ID: id})
-			continue
-		}
-		owned := rm.owned(hops)
-		rebooked, failed := []*netsim.Iface{}, false
-		for _, out := range owned {
-			if err := rm.table(out).Insert(id, st.start, st.end, float64(st.spec.Bandwidth)); err != nil {
-				failed = true
-				break
-			}
-			rebooked = append(rebooked, out)
-		}
-		if failed || len(owned) == 0 {
-			for _, b := range rebooked {
-				rm.table(b).Remove(id)
-			}
+			// No viable path or capacity anymore; the booking cannot be
+			// honored.
 			stats.Dropped++
 			rm.journal(JournalRecord{Op: OpRelease, ID: id})
 			continue
@@ -175,13 +154,10 @@ func (rm *NetworkRM) Recover() (RecoverStats, error) {
 			rm.k.At(st.leaseEnd, sim.PrioNormal, func() { rm.reclaimLease(leaseID) })
 		}
 		if st.activated {
-			att := &netAttachment{hops: hops}
+			rm.install(id, nil, st.spec, hops, edgeIngress, st.edge)
 			if st.edge {
-				att.fr = rm.domain.ReserveFlow(edgeIngress, st.spec.Flow, st.spec.Bandwidth,
-					rm.depthFor(st.spec), diffserv.ExceedDrop)
 				stats.Reinstalled++
 			}
-			rm.attach[id] = att
 		}
 	}
 	reg := rm.k.Metrics()
@@ -207,11 +183,9 @@ func (rm *NetworkRM) reclaimLease(id uint64) {
 	if _, live := rm.leases[id]; !live {
 		return
 	}
-	delete(rm.leases, id)
-	for _, st := range rm.tables {
-		st.Remove(id)
-	}
-	rm.journal(JournalRecord{Op: OpRelease, ID: id})
+	// A live lease is booked: Recover arms this timer only for an id
+	// it rebooked, and every release drops the lease.
+	rm.unbook(id)
 	reg := rm.k.Metrics()
 	reg.Counter("netrm_leases_reclaimed_total",
 		"prepare leases reclaimed by the RM's own timer", "rm", rm.Name).Inc()
@@ -223,22 +197,11 @@ func (rm *NetworkRM) reclaimLease(id uint64) {
 // died with a crashed server; journal recovery rebuilt the booking).
 // It reports whether anything was booked.
 func (rm *NetworkRM) ReleaseID(id uint64) bool {
-	removed := false
-	for _, st := range rm.tables {
-		if st.Remove(id) {
-			removed = true
-		}
-	}
-	delete(rm.leases, id)
 	if att := rm.attach[id]; att != nil {
 		if att.fr != nil {
 			att.fr.Remove()
 		}
 		delete(rm.attach, id)
 	}
-	delete(rm.active, id)
-	if removed {
-		rm.journal(JournalRecord{Op: OpRelease, ID: id})
-	}
-	return removed
+	return rm.unbook(id)
 }

@@ -181,8 +181,7 @@ func (st *SlotTable) cut(i int, drop func(slot) bool) {
 }
 
 // Remove deletes all slots with the given id; it reports whether any
-// existed. A table without id is only read: NetworkRM.Release asks
-// every table.
+// existed. A table without id is only read: removeID asks every table.
 func (st *SlotTable) Remove(id uint64) bool {
 	for i := range st.slots {
 		if st.slots[i].id == id {
@@ -191,6 +190,18 @@ func (st *SlotTable) Remove(id uint64) bool {
 		}
 	}
 	return false
+}
+
+// removeID removes id from every table of a manager, which releases
+// by id alone, and reports whether any table held it.
+func removeID[K comparable](tables map[K]*SlotTable, id uint64) bool {
+	removed := false
+	for _, st := range tables {
+		if st.Remove(id) {
+			removed = true
+		}
+	}
+	return removed
 }
 
 // Update atomically replaces id's slots with a new (start, end,

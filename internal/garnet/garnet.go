@@ -91,7 +91,6 @@ type Testbed struct {
 	Domain *diffserv.Domain
 	Gara   *gara.Gara
 	NetRM  *gara.NetworkRM
-	CPURM  *gara.CPURM
 
 	opts Options
 }
@@ -141,9 +140,8 @@ func NewWithOptions(o Options) *Testbed {
 
 	tb.Gara = gara.New(k)
 	tb.NetRM = gara.NewNetworkRM(n, tb.Domain, o.EFFraction)
-	tb.CPURM = gara.NewCPURM()
 	tb.Gara.Register(tb.NetRM)
-	tb.Gara.Register(tb.CPURM)
+	tb.Gara.Register(gara.NewCPURM())
 	tb.Gara.Register(gara.NewStorageRM())
 	return tb
 }

@@ -115,23 +115,12 @@ type MetricSnapshot struct {
 	Count   uint64    `json:"count,omitempty"`
 }
 
-// EventSnapshot is one flight-recorder event in a JSON snapshot.
-type EventSnapshot struct {
-	Seq     uint64 `json:"seq"`
-	AtNs    int64  `json:"at_ns"`
-	Type    string `json:"type"`
-	Subject string `json:"subject"`
-	V1      int64  `json:"v1,omitempty"`
-	V2      int64  `json:"v2,omitempty"`
-	V3      int64  `json:"v3,omitempty"`
-}
-
 // Snapshot is the JSON export of a registry: every series plus the
 // retained flight-recorder events.
 type Snapshot struct {
 	TakenAtNs         int64            `json:"taken_at_ns"`
 	Metrics           []MetricSnapshot `json:"metrics"`
-	Events            []EventSnapshot  `json:"events"`
+	Events            []Event          `json:"events"`
 	EventsOverwritten uint64           `json:"events_overwritten,omitempty"`
 }
 
@@ -159,8 +148,8 @@ func (r *Registry) TakeSnapshot() Snapshot {
 		}
 		s.Metrics = append(s.Metrics, ms)
 	}
-	for _, ev := range r.events.Snapshot() {
-		s.Events = append(s.Events, ev.Snapshot())
+	if evs := r.events.Snapshot(); len(evs) > 0 {
+		s.Events = evs
 	}
 	s.EventsOverwritten = r.events.Dropped()
 	return s
@@ -183,10 +172,10 @@ func LoadSnapshot(rd io.Reader) (*Snapshot, error) {
 	return &s, nil
 }
 
-// EventsOfType returns the snapshot's events matching the given wire
-// name (e.g. "mpi-recv"), preserving order.
-func (s *Snapshot) EventsOfType(typ string) []EventSnapshot {
-	var out []EventSnapshot
+// EventsOfType returns the snapshot's events of type typ, preserving
+// order.
+func (s *Snapshot) EventsOfType(typ EventType) []Event {
+	var out []Event
 	for _, e := range s.Events {
 		if e.Type == typ {
 			out = append(out, e)
@@ -201,5 +190,5 @@ func (s *Snapshot) Span() (first, last time.Duration) {
 	if len(s.Events) == 0 {
 		return 0, 0
 	}
-	return time.Duration(s.Events[0].AtNs), time.Duration(s.Events[len(s.Events)-1].AtNs)
+	return s.Events[0].At, s.Events[len(s.Events)-1].At
 }

@@ -189,7 +189,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		s.Span()
 		snapshotMetric(s, "tcp_rtt_seconds", "node", "prem-src")
-		s.EventsOfType("mpi-recv")
+		s.EventsOfType(EvMPIRecv)
 		enc, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("loaded snapshot does not re-encode: %v", err)

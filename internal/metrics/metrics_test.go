@@ -373,7 +373,7 @@ func TestJSONSnapshotRoundTrip(t *testing.T) {
 	if m, ok := snapshotMetric(s, "gf"); !ok || m.Value != 4 {
 		t.Fatalf("gaugefunc snapshot = %+v", m)
 	}
-	recvs := s.EventsOfType("mpi-recv")
+	recvs := s.EventsOfType(EvMPIRecv)
 	if len(recvs) != 1 || recvs[0].Subject != "rank-1" || recvs[0].V3 != 5000 {
 		t.Fatalf("events = %+v", recvs)
 	}
@@ -390,6 +390,24 @@ func TestJSONSnapshotRoundTrip(t *testing.T) {
 func TestLoadSnapshotError(t *testing.T) {
 	if _, err := LoadSnapshot(strings.NewReader("{nope")); err == nil {
 		t.Fatal("expected decode error")
+	}
+	if _, err := LoadSnapshot(strings.NewReader(`{"events":[{"seq":0,"at_ns":1,"type":"mpi-recieve","subject":"r"}]}`)); err == nil {
+		t.Fatal("an unknown event type name should not load")
+	}
+}
+
+// TestEventTypeText pins that every event type's wire name reads back
+// as that type.
+func TestEventTypeText(t *testing.T) {
+	for typ := EvNone; typ < evSentinel; typ++ {
+		b, err := typ.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back EventType
+		if err := back.UnmarshalText(b); err != nil || back != typ {
+			t.Fatalf("%s reads back as %v (err %v)", b, back, err)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package metrics
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // EventType identifies a flight-recorder event.
 type EventType uint8
@@ -152,40 +155,48 @@ func (t EventType) String() string {
 	return "unknown"
 }
 
-// ParseEventType maps a wire name back to its EventType.
-func ParseEventType(s string) (EventType, bool) {
-	for t, name := range eventTypeNames {
-		if name == s && EventType(t) != EvNone {
-			return EventType(t), true
+// MarshalText writes the wire name: the type field of an event's JSON
+// form.
+func (t EventType) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
+
+// UnmarshalText reads a wire name, "none" included, and refuses any
+// other text.
+func (t *EventType) UnmarshalText(b []byte) error {
+	for i, name := range eventTypeNames {
+		if name == string(b) {
+			*t = EventType(i)
+			return nil
 		}
 	}
-	return EvNone, false
+	return fmt.Errorf("metrics: unknown event type %q", b)
+}
+
+// ParseEventType maps a wire name other than "none" back to its
+// EventType.
+func ParseEventType(s string) (EventType, bool) {
+	var t EventType
+	err := t.UnmarshalText([]byte(s))
+	return t, err == nil && t != EvNone
 }
 
 // Event is one flight-recorder record. It is a plain value whose only
 // pointer is the interned Subject string's data pointer, so recording
 // an event allocates nothing; the garbage collector still scans the
-// ring, one Subject per slot.
+// ring, one Subject per slot. The JSON tags are the wire form that
+// snapshots and gqd /events carry.
 type Event struct {
 	// Seq is the global emission sequence number (monotonic from 0).
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// At is the sim-kernel time of emission.
-	At time.Duration
+	At time.Duration `json:"at_ns"`
 	// Type discriminates the payload.
-	Type EventType
+	Type EventType `json:"type"`
 	// Subject names the emitting entity.
-	Subject string
+	Subject string `json:"subject"`
 	// V1, V2, V3 are type-specific payload values.
-	V1, V2, V3 int64
-}
-
-// Snapshot converts the event to its JSON export form — the record
-// TakeSnapshot writes and gqd /events serves.
-func (e Event) Snapshot() EventSnapshot {
-	return EventSnapshot{
-		Seq: e.Seq, AtNs: int64(e.At), Type: e.Type.String(),
-		Subject: e.Subject, V1: e.V1, V2: e.V2, V3: e.V3,
-	}
+	V1 int64 `json:"v1,omitempty"`
+	V2 int64 `json:"v2,omitempty"`
+	V3 int64 `json:"v3,omitempty"`
 }
 
 // DefaultRecorderCapacity is the ring size a fresh Registry starts

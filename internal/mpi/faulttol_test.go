@@ -231,7 +231,7 @@ func TestCheckpointRestartResume(t *testing.T) {
 	faults.NewScenario("ckpt-restart").
 		RankCrash(time.Second, "rank-1").
 		RankRestart(1500*time.Millisecond, "rank-1").
-		MustApplyTargets(net, faults.Targets{Ranks: j})
+		MustApply(net, faults.Targets{Ranks: j})
 	if err := k.RunUntil(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestRankFailureChaosSoak(t *testing.T) {
 	sc := faults.RankMTBF(sim.NewRNG(7),
 		[]string{"rank-0", "rank-1", "rank-2", "rank-3"},
 		20*time.Second, 2*time.Second, horizon)
-	sc.MustApplyTargets(net, faults.Targets{Ranks: j})
+	sc.MustApply(net, faults.Targets{Ranks: j})
 	if err := k.RunUntil(horizon); err != nil {
 		t.Fatal(err)
 	}

@@ -346,7 +346,7 @@ func (r *Rank) LastCheckpoint() (Checkpoint, bool) {
 }
 
 // RankTarget implements faults.RankResolver, so an mpi.Job can be
-// handed to faults.Scenario.ApplyTargets directly: scenario rank
+// handed to faults.Scenario.Apply directly: scenario rank
 // names are task names ("rank-3").
 func (j *Job) RankTarget(name string) faults.RankTarget {
 	for i := range j.ranks {

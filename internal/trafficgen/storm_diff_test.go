@@ -110,7 +110,7 @@ func stormCaseWorld(sc stormCase) (*sim.Kernel, *ReservationStorm) {
 		faults.NewScenario("storm-crash").
 			CtrlCrash(stormCaseStop/3, "dom").
 			CtrlRestart(stormCaseStop/2, "dom").
-			MustApplyWith(n, plane)
+			MustApply(n, faults.Targets{Ctrl: plane})
 	}
 	storm := &ReservationStorm{
 		Conns:    conns,

@@ -107,7 +107,7 @@ func runStormSoak(t *testing.T, seed int64) *stormRig {
 		CtrlLoss("dom", 0, 12*time.Second, 0.2).
 		CtrlCrash(5*time.Second, "dom").
 		CtrlRestart(6*time.Second, "dom")
-	if _, err := sc.ApplyWith(r.net, r.plane); err != nil {
+	if _, err := sc.Apply(r.net, faults.Targets{Ctrl: r.plane}); err != nil {
 		t.Fatal(err)
 	}
 	impair := func(loss, dup float64) {
